@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,7 +20,6 @@ from . import conflux as cfx
 from . import features, metrics, transforms
 from .errors import GuardsiftError, ParseError
 from .ingest import parse_client_log, parse_guard_log, parse_visit_log, filter_relay_channels
-from .parallel import parallel_map
 from .sanitize import SanitizeConfig, group_visits, sanitize
 from .segment import extract_monitored_window, segment_nonmonitored
 from .simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
@@ -254,39 +254,19 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _feature_worker(item) -> list:
-    kind, cells, length, t_max_s, n_slots = item
-    trace = Trace(cells=tuple(cells))
-    if kind == "direction":
-        return features.direction_sequence(trace, length).tolist()
-    if kind == "timing":
-        return features.directional_timing(trace, length).tolist()
-    return features.build_tam(trace, t_max_s, n_slots).matrix.tolist()
-
-
 def cmd_featurize(args) -> int:
     traces = read_dataset(args.in_path)
     if not traces:
         raise GuardsiftError("no traces in input")
-    t_max_s = args.t_max_s if args.t_max_s is not None else features.default_t_max(traces)
-    items = [
-        (args.kind, trace.cells, args.length, t_max_s, args.n_slots) for trace in traces
-    ]
-    rows = parallel_map(_feature_worker, items, args.jobs)
-    if args.kind == "direction":
-        array = np.array(rows, dtype=np.int8)
-        meta = {"kind": args.kind, "length": args.length}
-    elif args.kind == "timing":
-        array = np.array(rows, dtype=np.float64)
-        meta = {"kind": args.kind, "length": args.length}
-    else:
-        array = np.array(rows, dtype=np.int64)
-        meta = {
-            "kind": "tam",
-            "t_max_s": t_max_s,
-            "n_slots": args.n_slots,
-            "slot_duration_s": t_max_s / args.n_slots,
-        }
+    t_max_s = args.t_max_s
+    if args.kind == "tam" and t_max_s is None:
+        t_max_s = features.default_t_max(traces)
+        if t_max_s == 0:
+            raise GuardsiftError("every trace lasts 0 s; pass --t-max-s")
+    try:
+        array, meta = features.feature_matrix(traces, args.kind, args.length, t_max_s, args.n_slots)
+    except (ValueError, OverflowError) as exc:
+        raise GuardsiftError(str(exc)) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     features.write_features(out_dir / "features.bin", array, meta)
@@ -339,6 +319,20 @@ def cmd_eval(args) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     _write_report(args.report, payload)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
 def _add_io_flags(parser, needs_out=True):
@@ -408,11 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=["direction", "timing", "tam"], default="direction")
-    p.add_argument("--length", type=int, default=5000)
-    p.add_argument("--t-max-s", type=float, default=None)
-    p.add_argument("--n-slots", type=int, default=1800)
+    p.add_argument("--length", type=_positive_int, default=5000)
+    p.add_argument("--t-max-s", type=_positive_float, default=None)
+    p.add_argument("--n-slots", type=_positive_int, default=1800)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; featurize runs serially"
+    )
     p.add_argument("--report")
     p.set_defaults(func=cmd_featurize)
 
@@ -438,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"guardsift {args.command}: parse error: {exc}", file=sys.stderr)
         return 1
-    except GuardsiftError as exc:
+    except (GuardsiftError, OSError) as exc:
         print(f"guardsift {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

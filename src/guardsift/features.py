@@ -7,15 +7,23 @@ a 2 x N per-direction count matrix over fixed time slots.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .trace import OUTGOING, Trace
+from .trace import OUTGOING, Cell, Trace
 
 SEC = 1_000_000_000
+
+
+def _cell_array(cells: Sequence[Cell]) -> np.ndarray:
+    """``(n, 2)`` int64 array of ``(timestamp_ns, direction)`` rows."""
+    flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=2 * len(cells))
+    return flat.reshape(-1, 2)
 
 
 def direction_sequence(trace: Trace, length: int = 5000) -> np.ndarray:
@@ -23,8 +31,8 @@ def direction_sequence(trace: Trace, length: int = 5000) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     out = np.zeros(length, dtype=np.int8)
-    for i, (_, d) in enumerate(trace.cells[:length]):
-        out[i] = d
+    head = _cell_array(trace.cells[:length])
+    out[: len(head)] = head[:, 1]
     return out
 
 
@@ -33,8 +41,14 @@ def directional_timing(trace: Trace, length: int = 5000) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     out = np.zeros(length, dtype=np.float64)
-    for i, (ts, d) in enumerate(trace.cells[:length]):
-        out[i] = (ts / SEC) * d
+    head = _cell_array(trace.cells[:length])
+    ts, d = head[:, 0], head[:, 1]
+    seconds = ts / SEC
+    if len(ts) and not (-(2**53) < ts[0] and ts[-1] < 2**53):
+        # past 2**53 ns the int64 -> float64 cast rounds before the division;
+        # Python's int / int rounds once, and the sorted ends bound every cell
+        seconds = np.array([t / SEC for t in ts.tolist()], dtype=np.float64)
+    out[: len(ts)] = seconds * d
     return out
 
 
@@ -44,7 +58,7 @@ class TAM:
 
     Row 0 counts outgoing cells, row 1 incoming. A cell at time t lands in
     slot floor(t / slot_duration), clamped so t == t_max falls in the last
-    slot; cells past t_max are dropped.
+    slot; cells before 0 or past t_max are dropped.
     """
 
     matrix: np.ndarray
@@ -59,20 +73,33 @@ class TAM:
         return int(self.matrix.sum())
 
 
-def build_tam(trace: Trace, t_max_s: float, n_slots: int) -> TAM:
-    """Count cells into a 2 x ``n_slots`` matrix covering [0, t_max]."""
-    if t_max_s <= 0:
-        raise ValueError("t_max must be positive")
+def _tam_horizon_ns(t_max_s: float, n_slots: int) -> int:
+    """``t_max`` in integer nanoseconds, checked for the int64 slot arithmetic."""
+    if not 0 < t_max_s < math.inf:
+        raise ValueError("t_max must be positive and finite")
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     t_max_ns = int(round(t_max_s * SEC))
-    matrix = np.zeros((2, n_slots), dtype=np.int64)
-    for ts, d in trace.cells:
-        if ts > t_max_ns:
-            continue
-        # integer slot index: exact, and pairwise-coarsening safe
-        slot = min(ts * n_slots // t_max_ns, n_slots - 1)
-        matrix[0 if d == OUTGOING else 1, slot] += 1
+    if t_max_ns < 1:
+        raise ValueError("t_max must be at least 1 ns")
+    if t_max_ns * n_slots >= 2**63:
+        raise ValueError(
+            f"t_max {t_max_s:g} s with {n_slots} slots overflows int64 slot arithmetic"
+        )
+    return t_max_ns
+
+
+def build_tam(trace: Trace, t_max_s: float, n_slots: int) -> TAM:
+    """Count cells into a 2 x ``n_slots`` matrix covering [0, t_max]."""
+    t_max_ns = _tam_horizon_ns(t_max_s, n_slots)
+    cells = _cell_array(trace.cells)
+    ts, d = cells[:, 0], cells[:, 1]
+    keep = (ts >= 0) & (ts <= t_max_ns)
+    # integer slot index: exact, and pairwise-coarsening safe
+    slots = np.minimum(ts[keep] * n_slots // t_max_ns, n_slots - 1)
+    rows = (d[keep] != OUTGOING).astype(np.int64)
+    counts = np.bincount(rows * n_slots + slots, minlength=2 * n_slots)
+    matrix = counts.astype(np.int64, copy=False).reshape(2, n_slots)
     return TAM(matrix=matrix, t_max_s=t_max_s, n_slots=n_slots)
 
 
@@ -105,6 +132,44 @@ def slot_sweep(
         n_slots = max(1, round(t_max_s / duration))
         results.append((duration, n_slots, [build_tam(t, t_max_s, n_slots) for t in traces]))
     return results
+
+
+def feature_matrix(
+    traces: Sequence[Trace],
+    kind: str,
+    length: int = 5000,
+    t_max_s: float | None = None,
+    n_slots: int = 1800,
+) -> tuple[np.ndarray, dict]:
+    """One row per trace of the ``kind`` view, plus the header metadata.
+
+    ``direction`` and ``timing`` rows hold ``length`` values; ``tam`` rows
+    are 2 x ``n_slots`` matrices over [0, ``t_max_s``].
+    """
+    if kind == "tam":
+        if t_max_s is None:
+            raise ValueError("tam features need t_max_s")
+        _tam_horizon_ns(t_max_s, n_slots)  # reject bad settings before allocating
+        out = np.empty((len(traces), 2, n_slots), dtype=np.int64)
+        for i, trace in enumerate(traces):
+            out[i] = build_tam(trace, t_max_s, n_slots).matrix
+        meta = {
+            "kind": kind,
+            "t_max_s": t_max_s,
+            "n_slots": n_slots,
+            "slot_duration_s": t_max_s / n_slots,
+        }
+        return out, meta
+    if kind == "direction":
+        build, dtype = direction_sequence, np.int8
+    elif kind == "timing":
+        build, dtype = directional_timing, np.float64
+    else:
+        raise ValueError(f"unknown feature kind {kind!r}")
+    out = np.empty((len(traces), length), dtype=dtype)
+    for i, trace in enumerate(traces):
+        out[i] = build(trace, length)
+    return out, {"kind": kind, "length": length}
 
 
 def write_features(path: str | Path, array: np.ndarray, meta: dict | None = None) -> None:

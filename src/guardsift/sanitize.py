@@ -70,7 +70,11 @@ class SanitizeConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SanitizeConfig":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigError(f"bad sanitizer config: {exc}") from None
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")

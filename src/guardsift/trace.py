@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyTraceError, NotNormalizedError
+from .errors import EmptyTraceError, NotNormalizedError, ParseError
 
 OUTGOING = 1
 INCOMING = -1
@@ -231,15 +231,21 @@ def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
     else:
         text = source.read()
     traces = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        payload = json.loads(line)
-        traces.append(
-            Trace(
+        try:
+            payload = json.loads(line)
+            trace = Trace(
                 cells=tuple((int(ts), int(d)) for ts, d in payload["cells"]),
                 phase=payload["phase"],
                 label=payload["label"],
             )
-        )
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"not JSON: {exc.msg}") from None
+        except KeyError as exc:
+            raise ParseError(line_no, f"missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(line_no, f"bad trace: {exc}") from None
+        traces.append(trace)
     return traces

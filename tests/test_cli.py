@@ -166,3 +166,48 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["sanitize", "--unknown-flag"])
     assert err.value.code == 2
+
+
+ONE_CELL_TRACE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
+
+
+@pytest.mark.parametrize(
+    "ndjson, extra, message",
+    [
+        (ONE_CELL_TRACE + "{not json\n", [], "line 2"),
+        (ONE_CELL_TRACE + '{"phase":"pre","label":null}\n', [], "line 2: missing key 'cells'"),
+        ('{"phase":"pre","label":null,"cells":[[5,1],[0,-1]]}\n', [], "line 1"),
+        (None, [], "No such file"),
+        (ONE_CELL_TRACE, ["--kind", "tam"], "pass --t-max-s"),
+        (ONE_CELL_TRACE, ["--kind", "tam", "--t-max-s", "1e10", "--n-slots", "1800"], "overflows"),
+    ],
+    ids=["malformed-json", "missing-cells", "unsorted-cells", "missing-file", "zero-duration-tam",
+         "slot-overflow"],
+)
+def test_featurize_stage_errors(tmp_path, capsys, ndjson, extra, message):
+    traces = tmp_path / "traces.ndjson"
+    if ndjson is not None:
+        traces.write_text(ndjson)
+    assert main(["featurize", "--in", str(traces), "--out", str(tmp_path / "f"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("guardsift featurize: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--length", "0"], ["--n-slots", "0"], ["--t-max-s", "-1"], ["--t-max-s", "inf"]]
+)
+def test_featurize_usage_errors(tmp_path, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["featurize", "--in", str(tmp_path / "t"), "--out", str(tmp_path / "f"), *flags])
+    assert err.value.code == 2
+
+
+def test_sanitize_config_typo_is_stage_error(dataset_dir, tmp_path, capsys):
+    config = tmp_path / "sanitize.json"
+    config.write_text(json.dumps({"min_cell": 3}))
+    assert main([
+        "sanitize", "--in", str(dataset_dir), "--phase", "pre", "--out", str(tmp_path / "clean"),
+        "--config", str(config),
+    ]) == 1
+    assert "bad sanitizer config" in capsys.readouterr().err

@@ -1,22 +1,83 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MS, SEC
+from guardsift.cli import main
 from guardsift.features import (
     build_tam,
     coarsen_tam,
     default_t_max,
     direction_sequence,
     directional_timing,
+    feature_matrix,
     read_features,
     slot_sweep,
     write_features,
 )
-from guardsift.trace import Trace
+from guardsift.trace import OUTGOING, Trace, read_dataset, write_dataset
 
 
 def trace_of(cells):
     return Trace(cells=tuple(cells))
+
+
+# --- brute-force references: the per-cell loops the numpy builders replace ---
+
+
+def reference_direction(trace, length):
+    out = np.zeros(length, dtype=np.int8)
+    for i, (_, d) in enumerate(trace.cells[:length]):
+        out[i] = d
+    return out
+
+
+def reference_timing(trace, length):
+    out = np.zeros(length, dtype=np.float64)
+    for i, (ts, d) in enumerate(trace.cells[:length]):
+        out[i] = (ts / SEC) * d
+    return out
+
+
+def reference_tam(trace, t_max_s, n_slots):
+    t_max_ns = int(round(t_max_s * SEC))
+    matrix = np.zeros((2, n_slots), dtype=np.int64)
+    for ts, d in trace.cells:
+        if ts > t_max_ns:
+            continue
+        slot = min(ts * n_slots // t_max_ns, n_slots - 1)
+        matrix[0 if d == OUTGOING else 1, slot] += 1
+    return matrix
+
+
+def same_bytes(got, want):
+    """Equal dtype, shape and bits, so -0.0 and 0.0 are told apart."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cells_and_horizon(draw):
+    """Sorted cells plus a TAM horizon, with cells on and just past t_max."""
+    t_max_s = draw(st.sampled_from([1e-9, 0.5, 2.0, 45.0, 80.0, 1e6]))
+    n_slots = draw(st.integers(1, 64))
+    t_max_ns = int(round(t_max_s * SEC))
+    ts = st.one_of(st.integers(0, 2 * t_max_ns + 2), st.sampled_from([0, t_max_ns, t_max_ns + 1]))
+    raw = draw(st.lists(st.tuples(ts, st.sampled_from([1, -1])), max_size=80))
+    # past 2**53 ns the int64 -> float64 cast rounds, so shift some traces there
+    offset = draw(st.one_of(st.just(0), st.integers(2**53, 2**62)))
+    cells = sorted((t + offset, d) for t, d in raw)
+    return tuple(cells), t_max_s, n_slots
+
+
+@given(cells_and_horizon(), st.integers(1, 100))
+@settings(max_examples=300, deadline=None)
+def test_numpy_builders_equal_references(case, length):
+    cells, t_max_s, n_slots = case
+    trace = trace_of(cells)
+    assert same_bytes(direction_sequence(trace, length), reference_direction(trace, length))
+    assert same_bytes(directional_timing(trace, length), reference_timing(trace, length))
+    tam = build_tam(trace, t_max_s, n_slots)
+    assert same_bytes(tam.matrix, reference_tam(trace, t_max_s, n_slots))
 
 
 class TestDirectionSequence:
@@ -93,6 +154,69 @@ class TestSlotSweep:
     def test_default_t_max_is_longest(self):
         traces = [trace_of([(0, 1), (3 * SEC, -1)]), trace_of([(0, 1), (9 * SEC, 1)])]
         assert default_t_max(traces) == 9.0
+
+
+class TestFeatureMatrix:
+    def test_incoming_cell_at_zero_keeps_negative_zero(self):
+        array, meta = feature_matrix([trace_of([(0, -1), (SEC, 1)])], "timing", 3)
+        assert np.signbit(array[0, 0]) and array[0, 0] == 0.0
+        assert meta == {"kind": "timing", "length": 3}
+
+    def test_cells_before_zero_are_outside_the_tam(self):
+        tam = build_tam(trace_of([(-SEC, 1), (0, 1)]), 10.0, 10)
+        assert tam.matrix[0].tolist() == [1] + [0] * 9
+
+    @pytest.mark.parametrize(
+        "t_max_s, n_slots",
+        [(0.0, 4), (-1.0, 4), (float("inf"), 4), (float("nan"), 4), (1e-12, 4), (10.0, 0),
+         (1e10, 1800)],  # the last pair overflows t_max_ns * n_slots in int64
+    )
+    def test_bad_tam_settings_rejected(self, t_max_s, n_slots):
+        with pytest.raises(ValueError):
+            build_tam(trace_of([(0, 1)]), t_max_s, n_slots)
+        with pytest.raises(ValueError):
+            feature_matrix([trace_of([(0, 1)])], "tam", t_max_s=t_max_s, n_slots=n_slots)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            feature_matrix([trace_of([(0, 1)])], "sizes")
+
+
+def _edge_case_traces():
+    """Longer than --length, a cell on t_max, cells past it, incoming at t=0."""
+    t_max = 2 * SEC
+    return [
+        Trace(cells=tuple((i * 100 * MS, 1 if i % 3 else -1) for i in range(12)), label="a.example"),
+        Trace(cells=((0, -1), (t_max // 3, 1), (t_max, 1), (t_max + 1, -1), (3 * t_max, 1))),
+        Trace(cells=((0, 1), (5 * MS, -1)), label="b.example"),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["direction", "timing", "tam"])
+def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
+    traces_path = tmp_path / "traces.ndjson"
+    write_dataset(_edge_case_traces(), 3, traces_path)
+    traces = read_dataset(traces_path)
+    builders = {
+        "direction": lambda t: direction_sequence(t, 8),
+        "timing": lambda t: directional_timing(t, 8),
+        "tam": lambda t: build_tam(t, 2.0, 4).matrix,
+    }
+    want = np.stack([builders[kind](t) for t in traces])
+    outputs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([
+            "featurize", "--in", str(traces_path), "--out", str(out), "--kind", kind,
+            "--length", "8", "--t-max-s", "2", "--n-slots", "4", "--jobs", jobs,
+        ]) == 0
+        array, _ = read_features(out / "features.bin")
+        assert same_bytes(array, want)
+        names = ("features.bin", "features.bin.json", "labels.csv")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    labels = (tmp_path / "jobs1" / "labels.csv").read_text().splitlines()[1:]
+    assert labels == [f"{t.trace_id},{t.label or ''}" for t in traces]
 
 
 def test_feature_dump_roundtrip(tmp_path):

@@ -1,7 +1,12 @@
 import pytest
 
 from conftest import MS, SEC, channel_of, circuit_from_dirs
-from guardsift.errors import EmptyAfterTrimError, NoMainCircuitError, NoMonitoredDataError
+from guardsift.errors import (
+    ConfigError,
+    EmptyAfterTrimError,
+    NoMainCircuitError,
+    NoMonitoredDataError,
+)
 from guardsift.ingest import PageVisitRecord
 from guardsift.sanitize import (
     CONFLUX,
@@ -320,3 +325,10 @@ class TestSanitizePipeline:
         assert result.report.retained == 3
         for trace in result.traces:
             assert len(trace.cells) < largest
+
+
+def test_config_from_json_rejects_unknown_key(tmp_path):
+    path = tmp_path / "sanitize.json"
+    path.write_text('{"min_cell": 3}')
+    with pytest.raises(ConfigError):
+        SanitizeConfig.from_json(path)

@@ -3,7 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from guardsift.errors import EmptyTraceError, NotNormalizedError
+from guardsift.errors import EmptyTraceError, NotNormalizedError, ParseError
 from guardsift.trace import (
     CellRecord,
     Trace,
@@ -103,3 +103,20 @@ def test_export_rejects_unnormalized():
         serialize_dataset([Trace(cells=((5, 1), (9, -1)))], seed=0)
     with pytest.raises(EmptyTraceError):
         serialize_dataset([Trace(cells=())], seed=0)
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ('{"phase":"pre","label":null,"cells":[[0,1]]}\n\n{oops\n', 3),
+        ('{"phase":"pre","cells":[[0,1]]}\n', 1),
+        ('{"phase":"pre","label":null,"cells":[[0,1,2]]}\n', 1),
+        ('{"phase":"pre","label":null,"cells":null}\n', 1),
+        ('{"phase":"mid","label":null,"cells":[[0,1]]}\n', 1),
+        ("[1, 2]\n", 1),
+    ],
+)
+def test_read_dataset_reports_bad_lines(text, line_no):
+    with pytest.raises(ParseError) as err:
+        read_dataset(io.StringIO(text))
+    assert err.value.line_no == line_no
