@@ -415,9 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="open-world metrics over classifier scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--r", type=float, default=10.0)
-    p.add_argument("--max-f1", action="store_true", help="pick the F1-maximizing threshold")
-    p.add_argument("--target-fpr", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--max-f1", action="store_true", help="pick the F1-maximizing threshold (the default)"
+    )
+    mode.add_argument("--target-fpr", type=float, default=None)
+    mode.add_argument("--threshold", type=float, default=None)
     p.add_argument("--wilson-z", type=float, default=1.96, help="0 disables the Wilson bound")
     p.add_argument("--curve", help="write the threshold sweep here")
     p.add_argument("--report")

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the config-file reader."""
+
+import json
+from pathlib import Path
 
 
 class GuardsiftError(Exception):
@@ -37,6 +40,10 @@ class EmptySegmentError(GuardsiftError):
     """A segmentation window contains no usable cells."""
 
 
+class MalformedCircuitError(GuardsiftError):
+    """A circuit's logged cells contradict each other, e.g. it ends before it starts."""
+
+
 class NotLinkedError(GuardsiftError):
     """A leg carries no link-handshake completion cell."""
 
@@ -67,3 +74,16 @@ class NoFeasibleThresholdError(GuardsiftError):
 
 class ConfigError(GuardsiftError):
     """A scenario or pipeline configuration is invalid."""
+
+
+def read_config_object(path, what: str) -> dict:
+    """The JSON object in a config file; anything else is a ``ConfigError``."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} config {path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"bad {what} config {path}: expected a JSON object, got {type(data).__name__}"
+        )
+    return data

@@ -24,6 +24,7 @@ from .errors import (
     EmptyAfterTrimError,
     NoMainCircuitError,
     NoMonitoredDataError,
+    read_config_object,
 )
 from .ingest import PageVisitRecord
 from .trace import INCOMING, OUTGOING, PRE, Cell, Channel, Circuit, Trace
@@ -70,7 +71,7 @@ class SanitizeConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SanitizeConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_config_object(path, "sanitizer")
         try:
             return cls(**data)
         except TypeError as exc:

@@ -8,9 +8,10 @@ is segmented by a greedy pass over circuit lifespans.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import EmptySegmentError
+from .errors import EmptySegmentError, MalformedCircuitError
 from .sanitize import SanitizeConfig, prune_close_tail
 from .trace import OUTGOING, PRE, Cell, Channel, Trace
 
@@ -43,23 +44,28 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
     window equal to its own lifespan; every still-unconsumed circuit that
     overlaps the window (touching endpoints count) is consumed by it. Each
     circuit is consumed exactly once.
+
+    Every circuit before the opener is already consumed and every later one
+    ends no earlier than the opener starts, so a window consumes exactly the
+    run of circuits that start by its end: one sort plus one bisection per
+    window.
     """
     circuits = sorted(channel.circuits.values(), key=lambda c: c.start_ts)
-    consumed: set[int] = set()
-    windows: list[SegmentWindow] = []
     for circuit in circuits:
-        if circuit.circuit_id in consumed:
-            continue
-        t_start, t_end = circuit.start_ts, circuit.end_ts
-        overlapping = frozenset(
-            other.circuit_id
-            for other in circuits
-            if other.circuit_id not in consumed
-            and other.start_ts <= t_end
-            and other.end_ts >= t_start
-        )
-        consumed.update(overlapping)
-        windows.append(SegmentWindow(channel.channel_id, t_start, t_end, overlapping))
+        if circuit.end_ts < circuit.start_ts:
+            raise MalformedCircuitError(
+                f"channel {channel.channel_id}: circuit {circuit.circuit_id} ends at"
+                f" {circuit.end_ts} ns, before its first cell at {circuit.start_ts} ns"
+            )
+    starts = [c.start_ts for c in circuits]
+    windows: list[SegmentWindow] = []
+    i = 0
+    while i < len(circuits):
+        t_start, t_end = circuits[i].start_ts, circuits[i].end_ts
+        j = bisect_right(starts, t_end, lo=i)
+        consumed = frozenset(c.circuit_id for c in circuits[i:j])
+        windows.append(SegmentWindow(channel.channel_id, t_start, t_end, consumed))
+        i = j
     return windows
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conflux import CellTypeCode
-from .errors import ConfigError
+from .errors import ConfigError, read_config_object
 from .trace import (
     INCOMING,
     OUTGOING,
@@ -134,7 +134,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_config_object(path, "scenario")
         for key, value in data.items():
             if isinstance(value, list):
                 data[key] = tuple(value)

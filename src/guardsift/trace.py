@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -70,13 +71,13 @@ class Trace:
     non-monitored trace. ``client_tag`` records which controlled client
     produced a monitored trace. ``tail_trimmed`` marks that the tail
     heuristics already ran, so re-running them cannot eat more cells.
+    ``trace_id`` is the content hash of the cells, computed on first read.
     """
 
     cells: tuple[Cell, ...]
     phase: str = PRE
     label: str | None = None
     client_tag: str | None = None
-    trace_id: str = ""
     tail_trimmed: bool = False
 
     def __post_init__(self):
@@ -87,8 +88,10 @@ class Trace:
             if prev is not None and ts < prev:
                 raise ValueError("cells must be sorted by timestamp")
             prev = ts
-        if not self.trace_id:
-            object.__setattr__(self, "trace_id", compute_trace_id(self.cells))
+
+    @cached_property
+    def trace_id(self) -> str:
+        return compute_trace_id(self.cells)
 
     @property
     def monitored(self) -> bool:
@@ -108,8 +111,8 @@ class Trace:
         return tuple(d for _, d in self.cells)
 
     def with_cells(self, cells: Iterable[Cell], **changes) -> "Trace":
-        """Copy with new cells; the content id is recomputed."""
-        return replace(self, cells=tuple(cells), trace_id="", **changes)
+        """Copy with new cells; the copy computes its own content id."""
+        return replace(self, cells=tuple(cells), **changes)
 
 
 @dataclass

@@ -211,3 +211,59 @@ def test_sanitize_config_typo_is_stage_error(dataset_dir, tmp_path, capsys):
         "--config", str(config),
     ]) == 1
     assert "bad sanitizer config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sanitize", "--phase", "pre", "--segmentation", "time"], ["segment"]])
+def test_time_path_names_a_circuit_that_ends_before_it_starts(tmp_path, capsys, command):
+    guard = tmp_path / "guard.csv"
+    guard.write_text("1,5,3000,1\n1,5,1000,-1\n")
+    argv = [command[0], "--guard", str(guard), "--out", str(tmp_path / "out"), *command[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"guardsift {command[0]}: error: channel 1: circuit 5 ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sanitize", '{"min_cells": 3', "bad sanitizer config"),
+        ("sanitize", "[]", "expected a JSON object, got list"),
+        ("sanitize", "3", "expected a JSON object, got int"),
+        ("sanitize", "", "not JSON"),
+        ("generate", '{"n_pages": 2', "bad scenario config"),
+        ("generate", "[]", "expected a JSON object, got list"),
+        ("generate", "null", "expected a JSON object, got NoneType"),
+        ("generate", '{"n_pages": 2}\n{"seed": 1}', "not JSON"),
+    ],
+    ids=["sanitize-truncated", "sanitize-list", "sanitize-number", "sanitize-empty",
+         "generate-truncated", "generate-list", "generate-null", "generate-two-objects"],
+)
+def test_bad_config_file_is_stage_error(request, tmp_path, capsys, command, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "sanitize":
+        argv += ["--in", str(request.getfixturevalue("dataset_dir")), "--phase", "pre"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"guardsift {command}: error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--threshold", "0.5", "--target-fpr", "0.1"],
+        ["--threshold", "0.5", "--max-f1"],
+        ["--target-fpr", "0.1", "--max-f1"],
+    ],
+)
+def test_eval_modes_are_mutually_exclusive(tmp_path, capsys, modes):
+    scores = tmp_path / "scores.csv"
+    write_scores([ScoreRecord("m", 1, 1, 0.9), ScoreRecord("n", NONMON, 1, 0.1)], scores)
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--scores", str(scores), *modes])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

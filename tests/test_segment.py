@@ -1,10 +1,71 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import guardsift.segment as segment_module
 from conftest import MS, SEC, channel_of
-from guardsift.errors import EmptySegmentError
-from guardsift.segment import extract_monitored_window, plan_windows, segment_nonmonitored
+from guardsift.errors import EmptySegmentError, GuardsiftError, MalformedCircuitError
+from guardsift.segment import (
+    SegmentWindow,
+    extract_monitored_window,
+    plan_windows,
+    segment_nonmonitored,
+)
 from guardsift.trace import CellRecord, Channel, Circuit
+
+
+def oracle_plan_windows(channel):
+    """Brute-force window plan: rescan every circuit for each opener."""
+    circuits = sorted(channel.circuits.values(), key=lambda c: c.start_ts)
+    consumed: set[int] = set()
+    windows: list[SegmentWindow] = []
+    for circuit in circuits:
+        if circuit.circuit_id in consumed:
+            continue
+        t_start, t_end = circuit.start_ts, circuit.end_ts
+        overlapping = frozenset(
+            other.circuit_id
+            for other in circuits
+            if other.circuit_id not in consumed
+            and other.start_ts <= t_end
+            and other.end_ts >= t_start
+        )
+        consumed.update(overlapping)
+        windows.append(SegmentWindow(channel.channel_id, t_start, t_end, overlapping))
+    return windows
+
+
+def circuit_at(circuit_id, timestamps, directions=None, channel_id=1):
+    """Circuit with one cell per timestamp, in the order given."""
+    directions = directions or [1 if i % 2 == 0 else -1 for i in range(len(timestamps))]
+    return Circuit(
+        circuit_id,
+        [CellRecord(channel_id, circuit_id, t, d) for t, d in zip(timestamps, directions)],
+    )
+
+
+@st.composite
+def small_channels(draw, max_circuits=12):
+    """Channels on a coarse time grid, so ties, touches and nesting are common.
+
+    Circuit ids are a shuffled range, so dict order, id order and start
+    order all differ. Cells inside a circuit are time-sorted.
+    """
+    n = draw(st.integers(1, max_circuits))
+    ids = draw(st.permutations(range(100, 100 + n)))
+    circuits = []
+    for circuit_id in ids:
+        start = draw(st.integers(0, 20)) * 10 * MS
+        stamps = sorted(
+            [start] + draw(st.lists(st.integers(0, 8).map(lambda k: start + k * 10 * MS), max_size=6))
+        )
+        directions = draw(st.lists(st.sampled_from([1, -1]), min_size=len(stamps), max_size=len(stamps)))
+        circuits.append(circuit_at(circuit_id, stamps, directions))
+    return channel_of(*circuits, channel_id=draw(st.integers(1, 5)))
+
+
+def window_tuples(windows):
+    return [(w.channel_id, w.t_start, w.t_end, w.consumed_circuit_ids) for w in windows]
 
 
 def spanning_circuit(circuit_id, start_s, end_s, channel_id=1, n=40, lead=1):
@@ -146,3 +207,68 @@ class TestGreedySegmentation:
         seg_tail = seg_traces[0].cells[2:]
         base = seg_tail[0][0]
         assert tuple((ts - base, d) for ts, d in seg_tail) == sanitized.cells
+
+
+class TestPlannerAgainstOracle:
+    @given(small_channels())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_equals_oracle(self, channel):
+        assert window_tuples(plan_windows(channel)) == window_tuples(oracle_plan_windows(channel))
+
+    @pytest.mark.parametrize(
+        "circuits, expected",
+        [
+            # equal starts: the first-listed opener takes every tied circuit
+            ([(1, [0, 50]), (2, [0, 10]), (3, [0, 90])], [{1, 2, 3}]),
+            # touching endpoints chain only from the opener, not transitively
+            ([(1, [0, 10]), (2, [10, 20]), (3, [20, 30])], [{1, 2}, {3}]),
+            # nested circuits are consumed by the enclosing one
+            ([(1, [0, 100]), (2, [10, 20]), (3, [30, 40]), (4, [101, 120])], [{1, 2, 3}, {4}]),
+            # single-cell circuits are zero-length windows
+            ([(1, [5]), (2, [5]), (3, [6]), (4, [6, 9])], [{1, 2}, {3, 4}]),
+            # a long second circuit does not extend the opener's window
+            ([(1, [0, 10]), (2, [5, 500]), (3, [11, 12])], [{1, 2}, {3}]),
+        ],
+        ids=["equal-starts", "touching", "nested", "single-cell", "no-extension"],
+    )
+    def test_edge_cases(self, circuits, expected):
+        channel = channel_of(*(circuit_at(cid, [t * MS for t in ts]) for cid, ts in circuits))
+        windows = plan_windows(channel)
+        assert [set(w.consumed_circuit_ids) for w in windows] == expected
+        assert window_tuples(windows) == window_tuples(oracle_plan_windows(channel))
+
+    @given(small_channels(max_circuits=8))
+    @settings(max_examples=200, deadline=None)
+    def test_segmentation_unchanged_with_oracle_plan(self, channel):
+        # cells on the coarse grid tie across circuits, often with opposite
+        # directions; their order in the output must not depend on the planner
+        expected_windows = oracle_plan_windows(channel)
+        traces = segment_nonmonitored(channel)
+        original = segment_module.plan_windows
+        segment_module.plan_windows = lambda ch: expected_windows
+        try:
+            expected = segment_nonmonitored(channel)
+        finally:
+            segment_module.plan_windows = original
+        assert [(t.cells, t.label, t.tail_trimmed) for t in traces] == [
+            (t.cells, t.label, t.tail_trimmed) for t in expected
+        ]
+
+    def test_tied_opposite_directions_keep_circuit_id_order(self):
+        # two circuits share every timestamp with opposite directions; the
+        # merged trace lists the lower circuit id's cell first at each tie
+        stamps = [0, 10 * MS, 20 * MS, 30 * MS, 40 * MS, 50 * MS]
+        channel = channel_of(
+            circuit_at(9, stamps, [-1, -1, 1, -1, 1, -1]),
+            circuit_at(4, stamps, [1, 1, -1, 1, -1, 1]),
+        )
+        (trace,) = segment_nonmonitored(channel)
+        assert [d for _, d in trace.cells] == [1, -1, 1, -1, -1, 1, 1, -1, -1, 1]
+
+    def test_circuit_ending_before_it_starts_is_named(self):
+        channel = channel_of(
+            circuit_at(3, [0, 10 * MS]), circuit_at(5, [3000, 1000], [1, -1]), channel_id=8
+        )
+        with pytest.raises(MalformedCircuitError, match="channel 8: circuit 5 ") as err:
+            plan_windows(channel)
+        assert isinstance(err.value, GuardsiftError)

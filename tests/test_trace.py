@@ -120,3 +120,58 @@ def test_read_dataset_reports_bad_lines(text, line_no):
     with pytest.raises(ParseError) as err:
         read_dataset(io.StringIO(text))
     assert err.value.line_no == line_no
+
+
+@pytest.fixture()
+def id_calls(monkeypatch):
+    """Count the calls that reach ``compute_trace_id`` through the trace module."""
+    import guardsift.trace as trace_module
+
+    calls = []
+    real = trace_module.compute_trace_id
+
+    def counting(cells, salt=""):
+        calls.append(cells)
+        return real(cells, salt)
+
+    monkeypatch.setattr(trace_module, "compute_trace_id", counting)
+    return calls
+
+
+def test_building_traces_computes_no_id(id_calls):
+    t = Trace(cells=((100, 1), (200, -1), (260, -1)), label="site-a")
+    t.with_cells(t.cells[:2], tail_trimmed=True)
+    normalize(t)
+    read_dataset(io.StringIO(serialize_dataset(_traces(), seed=0).decode("utf-8")))
+    assert id_calls == []
+
+
+def test_trace_id_is_computed_once_on_first_read(id_calls):
+    t = Trace(cells=((100, 1), (200, -1), (260, -1)))
+    assert t.trace_id == compute_trace_id(t.cells)
+    assert t.trace_id == t.trace_id
+    assert len(id_calls) == 1
+
+
+@given(cells_strategy)
+def test_trace_id_is_the_content_hash(cells):
+    assert Trace(cells=cells).trace_id == compute_trace_id(cells)
+
+
+def test_trace_ids_match_pinned_values():
+    # existing labels.csv files carry these ids, so the values must not move
+    t = Trace(cells=((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
+    assert t.trace_id == "ae4d0475455b927f"
+    assert normalize(t).trace_id == "ae4d0475455b927f"
+    assert t.with_cells(t.cells[:2]).trace_id == "4b6094ff58be4d52"
+    assert Trace(cells=()).trace_id == "e3b0c44298fc1c14"
+    assert Trace(cells=((0, 1),)).trace_id == "35df8f7285481b9f"
+
+
+def test_copies_do_not_inherit_a_read_id():
+    t = Trace(cells=((100, 1), (200, -1), (260, -1)))
+    first = t.trace_id
+    shorter = t.with_cells(t.cells[:2])
+    assert shorter.trace_id == compute_trace_id(t.cells[:2]) != first
+    assert normalize(t).trace_id == first
+    assert t == Trace(cells=t.cells)
