@@ -20,10 +20,10 @@ from . import conflux as cfx
 from . import features, metrics, transforms
 from .errors import GuardsiftError, ParseError
 from .ingest import parse_client_log, parse_guard_log, parse_visit_log, filter_relay_channels
-from .sanitize import SanitizeConfig, group_visits, sanitize
+from .sanitize import SanitizeConfig, group_visits, row_circuit_ids, sanitize, trim_head
 from .segment import extract_monitored_window, segment_nonmonitored
 from .simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
-from .trace import ConfluxSet, Trace, read_dataset, write_dataset
+from .trace import ConfluxSet, read_dataset, write_dataset
 
 SEC = 1_000_000_000
 
@@ -129,11 +129,15 @@ def _segment_time_path(args, guard, visits_path) -> tuple[list, dict]:
                 circuit_to_channel[circuit_id] = channel.channel_id
         by_id = {ch.channel_id: ch for ch in kept}
         for group in group_visits(visits, circuit_to_channel, config.visit_span_ns):
-            channel_id = None
-            for row in group.rows:
-                if row.circuit_id in circuit_to_channel:
-                    channel_id = circuit_to_channel[row.circuit_id]
-                    break
+            channel_id = next(
+                (
+                    circuit_to_channel[cid]
+                    for row in group.rows
+                    for cid in row_circuit_ids(row)
+                    if cid in circuit_to_channel
+                ),
+                None,
+            )
             if channel_id is None:
                 continue
             monitored_channels.add(channel_id)
@@ -209,12 +213,8 @@ def cmd_conflux(args) -> int:
         if guard_leg_id not in guard_circuits:
             continue
         conflux_set = ConfluxSet(client_circuits[leg_a_id], client_circuits[leg_b_id])
-        guard_cells = guard_circuits[guard_leg_id].timing_cells()[5:]
-        if not guard_cells:
-            continue
-        base = guard_cells[0][0]
-        guard_trace = Trace(tuple((ts - base, d) for ts, d in guard_cells), phase="post")
         try:
+            guard_trace = trim_head(guard_circuits[guard_leg_id], "post")
             analysis = cfx.analyze_set(f"set{idx:05d}", conflux_set, guard_trace, guard_leg_id)
         except GuardsiftError:
             continue

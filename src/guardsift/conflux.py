@@ -13,6 +13,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptyTraceError, IndeterminateError, NotLinkedError
 from .trace import INCOMING, OUTGOING, Cell, Circuit, ConfluxSet, Trace
 
@@ -45,10 +47,15 @@ class PrimaryLegVerdict:
 
 def strip_conflux_handshake(leg: Circuit) -> Circuit:
     """Drop everything up to and including the first link-ack cell."""
-    for i, cell in enumerate(leg.cells):
-        if cell.cell_type == CellTypeCode.CFX_LINKED_ACK:
-            return Circuit(leg.circuit_id, leg.cells[i + 1 :])
+    if leg.cell_types is not None:
+        acks = np.flatnonzero(leg.cell_types == CellTypeCode.CFX_LINKED_ACK)
+        if len(acks):
+            return leg.tail(int(acks[0]) + 1)
     raise NotLinkedError(f"leg {leg.circuit_id} has no link-ack cell")
+
+
+def _opens_with_begin(leg: Circuit) -> bool:
+    return leg.cell_types is not None and leg.cell_types[0] == CellTypeCode.RELAY_BEGIN
 
 
 def identify_primary_legs(conflux_set: ConfluxSet) -> PrimaryLegVerdict:
@@ -61,22 +68,21 @@ def identify_primary_legs(conflux_set: ConfluxSet) -> PrimaryLegVerdict:
     connected answer came in on the other leg.
     """
     leg_a, leg_b = conflux_set.leg_a, conflux_set.leg_b
-    if not leg_a.cells or not leg_b.cells:
+    if not len(leg_a) or not len(leg_b):
         raise IndeterminateError("a leg is empty after handshake strip")
-    if leg_a.cells[0].cell_type == CellTypeCode.RELAY_BEGIN:
+    if _opens_with_begin(leg_a):
         client, secondary = leg_a, leg_b
-    elif leg_b.cells[0].cell_type == CellTypeCode.RELAY_BEGIN:
+    elif _opens_with_begin(leg_b):
         client, secondary = leg_b, leg_a
     else:
         return PrimaryLegVerdict(None, None, unused=True)
 
-    target = next(
-        (c for c in client.cells if c.cell_type != CellTypeCode.RELAY_BEGIN), None
-    )
+    after_begins = np.flatnonzero(client.cell_types != CellTypeCode.RELAY_BEGIN)
+    target = int(after_begins[0]) if len(after_begins) else None
     if (
         target is not None
-        and target.direction == OUTGOING
-        and target.cell_type == CellTypeCode.RELAY_DATA
+        and client.directions[target] == OUTGOING
+        and client.cell_types[target] == CellTypeCode.RELAY_DATA
     ):
         exit_primary = secondary.circuit_id
     else:
@@ -123,11 +129,12 @@ def merge_legs(conflux_set: ConfluxSet) -> Trace:
 
     Legs must share a clock for the merge to mean anything.
     """
-    tagged = [
-        (c.timestamp, 0, c.direction) for c in conflux_set.leg_a.cells
-    ] + [(c.timestamp, 1, c.direction) for c in conflux_set.leg_b.cells]
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    return Trace(cells=tuple((ts, d) for ts, _, d in tagged), phase="post")
+    legs = (conflux_set.leg_a, conflux_set.leg_b)
+    timestamps = np.concatenate([leg.timestamps for leg in legs])
+    directions = np.concatenate([leg.directions for leg in legs])
+    order = np.argsort(timestamps, kind="stable")
+    cells = zip(timestamps[order].tolist(), directions[order].tolist())
+    return Trace(cells=tuple(cells), phase="post")
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,7 @@ def detect_spam_channels(
 
 def validate_handshake_pre(circuit: Circuit) -> bool:
     """True iff the circuit opens with the [+1, -1, +1] pattern."""
-    if len(circuit.cells) < 3:
-        return False
-    return tuple(c.direction for c in circuit.cells[:3]) == HANDSHAKE_PRE
+    return tuple(circuit.directions[:3].tolist()) == HANDSHAKE_PRE
 
 
 def validate_handshake_post(
@@ -147,13 +145,11 @@ def validate_handshake_post(
     """
     if gap_ratio_threshold <= 1:
         raise ConfigError("gap_ratio_threshold must exceed 1")
-    if len(circuit.cells) < 5:
+    if tuple(circuit.directions[:5].tolist()) != HANDSHAKE_POST:
         return INVALID
-    head = circuit.cells[:5]
-    if tuple(c.direction for c in head) != HANDSHAKE_POST:
-        return INVALID
-    g1 = head[2].timestamp - head[1].timestamp
-    g2 = head[4].timestamp - head[3].timestamp
+    head = circuit.timestamps[:5].tolist()
+    g1 = head[2] - head[1]
+    g2 = head[4] - head[3]
     ratio = max(g1, g2) / max(min(g1, g2), gap_floor_ns)
     return CONFLUX if ratio <= gap_ratio_threshold else NON_CONFLUX
 
@@ -164,7 +160,7 @@ def filter_small_circuits(
     """Keep circuits carrying at least ``min_cells`` cells."""
     if min_cells < 1:
         raise ConfigError("min_cells must be >= 1")
-    return [c for c in circuits if len(c.cells) >= min_cells]
+    return [c for c in circuits if len(c) >= min_cells]
 
 
 def select_main_circuit(
@@ -187,7 +183,7 @@ def select_main_circuit(
         survivors.append(circuit)
     if not survivors:
         raise NoMainCircuitError(f"no usable circuit for {page_domain}")
-    return min(survivors, key=lambda c: (-len(c.cells), c.start_ts))
+    return min(survivors, key=lambda c: (-len(c), c.start_ts))
 
 
 def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
@@ -198,16 +194,13 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
     """
     if strip is None:
         strip = 2 if phase == PRE else 5
-    cells = circuit.cells[strip:]
-    if not cells:
+    timestamps = circuit.timestamps[strip:]
+    if not len(timestamps):
         raise EmptyAfterTrimError(
             f"circuit {circuit.circuit_id}: no cells left after head trim"
         )
-    base = cells[0].timestamp
-    return Trace(
-        cells=tuple((c.timestamp - base, c.direction) for c in cells),
-        phase=phase,
-    )
+    cells = zip((timestamps - timestamps[0]).tolist(), circuit.directions[strip:].tolist())
+    return Trace(cells=tuple(cells), phase=phase)
 
 
 def _last_gap_index(cells: Sequence[Cell], gap_ns: int) -> int | None:
@@ -301,7 +294,7 @@ class VisitGroup:
         return self.rows[0].request_ts
 
 
-def _row_circuit_ids(row: PageVisitRecord) -> tuple[int, ...]:
+def row_circuit_ids(row: PageVisitRecord) -> tuple[int, ...]:
     """Circuit ids a visit row may refer to: its own plus any linked legs."""
     if row.conflux_meta is None:
         return (row.circuit_id,)
@@ -326,7 +319,7 @@ def group_visits(
         channel = next(
             (
                 circuit_to_channel[cid]
-                for cid in _row_circuit_ids(row)
+                for cid in row_circuit_ids(row)
                 if cid in circuit_to_channel
             ),
             None,
@@ -460,7 +453,7 @@ def sanitize(
         for group in groups:
             candidates = []
             for row in group.rows:
-                for circuit_id in _row_circuit_ids(row):
+                for circuit_id in row_circuit_ids(row):
                     channel_id = circuit_to_channel.get(circuit_id)
                     if channel_id is None:
                         continue
@@ -512,7 +505,7 @@ def sanitize(
                 report.conflux_heuristic_dropped += 1
                 outcomes[circuit.circuit_id] = OUTCOME_NON_CONFLUX
                 continue
-        if len(circuit.cells) < config.min_cells:
+        if len(circuit) < config.min_cells:
             report.small_dropped += 1
             outcomes[circuit.circuit_id] = OUTCOME_SMALL
             continue

@@ -11,9 +11,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptySegmentError, MalformedCircuitError
 from .sanitize import SanitizeConfig, prune_close_tail
-from .trace import OUTGOING, PRE, Cell, Channel, Trace
+from .trace import OUTGOING, PRE, Channel, Circuit, Trace
 
 __all__ = [
     "SegmentWindow",
@@ -70,19 +72,22 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
 
 
 def _finish_segment(
-    cells: list[Cell], config: SanitizeConfig, label: str | None, tag: str | None
+    timestamps: np.ndarray,
+    directions: np.ndarray,
+    config: SanitizeConfig,
+    label: str | None,
+    tag: str | None,
 ) -> Trace | None:
-    """Align to the first outgoing cell, normalize, and tail-trim."""
-    start = next((i for i, (_, d) in enumerate(cells) if d == OUTGOING), None)
-    if start is None:
+    """Align time-sorted cells to the first outgoing one, normalize, tail-trim."""
+    outgoing = np.flatnonzero(directions == OUTGOING)
+    if not len(outgoing):
         return None
-    cells = cells[start:]
-    base = cells[0][0]
-    cells = [(ts - base, d) for ts, d in cells]
+    start = int(outgoing[0])
     # the channel view has no handshake to strip, so only the tail stages run
-    cells = cells[:-2]
-    if not cells:
+    timestamps = timestamps[start:-2] - timestamps[start]
+    if not len(timestamps):
         return None
+    cells = list(zip(timestamps.tolist(), directions[start:-2].tolist()))
     cells, _ = prune_close_tail(
         cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
     )
@@ -96,6 +101,16 @@ def _finish_segment(
     )
 
 
+def _concat(circuits: list[Circuit]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and directions of the circuits, one after the other."""
+    if not circuits:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+    return (
+        np.concatenate([c.timestamps for c in circuits]),
+        np.concatenate([c.directions for c in circuits]),
+    )
+
+
 def extract_monitored_window(
     channel: Channel,
     visit_start: int,
@@ -105,20 +120,20 @@ def extract_monitored_window(
 ) -> Trace:
     """Merge every channel cell inside a recorded page-load window.
 
-    Overlapping circuits are flattened into one time-sorted trace. Leading
+    Overlapping circuits are flattened into one time-sorted trace; cells
+    with equal timestamps keep circuit order, then log order. Leading
     incoming cells are dropped: the client-initiated request starts with an
     outgoing cell.
     """
     if visit_start >= visit_end:
         raise ValueError("visit_start must be before visit_end")
     config = config or SanitizeConfig()
-    cells = [
-        (rec.timestamp, rec.direction)
-        for rec in channel.all_cells()
-        if visit_start <= rec.timestamp <= visit_end
-    ]
-    cells.sort(key=lambda c: c[0])
-    trace = _finish_segment(cells, config, label, channel.source_tag or None)
+    timestamps, directions = _concat(list(channel.circuits.values()))
+    inside = np.flatnonzero((visit_start <= timestamps) & (timestamps <= visit_end))
+    order = inside[np.argsort(timestamps[inside], kind="stable")]
+    trace = _finish_segment(
+        timestamps[order], directions[order], config, label, channel.source_tag or None
+    )
     if trace is None:
         raise EmptySegmentError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
@@ -133,22 +148,35 @@ def segment_nonmonitored(
     """Greedy temporal clustering of a channel into page-like traces.
 
     One trace per planned window, holding every channel cell inside the
-    window. Cells of a consumed circuit outside its window are dropped,
-    never reused by later windows. Windows whose cells cannot be aligned
-    to an outgoing cell (or that trim away entirely) yield no trace.
+    window, time-sorted; cells with equal timestamps keep circuit-id order,
+    then log order. Cells of a consumed circuit outside its window are
+    dropped, never reused by later windows. Windows whose cells cannot be
+    aligned to an outgoing cell (or that trim away entirely) yield no trace.
     """
     config = config or SanitizeConfig()
-    by_id = channel.circuits
+    windows = plan_windows(channel)
+    window_of = {cid: k for k, w in enumerate(windows) for cid in w.consumed_circuit_ids}
+    circuits = [channel.circuits[cid] for cid in sorted(channel.circuits)]
+    timestamps, directions = _concat(circuits)
+    window = np.repeat(
+        np.array([window_of[c.circuit_id] for c in circuits], dtype=np.int64),
+        [len(c) for c in circuits],
+    )
+    bounds = np.array([(w.t_start, w.t_end) for w in windows], dtype=np.int64).reshape(-1, 2)
+    inside = np.flatnonzero(
+        (bounds[window, 0] <= timestamps) & (timestamps <= bounds[window, 1])
+    )
+    # stable: within a window, ties keep circuit-id order, then log order
+    order = inside[np.lexsort((timestamps[inside], window[inside]))]
+    timestamps, directions, window = timestamps[order], directions[order], window[order]
+    ends = np.searchsorted(window, np.arange(len(windows)), side="right").tolist()
     traces: list[Trace] = []
-    for window in plan_windows(channel):
-        cells = [
-            (rec.timestamp, rec.direction)
-            for circuit_id in sorted(window.consumed_circuit_ids)
-            for rec in by_id[circuit_id].cells
-            if window.t_start <= rec.timestamp <= window.t_end
-        ]
-        cells.sort(key=lambda c: c[0])
-        trace = _finish_segment(cells, config, None, channel.source_tag or None)
+    start = 0
+    for end in ends:
+        trace = _finish_segment(
+            timestamps[start:end], directions[start:end], config, None, channel.source_tag or None
+        )
         if trace is not None:
             traces.append(trace)
+        start = end
     return traces

@@ -1219,8 +1219,10 @@ def simulate_conflux_sets(config: ScenarioConfig, n_sets: int):
         sim = simulate_conflux_visit(plan, config)
         id_a, id_b = 2 * k + 1, 2 * k + 2
         leg_ids = (id_a, id_b)
-        leg_a = Circuit(id_a, [CellRecord(k, id_a, ts, d, ct) for ts, d, ct in sim.leg_cells[0]])
-        leg_b = Circuit(id_b, [CellRecord(k, id_b, ts, d, ct) for ts, d, ct in sim.leg_cells[1]])
+        leg_a, leg_b = (
+            Circuit.from_records(cid, [CellRecord(k, cid, ts, d, ct) for ts, d, ct in cells])
+            for cid, cells in zip(leg_ids, sim.leg_cells)
+        )
         truth = SetGroundTruth(
             client_primary=leg_ids[sim.client_primary],
             exit_primary=leg_ids[sim.exit_primary],

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ PHASES = (PRE, POST)
 
 #: a single observed cell: (timestamp_ns, direction)
 Cell = tuple[int, int]
+
+#: ``Circuit.cell_types`` entry for a logged cell without a cell type
+NO_CELL_TYPE = -1
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class CellRecord:
             raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
         if not 0 <= self.circuit_id < 2**32:
             raise ValueError(f"circuit_id out of 32-bit range: {self.circuit_id}")
+        if self.cell_type is not None and self.cell_type < 0:
+            raise ValueError(f"cell_type must be non-negative, got {self.cell_type}")
 
 
 def compute_trace_id(cells: Sequence[Cell], salt: str = "") -> str:
@@ -115,27 +120,53 @@ class Trace:
         return replace(self, cells=tuple(cells), **changes)
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
-    """All cells of one circuit, in log order."""
+    """All cells of one circuit, in log order, as parallel arrays.
+
+    ``timestamps`` is int64 nanoseconds and ``directions`` int8. ``cell_types``
+    is int64 with ``NO_CELL_TYPE`` for a cell logged without one, or ``None``
+    when no cell of the log has a type. Parsed circuits are views into one
+    array per log, sorted by channel, then circuit, then log order.
+    """
 
     circuit_id: int
-    cells: list[CellRecord] = field(default_factory=list)
+    timestamps: np.ndarray
+    directions: np.ndarray
+    cell_types: np.ndarray | None = None
+
+    @classmethod
+    def from_records(cls, circuit_id: int, records: Iterable[CellRecord]) -> "Circuit":
+        """Circuit from validated cell records, kept in the order given."""
+        records = list(records)
+        typed = any(r.cell_type is not None for r in records)
+        return cls(
+            circuit_id,
+            np.array([r.timestamp for r in records], dtype=np.int64),
+            np.array([r.direction for r in records], dtype=np.int8),
+            np.array(
+                [NO_CELL_TYPE if r.cell_type is None else r.cell_type for r in records],
+                dtype=np.int64,
+            )
+            if typed
+            else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
     @property
     def start_ts(self) -> int:
-        return self.cells[0].timestamp
+        return int(self.timestamps[0])
 
     @property
     def end_ts(self) -> int:
-        return self.cells[-1].timestamp
+        return int(self.timestamps[-1])
 
-    @property
-    def directions(self) -> list[int]:
-        return [c.direction for c in self.cells]
-
-    def timing_cells(self) -> list[Cell]:
-        return [(c.timestamp, c.direction) for c in self.cells]
+    def tail(self, start: int) -> "Circuit":
+        """The same circuit without its first ``start`` cells (views, no copy)."""
+        types = None if self.cell_types is None else self.cell_types[start:]
+        return Circuit(self.circuit_id, self.timestamps[start:], self.directions[start:], types)
 
 
 @dataclass
@@ -147,20 +178,9 @@ class Channel:
     relay_authenticated: bool = False
     source_tag: str = ""
 
-    def add_cell(self, record: CellRecord) -> None:
-        circuit = self.circuits.get(record.circuit_id)
-        if circuit is None:
-            circuit = Circuit(record.circuit_id)
-            self.circuits[record.circuit_id] = circuit
-        circuit.cells.append(record)
-
     @property
     def circuit_count(self) -> int:
         return len(self.circuits)
-
-    def all_cells(self) -> Iterator[CellRecord]:
-        for circuit in self.circuits.values():
-            yield from circuit.cells
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ def circuit_from_dirs(directions, circuit_id=1, channel_id=1, gaps_ns=None, star
         if i > 0:
             t += gaps_ns[i - 1] if gaps_ns else MS
         cells.append(CellRecord(channel_id, circuit_id, t, d))
-    return Circuit(circuit_id, cells)
+    return Circuit.from_records(circuit_id, cells)
 
 
 def channel_of(*circuits, channel_id=1, auth=False, tag=""):

@@ -243,7 +243,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         if entry["expected_stage"] in ("relay", "spam", "small"):
             continue
         circuit = circuits.get(entry["circuit_id"])
-        if circuit is None or len(circuit.cells) < 8:
+        if circuit is None or len(circuit) < 8:
             continue
         trace = trim_head(circuit, "pre")
         trimmed = trim_tail(trace, config)
@@ -300,7 +300,7 @@ def test_c06_segmentation_partition_properties():
                 t += int(rng.integers(1_000_000, 4_000_000_000))
                 d = 1 if rng.random() < 0.5 else -1
                 cells.append(CellRecord(channel_idx, circuit_id, t, d))
-            channel.circuits[circuit_id] = Circuit(circuit_id, cells)
+            channel.circuits[circuit_id] = Circuit.from_records(circuit_id, cells)
         windows = plan_windows(channel)
         consumed = [cid for w in windows for cid in w.consumed_circuit_ids]
         assert sorted(consumed) == sorted(channel.circuits), "not a partition"

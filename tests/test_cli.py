@@ -267,3 +267,42 @@ def test_eval_modes_are_mutually_exclusive(tmp_path, capsys, modes):
         main(["eval", "--scores", str(scores), *modes])
     assert err.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_time_path_finds_a_visit_by_its_conflux_legs(tmp_path):
+    # the visit row names circuit 11, the leg the guard never sees; the guard
+    # carries the other leg, 10, so the window must still be cut from channel 4
+    guard = tmp_path / "guard.csv"
+    cells = [f"4,10,{1000 + i * 1_000_000},{1 if i % 3 == 0 else -1}" for i in range(30)]
+    guard.write_text("\n".join(cells) + "\n")
+    visits = tmp_path / "visits.csv"
+    visits.write_text("a.com,500,a.com,11,10,11\n")
+    report = tmp_path / "report.json"
+    assert main([
+        "sanitize", "--guard", str(guard), "--visits", str(visits), "--phase", "post",
+        "--segmentation", "time", "--out", str(tmp_path / "out"), "--report", str(report),
+    ]) == 0
+    assert json.loads(report.read_text())["monitored_windows"] == 1
+    (trace,) = read_dataset(tmp_path / "out" / "traces.ndjson")
+    assert trace.label == "a.com" and len(trace.cells) == 30 - 2
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a.com,-5,a.com,2", "line 1: request_ts must be non-negative"),
+        ("a.com,1,a.com,2,3,3", "line 1: linked legs must have distinct circuit ids"),
+    ],
+    ids=["negative-request-ts", "equal-leg-ids"],
+)
+def test_bad_visit_row_is_stage_error(tmp_path, capsys, row, message):
+    guard = tmp_path / "guard.csv"
+    guard.write_text("1,2,0,1\n")
+    visits = tmp_path / "visits.csv"
+    visits.write_text(row + "\n")
+    assert main([
+        "sanitize", "--guard", str(guard), "--visits", str(visits), "--phase", "pre",
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"guardsift sanitize: parse error: {message}\n"

@@ -1,14 +1,19 @@
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from guardsift.errors import ParseError
+from guardsift.errors import GuardsiftError, ParseError
 from guardsift.ingest import (
+    ParsedLog,
+    _parse_cells,
     filter_relay_channels,
     parse_client_log,
     parse_guard_log,
     parse_visit_log,
 )
+from guardsift.trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 
 def test_grouping_by_channel_and_circuit():
@@ -48,7 +53,7 @@ def test_duplicates_are_counted_not_fatal():
     # cell count = data lines minus deduplicated records
     assert parsed.cell_count == parsed.line_count - parsed.duplicate_count
     # partition: every parsed cell belongs to exactly one (channel, circuit)
-    assert sum(len(c.cells) for ch in parsed.channels for c in ch.circuits.values()) == 2
+    assert sum(len(c) for ch in parsed.channels for c in ch.circuits.values()) == 2
 
 
 def test_auth_marker_flags_channel():
@@ -85,7 +90,7 @@ def test_client_log_joins_visits_and_cells():
     assert len(log.visits) == 1
     assert log.visits[0].circuit_id == 3
     circuit = log.circuit_map()[3]
-    assert len(circuit.cells) == 6
+    assert len(circuit) == 6
 
 
 def test_conflux_visit_meta_populated():
@@ -98,4 +103,218 @@ def test_conflux_visit_meta_populated():
 def test_link_ack_cell_type_parsed():
     cells = io.StringIO("1,3,0,1,21\n")
     log = parse_client_log(cells, io.StringIO(""))
-    assert log.circuit_map()[3].cells[0].cell_type == 21
+    assert log.circuit_map()[3].cell_types.tolist() == [21]
+
+
+# --- the bulk parser against the per-line parser it replaced -------------------
+
+
+def oracle_parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
+    """The per-line, per-record parser the bulk path replaced, kept as reference."""
+    channels: dict[int, dict[int, list[CellRecord]]] = {}
+    auth_ids: set[int] = set()
+    seen: set[tuple] = set()
+    result = ParsedLog(channels=[])
+    saw_data = False
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#AUTH"):
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ParseError(line_no, "malformed #AUTH marker")
+            try:
+                auth_ids.add(int(fields[1]))
+            except ValueError:
+                raise ParseError(line_no, "non-integer channel id in #AUTH marker") from None
+            continue
+        if line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if not saw_data:
+            try:
+                int(fields[0])
+            except ValueError:
+                continue
+        saw_data = True
+        result.line_count += 1
+        if len(fields) < 4:
+            raise ParseError(line_no, f"expected at least 4 fields, got {len(fields)}")
+        if require_type and len(fields) < 5:
+            raise ParseError(line_no, "cell_type column is mandatory in client logs")
+        try:
+            values = [int(f) for f in fields[:4]]
+            cell_type = int(fields[4]) if len(fields) > 4 and fields[4] != "" else None
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+        try:
+            record = CellRecord(*values, cell_type)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        key = (*values, cell_type)
+        if key in seen:
+            result.duplicate_count += 1
+            continue
+        seen.add(key)
+        circuits = channels.setdefault(record.channel_id, {})
+        circuits.setdefault(record.circuit_id, []).append(record)
+        result.cell_count += 1
+    flagged = {}
+    for channel_id in auth_ids:
+        channels.setdefault(channel_id, {})
+        flagged[channel_id] = True
+    result.channels = [
+        Channel(
+            channel_id,
+            {cid: Circuit.from_records(cid, records) for cid, records in circuits.items()},
+            relay_authenticated=flagged.get(channel_id, False),
+            source_tag=source_tag,
+        )
+        for channel_id, circuits in channels.items()
+    ]
+    result.auth_channel_count = len(auth_ids)
+    return result
+
+
+def describe(parsed: ParsedLog) -> tuple:
+    """Everything a parse yields, in order, with cells as (ts, direction, type)."""
+    channels = []
+    for ch in parsed.channels:
+        circuits = []
+        for cid, c in ch.circuits.items():
+            types = [None] * len(c) if c.cell_types is None else [
+                None if t == NO_CELL_TYPE else t for t in c.cell_types.tolist()
+            ]
+            assert c.timestamps.dtype == np.int64 and c.directions.dtype == np.int8
+            circuits.append((cid, list(zip(c.timestamps.tolist(), c.directions.tolist(), types))))
+        channels.append((ch.channel_id, ch.relay_authenticated, ch.source_tag, circuits))
+    counters = (parsed.line_count, parsed.cell_count, parsed.duplicate_count, parsed.auth_channel_count)
+    return counters, channels
+
+
+def outcome(parse, lines, require_type):
+    """describe() of the parse, or the ParseError it raised; nothing else may escape."""
+    try:
+        return describe(parse(lines, "tag", require_type))
+    except GuardsiftError as exc:
+        assert isinstance(exc, ParseError)
+        return ("error", exc.line_no, str(exc))
+
+
+CHANNEL_IDS = st.sampled_from([0, 1, 2, 7, -3, 2**40])
+CIRCUIT_IDS = st.sampled_from([0, 1, 5, 2**32 - 1])
+SPACING = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def cell_logs(draw, require_type: bool):
+    """Lines of a guard (or client) log with every construct the parser accepts.
+
+    Rows come from small pools so channels and circuits interleave and rows
+    repeat; markers, comments and blank lines go anywhere, a header may lead.
+    """
+    typed = require_type or draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))  # an exact repeat
+            continue
+        fields = [
+            draw(CHANNEL_IDS), draw(CIRCUIT_IDS),
+            draw(st.integers(0, 6)) * 1000, draw(st.sampled_from([1, -1])),
+        ]
+        if typed:
+            fields.append(draw(st.sampled_from(["", "0", "2", "21", "21"])))
+        elif draw(st.integers(0, 9)) == 0:
+            fields.append(draw(st.sampled_from(["", "3"])))  # a stray 5th column
+        rows.append(",".join(map(str, fields)))
+    lines = [draw(SPACING) + row + draw(SPACING) for row in rows]
+    for _ in range(draw(st.integers(0, 6))):
+        extra = draw(st.sampled_from([
+            "", "   ", "# a comment", "#", f"#AUTH,{draw(CHANNEL_IDS)}", "#AUTH,99", " #AUTH,1 ",
+        ]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        header = "channel_id,circuit_id,timestamp_ns,direction" + (",cell_type" if typed else "")
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), header)
+    if rows and draw(st.integers(0, 3)) == 0:  # a header-like line after data is an error
+        lines.append("channel_id,circuit_id,timestamp_ns,direction")
+    return lines
+
+
+MALFORMED = [
+    "1,5,1000,0", "1,5,1000,2", "1,5,-1,1", f"1,{2**32},0,1", "1,-5,0,1", "1,5,x,1",
+    "1,5,1.5,1", "1,5,1000", "1", "#AUTH", "#AUTH,x", "#AUTH,1,2", "1,5,1000,1,y",
+]
+
+
+@pytest.mark.parametrize("require_type", [False, True], ids=["guard", "client"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_bulk_parse_equals_oracle(require_type, data):
+    lines = data.draw(cell_logs(require_type))
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+    expected = outcome(oracle_parse_cells, text.split("\n"), require_type)
+    assert outcome(_parse_cells, io.StringIO(text), require_type) == expected
+
+
+@pytest.mark.parametrize("require_type", [False, True], ids=["guard", "client"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_line_raises_on_the_same_line(require_type, data):
+    lines = data.draw(cell_logs(require_type))
+    bad = data.draw(st.sampled_from(MALFORMED + (["1,5,1000,1"] if require_type else [])))
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    expected = outcome(oracle_parse_cells, lines, require_type)
+    got = outcome(_parse_cells, io.StringIO("\n".join(lines)), require_type)
+    assert got == expected
+    assert got[0] == "error"
+
+
+def test_parsed_circuits_are_views_of_one_array():
+    parsed = parse_guard_log(io.StringIO("1,9,5,1\n2,3,6,-1\n1,4,7,1\n1,9,8,-1\n"))
+    circuits = [c for ch in parsed.channels for c in ch.circuits.values()]
+    assert [(c.circuit_id, c.timestamps.tolist()) for c in circuits] == [
+        (9, [5, 8]), (4, [7]), (3, [6])
+    ]
+    base = circuits[0].timestamps.base
+    assert base is not None and all(c.timestamps.base is base for c in circuits)
+    assert all(c.cell_types is None for c in circuits)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,3,1,-4\n", "line 1: cell_type must be non-negative, got -4"),
+        (f"1,2,{2**63},1\n", "line 1: integer field out of the 64-bit range"),
+        ("1,2,3,1\n1,2,4,1,x\n", "line 2: non-integer field"),
+        ("1,2,3,1\n#AUTH,1,2\n1,2,3,0\n", "line 2: malformed #AUTH marker"),
+        ("1,2,3,0\n#AUTH,1,2\n", "line 1: direction must be +1 or -1"),
+    ],
+    ids=["negative-type", "int64-overflow", "ragged-bad-type", "bad-marker-first", "bad-row-first"],
+)
+def test_bad_guard_log(text, message):
+    with pytest.raises(ParseError, match=message.replace("+", r"\+")):
+        parse_guard_log(io.StringIO(text))
+
+
+def test_ragged_and_empty_cell_types_stay_distinct():
+    parsed = parse_guard_log(io.StringIO("1,2,3,1\n1,2,3,1,\n1,2,3,1,0\n1,2,3,1,0,extra\n"))
+    (circuit,) = parsed.channels[0].circuits.values()
+    assert circuit.cell_types.tolist() == [NO_CELL_TYPE, 0]
+    assert parsed.duplicate_count == 2 and parsed.line_count == 4
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a.com,-5,a.com,2", "line 1: request_ts must be non-negative"),
+        ("a.com,1,a.com,2,3,3", "line 1: linked legs must have distinct circuit ids"),
+    ],
+)
+def test_bad_visit_row_is_parse_error(row, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_visit_log(io.StringIO(row + "\n"))
+    assert "non-integer" not in str(err.value)

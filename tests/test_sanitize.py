@@ -30,7 +30,7 @@ from guardsift.trace import Channel, Circuit, CellRecord, Trace
 def bulk_channel(channel_id, n_circuits):
     ch = Channel(channel_id)
     for i in range(n_circuits):
-        ch.circuits[i] = Circuit(i, [CellRecord(channel_id, i, 0, 1)])
+        ch.circuits[i] = Circuit.from_records(i, [CellRecord(channel_id, i, 0, 1)])
     return ch
 
 
@@ -320,7 +320,7 @@ class TestSanitizePipeline:
     def test_stages_only_remove_cells(self):
         channels = [channel_of(*(valid_circuit(i, n=nc) for i, nc in
                                  enumerate((240, 300, 6000))), channel_id=1)]
-        largest = max(len(c.cells) for ch in channels for c in ch.circuits.values())
+        largest = max(len(c) for ch in channels for c in ch.circuits.values())
         result = sanitize(channels, SanitizeConfig(), "pre")
         assert result.report.retained == 3
         for trace in result.traces:

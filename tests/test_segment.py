@@ -11,7 +11,8 @@ from guardsift.segment import (
     plan_windows,
     segment_nonmonitored,
 )
-from guardsift.trace import CellRecord, Channel, Circuit
+from guardsift.sanitize import SanitizeConfig, prune_close_tail
+from guardsift.trace import CellRecord, Channel, Circuit, Trace
 
 
 def oracle_plan_windows(channel):
@@ -38,18 +39,19 @@ def oracle_plan_windows(channel):
 def circuit_at(circuit_id, timestamps, directions=None, channel_id=1):
     """Circuit with one cell per timestamp, in the order given."""
     directions = directions or [1 if i % 2 == 0 else -1 for i in range(len(timestamps))]
-    return Circuit(
+    return Circuit.from_records(
         circuit_id,
         [CellRecord(channel_id, circuit_id, t, d) for t, d in zip(timestamps, directions)],
     )
 
 
 @st.composite
-def small_channels(draw, max_circuits=12):
+def small_channels(draw, max_circuits=12, sorted_cells=True):
     """Channels on a coarse time grid, so ties, touches and nesting are common.
 
     Circuit ids are a shuffled range, so dict order, id order and start
-    order all differ. Cells inside a circuit are time-sorted.
+    order all differ. Cells inside a circuit are time-sorted, or with
+    ``sorted_cells=False`` only the first and last cell are in place.
     """
     n = draw(st.integers(1, max_circuits))
     ids = draw(st.permutations(range(100, 100 + n)))
@@ -59,6 +61,8 @@ def small_channels(draw, max_circuits=12):
         stamps = sorted(
             [start] + draw(st.lists(st.integers(0, 8).map(lambda k: start + k * 10 * MS), max_size=6))
         )
+        if not sorted_cells and len(stamps) > 2:
+            stamps[1:-1] = draw(st.permutations(stamps[1:-1]))
         directions = draw(st.lists(st.sampled_from([1, -1]), min_size=len(stamps), max_size=len(stamps)))
         circuits.append(circuit_at(circuit_id, stamps, directions))
     return channel_of(*circuits, channel_id=draw(st.integers(1, 5)))
@@ -78,7 +82,7 @@ def spanning_circuit(circuit_id, start_s, end_s, channel_id=1, n=40, lead=1):
         cells.append(CellRecord(channel_id, circuit_id, t, d))
         t += step
     cells[-1] = CellRecord(channel_id, circuit_id, int(end_s * SEC), cells[-1].direction)
-    return Circuit(circuit_id, cells)
+    return Circuit.from_records(circuit_id, cells)
 
 
 class TestMonitoredWindow:
@@ -95,7 +99,7 @@ class TestMonitoredWindow:
     def test_leading_incoming_dropped(self):
         cells = [CellRecord(1, 1, i * MS, -1) for i in range(3)]
         cells += [CellRecord(1, 1, (3 + i) * MS, 1) for i in range(10)]
-        ch = channel_of(Circuit(1, cells))
+        ch = channel_of(Circuit.from_records(1, cells))
         trace = extract_monitored_window(ch, 0, SEC)
         assert trace.cells[0] == (0, 1)
         assert len(trace.cells) == 8
@@ -107,7 +111,7 @@ class TestMonitoredWindow:
 
     def test_no_outgoing_raises(self):
         cells = [CellRecord(1, 1, i * MS, -1) for i in range(10)]
-        ch = channel_of(Circuit(1, cells))
+        ch = channel_of(Circuit.from_records(1, cells))
         with pytest.raises(EmptySegmentError):
             extract_monitored_window(ch, 0, SEC)
 
@@ -132,7 +136,7 @@ class TestGreedySegmentation:
         traces = segment_nonmonitored(ch)
         assert len(traces) == 1
         # circuit 2 cells beyond the window are dropped, not reused
-        in_window = sum(1 for c in ch.circuits[2].cells if c.timestamp <= 10 * SEC)
+        in_window = int((ch.circuits[2].timestamps <= 10 * SEC).sum())
         assert len(traces[0].cells) == 20 + in_window - 2
 
     def test_disjoint_circuits_two_windows(self):
@@ -196,7 +200,7 @@ class TestGreedySegmentation:
             t += 10 * MS
         cells.append(CellRecord(1, 9, t + 500 * MS, 1))
         cells.append(CellRecord(1, 9, t + 510 * MS, -1))
-        circuit = Circuit(9, cells)
+        circuit = Circuit.from_records(9, cells)
         channel = channel_of(circuit)
 
         seg_traces = segment_nonmonitored(channel)
@@ -272,3 +276,102 @@ class TestPlannerAgainstOracle:
         with pytest.raises(MalformedCircuitError, match="channel 8: circuit 5 ") as err:
             plan_windows(channel)
         assert isinstance(err.value, GuardsiftError)
+
+
+# --- the array segmentation against the per-cell loops it replaced -------------
+
+
+def reference_finish_segment(cells, config, label, tag):
+    start = next((i for i, (_, d) in enumerate(cells) if d == 1), None)
+    if start is None:
+        return None
+    cells = cells[start:]
+    base = cells[0][0]
+    cells = [(ts - base, d) for ts, d in cells]
+    cells = cells[:-2]
+    if not cells:
+        return None
+    cells, _ = prune_close_tail(
+        cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
+    )
+    if config.duration_cap_ns is not None:
+        cells = [c for c in cells if c[0] <= config.duration_cap_ns]
+    cells = cells[: config.max_len]
+    if not cells:
+        return None
+    return Trace(cells=tuple(cells), phase="pre", label=label, client_tag=tag, tail_trimmed=True)
+
+
+def circuit_cells(circuit):
+    return list(zip(circuit.timestamps.tolist(), circuit.directions.tolist()))
+
+
+def reference_extract_monitored_window(channel, visit_start, visit_end, config, label=None):
+    """Record-loop version: every channel cell in the window, stably time-sorted."""
+    cells = [
+        cell
+        for circuit in channel.circuits.values()
+        for cell in circuit_cells(circuit)
+        if visit_start <= cell[0] <= visit_end
+    ]
+    cells.sort(key=lambda c: c[0])
+    return reference_finish_segment(cells, config, label, channel.source_tag or None)
+
+
+def reference_segment_nonmonitored(channel, config):
+    """Record-loop version: per window, consumed circuits in id order, stably time-sorted."""
+    traces = []
+    for window in plan_windows(channel):
+        cells = [
+            cell
+            for circuit_id in sorted(window.consumed_circuit_ids)
+            for cell in circuit_cells(channel.circuits[circuit_id])
+            if window.t_start <= cell[0] <= window.t_end
+        ]
+        cells.sort(key=lambda c: c[0])
+        trace = reference_finish_segment(cells, config, None, channel.source_tag or None)
+        if trace is not None:
+            traces.append(trace)
+    return traces
+
+
+def trace_fields(trace):
+    return (trace.cells, trace.phase, trace.label, trace.client_tag, trace.tail_trimmed)
+
+
+# small thresholds so tail pruning, the duration cap and the length cap all bite
+segment_configs = st.builds(
+    SanitizeConfig,
+    tail_gap_ns=st.sampled_from([10 * MS, 20 * MS, 5 * SEC]),
+    max_tail_cells=st.integers(1, 4),
+    max_tail_duration_ns=st.sampled_from([0, 10 * MS, 50 * MS]),
+    duration_cap_ns=st.sampled_from([None, 0, 30 * MS, 60 * MS]),
+    max_len=st.integers(1, 8),
+)
+
+
+class TestSegmentationAgainstReference:
+    @given(small_channels(sorted_cells=False), segment_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_nonmonitored_equals_reference(self, channel, config):
+        got = segment_nonmonitored(channel, config)
+        assert [trace_fields(t) for t in got] == [
+            trace_fields(t) for t in reference_segment_nonmonitored(channel, config)
+        ]
+
+    @given(
+        small_channels(sorted_cells=False),
+        segment_configs,
+        st.integers(0, 28).map(lambda k: k * 10 * MS),
+        st.integers(1, 12).map(lambda k: k * 10 * MS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_monitored_window_equals_reference(self, channel, config, start, length):
+        # window edges sit on the cell grid, so cells fall exactly on them
+        expected = reference_extract_monitored_window(channel, start, start + length, config, "p")
+        if expected is None:
+            with pytest.raises(EmptySegmentError):
+                extract_monitored_window(channel, start, start + length, config, "p")
+        else:
+            got = extract_monitored_window(channel, start, start + length, config, "p")
+            assert trace_fields(got) == trace_fields(expected)

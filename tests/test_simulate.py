@@ -93,7 +93,7 @@ class TestConfluxVisits:
         sim = simulate_conflux_visit(plan, cfg, delta_ms=0.0)
         for leg_cells in sim.leg_cells:
             cells = [CellRecord(1, 1, ts, d) for ts, d, _ in leg_cells]
-            assert validate_handshake_post(Circuit(1, cells), 3.0) == CONFLUX
+            assert validate_handshake_post(Circuit.from_records(1, cells), 3.0) == CONFLUX
 
 
 class TestSweep:
@@ -147,7 +147,7 @@ class TestGenerateDataset:
         parsed = parse_guard_log(paths.guard_csv)
         for channel in parsed.channels:
             for circuit in channel.circuits.values():
-                assert circuit.directions[:3] == [1, -1, 1]
+                assert circuit.directions[:3].tolist() == [1, -1, 1]
 
     def test_noise_free_output_has_zero_handshake_drops(self, tmp_path):
         cfg = ScenarioConfig(seed=10, n_pages=2, n_visits_per_page=3, n_nonmon_channels=5,
