@@ -238,17 +238,20 @@ def cmd_conflux(args) -> int:
 def cmd_transform(args) -> int:
     traces = read_dataset(args.in_path)
     out = []
-    for idx, trace in enumerate(traces):
-        if args.jitter_ms is not None:
-            rng = np.random.default_rng(np.random.SeedSequence((args.seed, idx)))
-            trace = transforms.inject_jitter(
-                trace, args.jitter_ms, rng, int(args.max_duration_s * SEC)
-            )
-        if args.load_percent is not None:
-            trace = transforms.truncate_percent(trace, args.load_percent)
-        if args.max_len is not None:
-            trace = transforms.truncate_length(trace, args.max_len)
-        out.append(trace)
+    try:
+        for idx, trace in enumerate(traces):
+            if args.jitter_ms is not None:
+                rng = np.random.default_rng(np.random.SeedSequence((args.seed, idx)))
+                trace = transforms.inject_jitter(
+                    trace, args.jitter_ms, rng, int(args.max_duration_s * SEC)
+                )
+            if args.load_percent is not None:
+                trace = transforms.truncate_percent(trace, args.load_percent)
+            if args.max_len is not None:
+                trace = transforms.truncate_length(trace, args.max_len)
+            out.append(trace)
+    except (ValueError, OverflowError) as exc:
+        raise GuardsiftError(str(exc)) from None
     write_dataset(out, args.seed, args.out)
     _write_report(args.report, {"command": "transform", "traces": len(out)})
     return 0

@@ -11,12 +11,12 @@ import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyTraceError, IndeterminateError, NotLinkedError
-from .trace import INCOMING, OUTGOING, Cell, Circuit, ConfluxSet, Trace
+from .trace import INCOMING, OUTGOING, POST, Circuit, ConfluxSet, Trace
 
 
 class CellTypeCode(IntEnum):
@@ -92,7 +92,7 @@ def identify_primary_legs(conflux_set: ConfluxSet) -> PrimaryLegVerdict:
     return PrimaryLegVerdict(client.circuit_id, exit_primary)
 
 
-def detect_first_segment(guard_leg: Trace | Sequence[Cell]) -> bool:
+def detect_first_segment(guard_leg: Trace) -> bool:
     """Guard-side first-segment test on a head-trimmed leg.
 
     Holds when (1) the first cell after the link handshake is outgoing,
@@ -100,14 +100,14 @@ def detect_first_segment(guard_leg: Trace | Sequence[Cell]) -> bool:
     outgoing cell appears within the 10 cells right after that first
     incoming one. Missing evidence counts against.
     """
-    cells = guard_leg.cells if isinstance(guard_leg, Trace) else tuple(guard_leg)
-    if not cells or cells[0][1] != OUTGOING:
+    directions = guard_leg.directions
+    if not len(directions) or directions[0] != OUTGOING:
         return False
-    first_in = next((i for i, (_, d) in enumerate(cells[:10]) if d == INCOMING), None)
-    if first_in is None:
+    incoming = np.flatnonzero(directions[:10] == INCOMING)
+    if not len(incoming):
         return False
-    window = cells[first_in + 1 : first_in + 11]
-    return any(d == OUTGOING for _, d in window)
+    first_in = int(incoming[0])
+    return bool((directions[first_in + 1 : first_in + 11] == OUTGOING).any())
 
 
 def fs_ground_truth(verdict: PrimaryLegVerdict, guard_leg_id: int) -> bool:
@@ -119,9 +119,9 @@ def fs_ground_truth(verdict: PrimaryLegVerdict, guard_leg_id: int) -> bool:
 
 def leg_coverage(guard_leg: Trace, full_client_trace: Trace) -> float:
     """Fraction of the full page-load cells visible on the guard's leg."""
-    if not full_client_trace.cells:
+    if not len(full_client_trace):
         raise EmptyTraceError("full client trace is empty")
-    return min(1.0, max(0.0, len(guard_leg.cells) / len(full_client_trace.cells)))
+    return min(1.0, max(0.0, len(guard_leg) / len(full_client_trace)))
 
 
 def merge_legs(conflux_set: ConfluxSet) -> Trace:
@@ -133,8 +133,7 @@ def merge_legs(conflux_set: ConfluxSet) -> Trace:
     timestamps = np.concatenate([leg.timestamps for leg in legs])
     directions = np.concatenate([leg.directions for leg in legs])
     order = np.argsort(timestamps, kind="stable")
-    cells = zip(timestamps[order].tolist(), directions[order].tolist())
-    return Trace(cells=tuple(cells), phase="post")
+    return Trace(timestamps[order], directions[order], phase=POST)
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .trace import OUTGOING, Cell, Trace
+from .trace import OUTGOING, Trace
 
 SEC = 1_000_000_000
-
-
-def _cell_array(cells: Sequence[Cell]) -> np.ndarray:
-    """``(n, 2)`` int64 array of ``(timestamp_ns, direction)`` rows."""
-    flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=2 * len(cells))
-    return flat.reshape(-1, 2)
 
 
 def direction_sequence(trace: Trace, length: int = 5000) -> np.ndarray:
@@ -31,8 +24,8 @@ def direction_sequence(trace: Trace, length: int = 5000) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     out = np.zeros(length, dtype=np.int8)
-    head = _cell_array(trace.cells[:length])
-    out[: len(head)] = head[:, 1]
+    head = trace.directions[:length]
+    out[: len(head)] = head
     return out
 
 
@@ -41,8 +34,7 @@ def directional_timing(trace: Trace, length: int = 5000) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     out = np.zeros(length, dtype=np.float64)
-    head = _cell_array(trace.cells[:length])
-    ts, d = head[:, 0], head[:, 1]
+    ts, d = trace.timestamps[:length], trace.directions[:length]
     seconds = ts / SEC
     if len(ts) and not (-(2**53) < ts[0] and ts[-1] < 2**53):
         # past 2**53 ns the int64 -> float64 cast rounds before the division;
@@ -92,8 +84,7 @@ def _tam_horizon_ns(t_max_s: float, n_slots: int) -> int:
 def build_tam(trace: Trace, t_max_s: float, n_slots: int) -> TAM:
     """Count cells into a 2 x ``n_slots`` matrix covering [0, t_max]."""
     t_max_ns = _tam_horizon_ns(t_max_s, n_slots)
-    cells = _cell_array(trace.cells)
-    ts, d = cells[:, 0], cells[:, 1]
+    ts, d = trace.timestamps, trace.directions
     keep = (ts >= 0) & (ts <= t_max_ns)
     # integer slot index: exact, and pairwise-coarsening safe
     slots = np.minimum(ts[keep] * n_slots // t_max_ns, n_slots - 1)

@@ -72,9 +72,6 @@ class ParsedLog:
     duplicate_count: int = 0
     auth_channel_count: int = 0
 
-    def channel_map(self) -> dict[int, Channel]:
-        return {ch.channel_id: ch for ch in self.channels}
-
 
 def _read_text(source: str | Path | IO[str] | Iterable[str]) -> str:
     """Whole text of a path, an open text file or an iterable of lines."""

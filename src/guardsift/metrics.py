@@ -13,7 +13,7 @@ import csv
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -383,19 +383,3 @@ def write_curve(points: Iterable[SweepPoint], path: str | Path) -> None:
                     "" if point.fpr is None else f"{point.fpr:.9f}",
                 ]
             )
-
-
-def operating_point_json(point: OperatingPoint, r: float | None = None) -> dict:
-    payload = {
-        "threshold": point.threshold,
-        "recall": point.recall,
-        "fpr": point.fpr,
-        "counts": asdict(point.counts),
-    }
-    if point.pi_r is not None:
-        payload["pi_r"] = point.pi_r
-    if point.f1 is not None:
-        payload["f1"] = point.f1
-    if r is not None:
-        payload["r"] = r
-    return payload

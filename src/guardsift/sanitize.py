@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     EmptyAfterTrimError,
@@ -27,7 +29,7 @@ from .errors import (
     read_config_object,
 )
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, PRE, Cell, Channel, Circuit, Trace
+from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Trace
 
 log = logging.getLogger(__name__)
 
@@ -199,70 +201,63 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
         raise EmptyAfterTrimError(
             f"circuit {circuit.circuit_id}: no cells left after head trim"
         )
-    cells = zip((timestamps - timestamps[0]).tolist(), circuit.directions[strip:].tolist())
-    return Trace(cells=tuple(cells), phase=phase)
-
-
-def _last_gap_index(cells: Sequence[Cell], gap_ns: int) -> int | None:
-    """Index i of the last pair with cells[i+1].ts - cells[i].ts >= gap_ns."""
-    for i in range(len(cells) - 2, -1, -1):
-        if cells[i + 1][0] - cells[i][0] >= gap_ns:
-            return i
-    return None
+    return Trace(timestamps - timestamps[0], circuit.directions[strip:], phase=phase)
 
 
 def prune_close_tail(
-    cells: Sequence[Cell],
-    gap_ns: int,
-    max_tail_cells: int,
-    max_tail_duration_ns: int,
-) -> tuple[list[Cell], bool]:
-    """Drop a trailing burst that looks like browser-shutdown traffic.
+    timestamps: np.ndarray, directions: np.ndarray, config: SanitizeConfig
+) -> tuple[int, bool]:
+    """The gap stages of the tail trim: how many leading cells survive them.
 
-    The tail after the last qualifying idle gap is removed only when it
-    starts with an outgoing cell (the client initiates closing) and is
-    either short in cells or short in duration.
+    The last 2 cells (circuit teardown) go first. Then a trailing burst that
+    looks like browser-shutdown traffic goes too: the cells after the last
+    idle gap of at least ``tail_gap_ns``, when they start with an outgoing
+    cell (the client initiates closing) and are fewer than
+    ``max_tail_cells`` or last less than ``max_tail_duration_ns``. Returns
+    the end index and whether the burst was pruned.
     """
-    cells = list(cells)
-    idx = _last_gap_index(cells, gap_ns)
-    if idx is None:
-        return cells, False
-    tail = cells[idx + 1 :]
-    if tail[0][1] != OUTGOING:
-        return cells, False
-    tail_duration = tail[-1][0] - tail[0][0]
-    if len(tail) < max_tail_cells or tail_duration < max_tail_duration_ns:
-        return cells[: idx + 1], True
-    return cells, False
+    end = max(len(timestamps) - 2, 0)
+    gaps = np.flatnonzero(np.diff(timestamps[:end]) >= config.tail_gap_ns)
+    if not len(gaps):
+        return end, False
+    cut = int(gaps[-1]) + 1
+    if directions[cut] != OUTGOING:
+        return end, False
+    tail_duration = int(timestamps[end - 1]) - int(timestamps[cut])
+    if end - cut < config.max_tail_cells or tail_duration < config.max_tail_duration_ns:
+        return cut, True
+    return end, False
+
+
+def cap_tail(timestamps: np.ndarray, cap_ns: int | None, max_len: int) -> tuple[int, int]:
+    """The cap stages of the tail trim on time-sorted cells.
+
+    Returns the end index after the duration cap (cells at or before
+    ``cap_ns``; ``None`` keeps all) and the end after the length cap.
+    """
+    capped = len(timestamps)
+    if cap_ns is not None:
+        capped = int(np.searchsorted(timestamps, cap_ns, side="right"))
+    return capped, min(capped, max_len)
 
 
 def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
-    """Apply the four tail stages: teardown cells, shutdown tail, duration
-    cap, and length cap.
+    """Apply the tail stages: teardown cells, shutdown tail, duration cap,
+    and length cap.
 
-    The first two stages run once per trace; ``tail_trimmed`` records that
-    they already ran so re-application cannot remove more cells. The cap
-    stages are plain projections and always apply.
+    The gap stages run once per trace; ``tail_trimmed`` records that they
+    already ran so re-application cannot remove more cells. The cap stages
+    are plain projections and always apply.
     """
-    cells = list(trace.cells)
-    pruned = False
+    end = len(trace)
     if not trace.tail_trimmed:
-        cells = cells[:-2]
-        if cells:
-            cells, pruned = prune_close_tail(
-                cells,
-                config.tail_gap_ns,
-                config.max_tail_cells,
-                config.max_tail_duration_ns,
-            )
-    if config.duration_cap_ns is not None:
-        cells = [c for c in cells if c[0] <= config.duration_cap_ns]
-    cells = cells[: config.max_len]
-    if not cells:
+        end, _ = prune_close_tail(trace.timestamps, trace.directions, config)
+    _, end = cap_tail(trace.timestamps[:end], config.duration_cap_ns, config.max_len)
+    if not end:
         raise EmptyAfterTrimError(f"trace {trace.trace_id}: empty after tail trim")
-    if len(cells) == len(trace.cells) and not pruned and trace.tail_trimmed:
+    if end == len(trace) and trace.tail_trimmed:
         return trace
-    return trace.with_cells(cells, tail_trimmed=True)
+    return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
 
 
 def compute_duration_cap(
@@ -370,17 +365,15 @@ def _trim_cohort(
     """
     staged: list[tuple[Trace, str | None, str | None, int]] = []
     for trace, label, tag, circuit_id in entries:
-        cells = list(trace.cells)[:-2]
-        if not cells:
+        end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
+        if not end:
             report.trim_dropped += 1
             outcomes[circuit_id] = OUTCOME_TRIM
             continue
-        cells, pruned = prune_close_tail(
-            cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
-        )
         if pruned:
             report.tail_gap_pruned += 1
-        staged.append((trace.with_cells(cells, tail_trimmed=True), label, tag, circuit_id))
+        kept = trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
+        staged.append((kept, label, tag, circuit_id))
 
     cap = config.duration_cap_ns
     if cap is None:
@@ -393,20 +386,17 @@ def _trim_cohort(
 
     out: list[Trace] = []
     for trace, label, tag, circuit_id in staged:
-        cells = list(trace.cells)
-        if cap is not None:
-            kept = [c for c in cells if c[0] <= cap]
-            if len(kept) < len(cells):
-                report.duration_capped += 1
-            cells = kept
-        if len(cells) > config.max_len:
+        capped, end = cap_tail(trace.timestamps, cap, config.max_len)
+        if capped < len(trace):
+            report.duration_capped += 1
+        if end < capped:
             report.length_truncated += 1
-            cells = cells[: config.max_len]
-        if not cells:
+        if not end:
             report.trim_dropped += 1
             outcomes[circuit_id] = OUTCOME_TRIM
             continue
-        out.append(trace.with_cells(cells, label=label, client_tag=tag))
+        timestamps, directions = trace.timestamps[:end], trace.directions[:end]
+        out.append(trace.with_cells(timestamps, directions, label=label, client_tag=tag))
         outcomes[circuit_id] = OUTCOME_RETAINED
         report.retained += 1
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySegmentError, MalformedCircuitError
-from .sanitize import SanitizeConfig, prune_close_tail
+from .sanitize import SanitizeConfig, cap_tail, prune_close_tail
 from .trace import OUTGOING, PRE, Channel, Circuit, Trace
 
 __all__ = [
@@ -83,21 +83,15 @@ def _finish_segment(
     if not len(outgoing):
         return None
     start = int(outgoing[0])
+    timestamps = timestamps[start:] - timestamps[start]
+    directions = directions[start:]
     # the channel view has no handshake to strip, so only the tail stages run
-    timestamps = timestamps[start:-2] - timestamps[start]
-    if not len(timestamps):
-        return None
-    cells = list(zip(timestamps.tolist(), directions[start:-2].tolist()))
-    cells, _ = prune_close_tail(
-        cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
-    )
-    if config.duration_cap_ns is not None:
-        cells = [c for c in cells if c[0] <= config.duration_cap_ns]
-    cells = cells[: config.max_len]
-    if not cells:
+    end, _ = prune_close_tail(timestamps, directions, config)
+    _, end = cap_tail(timestamps[:end], config.duration_cap_ns, config.max_len)
+    if not end:
         return None
     return Trace(
-        cells=tuple(cells), phase=PRE, label=label, client_tag=tag, tail_trimmed=True
+        timestamps[:end], directions[:end], PRE, label=label, client_tag=tag, tail_trimmed=True
     )
 
 

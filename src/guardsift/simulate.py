@@ -1227,9 +1227,8 @@ def simulate_conflux_sets(config: ScenarioConfig, n_sets: int):
             client_primary=leg_ids[sim.client_primary],
             exit_primary=leg_ids[sim.exit_primary],
         )
-        guard = sim.leg_cells[0][5:]
-        base = guard[0][0]
-        guard_trace = Trace(tuple((ts - base, d) for ts, d, _ in guard), phase=POST)
+        guard = leg_a.tail(5)
+        guard_trace = Trace(guard.timestamps - guard.start_ts, guard.directions, phase=POST)
         yield SimulatedSet(
             conflux_set=ConfluxSet(leg_a, leg_b, truth),
             guard_leg_id=id_a,

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -24,9 +25,6 @@ INCOMING = -1
 PRE = "pre"
 POST = "post"
 PHASES = (PRE, POST)
-
-#: a single observed cell: (timestamp_ns, direction)
-Cell = tuple[int, int]
 
 #: ``Circuit.cell_types`` entry for a logged cell without a cell type
 NO_CELL_TYPE = -1
@@ -53,33 +51,41 @@ class CellRecord:
             raise ValueError(f"cell_type must be non-negative, got {self.cell_type}")
 
 
-def compute_trace_id(cells: Sequence[Cell], salt: str = "") -> str:
+def _format_pairs(fmt: str, first: np.ndarray, second: np.ndarray) -> str:
+    """``fmt`` (two ``%d`` fields) rendered for every ``(first[i], second[i])``."""
+    flat = [0] * (2 * len(first))
+    flat[0::2] = first.tolist()
+    flat[1::2] = second.tolist()
+    return (fmt * len(first)) % tuple(flat)
+
+
+def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str = "") -> str:
     """Content hash over the (direction, inter-arrival) sequence.
 
     Invariant under timestamp offsets, so a trace keeps its id through
     normalization. The salt separates id spaces of unrelated datasets.
     """
-    h = hashlib.sha256()
-    h.update(salt.encode("utf-8"))
-    prev = cells[0][0] if cells else 0
-    for ts, direction in cells:
-        h.update(b"%d,%d;" % (direction, ts - prev))
-        prev = ts
-    return h.hexdigest()[:16]
+    # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
+    gaps = np.diff(timestamps, prepend=timestamps[:1]).view(np.uint64)
+    text = salt + _format_pairs("%d,%d;", directions, gaps)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An ordered cell sequence with provenance metadata.
+    """A time-sorted cell sequence with provenance metadata.
 
-    ``label`` is the monitored class (page) label; ``None`` marks a
-    non-monitored trace. ``client_tag`` records which controlled client
-    produced a monitored trace. ``tail_trimmed`` marks that the tail
-    heuristics already ran, so re-running them cannot eat more cells.
-    ``trace_id`` is the content hash of the cells, computed on first read.
+    Cells are parallel arrays, as in ``Circuit``: ``timestamps`` is int64
+    nanoseconds and ``directions`` int8. ``label`` is the monitored class
+    (page) label; ``None`` marks a non-monitored trace. ``client_tag``
+    records which controlled client produced a monitored trace.
+    ``tail_trimmed`` marks that the tail heuristics already ran, so
+    re-running them cannot eat more cells. ``trace_id`` is the content hash
+    of the cells, computed on first read.
     """
 
-    cells: tuple[Cell, ...]
+    timestamps: np.ndarray
+    directions: np.ndarray
     phase: str = PRE
     label: str | None = None
     client_tag: str | None = None
@@ -88,36 +94,52 @@ class Trace:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
-        prev = None
-        for ts, _ in self.cells:
-            if prev is not None and ts < prev:
-                raise ValueError("cells must be sorted by timestamp")
-            prev = ts
+        if self.timestamps.shape != self.directions.shape or self.timestamps.ndim != 1:
+            raise ValueError("timestamps and directions must be 1-d and of equal length")
+        if (self.timestamps[1:] < self.timestamps[:-1]).any():
+            raise ValueError("cells must be sorted by timestamp")
+
+    @classmethod
+    def from_cells(cls, cells: Iterable[tuple[int, int]], **meta) -> "Trace":
+        """Trace from ``(timestamp_ns, direction)`` pairs with directions of +-1."""
+        cells = list(cells)
+        pairs = np.array(cells, dtype=np.int64).reshape(len(cells), 2)
+        directions = pairs[:, 1]
+        if not ((directions == OUTGOING) | (directions == INCOMING)).all():
+            raise ValueError("directions must be +1 or -1")
+        return cls(pairs[:, 0].copy(), directions.astype(np.int8), **meta)
 
     @cached_property
     def trace_id(self) -> str:
-        return compute_trace_id(self.cells)
+        return compute_trace_id(self.timestamps, self.directions)
 
     @property
-    def monitored(self) -> bool:
-        return self.label is not None
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """The cells as ``(timestamp_ns, direction)`` tuples (a derived copy)."""
+        return tuple(zip(self.timestamps.tolist(), self.directions.tolist()))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.timestamps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            (self.phase, self.label, self.client_tag, self.tail_trimmed)
+            == (other.phase, other.label, other.client_tag, other.tail_trimmed)
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.directions, other.directions)
+        )
 
     @property
     def duration_ns(self) -> int:
-        if not self.cells:
+        if not len(self):
             return 0
-        return self.cells[-1][0] - self.cells[0][0]
+        return int(self.timestamps[-1]) - int(self.timestamps[0])
 
-    @property
-    def directions(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.cells)
-
-    def with_cells(self, cells: Iterable[Cell], **changes) -> "Trace":
-        """Copy with new cells; the copy computes its own content id."""
-        return replace(self, cells=tuple(cells), **changes)
+    def with_cells(self, timestamps: np.ndarray, directions: np.ndarray, **changes) -> "Trace":
+        """Copy with new cell arrays; the copy computes its own content id."""
+        return replace(self, timestamps=timestamps, directions=directions, **changes)
 
 
 @dataclass(eq=False)
@@ -207,21 +229,17 @@ class ConfluxSet:
 
 def normalize(trace: Trace) -> Trace:
     """Shift timestamps so the first cell sits at 0; deltas are preserved."""
-    if not trace.cells:
+    if not len(trace):
         raise EmptyTraceError("cannot normalize an empty trace")
-    offset = trace.cells[0][0]
-    if offset == 0:
+    if trace.timestamps[0] == 0:
         return trace
-    return replace(trace, cells=tuple((ts - offset, d) for ts, d in trace.cells))
+    return trace.with_cells(trace.timestamps - trace.timestamps[0], trace.directions)
 
 
 def _trace_line(trace: Trace) -> str:
-    payload = {
-        "phase": trace.phase,
-        "label": trace.label,
-        "cells": [[ts, d] for ts, d in trace.cells],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    phase, label = json.dumps(trace.phase), json.dumps(trace.label)
+    cells = _format_pairs("[%d,%d],", trace.timestamps, trace.directions)[:-1]
+    return f'{{"phase":{phase},"label":{label},"cells":[{cells}]}}'
 
 
 def serialize_dataset(traces: Sequence[Trace], seed: int) -> bytes:
@@ -232,11 +250,11 @@ def serialize_dataset(traces: Sequence[Trace], seed: int) -> bytes:
     byte-identical bytes.
     """
     for trace in traces:
-        if not trace.cells:
+        if not len(trace):
             raise EmptyTraceError("cannot export an empty trace")
-        if trace.cells[0][0] != 0:
+        if trace.timestamps[0] != 0:
             raise NotNormalizedError(
-                f"trace {trace.trace_id} starts at {trace.cells[0][0]} ns, expected 0"
+                f"trace {trace.trace_id} starts at {trace.timestamps[0]} ns, expected 0"
             )
     order = np.random.default_rng(seed).permutation(len(traces))
     lines = [_trace_line(traces[i]) for i in order]
@@ -247,10 +265,36 @@ def write_dataset(traces: Sequence[Trace], seed: int, path: str | Path) -> None:
     Path(path).write_bytes(serialize_dataset(traces, seed))
 
 
+def _parse_trace(payload) -> Trace:
+    """Trace from one decoded line; ValueError or TypeError names the fault."""
+    cells, phase, label = payload["cells"], payload["phase"], payload["label"]
+    if (
+        not isinstance(cells, list)
+        or not set(map(type, cells)) <= {list}
+        or not set(map(len, cells)) <= {2}
+    ):
+        raise ValueError("cells must be a list of [timestamp, direction] pairs")
+    if not set(map(type, chain.from_iterable(cells))) <= {int}:
+        raise ValueError("cell values must be integers")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("label must be a string or null")
+    return Trace.from_cells(cells, phase=phase, label=label)
+
+
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
-    """Parse a newline-delimited JSON trace file back into traces."""
+    """Parse a newline-delimited JSON trace file back into traces.
+
+    Each line is an object with ``phase``, ``label`` (a string or null) and
+    ``cells``, a list of ``[timestamp_ns, direction]`` pairs: int64 integers,
+    directions +-1, timestamps sorted. Any other line raises ``ParseError``
+    naming it.
+    """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        data = Path(source).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
     else:
         text = source.read()
     traces = []
@@ -258,17 +302,14 @@ def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
-            trace = Trace(
-                cells=tuple((int(ts), int(d)) for ts, d in payload["cells"]),
-                phase=payload["phase"],
-                label=payload["label"],
-            )
+            trace = _parse_trace(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"not JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(line_no, "not JSON: nested too deeply") from None
         except KeyError as exc:
             raise ParseError(line_no, f"missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(line_no, f"bad trace: {exc}") from None
         traces.append(trace)
     return traces

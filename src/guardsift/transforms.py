@@ -23,33 +23,31 @@ def inject_jitter(
     """
     if jitter_ms < 0:
         raise ValueError("jitter must be non-negative")
-    if jitter_ms == 0 or len(trace.cells) < 2:
+    n = len(trace)
+    if jitter_ms == 0 or n < 2:
         return trace
-    cells = [trace.cells[0]]
-    shift = 0
-    for (prev_ts, _), (ts, direction) in zip(trace.cells, trace.cells[1:]):
-        shift += int(round(rng.uniform(0.0, jitter_ms) * MS))
-        cells.append((ts + shift, direction))
-    kept = [c for c in cells if c[0] - cells[0][0] <= max_duration_ns]
-    return trace.with_cells(kept)
+    # one sized draw gives the same values as n - 1 scalar draws in turn
+    shift = np.cumsum(np.rint(rng.uniform(0.0, jitter_ms, size=n - 1) * MS).astype(np.int64))
+    timestamps = trace.timestamps.copy()
+    timestamps[1:] += shift
+    kept = timestamps - timestamps[0] <= max_duration_ns
+    return trace.with_cells(timestamps[kept], trace.directions[kept])
 
 
 def truncate_percent(trace: Trace, percent: float) -> Trace:
     """Keep the first ``percent`` of cells (floor, at least one cell)."""
     if not 1 <= percent <= 100:
         raise ValueError("percent must be in [1, 100]")
-    if not trace.cells:
+    keep = max(1, int(len(trace) * percent // 100))
+    if keep >= len(trace):
         return trace
-    keep = max(1, int(len(trace.cells) * percent // 100))
-    if keep >= len(trace.cells):
-        return trace
-    return trace.with_cells(trace.cells[:keep])
+    return trace.with_cells(trace.timestamps[:keep], trace.directions[:keep])
 
 
 def truncate_length(trace: Trace, max_len: int = 5000) -> Trace:
     """Keep the first ``max_len`` cells."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if len(trace.cells) <= max_len:
+    if len(trace) <= max_len:
         return trace
-    return trace.with_cells(trace.cells[:max_len])
+    return trace.with_cells(trace.timestamps[:max_len], trace.directions[:max_len])

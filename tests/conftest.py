@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
+import json
 
 from guardsift.trace import CellRecord, Channel, Circuit
 
@@ -32,19 +33,63 @@ def channel_of(*circuits, channel_id=1, auth=False, tag=""):
     return ch
 
 
-def random_trace_cells(rng: np.random.Generator, n=None, with_gaps=False):
-    """Sorted (ts, dir) cells; optionally salted with multi-second gaps."""
-    if n is None:
-        n = int(rng.integers(4, 400))
-    gaps = rng.integers(100_000, 80_000_000, n - 1) if n > 1 else []
-    cells = [(0, 1)]
-    t = 0
-    for i, g in enumerate(gaps):
-        t += int(g)
-        if with_gaps and rng.random() < 0.02:
-            t += int(rng.uniform(5, 12) * SEC)
-        cells.append((t, 1 if rng.random() < 0.5 else -1))
-    return tuple(cells)
+# --- tuple-cell oracles: the list implementations the array code replaced -------
+
+
+def oracle_last_gap_index(cells, gap_ns):
+    """Index i of the last pair with cells[i+1].ts - cells[i].ts >= gap_ns."""
+    for i in range(len(cells) - 2, -1, -1):
+        if cells[i + 1][0] - cells[i][0] >= gap_ns:
+            return i
+    return None
+
+
+def oracle_prune_close_tail(cells, gap_ns, max_tail_cells, max_tail_duration_ns):
+    """Drop a trailing outgoing-led burst after the last idle gap when it is
+    short in cells or in duration."""
+    cells = list(cells)
+    idx = oracle_last_gap_index(cells, gap_ns)
+    if idx is None:
+        return cells, False
+    tail = cells[idx + 1 :]
+    if tail[0][1] != 1:
+        return cells, False
+    tail_duration = tail[-1][0] - tail[0][0]
+    if len(tail) < max_tail_cells or tail_duration < max_tail_duration_ns:
+        return cells[: idx + 1], True
+    return cells, False
+
+
+def oracle_tail_stages(cells, config, tail_trimmed=False):
+    """Teardown, shutdown tail, duration cap and length cap over a cell list;
+    returns the kept cells and whether the shutdown tail was pruned."""
+    cells, pruned = list(cells), False
+    if not tail_trimmed:
+        cells = cells[:-2]
+        if cells:
+            cells, pruned = oracle_prune_close_tail(
+                cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
+            )
+    if config.duration_cap_ns is not None:
+        cells = [c for c in cells if c[0] <= config.duration_cap_ns]
+    return cells[: config.max_len], pruned
+
+
+def oracle_trace_id(cells, salt=""):
+    """Content hash over (direction, inter-arrival), one update per cell."""
+    h = hashlib.sha256()
+    h.update(salt.encode("utf-8"))
+    prev = cells[0][0] if cells else 0
+    for ts, direction in cells:
+        h.update(b"%d,%d;" % (direction, ts - prev))
+        prev = ts
+    return h.hexdigest()[:16]
+
+
+def oracle_trace_line(phase, label, cells):
+    """One NDJSON line as json.dumps renders the payload dict."""
+    payload = {"phase": phase, "label": label, "cells": [[ts, d] for ts, d in cells]}
+    return json.dumps(payload, separators=(",", ":"))
 
 
 # --- acceptance summary ---------------------------------------------------------

@@ -262,6 +262,18 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         )
     assert checked_tails >= 100 and checked_plain >= 50
 
+    # the pipeline runs the same tail stages: every trace sanitize keeps is
+    # the head trim plus trim_tail of its circuit, in circuit order
+    result = sanitize(channels, config, "pre")
+    kept = [
+        circuit
+        for channel in channels
+        for circuit_id, circuit in channel.circuits.items()
+        if result.outcomes[circuit_id] == "retained"
+    ]
+    assert len(kept) >= 100
+    assert result.traces == [trim_tail(trim_head(c, "pre"), config) for c in kept]
+
     rng = np.random.default_rng(55)
     for _ in range(1000):
         n = int(rng.integers(3, 300))
@@ -272,7 +284,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
             if rng.random() < 0.03:
                 t += int(rng.uniform(5, 12) * SEC)
             cells.append((t, 1 if rng.random() < 0.5 else -1))
-        trace = Trace(cells=tuple(cells))
+        trace = Trace.from_cells(tuple(cells))
         try:
             once = trim_tail(trace, SanitizeConfig())
         except Exception:
@@ -365,7 +377,7 @@ def test_c08_rtt_advantage_sweep_trend():
 def test_c09_jitter_expected_extension():
     n = 500
     jitter_ms = 20.0
-    base = Trace(cells=tuple((i * 10 * MS, 1 if i % 2 else -1) for i in range(n)))
+    base = Trace.from_cells(tuple((i * 10 * MS, 1 if i % 2 else -1) for i in range(n)))
     extensions = []
     for trial in range(1000):
         rng = np.random.default_rng(9000 + trial)
@@ -389,7 +401,7 @@ def test_c09_jitter_expected_extension():
 
 
 def test_c10_tam_slots_and_totals():
-    tam = build_tam(Trace(cells=((0, 1),)), t_max_s=80.0, n_slots=1800)
+    tam = build_tam(Trace.from_cells(((0, 1),)), t_max_s=80.0, n_slots=1800)
     assert 0.0444 <= tam.slot_duration_s <= 0.0445
 
     rng = np.random.default_rng(1010)
@@ -401,7 +413,7 @@ def test_c10_tam_slots_and_totals():
                 key=lambda c: c[0],
             )
         )
-        trace = Trace(cells=cells)
+        trace = Trace.from_cells(cells)
         tam = build_tam(trace, 80.0, 64)
         in_range = sum(1 for ts, _ in cells if ts <= 80 * SEC)
         assert tam.total() == in_range

@@ -195,6 +195,28 @@ def test_featurize_stage_errors(tmp_path, capsys, ndjson, extra, message):
 
 
 @pytest.mark.parametrize(
+    "ndjson, flags, message",
+    [
+        (ONE_CELL_TRACE, ["--load-percent", "150"], "percent must be in [1, 100]"),
+        (ONE_CELL_TRACE, ["--max-len", "0"], "max_len must be >= 1"),
+        (ONE_CELL_TRACE, ["--jitter-ms", "-1"], "jitter must be non-negative"),
+        ('{"phase":"pre","label":null,"cells":[[0,1],[1.5,1]]}\n', [], "line 1"),
+        # jitter would push the second cell past int64
+        ('{"phase":"pre","label":null,"cells":[[9223372036854775800,1],[9223372036854775807,1]]}\n',
+         ["--jitter-ms", "20"], "sorted"),
+    ],
+    ids=["load-percent", "max-len", "negative-jitter", "float-cell", "int64-overflow"],
+)
+def test_transform_stage_errors(tmp_path, capsys, ndjson, flags, message):
+    traces = tmp_path / "traces.ndjson"
+    traces.write_text(ndjson)
+    assert main(["transform", "--in", str(traces), "--out", str(tmp_path / "t"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("guardsift transform: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "flags", [["--length", "0"], ["--n-slots", "0"], ["--t-max-s", "-1"], ["--t-max-s", "inf"]]
 )
 def test_featurize_usage_errors(tmp_path, flags):

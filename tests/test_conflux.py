@@ -97,7 +97,7 @@ class TestIdentifyPrimaryLegs:
 
 
 def dir_trace(dirs):
-    return Trace(cells=tuple((i * MS, d) for i, d in enumerate(dirs)), phase="post")
+    return Trace.from_cells(tuple((i * MS, d) for i, d in enumerate(dirs)), phase="post")
 
 
 class TestFirstSegmentDetector:

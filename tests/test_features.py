@@ -19,7 +19,7 @@ from guardsift.trace import OUTGOING, Trace, read_dataset, write_dataset
 
 
 def trace_of(cells):
-    return Trace(cells=tuple(cells))
+    return Trace.from_cells(tuple(cells))
 
 
 # --- brute-force references: the per-cell loops the numpy builders replace ---
@@ -186,9 +186,9 @@ def _edge_case_traces():
     """Longer than --length, a cell on t_max, cells past it, incoming at t=0."""
     t_max = 2 * SEC
     return [
-        Trace(cells=tuple((i * 100 * MS, 1 if i % 3 else -1) for i in range(12)), label="a.example"),
-        Trace(cells=((0, -1), (t_max // 3, 1), (t_max, 1), (t_max + 1, -1), (3 * t_max, 1))),
-        Trace(cells=((0, 1), (5 * MS, -1)), label="b.example"),
+        Trace.from_cells(tuple((i * 100 * MS, 1 if i % 3 else -1) for i in range(12)), label="a.example"),
+        Trace.from_cells(((0, -1), (t_max // 3, 1), (t_max, 1), (t_max + 1, -1), (3 * t_max, 1))),
+        Trace.from_cells(((0, 1), (5 * MS, -1)), label="b.example"),
     ]
 
 

@@ -1,6 +1,16 @@
-import pytest
+from itertools import accumulate
 
-from conftest import MS, SEC, channel_of, circuit_from_dirs
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    MS,
+    SEC,
+    channel_of,
+    circuit_from_dirs,
+    oracle_prune_close_tail,
+    oracle_tail_stages,
+)
 from guardsift.errors import (
     ConfigError,
     EmptyAfterTrimError,
@@ -17,6 +27,7 @@ from guardsift.sanitize import (
     detect_spam_channels,
     filter_small_circuits,
     group_visits,
+    prune_close_tail,
     sanitize,
     select_main_circuit,
     trim_head,
@@ -180,7 +191,7 @@ def build_trace(segments, tail_trimmed=False):
         for _ in range(count):
             cells.append((t, direction))
             t += spacing
-    return Trace(cells=tuple(cells), tail_trimmed=tail_trimmed)
+    return Trace.from_cells(tuple(cells), tail_trimmed=tail_trimmed)
 
 
 class TestTailTrim:
@@ -203,7 +214,7 @@ class TestTailTrim:
             cells.append((t, 1 if i == 0 else -1))
             t += MS
         cells += [(t + MS, 1), (t + 2 * MS, -1)]
-        trimmed = trim_tail(Trace(cells=tuple(cells)), self.config())
+        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
         assert len(trimmed.cells) == 200
 
     def test_incoming_led_tail_kept(self):
@@ -212,7 +223,7 @@ class TestTailTrim:
         for i in range(50):
             cells.append((t, -1 if i == 0 else 1))
             t += MS
-        trimmed = trim_tail(Trace(cells=tuple(cells)), self.config())
+        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
         assert len(trimmed.cells) == 248
 
     def test_long_slow_tail_kept(self):
@@ -221,7 +232,7 @@ class TestTailTrim:
         for i in range(120):  # >= 100 cells and >= 1 s long: not shutdown-like
             cells.append((t, 1))
             t += 12 * MS
-        trimmed = trim_tail(Trace(cells=tuple(cells)), self.config())
+        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
         assert len(trimmed.cells) == 200 + 120 - 2
 
     def test_length_cap(self):
@@ -244,10 +255,59 @@ class TestTailTrim:
         cells = [(0, 1), (SEC, -1)]
         cells += [(7 * SEC + i * MS, 1) for i in range(5)]
         cells += [(20 * SEC + i * MS, 1) for i in range(10)]
-        trace = Trace(cells=tuple(cells))
+        trace = Trace.from_cells(tuple(cells))
         once = trim_tail(trace, self.config())
         twice = trim_tail(once, self.config())
         assert once.cells == twice.cells
+
+
+# --- the array tail stages against the list implementations they replaced ------
+
+# small thresholds so every stage bites: gaps on and off the idle-gap bound,
+# short and long tails, caps that cut anywhere
+tail_configs = st.builds(
+    SanitizeConfig,
+    tail_gap_ns=st.sampled_from([0, 10 * MS, 25 * MS, 5 * SEC]),
+    max_tail_cells=st.integers(1, 6),
+    max_tail_duration_ns=st.sampled_from([0, 10 * MS, 50 * MS, SEC]),
+    duration_cap_ns=st.sampled_from([None, -1, 0, 30 * MS, 100 * MS]),
+    max_len=st.integers(1, 12),
+)
+
+
+@st.composite
+def tail_cells(draw):
+    """Sorted cells whose gaps sit on, under and over the tail thresholds."""
+    gaps = draw(st.lists(st.sampled_from([0, MS, 10 * MS, 25 * MS, 6 * SEC]), max_size=30))
+    times = list(accumulate(gaps, initial=draw(st.integers(0, 3 * SEC))))
+    dirs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(times), max_size=len(times)))
+    return list(zip(times, dirs))
+
+
+class TestTailStagesAgainstListOracle:
+    @given(tail_cells(), tail_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_prune_close_tail(self, cells, config):
+        trace = Trace.from_cells(cells)
+        end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
+        expected, expected_pruned = cells[:-2], False
+        if expected:
+            expected, expected_pruned = oracle_prune_close_tail(
+                expected, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
+            )
+        assert (list(trace.cells[:end]), pruned) == (expected, expected_pruned)
+
+    @given(tail_cells(), tail_configs, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_trim_tail(self, cells, config, tail_trimmed):
+        trace = Trace.from_cells(cells, tail_trimmed=tail_trimmed)
+        expected, _ = oracle_tail_stages(cells, config, tail_trimmed)
+        if not expected:
+            with pytest.raises(EmptyAfterTrimError):
+                trim_tail(trace, config)
+            return
+        trimmed = trim_tail(trace, config)
+        assert list(trimmed.cells) == expected and trimmed.tail_trimmed
 
 
 class TestDurationCap:

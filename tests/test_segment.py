@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import guardsift.segment as segment_module
-from conftest import MS, SEC, channel_of
+from conftest import MS, SEC, channel_of, oracle_tail_stages
 from guardsift.errors import EmptySegmentError, GuardsiftError, MalformedCircuitError
 from guardsift.segment import (
     SegmentWindow,
@@ -11,7 +11,7 @@ from guardsift.segment import (
     plan_windows,
     segment_nonmonitored,
 )
-from guardsift.sanitize import SanitizeConfig, prune_close_tail
+from guardsift.sanitize import SanitizeConfig
 from guardsift.trace import CellRecord, Channel, Circuit, Trace
 
 
@@ -287,19 +287,10 @@ def reference_finish_segment(cells, config, label, tag):
         return None
     cells = cells[start:]
     base = cells[0][0]
-    cells = [(ts - base, d) for ts, d in cells]
-    cells = cells[:-2]
+    cells, _ = oracle_tail_stages([(ts - base, d) for ts, d in cells], config)
     if not cells:
         return None
-    cells, _ = prune_close_tail(
-        cells, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
-    )
-    if config.duration_cap_ns is not None:
-        cells = [c for c in cells if c[0] <= config.duration_cap_ns]
-    cells = cells[: config.max_len]
-    if not cells:
-        return None
-    return Trace(cells=tuple(cells), phase="pre", label=label, client_tag=tag, tail_trimmed=True)
+    return Trace.from_cells(tuple(cells), phase="pre", label=label, client_tag=tag, tail_trimmed=True)
 
 
 def circuit_cells(circuit):

@@ -1,9 +1,12 @@
 import io
+import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from guardsift.errors import EmptyTraceError, NotNormalizedError, ParseError
+from conftest import oracle_trace_id, oracle_trace_line
+from guardsift.errors import EmptyTraceError, GuardsiftError, NotNormalizedError, ParseError
 from guardsift.trace import (
     CellRecord,
     Trace,
@@ -25,26 +28,26 @@ def test_cell_record_rejects_bad_direction():
 
 def test_trace_requires_sorted_cells():
     with pytest.raises(ValueError):
-        Trace(cells=((10, 1), (5, -1)))
+        Trace.from_cells(((10, 1), (5, -1)))
 
 
 def test_normalize_offsets():
-    t = Trace(cells=((100, 1), (150, -1), (400, 1)))
+    t = Trace.from_cells(((100, 1), (150, -1), (400, 1)))
     n = normalize(t)
     assert [ts for ts, _ in n.cells] == [0, 50, 300]
 
 
 def test_normalize_single_cell():
-    assert normalize(Trace(cells=((7, 1),))).cells == ((0, 1),)
+    assert normalize(Trace.from_cells(((7, 1),))).cells == ((0, 1),)
 
 
 def test_normalize_empty_raises():
     with pytest.raises(EmptyTraceError):
-        normalize(Trace(cells=()))
+        normalize(Trace.from_cells(()))
 
 
 def test_normalize_already_normalized_is_identity():
-    t = Trace(cells=((0, 1), (9, -1)))
+    t = Trace.from_cells(((0, 1), (9, -1)))
     assert normalize(t) is t
 
 
@@ -55,7 +58,7 @@ cells_strategy = st.lists(
 
 @given(cells_strategy)
 def test_normalize_idempotent_and_preserves_deltas(cells):
-    t = Trace(cells=cells)
+    t = Trace.from_cells(cells)
     n = normalize(t)
     assert normalize(n).cells == n.cells
     deltas = [b[0] - a[0] for a, b in zip(cells, cells[1:])]
@@ -65,19 +68,21 @@ def test_normalize_idempotent_and_preserves_deltas(cells):
 
 
 def test_trace_id_invariant_under_offset_only():
-    a = Trace(cells=((100, 1), (200, -1)))
-    b = Trace(cells=((0, 1), (100, -1)))
-    c = Trace(cells=((0, 1), (101, -1)))
+    a = Trace.from_cells(((100, 1), (200, -1)))
+    b = Trace.from_cells(((0, 1), (100, -1)))
+    c = Trace.from_cells(((0, 1), (101, -1)))
     assert a.trace_id == b.trace_id
     assert a.trace_id != c.trace_id
-    assert compute_trace_id(a.cells, salt="x") != compute_trace_id(a.cells, salt="y")
+    assert compute_trace_id(a.timestamps, a.directions, salt="x") != compute_trace_id(
+        a.timestamps, a.directions, salt="y"
+    )
 
 
 def _traces():
     return [
-        Trace(cells=((0, 1), (50, -1), (300, 1)), phase="pre", label="site-a"),
-        Trace(cells=((0, 1), (10, -1)), phase="pre"),
-        Trace(cells=((0, 1), (5, 1), (9, -1)), phase="post", label="site-b"),
+        Trace.from_cells(((0, 1), (50, -1), (300, 1)), phase="pre", label="site-a"),
+        Trace.from_cells(((0, 1), (10, -1)), phase="pre"),
+        Trace.from_cells(((0, 1), (5, 1), (9, -1)), phase="post", label="site-b"),
     ]
 
 
@@ -100,9 +105,9 @@ def test_export_roundtrip_bit_exact():
 
 def test_export_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
-        serialize_dataset([Trace(cells=((5, 1), (9, -1)))], seed=0)
+        serialize_dataset([Trace.from_cells(((5, 1), (9, -1)))], seed=0)
     with pytest.raises(EmptyTraceError):
-        serialize_dataset([Trace(cells=())], seed=0)
+        serialize_dataset([Trace.from_cells(())], seed=0)
 
 
 @pytest.mark.parametrize(
@@ -130,48 +135,207 @@ def id_calls(monkeypatch):
     calls = []
     real = trace_module.compute_trace_id
 
-    def counting(cells, salt=""):
-        calls.append(cells)
-        return real(cells, salt)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(trace_module, "compute_trace_id", counting)
     return calls
 
 
 def test_building_traces_computes_no_id(id_calls):
-    t = Trace(cells=((100, 1), (200, -1), (260, -1)), label="site-a")
-    t.with_cells(t.cells[:2], tail_trimmed=True)
+    t = Trace.from_cells(((100, 1), (200, -1), (260, -1)), label="site-a")
+    t.with_cells(t.timestamps[:2], t.directions[:2], tail_trimmed=True)
     normalize(t)
     read_dataset(io.StringIO(serialize_dataset(_traces(), seed=0).decode("utf-8")))
     assert id_calls == []
 
 
 def test_trace_id_is_computed_once_on_first_read(id_calls):
-    t = Trace(cells=((100, 1), (200, -1), (260, -1)))
-    assert t.trace_id == compute_trace_id(t.cells)
+    t = Trace.from_cells(((100, 1), (200, -1), (260, -1)))
+    assert t.trace_id == compute_trace_id(t.timestamps, t.directions)
     assert t.trace_id == t.trace_id
     assert len(id_calls) == 1
 
 
 @given(cells_strategy)
 def test_trace_id_is_the_content_hash(cells):
-    assert Trace(cells=cells).trace_id == compute_trace_id(cells)
+    assert Trace.from_cells(cells).trace_id == oracle_trace_id(cells)
 
 
 def test_trace_ids_match_pinned_values():
     # existing labels.csv files carry these ids, so the values must not move
-    t = Trace(cells=((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
+    t = Trace.from_cells(((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
     assert t.trace_id == "ae4d0475455b927f"
     assert normalize(t).trace_id == "ae4d0475455b927f"
-    assert t.with_cells(t.cells[:2]).trace_id == "4b6094ff58be4d52"
-    assert Trace(cells=()).trace_id == "e3b0c44298fc1c14"
-    assert Trace(cells=((0, 1),)).trace_id == "35df8f7285481b9f"
+    assert t.with_cells(t.timestamps[:2], t.directions[:2]).trace_id == "4b6094ff58be4d52"
+    assert Trace.from_cells(()).trace_id == "e3b0c44298fc1c14"
+    assert Trace.from_cells(((0, 1),)).trace_id == "35df8f7285481b9f"
 
 
 def test_copies_do_not_inherit_a_read_id():
-    t = Trace(cells=((100, 1), (200, -1), (260, -1)))
+    t = Trace.from_cells(((100, 1), (200, -1), (260, -1)))
     first = t.trace_id
-    shorter = t.with_cells(t.cells[:2])
-    assert shorter.trace_id == compute_trace_id(t.cells[:2]) != first
+    shorter = t.with_cells(t.timestamps[:2], t.directions[:2])
+    assert shorter.trace_id == oracle_trace_id(t.cells[:2]) != first
     assert normalize(t).trace_id == first
-    assert t == Trace(cells=t.cells)
+    assert t == Trace.from_cells(t.cells)
+
+
+# --- the array codec against the tuple-cell codec it replaced -------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+timestamps_strategy = st.integers(0, 10**6) | st.integers(INT64_MIN, INT64_MAX)
+labels = st.none() | st.text(max_size=12)
+
+
+@st.composite
+def cell_lists(draw, normalized=False):
+    """Sorted cells anywhere in int64; ``normalized`` starts them at 0."""
+    times = sorted(draw(st.lists(timestamps_strategy, min_size=1, max_size=30)))
+    if normalized:
+        times = [0] + [t for t in times if t > 0]
+    dirs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(times), max_size=len(times)))
+    return list(zip(times, dirs))
+
+
+@st.composite
+def exportable_traces(draw):
+    return Trace.from_cells(
+        draw(cell_lists(normalized=True)),
+        phase=draw(st.sampled_from(["pre", "post"])),
+        label=draw(labels),
+    )
+
+
+@given(cell_lists(), st.text(max_size=5))
+def test_trace_id_matches_the_per_cell_oracle(cells, salt):
+    t = Trace.from_cells(cells)
+    assert compute_trace_id(t.timestamps, t.directions, salt) == oracle_trace_id(cells, salt)
+
+
+@given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_serialize_matches_the_json_dumps_oracle(traces, seed):
+    order = np.random.default_rng(seed).permutation(len(traces))
+    lines = [oracle_trace_line(traces[i].phase, traces[i].label, traces[i].cells) for i in order]
+    assert serialize_dataset(traces, seed) == "".join(line + "\n" for line in lines).encode()
+
+
+@given(st.lists(exportable_traces(), max_size=6), st.sampled_from([(",", ":"), (", ", ": ")]))
+@settings(deadline=None)
+def test_reader_matches_the_json_loads_oracle(traces, separators):
+    text = "".join(
+        json.dumps({"label": t.label, "cells": t.cells, "phase": t.phase}, separators=separators)
+        + "\n"
+        for t in traces
+    )
+    back = read_dataset(io.StringIO(text))
+    assert [(t.phase, t.label, t.cells) for t in back] == [
+        (t.phase, t.label, t.cells) for t in traces
+    ]
+
+
+@given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_serialize_read_serialize_is_byte_identical(traces, seed):
+    data = serialize_dataset(traces, seed)
+    back = read_dataset(io.StringIO(data.decode("utf-8")))
+    # one trace per call keeps the file order of ``back``
+    assert b"".join(serialize_dataset([t], seed) for t in back) == data
+    order = np.random.default_rng(seed).permutation(len(traces))
+    assert [t.trace_id for t in back] == [traces[i].trace_id for i in order]
+
+
+GOOD_LINE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"cells":5',
+        '"cells":{"0":1}',
+        '"cells":[[0,1],5]',
+        '"cells":[[0,1],[2]]',
+        '"cells":[[0,1,2],[3,1,4]]',
+        '"cells":["01"]',
+        '"cells":[{"a":0,"b":1}]',
+        '"cells":[[1.5,1]]',
+        '"cells":[[0,1.0]]',
+        '"cells":[[true,1]]',
+        '"cells":[[0,false]]',
+        '"cells":[["3",1]]',
+        '"cells":[[0,null]]',
+        '"cells":[[9223372036854775808,1]]',
+        '"cells":[[-9223372036854775809,1]]',
+        '"cells":[[0,0]]',
+        '"cells":[[0,2]]',
+        '"cells":[[0,-2]]',
+        '"cells":[[0,257]]',
+        '"cells":[[5,1],[0,-1]]',
+        '"cells":[[0,1]],"label":5',
+        '"cells":[[0,1]],"label":["a"]',
+    ],
+)
+def test_reader_rejects_bad_cells_naming_the_line(fields):
+    line = '{"phase":"pre","label":null,%s}\n' % fields
+    with pytest.raises(ParseError) as err:
+        read_dataset(io.StringIO(GOOD_LINE + line))
+    assert err.value.line_no == 2
+
+
+def test_reader_accepts_the_int64_range():
+    line = '{"phase":"post","label":"a","cells":[[%d,-1],[%d,1]]}' % (INT64_MIN, INT64_MAX)
+    (trace,) = read_dataset(io.StringIO(line))
+    assert trace.cells == ((INT64_MIN, -1), (INT64_MAX, 1))
+    assert trace.trace_id == oracle_trace_id(trace.cells)
+
+
+def test_reader_rejects_deep_nesting_and_bad_utf8(tmp_path):
+    with pytest.raises(ParseError) as err:
+        read_dataset(io.StringIO(GOOD_LINE + "[" * 100_000))
+    assert err.value.line_no == 2
+    path = tmp_path / "traces.ndjson"
+    path.write_bytes(GOOD_LINE.encode() * 2 + b'{"phase":"\xff"}\n')
+    with pytest.raises(ParseError) as err:
+        read_dataset(path)
+    assert err.value.line_no == 3
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+trace_like_lines = st.fixed_dictionaries(
+    {
+        "phase": st.sampled_from(["pre", "post"]) | json_values,
+        "label": labels | json_values,
+        "cells": st.lists(st.lists(timestamps_strategy | json_values, max_size=3), max_size=4)
+        | json_values,
+    }
+).map(json.dumps)
+arbitrary_lines = st.text(max_size=40) | json_values.map(json.dumps) | trace_like_lines
+
+
+@given(st.lists(arbitrary_lines, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_reader_fuzz_lets_only_guardsift_errors_escape(lines):
+    try:
+        traces = read_dataset(io.StringIO("\n".join(lines)))
+    except GuardsiftError:
+        return
+    for trace in traces:
+        assert isinstance(trace.label, (str, type(None))) and trace.phase in ("pre", "post")
+        assert set(trace.directions.tolist()) <= {1, -1}
+
+
+@given(st.binary(max_size=120))
+@settings(deadline=None)
+def test_reader_fuzz_on_raw_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "traces.ndjson"
+    path.write_bytes(data)
+    try:
+        read_dataset(path)
+    except GuardsiftError:
+        pass
