@@ -12,18 +12,42 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
-from . import conflux as cfx
-from . import features, metrics, transforms
 from .errors import GuardsiftError, ParseError
-from .ingest import parse_client_log, parse_guard_log, parse_visit_log, filter_relay_channels
-from .sanitize import SanitizeConfig, group_visits, row_circuit_ids, sanitize, trim_head
-from .segment import extract_monitored_window, segment_nonmonitored
-from .simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
-from .trace import ConfluxSet, read_dataset, write_dataset
+
+# The stage names the commands call, by the module that defines them. A
+# command's names are bound as module globals just before it runs (see
+# ``main``), and any of them resolves as an attribute of this module on
+# first access (PEP 562), so a run imports only the stages it uses.
+_STAGE_NAMES = {
+    "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
+    "sanitize": ("SanitizeConfig", "group_visits", "row_circuit_ids", "sanitize", "trim_head"),
+    "segment": ("extract_monitored_window", "segment_nonmonitored"),
+    "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
+    "trace": ("ConfluxSet", "read_dataset", "write_dataset"),
+}
+_SOURCES = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(stages: tuple[str, ...]) -> None:
+    """Bind the names of ``stages`` that are not bound yet, importing their modules."""
+    for module in stages:
+        for name in _STAGE_NAMES[module]:
+            if name not in globals():
+                __getattr__(name)
+
 
 SEC = 1_000_000_000
 
@@ -194,6 +218,8 @@ def cmd_conflux(args) -> int:
     guard, client, visits_path = _load_inputs(args)
     if client is None or visits_path is None:
         raise GuardsiftError("conflux analysis needs --client and --visits")
+    from . import conflux as cfx
+
     parsed = parse_guard_log(guard, args.tag)
     client_log = parse_client_log(client, visits_path)
     client_circuits = client_log.circuit_map()
@@ -236,6 +262,10 @@ def cmd_conflux(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    import numpy as np
+
+    from . import transforms
+
     traces = read_dataset(args.in_path)
     out = []
     try:
@@ -258,6 +288,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    from . import features
+
     traces = read_dataset(args.in_path)
     if not traces:
         raise GuardsiftError("no traces in input")
@@ -284,6 +316,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
+
     records = metrics.read_scores(args.scores)
     wilson_z = None if args.wilson_z == 0 else args.wilson_z
     if args.curve:
@@ -364,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--rtt-sweep", help="comma-separated competitor RTT deltas (ms)")
     p.add_argument("--sweep-visits", type=int, default=None)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, stages=("simulate",))
 
     p = sub.add_parser("ingest", help="parse logs and report channel statistics")
     _add_io_flags(p, needs_out=False)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, stages=("ingest",))
 
     p = sub.add_parser("sanitize", help="run the circuit sanitization pipeline")
     _add_io_flags(p)
@@ -377,18 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="export shuffle seed")
     p.add_argument("--segmentation", choices=["circuit", "time"], default="circuit")
     p.add_argument("--window-s", type=float, default=60.0)
-    p.set_defaults(func=cmd_sanitize)
+    p.set_defaults(func=cmd_sanitize, stages=("ingest", "sanitize", "segment", "trace"))
 
     p = sub.add_parser("segment", help="time-based segmentation without circuit ids")
     _add_io_flags(p)
     p.add_argument("--config", help="sanitizer thresholds JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window-s", type=float, default=60.0, help="monitored window length")
-    p.set_defaults(func=cmd_segment)
+    p.set_defaults(func=cmd_segment, stages=("ingest", "sanitize", "segment", "trace"))
 
     p = sub.add_parser("conflux", help="linked-leg analysis against client ground truth")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_conflux)
+    p.set_defaults(func=cmd_conflux, stages=("ingest", "sanitize", "trace"))
 
     p = sub.add_parser("transform", help="perturb an exported trace set")
     p.add_argument("--in", dest="in_path", required=True)
@@ -399,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_transform)
+    p.set_defaults(func=cmd_transform, stages=("trace",))
 
     p = sub.add_parser("featurize", help="emit classifier-ready representations")
     p.add_argument("--in", dest="in_path", required=True)
@@ -413,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="accepted for compatibility; featurize runs serially"
     )
     p.add_argument("--report")
-    p.set_defaults(func=cmd_featurize)
+    p.set_defaults(func=cmd_featurize, stages=("trace",))
 
     p = sub.add_parser("eval", help="open-world metrics over classifier scores")
     p.add_argument("--scores", required=True)
@@ -427,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wilson-z", type=float, default=1.96, help="0 disables the Wilson bound")
     p.add_argument("--curve", help="write the threshold sweep here")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, stages=())
 
     return parser
 
@@ -435,6 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # commands call stage functions by their global names, which the module
+    # __getattr__ does not resolve; a name already bound (or rebound on this
+    # module by a caller, such as a tracing wrapper) is kept
+    _bind(args.stages)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the config-file reader."""
+"""Exception types shared across the toolkit, and the file readers that raise them."""
 
 import json
 from pathlib import Path
@@ -76,12 +76,23 @@ class ConfigError(GuardsiftError):
     """A scenario or pipeline configuration is invalid."""
 
 
+def read_utf8(path) -> str:
+    """The text of a file; a byte that is not UTF-8 raises ``ParseError`` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+
+
 def read_config_object(path, what: str) -> dict:
     """The JSON object in a config file; anything else is a ``ConfigError``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"bad {what} config {path}: not JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"bad {what} config {path}: not JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(
             f"bad {what} config {path}: expected a JSON object, got {type(data).__name__}"

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ParseError
 from .trace import OUTGOING, Trace
 
 SEC = 1_000_000_000
@@ -176,10 +177,38 @@ def write_features(path: str | Path, array: np.ndarray, meta: dict | None = None
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, dict]:
+    """The array and header written by :func:`write_features`.
+
+    A header that is not a JSON object with a numeric ``dtype`` and a
+    ``shape`` of non-negative integers matching the size of ``path`` raises
+    ``ParseError``.
+    """
     path = Path(path)
-    header = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    array = np.fromfile(path, dtype=np.dtype(header["dtype"])).reshape(header["shape"])
-    return array, header
+    header_path = path.with_suffix(path.suffix + ".json")
+    try:
+        header = json.loads(header_path.read_bytes())
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"{header_path.name} is not JSON: {exc.msg}") from None
+    except (ValueError, RecursionError):  # not UTF-8, or nested too deeply
+        raise ParseError(1, f"{header_path.name} is not JSON") from None
+    if not isinstance(header, dict):
+        raise ParseError(1, f"{header_path.name} is not a JSON object")
+    shape, dtype = header.get("shape"), header.get("dtype")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ParseError(1, f"{header_path.name}: shape must be a list of non-negative integers")
+    try:
+        dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+    except (TypeError, ValueError, SyntaxError):  # numpy evaluates a repeat count as Python
+        dtype = None
+    if dtype is None or dtype.kind not in "biuf":
+        raise ParseError(1, f"{header_path.name}: dtype must name a numeric type")
+    count, size = math.prod(shape), path.stat().st_size
+    if count * dtype.itemsize != size:
+        raise ParseError(
+            1, f"{header_path.name}: shape {shape} of {dtype} does not match the"
+            f" {size} bytes of {path.name}"
+        )
+    return np.fromfile(path, dtype=dtype, count=count).reshape(shape), header
 
 
 def write_features_csv(path: str | Path, array: np.ndarray) -> None:

@@ -20,6 +20,7 @@ into the log's channel-sorted arrays.
 
 from __future__ import annotations
 
+import io
 import logging
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_utf8
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -74,10 +75,11 @@ class ParsedLog:
 
 
 def _read_text(source: str | Path | IO[str] | Iterable[str]) -> str:
-    """Whole text of a path, an open text file or an iterable of lines."""
+    """Whole text of a path (with universal newlines, as ``open`` reads it),
+    an open text file or an iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return handle.read()
+        text = read_utf8(source)
+        return io.StringIO(text, newline=None).read() if "\r" in text else text
     if hasattr(source, "read"):
         return source.read()
     return "\n".join(line[:-1] if line.endswith("\n") else line for line in source)

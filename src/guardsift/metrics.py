@@ -10,6 +10,7 @@ monitored visits.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from bisect import bisect_left
@@ -24,6 +25,7 @@ from .errors import (
     ParseError,
     UndefinedPrecisionError,
     UndefinedRateError,
+    read_utf8,
 )
 
 NONMON = -1
@@ -341,24 +343,27 @@ def ecdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def read_scores(source: str | Path) -> list[ScoreRecord]:
-    """Parse ``trace_id,true_label,predicted_label,score`` rows."""
+    """Parse ``trace_id,true_label,predicted_label,score`` rows.
+
+    A first line whose label field is not an integer is a header. Any
+    other malformed line raises ``ParseError`` naming it.
+    """
     records = []
-    with open(source, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if line_no == 1 and not fields[1].lstrip("-").isdigit():
-                continue
-            if len(fields) != 4:
-                raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
-            try:
-                records.append(
-                    ScoreRecord(fields[0], int(fields[1]), int(fields[2]), float(fields[3]))
-                )
-            except (ValueError, LabelError) as exc:
-                raise ParseError(line_no, str(exc)) from None
+    for line_no, raw in enumerate(io.StringIO(read_utf8(source), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
+        if line_no == 1 and not fields[1].lstrip("-").isdigit():
+            continue
+        try:
+            records.append(
+                ScoreRecord(fields[0], int(fields[1]), int(fields[2]), float(fields[3]))
+            )
+        except (ValueError, LabelError) as exc:
+            raise ParseError(line_no, str(exc)) from None
     return records
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyAfterTrimError,
+    MalformedCircuitError,
     NoMainCircuitError,
     NoMonitoredDataError,
     read_config_object,
@@ -192,7 +193,8 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
     """Strip the handshake cells and re-zero time at the first data cell.
 
     Circuits are often built well before they carry data, so the raw gap
-    between handshake and payload is idle time, not page behavior.
+    between handshake and payload is idle time, not page behavior. Kept
+    cells out of time order raise ``MalformedCircuitError``.
     """
     if strip is None:
         strip = 2 if phase == PRE else 5
@@ -201,7 +203,18 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
         raise EmptyAfterTrimError(
             f"circuit {circuit.circuit_id}: no cells left after head trim"
         )
-    return Trace(timestamps - timestamps[0], circuit.directions[strip:], phase=phase)
+    shifted = timestamps - timestamps[0]
+    try:
+        return Trace(shifted, circuit.directions[strip:], phase=phase)
+    except ValueError:
+        backwards = np.flatnonzero(shifted[1:] < shifted[:-1])
+        if not len(backwards):
+            raise
+        i = strip + int(backwards[0])
+        raise MalformedCircuitError(
+            f"circuit {circuit.circuit_id} has cells out of time order: cell {i + 1} at"
+            f" {circuit.timestamps[i + 1]} ns follows cell {i} at {circuit.timestamps[i]} ns"
+        ) from None
 
 
 def prune_close_tail(
@@ -429,8 +442,8 @@ def sanitize(
         else:
             live.append(channel)
 
-    # (label, client_tag, circuit) entries that continue down the pipeline
-    pending: list[tuple[str | None, str | None, Circuit]] = []
+    # (label, client_tag, channel_id, circuit) entries that continue down the pipeline
+    pending: list[tuple[str | None, str | None, int, Circuit]] = []
     if visits:
         circuit_to_channel: dict[int, int] = {}
         for channel in live:
@@ -464,20 +477,20 @@ def sanitize(
                 for circuit_id, circuit in channel.circuits.items():
                     if circuit_id in claimed:
                         label, tag = claimed[circuit_id]
-                        pending.append((label, tag, circuit))
+                        pending.append((label, tag, channel.channel_id, circuit))
                     else:
                         report.visit_extra_dropped += 1
                         outcomes[circuit_id] = OUTCOME_UNSELECTED
             else:
                 for circuit in channel.circuits.values():
-                    pending.append((None, None, circuit))
+                    pending.append((None, None, channel.channel_id, circuit))
     else:
         for channel in live:
             for circuit in channel.circuits.values():
-                pending.append((None, None, circuit))
+                pending.append((None, None, channel.channel_id, circuit))
 
     trimmed_entries: list[tuple[Trace, str | None, str | None, int]] = []
-    for label, tag, circuit in pending:
+    for label, tag, channel_id, circuit in pending:
         if phase == PRE:
             if not validate_handshake_pre(circuit):
                 report.handshake_dropped += 1
@@ -506,6 +519,8 @@ def sanitize(
             report.trim_dropped += 1
             outcomes[circuit.circuit_id] = OUTCOME_TRIM
             continue
+        except MalformedCircuitError as exc:
+            raise MalformedCircuitError(f"channel {channel_id}: {exc}") from None
         trimmed_entries.append((trace, label, tag, circuit.circuit_id))
 
     traces = _trim_cohort(trimmed_entries, config, report, outcomes)

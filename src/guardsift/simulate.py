@@ -125,7 +125,10 @@ class ScenarioConfig:
             "spam_circuit_range", "prebuilt_idle_range_s", "monitored_idle_range_s",
             "leg_rtt_ms",
         ):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a [low, high] pair") from None
             if lo > hi:
                 raise ConfigError(f"{name} range is inverted")
             setattr(self, name, (lo, hi))

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyTraceError, NotNormalizedError, ParseError
+from .errors import EmptyTraceError, NotNormalizedError, ParseError, read_utf8
 
 OUTGOING = 1
 INCOMING = -1
@@ -265,8 +265,11 @@ def write_dataset(traces: Sequence[Trace], seed: int, path: str | Path) -> None:
     Path(path).write_bytes(serialize_dataset(traces, seed))
 
 
-def _parse_trace(payload) -> Trace:
-    """Trace from one decoded line; ValueError or TypeError names the fault."""
+def _decode_line(line: str) -> tuple[list[int], str, str | None]:
+    """Flat cell values ``[ts0, dir0, ts1, dir1, ...]``, phase and label of
+    one trace line; ValueError, TypeError or KeyError names the fault. The
+    columns check the range, directions and order of the values."""
+    payload = json.loads(line)
     cells, phase, label = payload["cells"], payload["phase"], payload["label"]
     if (
         not isinstance(cells, list)
@@ -274,11 +277,76 @@ def _parse_trace(payload) -> Trace:
         or not set(map(len, cells)) <= {2}
     ):
         raise ValueError("cells must be a list of [timestamp, direction] pairs")
-    if not set(map(type, chain.from_iterable(cells))) <= {int}:
+    values = list(chain.from_iterable(cells))
+    if not set(map(type, values)) <= {int}:
         raise ValueError("cell values must be integers")
     if label is not None and not isinstance(label, str):
         raise ValueError("label must be a string or null")
-    return Trace.from_cells(cells, phase=phase, label=label)
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+    return values, phase, label
+
+
+class _Columns:
+    """The cells of many trace lines in one timestamp and one direction
+    column. Each line's cells go straight in; their directions and order
+    are checked over all stored lines at once."""
+
+    def __init__(self, capacity: int):
+        self.timestamps = np.empty(capacity, dtype=np.int64)
+        # int64 until checked, so no out-of-range direction wraps to +-1
+        self.directions = np.empty(capacity, dtype=np.int64)
+        self.ends = [0]  # column offset after each stored trace, behind a leading 0
+        self.lines: list[tuple[int, str, str | None]] = []  # (line_no, phase, label) of each
+
+    def add(self, line_no: int, phase: str, label: str | None, values: list[int]) -> None:
+        start = self.ends[-1]
+        end = start + len(values) // 2
+        try:
+            self.timestamps[start:end] = values[0::2]
+            self.directions[start:end] = values[1::2]
+        except OverflowError as exc:
+            self.check()  # a fault on an earlier line comes first
+            raise ParseError(line_no, f"bad trace: {exc}") from None
+        self.ends.append(end)
+        self.lines.append((line_no, phase, label))
+
+    def check(self) -> None:
+        """Raise ParseError naming the first stored line with a direction
+        other than +-1 or cells out of order; a line's directions are checked
+        before its order, as Trace.from_cells does."""
+        count = self.ends[-1]
+        timestamps, directions = self.timestamps[:count], self.directions[:count]
+        ends = np.array(self.ends[1:], dtype=np.int64)
+        unsorted = timestamps[1:] < timestamps[:-1]
+        unsorted[ends[(ends > 0) & (ends < count)] - 1] = False  # trace boundaries
+        faults = [
+            (int(np.searchsorted(ends, bad[0], side="right")), rank, message)
+            for rank, (bad, message) in enumerate(
+                [
+                    (np.flatnonzero((directions != OUTGOING) & (directions != INCOMING)),
+                     "directions must be +1 or -1"),
+                    (np.flatnonzero(unsorted), "cells must be sorted by timestamp"),
+                ]
+            )
+            if len(bad)
+        ]
+        if faults:
+            k, _, message = min(faults)
+            raise ParseError(self.lines[k][0], f"bad trace: {message}")
+
+    def traces(self) -> list[Trace]:
+        self.check()
+        ends, directions = self.ends, self.directions[: self.ends[-1]].astype(np.int8)
+        return [
+            Trace(
+                self.timestamps[ends[i] : ends[i + 1]],
+                directions[ends[i] : ends[i + 1]],
+                phase=phase,
+                label=label,
+            )
+            for i, (_, phase, label) in enumerate(self.lines)
+        ]
 
 
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
@@ -287,29 +355,27 @@ def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
     Each line is an object with ``phase``, ``label`` (a string or null) and
     ``cells``, a list of ``[timestamp_ns, direction]`` pairs: int64 integers,
     directions +-1, timestamps sorted. Any other line raises ``ParseError``
-    naming it.
+    naming it; when several lines are bad, the first. The traces are views
+    into one timestamp and one direction array.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
-    else:
-        text = source.read()
-    traces = []
+    text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
+    columns = _Columns(text.count("["))  # every cell opens with a "["
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            trace = _parse_trace(json.loads(line))
+            values, phase, label = _decode_line(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"not JSON: {exc.msg}") from None
+            fault = ParseError(line_no, f"not JSON: {exc.msg}")
         except RecursionError:
-            raise ParseError(line_no, "not JSON: nested too deeply") from None
+            fault = ParseError(line_no, "not JSON: nested too deeply")
         except KeyError as exc:
-            raise ParseError(line_no, f"missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(line_no, f"bad trace: {exc}") from None
-        traces.append(trace)
-    return traces
+            fault = ParseError(line_no, f"missing key {exc}")
+        except (TypeError, ValueError) as exc:
+            fault = ParseError(line_no, f"bad trace: {exc}")
+        else:
+            columns.add(line_no, phase, label, values)
+            continue
+        columns.check()  # a fault on an earlier line comes first
+        raise fault
+    return columns.traces()

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from guardsift.trace import CellRecord, Channel, Circuit
 
@@ -90,6 +96,26 @@ def oracle_trace_line(phase, label, cells):
     """One NDJSON line as json.dumps renders the payload dict."""
     payload = {"phase": phase, "label": label, "cells": [[ts, d] for ts, d in cells]}
     return json.dumps(payload, separators=(",", ":"))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(args, cwd):
+    """``python *args`` in a fresh interpreter that imports guardsift from this checkout."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+
+
+#: any JSON document, for fuzzing the readers of JSON inputs
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 # --- acceptance summary ---------------------------------------------------------

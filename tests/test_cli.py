@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_fresh
 from guardsift.cli import main
 from guardsift.metrics import NONMON, ScoreRecord, write_scores
 from guardsift.simulate import ScenarioConfig
@@ -328,3 +329,62 @@ def test_bad_visit_row_is_stage_error(tmp_path, capsys, row, message):
     ]) == 1
     err = capsys.readouterr().err
     assert err == f"guardsift sanitize: parse error: {message}\n"
+
+
+def test_circuit_path_names_a_circuit_with_cells_out_of_order(tmp_path, capsys):
+    directions = [1, -1, 1] + [-1 if i % 2 else 1 for i in range(257)]
+    rows = [f"1,7,{1000 + i * 1_000_000},{d}" for i, d in enumerate(directions)]
+    rows[100], rows[101] = rows[101], rows[100]
+    guard = tmp_path / "guard.csv"
+    guard.write_text("\n".join(rows) + "\n")
+    argv = ["sanitize", "--guard", str(guard), "--phase", "pre", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("guardsift sanitize: error: channel 1: circuit 7 has cells out of")
+    assert "Traceback" not in err
+
+
+# a line of too few fields is malformed in every input format; note that
+# "abc" alone would be a header line, and a guard log of headers is empty
+GARBAGE = {"binary": b"\xff\xfe\x00\x81garbage\n", "short-row": b"1,2,x\n"}
+# (argv, the flags whose input file gets the garbage); {guard} is a good guard log
+GARBAGE_COMMANDS = {
+    "generate": (["generate", "--out", "{out}"], ["--config"]),
+    "ingest": (["ingest"], ["--guard"]),
+    "sanitize": (["sanitize", "--phase", "pre", "--out", "{out}"], ["--guard", "--visits"]),
+    "sanitize-time": (
+        ["sanitize", "--phase", "pre", "--segmentation", "time", "--out", "{out}"],
+        ["--guard", "--visits"],
+    ),
+    "sanitize-config": (
+        ["sanitize", "--phase", "pre", "--out", "{out}", "--guard", "{guard}"], ["--config"]
+    ),
+    "segment": (["segment", "--out", "{out}"], ["--guard"]),
+    "conflux": (["conflux", "--out", "{out}"], ["--guard", "--client", "--visits"]),
+    "transform": (["transform", "--out", "{out}"], ["--in"]),
+    "featurize": (["featurize", "--out", "{out}"], ["--in"]),
+    "eval": (["eval"], ["--scores"]),
+}
+
+
+@pytest.mark.parametrize("garbage", sorted(GARBAGE))
+@pytest.mark.parametrize("case", sorted(GARBAGE_COMMANDS))
+def test_garbage_input_is_a_stage_error_in_a_fresh_process(tmp_path, case, garbage):
+    argv, file_flags = GARBAGE_COMMANDS[case]
+    junk, guard = tmp_path / "junk", tmp_path / "guard.csv"
+    junk.write_bytes(GARBAGE[garbage])
+    guard.write_text("1,2,0,1\n")
+    argv = [a.format(out=tmp_path / "out", guard=guard) for a in argv]
+    for flag in file_flags:
+        argv += [flag, str(junk)]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"guardsift {argv[0]}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv, _ in GARBAGE_COMMANDS.values()}))
+def test_usage_errors_exit_2_in_a_fresh_process(tmp_path, command):
+    proc = run_fresh(["-m", "guardsift.cli", command, "--no-such-flag"], tmp_path)
+    assert proc.returncode == 2
+    assert "usage: guardsift" in proc.stderr and "Traceback" not in proc.stderr

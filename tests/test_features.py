@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import MS, SEC
+from conftest import MS, SEC, json_values
 from guardsift.cli import main
+from guardsift.errors import GuardsiftError, ParseError
 from guardsift.features import (
     build_tam,
     coarsen_tam,
@@ -226,3 +229,35 @@ def test_feature_dump_roundtrip(tmp_path):
     assert np.array_equal(back, array)
     assert header["kind"] == "tam"
     assert header["dtype"] == "int64"
+
+
+feature_headers = json_values | st.fixed_dictionaries(
+    {
+        "shape": json_values | st.lists(st.integers(-2, 4), max_size=3),
+        "dtype": json_values
+        | st.sampled_from(["int8", "int64", "<f8", "O", "M8", "i4,i4", "(2,)i4"]),
+    }
+)
+
+
+@given(feature_headers.map(json.dumps) | st.text(max_size=20), st.binary(max_size=64))
+@example(json.dumps({"shape": [1], "dtype": "(,)i4"}), b"\0" * 4)
+@example(json.dumps({"shape": [1], "dtype": "1 1"}), b"\0" * 4)
+@settings(max_examples=300, deadline=None)
+def test_read_features_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, header, data):
+    path = tmp_path_factory.mktemp("features") / "features.bin"
+    path.write_bytes(data)
+    path.with_suffix(".bin.json").write_text(header, encoding="utf-8")
+    try:
+        array, meta = read_features(path)
+    except GuardsiftError:
+        return
+    assert array.nbytes == len(data) and list(array.shape) == meta["shape"]
+
+
+def test_read_features_rejects_a_shape_the_data_does_not_fill(tmp_path):
+    write_features(tmp_path / "f.bin", np.arange(6, dtype=np.int64), {"kind": "tam"})
+    header = tmp_path / "f.bin.json"
+    header.write_text(header.read_text().replace("[6]", "[7]"))
+    with pytest.raises(ParseError, match="does not match the 48 bytes"):
+        read_features(tmp_path / "f.bin")

@@ -1,0 +1,117 @@
+"""Import budgets: each subcommand imports only the stages it runs.
+
+Every check runs in a fresh interpreter, so modules that other tests
+already imported cannot hide an import a command should not make.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import run_fresh
+from guardsift.metrics import NONMON, ScoreRecord, write_scores
+from guardsift.trace import Trace, write_dataset
+
+STAGES = {
+    "conflux", "features", "ingest", "metrics", "sanitize", "segment", "simulate", "transforms"
+}
+
+
+def _fresh(code: str, cwd: Path) -> str:
+    proc = run_fresh(["-c", code], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after(argv: list[str], cwd: Path) -> set[str]:
+    """Module names loaded once ``guardsift.cli.main(argv)`` has run and succeeded."""
+    code = (
+        "import json, sys\n"
+        "from guardsift.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return set(json.loads(_fresh(code, cwd).splitlines()[-1]))
+
+
+def _stages(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("guardsift.")} & STAGES
+
+
+@pytest.fixture()
+def traces_path(tmp_path):
+    path = tmp_path / "traces.ndjson"
+    cells = [(0, 1), (1_000_000, -1), (3_000_000, 1)]
+    write_dataset([Trace.from_cells(cells, label="a.com"), Trace.from_cells(cells)], 0, path)
+    return path
+
+
+def test_eval_loads_no_numpy(tmp_path):
+    scores = tmp_path / "scores.csv"
+    write_scores([ScoreRecord("m", 1, 1, 0.9), ScoreRecord("n", NONMON, 1, 0.1)], scores)
+    modules = _modules_after(["eval", "--scores", str(scores), "--wilson-z", "0"], tmp_path)
+    assert "numpy" not in modules
+    assert _stages(modules) == {"metrics"}
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (
+            ["featurize", "--in", "{traces}", "--out", "{out}", "--kind", "tam", "--t-max-s", "1"],
+            {"features"},
+        ),
+        (["transform", "--in", "{traces}", "--out", "{out}", "--jitter-ms", "5"], {"transforms"}),
+    ],
+    ids=["featurize", "transform"],
+)
+def test_trace_commands_load_only_their_stage(tmp_path, traces_path, argv, stages):
+    argv = [a.format(traces=traces_path, out=tmp_path / "out") for a in argv]
+    assert _stages(_modules_after(argv, tmp_path)) == stages
+
+
+@pytest.mark.parametrize("extra", [[], ["--segmentation", "time"]], ids=["circuit", "time"])
+def test_sanitize_loads_no_generator_metrics_features_or_conflux(tmp_path, extra):
+    guard = tmp_path / "guard.csv"
+    guard.write_text("1,2,0,1\n")
+    argv = ["sanitize", "--guard", str(guard), "--phase", "pre", "--out", str(tmp_path / "o")]
+    argv += extra
+    loaded = _stages(_modules_after(argv, tmp_path))
+    assert not loaded & {"simulate", "metrics", "features", "conflux"}
+
+
+def test_import_guardsift_loads_no_stage(tmp_path):
+    code = "import json, sys, guardsift\nprint(json.dumps(sorted(sys.modules)))\n"
+    modules = set(json.loads(_fresh(code, tmp_path)))
+    assert "numpy" not in modules and not _stages(modules)
+
+
+def test_every_export_is_its_defining_modules_object(tmp_path):
+    # segment imports the sanitize module first, which must not shadow the
+    # exported sanitize() function on the package
+    code = (
+        "import importlib\n"
+        "import guardsift.segment\n"
+        "import guardsift\n"
+        "from guardsift import *\n"
+        "for name, module in guardsift._EXPORTS.items():\n"
+        "    want = getattr(importlib.import_module('guardsift.' + module), name)\n"
+        "    assert getattr(guardsift, name) is want is globals()[name], name\n"
+        "print(len(guardsift.__all__))\n"
+    )
+    assert _fresh(code, tmp_path).strip() == "62"
+
+
+def test_cli_stage_names_resolve_as_module_attributes():
+    import guardsift.cli as cli
+    import guardsift.ingest as ingest
+
+    assert cli.parse_guard_log is ingest.parse_guard_log
+
+
+@pytest.mark.parametrize("module", ["guardsift", "guardsift.cli"])
+def test_an_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(importlib.import_module(module), "no_such_name")

@@ -318,3 +318,19 @@ def test_bad_visit_row_is_parse_error(row, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_visit_log(io.StringIO(row + "\n"))
     assert "non-integer" not in str(err.value)
+
+
+def test_guard_log_file_reads_with_universal_newlines(tmp_path):
+    lf, other = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(b"h,h,h,h\n1,2,0,1\n1,2,5,-1\n3,4,0,1\n")
+    other.write_bytes(b"h,h,h,h\r\n1,2,0,1\r\n1,2,5,-1\r3,4,0,1\n")
+    want, got = parse_guard_log(lf), parse_guard_log(other)
+    assert (got.cell_count, got.line_count) == (want.cell_count, want.line_count) == (3, 3)
+
+
+def test_guard_log_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "guard.csv"
+    path.write_bytes(b"1,2,0,1\n1,2,\xff5,-1\n")
+    with pytest.raises(ParseError) as err:
+        parse_guard_log(path)
+    assert err.value.line_no == 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardsift.errors import (
+    GuardsiftError,
     LabelError,
     NoFeasibleThresholdError,
     NoPositivesError,
+    ParseError,
     UndefinedPrecisionError,
     UndefinedRateError,
 )
@@ -300,3 +303,40 @@ def test_scores_csv_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(records, path)
     assert read_scores(path) == records
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b"abc\n", 1),
+        (b"trace_id,true_label,predicted_label,score\na,1\n", 2),
+        (b"a,1,1,0.5\nb,x,1,0.5\n", 2),
+        (b"a,1,1,0.5\n\xff,1,1,0.5\n", 2),
+    ],
+    ids=["one-field-first-line", "short-row", "bad-label", "not-utf8"],
+)
+def test_read_scores_names_the_bad_line(tmp_path, data, line_no):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert err.value.line_no == line_no
+
+
+score_fields = st.text(max_size=4) | st.integers(-3, 3).map(str) | st.floats().map(str)
+score_lines = st.text(max_size=30) | st.lists(score_fields, min_size=1, max_size=5).map(",".join)
+
+
+@given(st.lists(score_lines, max_size=5) | st.binary(max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_read_scores_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text("\n".join(content), encoding="utf-8")
+    try:
+        records = read_scores(path)
+    except GuardsiftError:
+        return
+    assert all(isinstance(r, ScoreRecord) for r in records)

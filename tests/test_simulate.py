@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from guardsift.errors import ConfigError
+from conftest import json_values
+
+from guardsift.errors import ConfigError, GuardsiftError
 from guardsift.ingest import parse_guard_log, parse_visit_log, filter_relay_channels
 from guardsift.sanitize import SanitizeConfig, sanitize, validate_handshake_post, CONFLUX
 from guardsift.simulate import (
@@ -172,3 +176,29 @@ class TestGenerateDataset:
             cid: label for cid, label in expected.items() if cid in result.labels
         }
         assert len(result.labels) == len(expected)
+
+
+config_fields = st.sampled_from(
+    sorted({f.name for f in fields(ScenarioConfig)} | {f.name for f in fields(SanitizeConfig)})
+)
+
+
+@pytest.mark.parametrize("config_cls", [ScenarioConfig, SanitizeConfig])
+@given(
+    st.dictionaries(
+        config_fields,
+        json_values | st.lists(st.integers(-1, 10**6) | st.floats(), max_size=3),
+        max_size=2,
+    ).map(json.dumps)
+    | json_values.map(json.dumps)
+    | st.text(max_size=30)
+)
+@settings(max_examples=300, deadline=None)
+def test_config_from_json_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, config_cls, text):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        config = config_cls.from_json(path)
+    except GuardsiftError:
+        return
+    assert isinstance(config, config_cls)

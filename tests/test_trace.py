@@ -3,9 +3,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_trace_id, oracle_trace_line
+from conftest import json_values, oracle_trace_id, oracle_trace_line
 from guardsift.errors import EmptyTraceError, GuardsiftError, NotNormalizedError, ParseError
 from guardsift.trace import (
     CellRecord,
@@ -250,9 +250,7 @@ def test_serialize_read_serialize_is_byte_identical(traces, seed):
 GOOD_LINE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
+BAD_FIELDS = [
         '"cells":5',
         '"cells":{"0":1}',
         '"cells":[[0,1],5]',
@@ -275,13 +273,63 @@ GOOD_LINE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
         '"cells":[[5,1],[0,-1]]',
         '"cells":[[0,1]],"label":5',
         '"cells":[[0,1]],"label":["a"]',
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("fields", BAD_FIELDS)
 def test_reader_rejects_bad_cells_naming_the_line(fields):
     line = '{"phase":"pre","label":null,%s}\n' % fields
     with pytest.raises(ParseError) as err:
         read_dataset(io.StringIO(GOOD_LINE + line))
     assert err.value.line_no == 2
+
+
+def oracle_read_line(line):
+    """One line through ``json.loads`` and ``Trace.from_cells`` on its own, or
+    None when the line is bad: the per-line reader the columnar one replaced."""
+    try:
+        payload = json.loads(line)
+        cells, phase, label = payload["cells"], payload["phase"], payload["label"]
+        if not isinstance(cells, list) or any(type(c) is not list or len(c) != 2 for c in cells):
+            return None
+        if any(type(v) is not int for c in cells for v in c):
+            return None
+        if label is not None and not isinstance(label, str):
+            return None
+        return Trace.from_cells(cells, phase=phase, label=label)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+
+
+good_lines = exportable_traces().map(lambda t: oracle_trace_line(t.phase, t.label, t.cells))
+bad_lines = st.sampled_from(BAD_FIELDS).map('{{"phase":"pre","label":null,{}}}'.format) | st.sampled_from(
+    ["{oops", '{"phase":"mid","label":null,"cells":[[0,1]]}', "[1, 2]"]
+)
+
+
+UNSORTED = '{"phase":"pre","label":null,"cells":[[5,1],[0,-1]]}'
+BAD_DIRECTION = '{"phase":"pre","label":null,"cells":[[0,1],[3,0]]}'
+TOO_BIG = '{"phase":"pre","label":null,"cells":[[0,1],[9223372036854775808,1]]}'
+
+
+@given(st.lists(good_lines | bad_lines | st.just(""), max_size=10))
+@example([GOOD_LINE.strip(), UNSORTED, BAD_DIRECTION])
+@example([GOOD_LINE.strip(), BAD_DIRECTION, UNSORTED])
+@example([BAD_DIRECTION, TOO_BIG])
+@example([UNSORTED, "{oops"])
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_per_line_oracle(lines):
+    try:
+        outcome = read_dataset(io.StringIO("\n".join(lines)))
+    except ParseError as err:
+        outcome = err.line_no
+    parsed = [(no, oracle_read_line(line)) for no, line in enumerate(lines, start=1) if line]
+    first_bad = next((no for no, trace in parsed if trace is None), None)
+    if first_bad is not None:
+        assert outcome == first_bad
+    else:
+        # == compares every field, so each trace must carry its line's metadata
+        assert outcome == [trace for _, trace in parsed]
 
 
 def test_reader_accepts_the_int64_range():
@@ -302,11 +350,6 @@ def test_reader_rejects_deep_nesting_and_bad_utf8(tmp_path):
     assert err.value.line_no == 3
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
-    max_leaves=12,
-)
 trace_like_lines = st.fixed_dictionaries(
     {
         "phase": st.sampled_from(["pre", "post"]) | json_values,
