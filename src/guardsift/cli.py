@@ -1,8 +1,8 @@
 """Command-line entry point: reproducible batch pipelines.
 
-Subcommands: generate, ingest, sanitize, segment, conflux, transform,
-featurize, eval. Every run is deterministic given its --seed; stage
-failures exit 1 with the failing stage named on stderr.
+Subcommands: generate, ingest, sanitize (circuit or time segmentation),
+conflux, transform, featurize, eval. Every run is deterministic given its
+--seed; stage failures exit 1 with the failing stage named on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import GuardsiftError, ParseError
 # first access (PEP 562), so a run imports only the stages it uses.
 _STAGE_NAMES = {
     "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
-    "sanitize": ("SanitizeConfig", "group_visits", "row_circuit_ids", "sanitize", "trim_head"),
+    "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
     "trace": ("ConfluxSet", "read_dataset", "write_dataset"),
@@ -125,62 +125,31 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _sanitize_circuit_path(args, guard, visits_path) -> tuple[list, dict]:
-    parsed = parse_guard_log(guard, args.tag)
-    kept, dropped_relay = filter_relay_channels(parsed.channels)
-    visits = parse_visit_log(visits_path) if visits_path else None
-    config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
-    result = sanitize(kept, config, args.phase, visits)
-    report = asdict(result.report)
-    report["relay_channels_dropped"] = dropped_relay
-    report["duplicates_dropped"] = parsed.duplicate_count
-    return result.traces, report
-
-
-def _segment_time_path(args, guard, visits_path) -> tuple[list, dict]:
-    parsed = parse_guard_log(guard, args.tag)
-    kept, dropped_relay = filter_relay_channels(parsed.channels)
-    config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
-    window_ns = int(args.window_s * SEC)
+def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict]:
+    """Cut traces out of the channels by time: one window per visit group on
+    its channel, the other channels segmented whole."""
     traces = []
     monitored_channels = set()
     n_windows_failed = 0
-    if visits_path:
-        visits = parse_visit_log(visits_path)
-        circuit_to_channel = {}
-        for channel in kept:
-            for circuit_id in channel.circuits:
-                circuit_to_channel[circuit_id] = channel.channel_id
+    if visits:
+        circuit_to_channel = {cid: ch.channel_id for ch in kept for cid in ch.circuits}
         by_id = {ch.channel_id: ch for ch in kept}
         for group in group_visits(visits, circuit_to_channel, config.visit_span_ns):
-            channel_id = next(
-                (
-                    circuit_to_channel[cid]
-                    for row in group.rows
-                    for cid in row_circuit_ids(row)
-                    if cid in circuit_to_channel
-                ),
-                None,
-            )
-            if channel_id is None:
-                continue
-            monitored_channels.add(channel_id)
+            monitored_channels.add(group.channel_id)
             start = group.start_ts
             try:
                 traces.append(
                     extract_monitored_window(
-                        by_id[channel_id], start, start + window_ns, config, group.page_domain
+                        by_id[group.channel_id], start, start + window_ns, config, group.page_domain
                     )
                 )
             except GuardsiftError:
                 n_windows_failed += 1
     for channel in kept:
-        if channel.channel_id in monitored_channels:
-            continue
-        traces.extend(segment_nonmonitored(channel, config))
+        if channel.channel_id not in monitored_channels:
+            traces.extend(segment_nonmonitored(channel, config))
     report = {
         "segmentation": "time",
-        "relay_channels_dropped": dropped_relay,
         "monitored_windows": sum(1 for t in traces if t.label is not None),
         "windows_failed": n_windows_failed,
         "traces": len(traces),
@@ -190,26 +159,22 @@ def _segment_time_path(args, guard, visits_path) -> tuple[list, dict]:
 
 def cmd_sanitize(args) -> int:
     guard, _, visits_path = _load_inputs(args)
+    config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
+    parsed = parse_guard_log(guard, args.tag)
+    kept, dropped_relay = filter_relay_channels(parsed.channels)
+    visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
-        traces, report = _segment_time_path(args, guard, visits_path)
+        traces, report = _segment_time_path(kept, visits, config, int(args.window_s * SEC))
     else:
-        traces, report = _sanitize_circuit_path(args, guard, visits_path)
+        result = sanitize(kept, config, args.phase, visits)
+        traces, report = result.traces, asdict(result.report)
+        report["duplicates_dropped"] = parsed.duplicate_count
+    report["relay_channels_dropped"] = dropped_relay
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset(traces, args.seed, out_dir / "traces.ndjson")
     report["command"] = "sanitize"
     report["traces_written"] = len(traces)
-    _write_report(args.report or str(out_dir / "report.json"), report)
-    return 0
-
-
-def cmd_segment(args) -> int:
-    guard, _, visits_path = _load_inputs(args)
-    traces, report = _segment_time_path(args, guard, visits_path)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_dataset(traces, args.seed, out_dir / "traces.ndjson")
-    report["command"] = "segment"
     _write_report(args.report or str(out_dir / "report.json"), report)
     return 0
 
@@ -404,21 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, needs_out=False)
     p.set_defaults(func=cmd_ingest, stages=("ingest",))
 
-    p = sub.add_parser("sanitize", help="run the circuit sanitization pipeline")
+    p = sub.add_parser("sanitize", help="cut guard logs into clean traces, by circuit or by time")
     _add_io_flags(p)
     p.add_argument("--phase", choices=["pre", "post"], required=True)
     p.add_argument("--config", help="sanitizer thresholds JSON")
     p.add_argument("--seed", type=int, default=0, help="export shuffle seed")
     p.add_argument("--segmentation", choices=["circuit", "time"], default="circuit")
-    p.add_argument("--window-s", type=float, default=60.0)
+    p.add_argument("--window-s", type=float, default=60.0, help="monitored window length (time)")
     p.set_defaults(func=cmd_sanitize, stages=("ingest", "sanitize", "segment", "trace"))
-
-    p = sub.add_parser("segment", help="time-based segmentation without circuit ids")
-    _add_io_flags(p)
-    p.add_argument("--config", help="sanitizer thresholds JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-s", type=float, default=60.0, help="monitored window length")
-    p.set_defaults(func=cmd_segment, stages=("ingest", "sanitize", "segment", "trace"))
 
     p = sub.add_parser("conflux", help="linked-leg analysis against client ground truth")
     _add_io_flags(p)
@@ -443,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max-s", type=_positive_float, default=None)
     p.add_argument("--n-slots", type=_positive_int, default=1800)
     p.add_argument("--csv", action="store_true")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; featurize runs serially"
-    )
     p.add_argument("--report")
     p.set_defaults(func=cmd_featurize, stages=("trace",))
 

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the file readers that raise them."""
 
 import json
+import typing
 from pathlib import Path
 
 
@@ -85,10 +86,18 @@ def read_utf8(path) -> str:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
 
 
-def read_config_object(path, what: str) -> dict:
-    """The JSON object in a config file; anything else is a ``ConfigError``."""
+def read_config(path, what: str, cls):
+    """Build the dataclass ``cls`` from the JSON object in a config file.
+
+    Each key must name a field, and its value must have the JSON type of
+    the field's annotation: an integer (not a boolean) for ``int``, any
+    number for ``float``, null where the annotation allows ``None``, and a
+    list of one value per item for a ``tuple``. ``NaN`` and ``Infinity``,
+    which Python's JSON reader would accept, are not JSON. Anything else
+    is a ``ConfigError`` naming the key.
+    """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_json)
     except ValueError as exc:
         raise ConfigError(f"bad {what} config {path}: not JSON: {exc}") from None
     except RecursionError:
@@ -97,4 +106,31 @@ def read_config_object(path, what: str) -> dict:
         raise ConfigError(
             f"bad {what} config {path}: expected a JSON object, got {type(data).__name__}"
         )
-    return data
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigError(f"bad {what} config: unknown key {key!r}")
+        if not _json_fits(value, hints[key]):
+            raise ConfigError(
+                f"bad {what} config: {key} must be {cls.__annotations__[key]}, got {json.dumps(value)}"
+            )
+        if isinstance(value, list):
+            data[key] = tuple(value)
+    return cls(**data)
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def _json_fits(value, hint) -> bool:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(
+            map(_json_fits, value, args)
+        )
+    if args:  # a union such as int | None
+        return any(_json_fits(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)

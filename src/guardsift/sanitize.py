@@ -12,10 +12,9 @@ Every stage reports how many circuits it removed or touched.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,10 +26,10 @@ from .errors import (
     MalformedCircuitError,
     NoMainCircuitError,
     NoMonitoredDataError,
-    read_config_object,
+    read_config,
 )
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Trace
+from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Stage, Trace
 
 log = logging.getLogger(__name__)
 
@@ -74,14 +73,7 @@ class SanitizeConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SanitizeConfig":
-        data = read_config_object(path, "sanitizer")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad sanitizer config: {exc}") from None
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        return read_config(path, "sanitizer", cls)
 
 
 @dataclass
@@ -115,9 +107,6 @@ class SanitizationReport:
 
     def consistent(self) -> bool:
         return self.retained + self.dropped_total() == self.input_circuits
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
 def detect_spam_channels(
@@ -292,8 +281,9 @@ def compute_duration_cap(
 
 @dataclass
 class VisitGroup:
-    """Circuit-request rows that belong to one page load."""
+    """Circuit-request rows that belong to one page load on one channel."""
 
+    channel_id: int
     page_domain: str
     rows: list[PageVisitRecord] = field(default_factory=list)
 
@@ -317,9 +307,11 @@ def group_visits(
 ) -> list[VisitGroup]:
     """Group visit rows into page loads.
 
-    Rows are bucketed per channel and joined while they fall within
-    ``visit_span_ns`` of the group's first request. The first row of a
-    group names the page: the client navigates to the scheduled page
+    Each row belongs to the channel of the first of its circuit ids
+    (``row_circuit_ids``) that ``circuit_to_channel`` knows; rows with none
+    are skipped. Rows are bucketed per channel and joined while they fall
+    within ``visit_span_ns`` of the group's first request. The first row of
+    a group names the page: the client navigates to the scheduled page
     before redirects or alternative services fire.
     """
     per_channel: dict[int, list[PageVisitRecord]] = {}
@@ -341,20 +333,11 @@ def group_visits(
         current: VisitGroup | None = None
         for row in rows:
             if current is None or row.request_ts - current.start_ts > visit_span_ns:
-                current = VisitGroup(page_domain=row.first_party_domain, rows=[row])
+                current = VisitGroup(channel, row.first_party_domain, [row])
                 groups.append(current)
             else:
                 current.rows.append(row)
     return groups
-
-
-OUTCOME_SPAM = "spam"
-OUTCOME_UNSELECTED = "unselected"
-OUTCOME_HANDSHAKE = "handshake"
-OUTCOME_NON_CONFLUX = "non_conflux"
-OUTCOME_SMALL = "small"
-OUTCOME_TRIM = "trim"
-OUTCOME_RETAINED = "retained"
 
 
 @dataclass
@@ -381,7 +364,7 @@ def _trim_cohort(
         end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
         if not end:
             report.trim_dropped += 1
-            outcomes[circuit_id] = OUTCOME_TRIM
+            outcomes[circuit_id] = Stage.TRIM
             continue
         if pruned:
             report.tail_gap_pruned += 1
@@ -406,11 +389,11 @@ def _trim_cohort(
             report.length_truncated += 1
         if not end:
             report.trim_dropped += 1
-            outcomes[circuit_id] = OUTCOME_TRIM
+            outcomes[circuit_id] = Stage.TRIM
             continue
         timestamps, directions = trace.timestamps[:end], trace.directions[:end]
         out.append(trace.with_cells(timestamps, directions, label=label, client_tag=tag))
-        outcomes[circuit_id] = OUTCOME_RETAINED
+        outcomes[circuit_id] = Stage.RETAINED
         report.retained += 1
     return out
 
@@ -438,7 +421,7 @@ def sanitize(
         if channel.channel_id in spam_ids:
             report.spam_circuits_dropped += channel.circuit_count
             for circuit_id in channel.circuits:
-                outcomes[circuit_id] = OUTCOME_SPAM
+                outcomes[circuit_id] = Stage.SPAM
         else:
             live.append(channel)
 
@@ -461,9 +444,7 @@ def sanitize(
                     if channel_id is None:
                         continue
                     monitored_channel_ids.add(channel_id)
-                    circuit = channel_by_id[channel_id].circuits.get(circuit_id)
-                    if circuit is not None:
-                        candidates.append((row, circuit))
+                    candidates.append((row, channel_by_id[channel_id].circuits[circuit_id]))
             if not candidates:
                 continue
             try:
@@ -480,7 +461,7 @@ def sanitize(
                         pending.append((label, tag, channel.channel_id, circuit))
                     else:
                         report.visit_extra_dropped += 1
-                        outcomes[circuit_id] = OUTCOME_UNSELECTED
+                        outcomes[circuit_id] = Stage.UNSELECTED
             else:
                 for circuit in channel.circuits.values():
                     pending.append((None, None, channel.channel_id, circuit))
@@ -494,7 +475,7 @@ def sanitize(
         if phase == PRE:
             if not validate_handshake_pre(circuit):
                 report.handshake_dropped += 1
-                outcomes[circuit.circuit_id] = OUTCOME_HANDSHAKE
+                outcomes[circuit.circuit_id] = Stage.HANDSHAKE
                 continue
         else:
             verdict = validate_handshake_post(
@@ -502,22 +483,22 @@ def sanitize(
             )
             if verdict == INVALID:
                 report.handshake_dropped += 1
-                outcomes[circuit.circuit_id] = OUTCOME_HANDSHAKE
+                outcomes[circuit.circuit_id] = Stage.HANDSHAKE
                 continue
             if verdict == NON_CONFLUX:
                 report.conflux_heuristic_dropped += 1
-                outcomes[circuit.circuit_id] = OUTCOME_NON_CONFLUX
+                outcomes[circuit.circuit_id] = Stage.NON_CONFLUX
                 continue
         if len(circuit) < config.min_cells:
             report.small_dropped += 1
-            outcomes[circuit.circuit_id] = OUTCOME_SMALL
+            outcomes[circuit.circuit_id] = Stage.SMALL
             continue
         strip = config.head_trim_pre if phase == PRE else config.head_trim_post
         try:
             trace = trim_head(circuit, phase, strip)
         except EmptyAfterTrimError:
             report.trim_dropped += 1
-            outcomes[circuit.circuit_id] = OUTCOME_TRIM
+            outcomes[circuit.circuit_id] = Stage.TRIM
             continue
         except MalformedCircuitError as exc:
             raise MalformedCircuitError(f"channel {channel_id}: {exc}") from None
@@ -529,7 +510,7 @@ def sanitize(
         labels = {
             circuit_id: claimed[circuit_id][0]
             for circuit_id in claimed
-            if outcomes.get(circuit_id) == OUTCOME_RETAINED
+            if outcomes.get(circuit_id) == Stage.RETAINED
         }
     if not report.consistent():
         raise AssertionError("sanitization counters do not add up")

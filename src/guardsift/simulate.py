@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conflux import CellTypeCode
-from .errors import ConfigError, read_config_object
+from .errors import ConfigError, read_config
 from .trace import (
     INCOMING,
     OUTGOING,
@@ -33,6 +33,7 @@ from .trace import (
     Circuit,
     ConfluxSet,
     SetGroundTruth,
+    Stage,
     Trace,
 )
 
@@ -51,14 +52,6 @@ KIND_MONITORED = "monitored"
 KIND_NONMON = "nonmon"
 KIND_SPAM = "spam"
 KIND_RELAY = "relay"
-
-STAGE_SPAM = "spam"
-STAGE_UNSELECTED = "unselected"
-STAGE_HANDSHAKE = "handshake"
-STAGE_NON_CONFLUX = "non_conflux"
-STAGE_SMALL = "small"
-STAGE_RETAINED = "retained"
-STAGE_RELAY = "relay"
 
 _CIRCUIT_BLOCK_BITS = 17  # per-channel circuit-id block; caps circuits per channel
 
@@ -137,14 +130,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
-        data = read_config_object(path, "scenario")
-        for key, value in data.items():
-            if isinstance(value, list):
-                data[key] = tuple(value)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario config: {exc}") from None
+        return read_config(path, "scenario", cls)
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
@@ -769,18 +755,18 @@ def _apply_noise(rng: np.random.Generator, cells: list, config: ScenarioConfig) 
 
 def _expected_stage(kind: str, valid: bool, conflux_leg: bool, cell_count: int, phase: str) -> str:
     if kind == KIND_RELAY:
-        return STAGE_RELAY
+        return Stage.RELAY
     if kind == KIND_SPAM:
-        return STAGE_SPAM
+        return Stage.SPAM
     if kind in ("partial", "altsvc", "redirect"):
-        return STAGE_UNSELECTED
+        return Stage.UNSELECTED
     if not valid:
-        return STAGE_HANDSHAKE
+        return Stage.HANDSHAKE
     if phase == POST and not conflux_leg:
-        return STAGE_NON_CONFLUX
+        return Stage.NON_CONFLUX
     if cell_count < 200:
-        return STAGE_SMALL
-    return STAGE_RETAINED
+        return Stage.SMALL
+    return Stage.RETAINED
 
 
 def _record_circuit(
@@ -867,7 +853,7 @@ def _fill_spam(out: ChannelOutput, rng: np.random.Generator, config: ScenarioCon
                 "tail_cells": 0,
                 "payload_start": t,
                 "payload_end": ct,
-                "expected_stage": STAGE_SPAM,
+                "expected_stage": Stage.SPAM,
             }
         )
 

@@ -26,6 +26,22 @@ PRE = "pre"
 POST = "post"
 PHASES = (PRE, POST)
 
+
+class Stage:
+    """Where a circuit ends up: the stage that removes it, or retained. The
+    sanitizer's per-circuit outcomes and truth.json's ``expected_stage`` use
+    these names; relay channels are dropped at ingest."""
+
+    RELAY = "relay"
+    SPAM = "spam"
+    UNSELECTED = "unselected"
+    HANDSHAKE = "handshake"
+    NON_CONFLUX = "non_conflux"
+    SMALL = "small"
+    TRIM = "trim"
+    RETAINED = "retained"
+
+
 #: ``Circuit.cell_types`` entry for a logged cell without a cell type
 NO_CELL_TYPE = -1
 

@@ -446,7 +446,7 @@ def _run_pipeline(base, jobs):
     feats = base / "feats"
     assert main([
         "featurize", "--in", str(clean / "traces.ndjson"), "--out", str(feats),
-        "--kind", "tam", "--t-max-s", "45", "--n-slots", "300", "--jobs", str(jobs),
+        "--kind", "tam", "--t-max-s", "45", "--n-slots", "300",
     ]) == 0
     # deterministic stand-in scores derived from the sanitized traces
     traces = read_dataset(clean / "traces.ndjson")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -57,10 +58,28 @@ def test_sanitize_writes_traces_and_report(dataset_dir, tmp_path):
 
 def test_segment_path(dataset_dir, tmp_path):
     out = tmp_path / "seg"
-    assert main(["segment", "--in", str(dataset_dir), "--out", str(out)]) == 0
+    assert main([
+        "sanitize", "--in", str(dataset_dir), "--phase", "pre", "--segmentation", "time",
+        "--out", str(out),
+    ]) == 0
     traces = read_dataset(out / "traces.ndjson")
     assert traces
     assert all(t.cells[0][1] == 1 for t in traces)
+    report = json.loads((out / "report.json").read_text())
+    assert report["segmentation"] == "time" and report["relay_channels_dropped"] == 1
+    assert report["traces"] == report["traces_written"] == len(traces)
+    assert "duplicates_dropped" not in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["segment", "--in", "data", "--out", "seg"], ["featurize", "--in", "t", "--out", "f", "--jobs", "2"]],
+    ids=["segment-subcommand", "featurize-jobs"],
+)
+def test_removed_cli_surface_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_transform_and_featurize(dataset_dir, tmp_path):
@@ -236,14 +255,14 @@ def test_sanitize_config_typo_is_stage_error(dataset_dir, tmp_path, capsys):
     assert "bad sanitizer config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["sanitize", "--phase", "pre", "--segmentation", "time"], ["segment"]])
+@pytest.mark.parametrize("command", [["--phase", "pre"], ["--phase", "post"]])
 def test_time_path_names_a_circuit_that_ends_before_it_starts(tmp_path, capsys, command):
     guard = tmp_path / "guard.csv"
     guard.write_text("1,5,3000,1\n1,5,1000,-1\n")
-    argv = [command[0], "--guard", str(guard), "--out", str(tmp_path / "out"), *command[1:]]
-    assert main(argv) == 1
+    argv = ["sanitize", "--guard", str(guard), "--out", str(tmp_path / "out"), *command]
+    assert main([*argv, "--segmentation", "time"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"guardsift {command[0]}: error: channel 1: circuit 5 ")
+    assert err.startswith("guardsift sanitize: error: channel 1: circuit 5 ")
     assert "Traceback" not in err
 
 
@@ -273,6 +292,35 @@ def test_bad_config_file_is_stage_error(request, tmp_path, capsys, command, text
     assert err.startswith(f"guardsift {command}: error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+# config values of the wrong JSON type for their field, or not JSON at all;
+# each must be rejected when the file is read, with the key or value named
+WRONG_TYPE_CONFIGS = {
+    "string-for-int": ("sanitize", [], {"tail_gap_ns": "x"}, "tail_gap_ns must be int,"),
+    "list-for-int": ("sanitize", ["--segmentation", "time"], {"visit_span_ns": [1]}, "visit_span_ns"),
+    "string-for-optional-int": ("sanitize", [], {"duration_cap_ns": "5"}, "duration_cap_ns"),
+    "bool-for-int": ("sanitize", [], {"max_len": True}, "max_len must be int, got true"),
+    "string-for-float": ("generate", [], {"rtt_noise_ms": "25"}, "rtt_noise_ms must be float,"),
+    "strings-for-range": ("generate", [], {"page_cell_range": ["a", "b"]}, "page_cell_range"),
+    "short-range": ("generate", [], {"leg_rtt_ms": [60.0]}, "leg_rtt_ms must be tuple"),
+    "bool-for-int-scenario": ("generate", [], {"n_pages": True}, "n_pages"),
+    "nan-for-number": ("generate", [], {"phase": "post", "competitor_rtt_delta_ms": math.nan}, "NaN"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_CONFIGS))
+def test_wrong_type_config_value_is_a_stage_error_in_a_fresh_process(request, tmp_path, case):
+    command, extra, values, message = WRONG_TYPE_CONFIGS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *extra]
+    if command == "sanitize":
+        argv += ["--in", str(request.getfixturevalue("dataset_dir")), "--phase", "pre"]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"guardsift {command}: error: bad ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -359,7 +407,6 @@ GARBAGE_COMMANDS = {
     "sanitize-config": (
         ["sanitize", "--phase", "pre", "--out", "{out}", "--guard", "{guard}"], ["--config"]
     ),
-    "segment": (["segment", "--out", "{out}"], ["--guard"]),
     "conflux": (["conflux", "--out", "{out}"], ["--guard", "--client", "--visits"]),
     "transform": (["transform", "--out", "{out}"], ["--in"]),
     "featurize": (["featurize", "--out", "{out}"], ["--in"]),

@@ -207,18 +207,18 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     }
     want = np.stack([builders[kind](t) for t in traces])
     outputs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"jobs{jobs}"
+    for run in ("1", "2"):
+        out = tmp_path / f"run{run}"
         assert main([
             "featurize", "--in", str(traces_path), "--out", str(out), "--kind", kind,
-            "--length", "8", "--t-max-s", "2", "--n-slots", "4", "--jobs", jobs,
+            "--length", "8", "--t-max-s", "2", "--n-slots", "4",
         ]) == 0
         array, _ = read_features(out / "features.bin")
         assert same_bytes(array, want)
         names = ("features.bin", "features.bin.json", "labels.csv")
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
-    labels = (tmp_path / "jobs1" / "labels.csv").read_text().splitlines()[1:]
+    labels = (tmp_path / "run1" / "labels.csv").read_text().splitlines()[1:]
     assert labels == [f"{t.trace_id},{t.label or ''}" for t in traces]
 
 

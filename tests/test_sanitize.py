@@ -17,7 +17,7 @@ from guardsift.errors import (
     NoMainCircuitError,
     NoMonitoredDataError,
 )
-from guardsift.ingest import PageVisitRecord
+from guardsift.ingest import ConfluxMeta, PageVisitRecord
 from guardsift.sanitize import (
     CONFLUX,
     INVALID,
@@ -337,7 +337,22 @@ class TestGroupVisits:
         mapping = {1: 7, 2: 7, 3: 7}
         groups = group_visits(rows, mapping, 60 * SEC)
         assert [g.page_domain for g in groups] == ["a.example", "b.example"]
+        assert [g.channel_id for g in groups] == [7, 7]
         assert len(groups[0].rows) == 2
+
+    def test_each_group_carries_the_channel_of_its_rows(self):
+        rows = [
+            PageVisitRecord("a.example", 0, "a.example", 1),
+            # the row's own id and its first leg belong to no channel; its
+            # second leg is circuit 3, on channel 9
+            PageVisitRecord("c.example", 0, "c.example", 30, ConfluxMeta(True, (31, 3))),
+            # the own id wins over a leg on another channel
+            PageVisitRecord("b.example", 0, "b.example", 2, ConfluxMeta(True, (2, 3))),
+        ]
+        groups = group_visits(rows, {1: 7, 2: 8, 3: 9}, 60 * SEC)
+        assert [(g.channel_id, g.page_domain, len(g.rows)) for g in groups] == [
+            (7, "a.example", 1), (8, "b.example", 1), (9, "c.example", 1),
+        ]
 
     def test_unknown_circuits_ignored(self):
         rows = [PageVisitRecord("a.example", 0, "a.example", 99)]

@@ -178,6 +178,19 @@ class TestGenerateDataset:
         assert len(result.labels) == len(expected)
 
 
+# the decoded JSON types each field annotation admits; bool is not an int here
+ANNOTATED_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "int | None": (int, type(None))}
+
+
+def holds_annotated_type(value, annotation: str) -> bool:
+    if annotation.startswith("tuple["):
+        items = annotation[len("tuple["):-1].split(", ")
+        return type(value) is tuple and len(value) == len(items) and all(
+            map(holds_annotated_type, value, items)
+        )
+    return type(value) in ANNOTATED_TYPES[annotation]
+
+
 config_fields = st.sampled_from(
     sorted({f.name for f in fields(ScenarioConfig)} | {f.name for f in fields(SanitizeConfig)})
 )
@@ -202,3 +215,5 @@ def test_config_from_json_fuzz_lets_only_guardsift_errors_escape(tmp_path_factor
     except GuardsiftError:
         return
     assert isinstance(config, config_cls)
+    for f in fields(config_cls):
+        assert holds_annotated_type(getattr(config, f.name), f.type), (f.name, f.type)
