@@ -22,8 +22,9 @@ from .errors import GuardsiftError, ParseError
 # ``main``), and any of them resolves as an attribute of this module on
 # first access (PEP 562), so a run imports only the stages it uses.
 _STAGE_NAMES = {
+    "columns": ("read_columns",),
     "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
-    "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
+    "sanitize": ("SanitizeConfig", "group_visits", "row_circuit_ids", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
     "trace": ("ConfluxSet", "read_dataset", "write_dataset"),
@@ -127,7 +128,9 @@ def cmd_ingest(args) -> int:
 
 def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict]:
     """Cut traces out of the channels by time: one window per visit group on
-    its channel, the other channels segmented whole."""
+    its channel, and the channels no visit row names segmented whole. As in
+    ``sanitize``, every channel that one of a row's circuit ids (a Conflux
+    row's legs too) resolves to is monitored."""
     traces = []
     monitored_channels = set()
     n_windows_failed = 0
@@ -135,7 +138,12 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict
         circuit_to_channel = {cid: ch.channel_id for ch in kept for cid in ch.circuits}
         by_id = {ch.channel_id: ch for ch in kept}
         for group in group_visits(visits, circuit_to_channel, config.visit_span_ns):
-            monitored_channels.add(group.channel_id)
+            monitored_channels.update(
+                circuit_to_channel[cid]
+                for row in group.rows
+                for cid in row_circuit_ids(row)
+                if cid in circuit_to_channel
+            )
             start = group.start_ts
             try:
                 traces.append(
@@ -255,28 +263,28 @@ def cmd_transform(args) -> int:
 def cmd_featurize(args) -> int:
     from . import features
 
-    traces = read_dataset(args.in_path)
-    if not traces:
+    columns = read_columns(args.in_path)
+    if not len(columns):
         raise GuardsiftError("no traces in input")
     t_max_s = args.t_max_s
     if args.kind == "tam" and t_max_s is None:
-        t_max_s = features.default_t_max(traces)
+        t_max_s = features.default_t_max(columns)
         if t_max_s == 0:
             raise GuardsiftError("every trace lasts 0 s; pass --t-max-s")
     try:
-        array, meta = features.feature_matrix(traces, args.kind, args.length, t_max_s, args.n_slots)
+        array, meta = features.feature_matrix(columns, args.kind, args.length, t_max_s, args.n_slots)
     except (ValueError, OverflowError) as exc:
         raise GuardsiftError(str(exc)) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     features.write_features(out_dir / "features.bin", array, meta)
     if args.csv:
-        features.write_features_csv(out_dir / "features.csv", array.reshape(len(traces), -1))
-    with open(out_dir / "labels.csv", "w", encoding="utf-8") as handle:
-        handle.write("trace_id,label\n")
-        for trace in traces:
-            handle.write(f"{trace.trace_id},{trace.label if trace.label else ''}\n")
-    _write_report(args.report, {"command": "featurize", "shape": list(array.shape), **meta})
+        features.write_features_csv(out_dir / "features.csv", array.reshape(len(columns), -1))
+    report = {"command": "featurize", "shape": list(array.shape), **meta}
+    del array  # freed before the ids are rendered, so the two do not add up in memory
+    rows = (f"{trace_id},{label or ''}\n" for trace_id, label in zip(columns.trace_ids(), columns.labels))
+    (out_dir / "labels.csv").write_text("trace_id,label\n" + "".join(rows), encoding="utf-8")
+    _write_report(args.report, report)
     return 0
 
 
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-slots", type=_positive_int, default=1800)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_featurize, stages=("trace",))
+    p.set_defaults(func=cmd_featurize, stages=("columns",))
 
     p = sub.add_parser("eval", help="open-world metrics over classifier scores")
     p.add_argument("--scores", required=True)

@@ -1,0 +1,291 @@
+"""Trace files decoded into columns.
+
+``read_columns`` reads the newline-delimited JSON that ``trace.write_dataset``
+writes into one timestamp and one direction column for all traces.
+``featurize`` works on the columns; ``trace.read_dataset`` returns them as
+``Trace`` objects. Only the commands that read trace files import this
+module.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+from itertools import chain
+from pathlib import Path
+from typing import IO, Sequence
+
+import numpy as np
+
+from .errors import ParseError, read_utf8
+from .trace import INCOMING, OUTGOING, PHASES, Trace, _pairs
+
+
+def _decode_line(line: str) -> tuple[list[int], str, str | None]:
+    """Flat cell values ``[ts0, dir0, ts1, dir1, ...]``, phase and label of
+    one trace line; ValueError, TypeError or KeyError names the fault. The
+    columns check the range, directions and order of the values."""
+    payload = json.loads(line)
+    cells, phase, label = payload["cells"], payload["phase"], payload["label"]
+    if (
+        not isinstance(cells, list)
+        or not set(map(type, cells)) <= {list}
+        or not set(map(len, cells)) <= {2}
+    ):
+        raise ValueError("cells must be a list of [timestamp, direction] pairs")
+    values = list(chain.from_iterable(cells))
+    if not set(map(type, values)) <= {int}:
+        raise ValueError("cell values must be integers")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("label must be a string or null")
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+    return values, phase, label
+
+
+# The head of a line as ``_trace_line`` writes it, up to the "[" that opens
+# its cells. A label that needs an escape does not match, nor does a raw
+# control character, which JSON forbids.
+_WRITER_HEAD = re.compile(r'\{"phase":"(pre|post)","label":(?:null|"([^"\\\x00-\x1f]*)"),"cells":\[')
+# the bytes that frame the numbers of a cells text
+_DELIMITER = np.zeros(256, dtype=bool)
+_DELIMITER[list(b"[,]")] = True
+
+
+def _signed_numbers(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int | None:
+    """How many of the numbers ``a[starts[i]:ends[i]]`` (digits and "-"
+    bytes) start with "-", or None unless each has 1 to 18 digits and no
+    leading zero."""
+    signed = a[starts] == ord("-")
+    digits = ends - starts - signed
+    zero = a[starts + signed] == ord("0")
+    if ((digits < 1) | (digits > 18) | (zero & (digits > 1))).any():
+        return None
+    return int(np.count_nonzero(signed))
+
+
+def _writer_values(cells: bytes) -> np.ndarray | None:
+    """The values ``[ts0, dir0, ts1, dir1, ...]`` of ``[ts,dir]`` pairs joined
+    by ``,`` as ``_trace_line`` renders them: integers of at most 18 digits,
+    without the ``+`` or leading zeros that ``%d`` never writes (``-0`` is 0
+    both here and to JSON). Any other text gives None, so ``np.fromstring``
+    only sees text in that form."""
+    if cells.translate(None, b"0123456789-[],"):
+        return None
+    a = np.frombuffer(cells, dtype=np.uint8)
+    delimiters = np.flatnonzero(_DELIMITER[a])
+    n = (len(delimiters) + 1) // 4
+    if n == 0 or a[delimiters].tobytes() != (b"[,]," * n)[:-1]:
+        return None
+    opens, commas, closes, between = (delimiters[k::4] for k in range(4))
+    # nothing before the first "[", after the last "]" or around a "," between cells
+    if (
+        opens[0] != 0
+        or closes[-1] != len(a) - 1
+        or (between - closes[:-1] != 1).any()
+        or (opens[1:] - between != 1).any()
+    ):
+        return None
+    signs = [_signed_numbers(a, opens + 1, commas), _signed_numbers(a, commas + 1, closes)]
+    # a "-" anywhere but first in a number is one more than the numbers hold
+    if None in signs or cells.count(b"-") != sum(signs):
+        return None
+    return np.fromstring(cells.translate(None, b"[]"), dtype=np.int64, sep=",")
+
+
+def _writer_cells(cells: list[str]) -> tuple[np.ndarray, list[bool]]:
+    """The values of those ``cells`` texts that ``_writer_values`` accepts,
+    in order, and which ones they are. Each text starts with "[" and ends
+    with "]", so the texts joined by "," pass exactly when each one does:
+    they are decoded in one piece, and a piece that fails is halved."""
+    values = _writer_values(",".join(cells).encode("ascii", "replace"))
+    if values is not None:
+        return values, [True] * len(cells)
+    if len(cells) < 2:
+        return np.empty(0, dtype=np.int64), [False] * len(cells)
+    half = len(cells) // 2
+    (left, left_ok), (right, right_ok) = _writer_cells(cells[:half]), _writer_cells(cells[half:])
+    return np.concatenate([left, right]), left_ok + right_ok
+
+
+def _decode_general(line_no: int, line: str) -> tuple[list[int], str, str | None]:
+    """``_decode_line`` with its faults as ParseError naming the line."""
+    try:
+        return _decode_line(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, f"not JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(line_no, "not JSON: nested too deeply") from None
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(line_no, f"bad trace: {exc}") from None
+
+
+class TraceColumns:
+    """Many traces in one int64 timestamp and one int8 direction column.
+
+    Trace ``i`` holds the cells ``bounds[i]:bounds[i + 1]`` and has phase
+    ``phases[i]`` and label ``labels[i]``. (A plain class: a dataclass
+    would add about 2 ms to the start-up of each command that reads.)
+    """
+
+    def __init__(
+        self,
+        timestamps: np.ndarray,
+        directions: np.ndarray,
+        bounds: np.ndarray,
+        phases: list[str],
+        labels: list[str | None],
+    ):
+        self.timestamps = timestamps
+        self.directions = directions
+        self.bounds = bounds
+        self.phases = phases
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    def traces(self) -> list[Trace]:
+        """One ``Trace`` per trace, with views into the columns as cells."""
+        ends = self.bounds.tolist()
+        return [
+            Trace(
+                self.timestamps[ends[i] : ends[i + 1]],
+                self.directions[ends[i] : ends[i + 1]],
+                phase=phase,
+                label=label,
+            )
+            for i, (phase, label) in enumerate(zip(self.phases, self.labels))
+        ]
+
+    def trace_ids(self) -> list[str]:
+        """``compute_trace_id`` of every trace, from one rendering of all cells."""
+        if not len(self):
+            return []
+        lengths = np.diff(self.bounds)
+        gaps = np.diff(self.timestamps, prepend=self.timestamps[:1])
+        gaps[self.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
+        template = "|".join("%d,%d;" * n for n in lengths.tolist())
+        # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
+        text = template % _pairs(self.directions, gaps.view(np.uint64))
+        return [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
+
+
+class _Columns:
+    """The cells of many trace lines in one timestamp and one direction
+    column. Each line's cells go straight in; their directions and order
+    are checked over all stored lines at once."""
+
+    def __init__(self, capacity: int):
+        self.timestamps = np.empty(capacity, dtype=np.int64)
+        # int64 until checked, so no out-of-range direction wraps to +-1
+        self.directions = np.empty(capacity, dtype=np.int64)
+        self.ends = [0]  # column offset after each stored trace, behind a leading 0
+        self.lines: list[tuple[int, str, str | None]] = []  # (line_no, phase, label) of each
+
+    def add(self, line_no: int, phase: str, label: str | None, values: Sequence[int]) -> None:
+        """Store one line's flat cell values ``[ts0, dir0, ts1, dir1, ...]``."""
+        start = self.ends[-1]
+        end = start + len(values) // 2
+        try:
+            self.timestamps[start:end] = values[0::2]
+            self.directions[start:end] = values[1::2]
+        except OverflowError as exc:
+            self.check()  # a fault on an earlier line comes first
+            raise ParseError(line_no, f"bad trace: {exc}") from None
+        self.ends.append(end)
+        self.lines.append((line_no, phase, label))
+
+    def add_lines(self, lines: list[tuple[int, str]]) -> None:
+        """Store the ``(line_no, line)`` trace lines in order. Lines as
+        ``_trace_line`` renders them are decoded in one batch; any other
+        line goes through ``_decode_line`` on its own."""
+        heads = [_WRITER_HEAD.match(line) for _, line in lines]
+        # the text between "cells":[ and ]} of each line with the writer's head
+        cells = [
+            line[head.end() : -2] if head and line.endswith("]}") else None
+            for (_, line), head in zip(lines, heads)
+        ]
+        batch = [k for k, text in enumerate(cells) if text and text[0] == "[" and text[-1] == "]"]
+        values, in_form = _writer_cells([cells[k] for k in batch])
+        writer = dict(zip(batch, in_form))
+        taken = 0  # batch values stored so far
+        for k, (line_no, line) in enumerate(lines):
+            if cells[k] == "" or writer.get(k):
+                n = 2 * cells[k].count("[")
+                self.add(line_no, heads[k][1], heads[k][2], values[taken : taken + n])
+                taken += n
+                continue
+            try:
+                line_values, phase, label = _decode_general(line_no, line)
+            except ParseError:
+                self.check()  # a fault on an earlier line comes first
+                raise
+            self.add(line_no, phase, label, line_values)
+
+    def check(self) -> None:
+        """Raise ParseError naming the first stored line with a direction
+        other than +-1 or cells out of order; a line's directions are checked
+        before its order, as Trace.from_cells does."""
+        count = self.ends[-1]
+        timestamps, directions = self.timestamps[:count], self.directions[:count]
+        ends = np.array(self.ends[1:], dtype=np.int64)
+        unsorted = timestamps[1:] < timestamps[:-1]
+        unsorted[ends[(ends > 0) & (ends < count)] - 1] = False  # trace boundaries
+        faults = [
+            (int(np.searchsorted(ends, bad[0], side="right")), rank, message)
+            for rank, (bad, message) in enumerate(
+                [
+                    (np.flatnonzero((directions != OUTGOING) & (directions != INCOMING)),
+                     "directions must be +1 or -1"),
+                    (np.flatnonzero(unsorted), "cells must be sorted by timestamp"),
+                ]
+            )
+            if len(bad)
+        ]
+        if faults:
+            k, _, message = min(faults)
+            raise ParseError(self.lines[k][0], f"bad trace: {message}")
+
+    def finish(self) -> TraceColumns:
+        self.check()
+        count = self.ends[-1]
+        return TraceColumns(
+            self.timestamps[:count],
+            self.directions[:count].astype(np.int8),
+            np.array(self.ends, dtype=np.int64),
+            [phase for _, phase, _ in self.lines],
+            [label for _, _, label in self.lines],
+        )
+
+
+# trace line text decoded per batch: small buffers keep the decode's memory flat
+_BATCH_CHARS = 1 << 15
+
+
+def read_columns(source: str | Path | IO[str]) -> TraceColumns:
+    """Decode a newline-delimited JSON trace file into columns.
+
+    Each line is an object with ``phase``, ``label`` (a string or null) and
+    ``cells``, a list of ``[timestamp_ns, direction]`` pairs: int64 integers,
+    directions +-1, timestamps sorted. Any other line raises ``ParseError``
+    naming it; when several lines are bad, the first. Lines exactly as the
+    writer renders them are decoded in batches without a JSON parser; every
+    other line goes through the JSON decoder on its own, and both ways take
+    and refuse the same lines.
+    """
+    text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
+    columns = _Columns(text.count("["))  # every cell opens with a "["
+    batch, size = [], 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            batch.append((line_no, line))
+            size += len(line)
+        if size >= _BATCH_CHARS:
+            columns.add_lines(batch)
+            batch, size = [], 0
+    columns.add_lines(batch)
+    return columns.finish()

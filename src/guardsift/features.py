@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError
+from .columns import TraceColumns
 from .trace import OUTGOING, Trace
 
 SEC = 1_000_000_000
@@ -103,11 +104,16 @@ def coarsen_tam(tam: TAM, factor: int = 2) -> TAM:
     return TAM(matrix=merged, t_max_s=tam.t_max_s, n_slots=tam.n_slots // factor)
 
 
-def default_t_max(traces: Sequence[Trace]) -> float:
+def default_t_max(columns: TraceColumns) -> float:
     """Longest trace duration in seconds; the usual matrix horizon."""
-    if not traces:
+    if not len(columns):
         raise ValueError("no traces")
-    return max(t.duration_ns for t in traces) / SEC
+    starts, ends = columns.bounds[:-1], columns.bounds[1:]
+    cells = ends > starts
+    first = columns.timestamps[starts[cells]].view(np.uint64)
+    last = columns.timestamps[ends[cells] - 1].view(np.uint64)
+    # sorted cells: last - first fits uint64 even where int64 wraps
+    return int((last - first).max(initial=0)) / SEC
 
 
 def slot_sweep(
@@ -126,8 +132,48 @@ def slot_sweep(
     return results
 
 
+# cells placed per step: index buffers this small take no memory next to the matrix
+_BLOCK_CELLS = 1 << 13
+
+
+def _fill_heads(out: np.ndarray, columns: TraceColumns, values) -> None:
+    """Write the first ``out.shape[1]`` cells of trace ``i`` into row ``i``
+    of ``out``; ``values`` maps a column slice to the values of its cells."""
+    length = out.shape[1]
+    flat = out.reshape(-1)
+    for start in range(0, len(columns.timestamps), _BLOCK_CELLS):
+        cells = np.arange(start, min(start + _BLOCK_CELLS, len(columns.timestamps)))
+        rows = np.searchsorted(columns.bounds, cells, side="right") - 1
+        positions = cells - columns.bounds[rows]
+        head = positions < length
+        flat[rows[head] * length + positions[head]] = values(slice(cells[0], cells[-1] + 1))[head]
+
+
+def _signed_seconds(timestamps: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Each timestamp in seconds, signed by its direction, rounded as
+    ``directional_timing`` rounds it."""
+    seconds = timestamps / SEC
+    # past 2**53 ns the int64 -> float64 cast rounds before the division;
+    # Python's int / int rounds once
+    wide = (timestamps < -(2**53)) | (timestamps > 2**53)
+    seconds[wide] = [t / SEC for t in timestamps[wide].tolist()]
+    return seconds * directions
+
+
+def _tam_counts(columns: TraceColumns, t_max_ns: int, n_slots: int) -> np.ndarray:
+    """``build_tam`` of every trace as one ``len(columns)`` x 2 x ``n_slots`` array."""
+    n = len(columns)
+    rows = np.repeat(np.arange(n), np.diff(columns.bounds))
+    ts, d = columns.timestamps, columns.directions
+    keep = (ts >= 0) & (ts <= t_max_ns)
+    slots = np.minimum(ts[keep] * n_slots // t_max_ns, n_slots - 1)
+    index = (2 * rows[keep] + (d[keep] != OUTGOING)) * n_slots + slots
+    counts = np.bincount(index, minlength=2 * n_slots * n)
+    return counts.astype(np.int64, copy=False).reshape(n, 2, n_slots)
+
+
 def feature_matrix(
-    traces: Sequence[Trace],
+    columns: TraceColumns,
     kind: str,
     length: int = 5000,
     t_max_s: float | None = None,
@@ -136,15 +182,14 @@ def feature_matrix(
     """One row per trace of the ``kind`` view, plus the header metadata.
 
     ``direction`` and ``timing`` rows hold ``length`` values; ``tam`` rows
-    are 2 x ``n_slots`` matrices over [0, ``t_max_s``].
+    are 2 x ``n_slots`` matrices over [0, ``t_max_s``]. Row ``i`` equals
+    ``direction_sequence``, ``directional_timing`` or ``build_tam`` of
+    trace ``i``; the cells of all traces are placed at once.
     """
     if kind == "tam":
         if t_max_s is None:
             raise ValueError("tam features need t_max_s")
-        _tam_horizon_ns(t_max_s, n_slots)  # reject bad settings before allocating
-        out = np.empty((len(traces), 2, n_slots), dtype=np.int64)
-        for i, trace in enumerate(traces):
-            out[i] = build_tam(trace, t_max_s, n_slots).matrix
+        out = _tam_counts(columns, _tam_horizon_ns(t_max_s, n_slots), n_slots)
         meta = {
             "kind": kind,
             "t_max_s": t_max_s,
@@ -152,15 +197,18 @@ def feature_matrix(
             "slot_duration_s": t_max_s / n_slots,
         }
         return out, meta
-    if kind == "direction":
-        build, dtype = direction_sequence, np.int8
-    elif kind == "timing":
-        build, dtype = directional_timing, np.float64
-    else:
+    if kind not in ("direction", "timing"):
         raise ValueError(f"unknown feature kind {kind!r}")
-    out = np.empty((len(traces), length), dtype=dtype)
-    for i, trace in enumerate(traces):
-        out[i] = build(trace, length)
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if kind == "direction":
+        out = np.zeros((len(columns), length), dtype=np.int8)
+        _fill_heads(out, columns, lambda cells: columns.directions[cells])
+    else:
+        out = np.zeros((len(columns), length), dtype=np.float64)
+        _fill_heads(
+            out, columns, lambda cells: _signed_seconds(columns.timestamps[cells], columns.directions[cells])
+        )
     return out, {"kind": kind, "length": length}
 
 

@@ -11,13 +11,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyTraceError, NotNormalizedError, ParseError, read_utf8
+from .errors import EmptyTraceError, NotNormalizedError
 
 OUTGOING = 1
 INCOMING = -1
@@ -67,12 +66,13 @@ class CellRecord:
             raise ValueError(f"cell_type must be non-negative, got {self.cell_type}")
 
 
-def _format_pairs(fmt: str, first: np.ndarray, second: np.ndarray) -> str:
-    """``fmt`` (two ``%d`` fields) rendered for every ``(first[i], second[i])``."""
+def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[int, ...]:
+    """``(first[0], second[0], first[1], second[1], ...)`` as Python ints, to
+    %-format with one pair of ``%d`` fields per element."""
     flat = [0] * (2 * len(first))
     flat[0::2] = first.tolist()
     flat[1::2] = second.tolist()
-    return (fmt * len(first)) % tuple(flat)
+    return tuple(flat)
 
 
 def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str = "") -> str:
@@ -83,7 +83,7 @@ def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str =
     """
     # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
     gaps = np.diff(timestamps, prepend=timestamps[:1]).view(np.uint64)
-    text = salt + _format_pairs("%d,%d;", directions, gaps)
+    text = salt + ("%d,%d;" * len(gaps)) % _pairs(directions, gaps)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -254,7 +254,7 @@ def normalize(trace: Trace) -> Trace:
 
 def _trace_line(trace: Trace) -> str:
     phase, label = json.dumps(trace.phase), json.dumps(trace.label)
-    cells = _format_pairs("[%d,%d],", trace.timestamps, trace.directions)[:-1]
+    cells = (("[%d,%d]," * len(trace)) % _pairs(trace.timestamps, trace.directions))[:-1]
     return f'{{"phase":{phase},"label":{label},"cells":[{cells}]}}'
 
 
@@ -281,117 +281,12 @@ def write_dataset(traces: Sequence[Trace], seed: int, path: str | Path) -> None:
     Path(path).write_bytes(serialize_dataset(traces, seed))
 
 
-def _decode_line(line: str) -> tuple[list[int], str, str | None]:
-    """Flat cell values ``[ts0, dir0, ts1, dir1, ...]``, phase and label of
-    one trace line; ValueError, TypeError or KeyError names the fault. The
-    columns check the range, directions and order of the values."""
-    payload = json.loads(line)
-    cells, phase, label = payload["cells"], payload["phase"], payload["label"]
-    if (
-        not isinstance(cells, list)
-        or not set(map(type, cells)) <= {list}
-        or not set(map(len, cells)) <= {2}
-    ):
-        raise ValueError("cells must be a list of [timestamp, direction] pairs")
-    values = list(chain.from_iterable(cells))
-    if not set(map(type, values)) <= {int}:
-        raise ValueError("cell values must be integers")
-    if label is not None and not isinstance(label, str):
-        raise ValueError("label must be a string or null")
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    return values, phase, label
-
-
-class _Columns:
-    """The cells of many trace lines in one timestamp and one direction
-    column. Each line's cells go straight in; their directions and order
-    are checked over all stored lines at once."""
-
-    def __init__(self, capacity: int):
-        self.timestamps = np.empty(capacity, dtype=np.int64)
-        # int64 until checked, so no out-of-range direction wraps to +-1
-        self.directions = np.empty(capacity, dtype=np.int64)
-        self.ends = [0]  # column offset after each stored trace, behind a leading 0
-        self.lines: list[tuple[int, str, str | None]] = []  # (line_no, phase, label) of each
-
-    def add(self, line_no: int, phase: str, label: str | None, values: list[int]) -> None:
-        start = self.ends[-1]
-        end = start + len(values) // 2
-        try:
-            self.timestamps[start:end] = values[0::2]
-            self.directions[start:end] = values[1::2]
-        except OverflowError as exc:
-            self.check()  # a fault on an earlier line comes first
-            raise ParseError(line_no, f"bad trace: {exc}") from None
-        self.ends.append(end)
-        self.lines.append((line_no, phase, label))
-
-    def check(self) -> None:
-        """Raise ParseError naming the first stored line with a direction
-        other than +-1 or cells out of order; a line's directions are checked
-        before its order, as Trace.from_cells does."""
-        count = self.ends[-1]
-        timestamps, directions = self.timestamps[:count], self.directions[:count]
-        ends = np.array(self.ends[1:], dtype=np.int64)
-        unsorted = timestamps[1:] < timestamps[:-1]
-        unsorted[ends[(ends > 0) & (ends < count)] - 1] = False  # trace boundaries
-        faults = [
-            (int(np.searchsorted(ends, bad[0], side="right")), rank, message)
-            for rank, (bad, message) in enumerate(
-                [
-                    (np.flatnonzero((directions != OUTGOING) & (directions != INCOMING)),
-                     "directions must be +1 or -1"),
-                    (np.flatnonzero(unsorted), "cells must be sorted by timestamp"),
-                ]
-            )
-            if len(bad)
-        ]
-        if faults:
-            k, _, message = min(faults)
-            raise ParseError(self.lines[k][0], f"bad trace: {message}")
-
-    def traces(self) -> list[Trace]:
-        self.check()
-        ends, directions = self.ends, self.directions[: self.ends[-1]].astype(np.int8)
-        return [
-            Trace(
-                self.timestamps[ends[i] : ends[i + 1]],
-                directions[ends[i] : ends[i + 1]],
-                phase=phase,
-                label=label,
-            )
-            for i, (_, phase, label) in enumerate(self.lines)
-        ]
-
-
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:
     """Parse a newline-delimited JSON trace file back into traces.
 
-    Each line is an object with ``phase``, ``label`` (a string or null) and
-    ``cells``, a list of ``[timestamp_ns, direction]`` pairs: int64 integers,
-    directions +-1, timestamps sorted. Any other line raises ``ParseError``
-    naming it; when several lines are bad, the first. The traces are views
-    into one timestamp and one direction array.
+    The file's contract and errors are those of ``columns.read_columns``;
+    the traces are views into one timestamp and one direction array.
     """
-    text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
-    columns = _Columns(text.count("["))  # every cell opens with a "["
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            values, phase, label = _decode_line(line)
-        except json.JSONDecodeError as exc:
-            fault = ParseError(line_no, f"not JSON: {exc.msg}")
-        except RecursionError:
-            fault = ParseError(line_no, "not JSON: nested too deeply")
-        except KeyError as exc:
-            fault = ParseError(line_no, f"missing key {exc}")
-        except (TypeError, ValueError) as exc:
-            fault = ParseError(line_no, f"bad trace: {exc}")
-        else:
-            columns.add(line_no, phase, label, values)
-            continue
-        columns.check()  # a fault on an earlier line comes first
-        raise fault
-    return columns.traces()
+    from .columns import read_columns  # the reader is imported only by the commands that read
+
+    return read_columns(source).traces()

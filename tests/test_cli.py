@@ -358,6 +358,24 @@ def test_time_path_finds_a_visit_by_its_conflux_legs(tmp_path):
     assert trace.label == "a.com" and len(trace.cells) == 30 - 2
 
 
+@pytest.mark.parametrize("segmentation", ["circuit", "time"])
+def test_conflux_visit_with_legs_on_two_channels_is_one_trace(tmp_path, segmentation):
+    # the visit's legs ride channels 1 and 2; both channels are the controlled
+    # client's, so the second leg must not come out as an unlabeled trace
+    guard = tmp_path / "guard.csv"
+    cells = [f"1,10,{1000 + i * 1_000_000},{1 if i % 2 == 0 else -1}" for i in range(300)]
+    cells += [f"2,11,{2000 + i * 1_000_000},{1 if i % 2 == 0 else -1}" for i in range(260)]
+    guard.write_text("\n".join(cells) + "\n")
+    visits = tmp_path / "visits.csv"
+    visits.write_text("a.com,500,a.com,10,10,11\n")
+    assert main([
+        "sanitize", "--guard", str(guard), "--visits", str(visits), "--phase", "pre",
+        "--segmentation", segmentation, "--out", str(tmp_path / "out"),
+    ]) == 0
+    traces = read_dataset(tmp_path / "out" / "traces.ndjson")
+    assert [t.label for t in traces] == ["a.com"]
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

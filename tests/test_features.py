@@ -1,10 +1,13 @@
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MS, SEC, json_values
+from conftest import MS, SEC, json_values, oracle_trace_line
+import guardsift.features as features_module
 from guardsift.cli import main
 from guardsift.errors import GuardsiftError, ParseError
 from guardsift.features import (
@@ -18,11 +21,18 @@ from guardsift.features import (
     slot_sweep,
     write_features,
 )
+from guardsift.columns import read_columns
 from guardsift.trace import OUTGOING, Trace, read_dataset, write_dataset
 
 
 def trace_of(cells):
     return Trace.from_cells(tuple(cells))
+
+
+def columns_of(traces):
+    """The traces as ``read_columns`` decodes them from their NDJSON lines."""
+    text = "".join(oracle_trace_line(t.phase, t.label, t.cells) + "\n" for t in traces)
+    return read_columns(io.StringIO(text))
 
 
 # --- brute-force references: the per-cell loops the numpy builders replace ---
@@ -81,6 +91,60 @@ def test_numpy_builders_equal_references(case, length):
     assert same_bytes(directional_timing(trace, length), reference_timing(trace, length))
     tam = build_tam(trace, t_max_s, n_slots)
     assert same_bytes(tam.matrix, reference_tam(trace, t_max_s, n_slots))
+
+
+@st.composite
+def trace_batches(draw):
+    """Traces for one feature matrix plus a TAM horizon: empty, single-cell
+    and long traces, some shifted before 0 (outside the TAM) or past 2**53 ns."""
+    t_max_s = draw(st.sampled_from([1e-9, 0.5, 2.0, 45.0]))
+    n_slots = draw(st.integers(1, 16))
+    t_max_ns = int(round(t_max_s * SEC))
+    ts = st.integers(0, 2 * t_max_ns + 2) | st.sampled_from([0, t_max_ns, t_max_ns + 1])
+    offsets = st.sampled_from([0, -t_max_ns - 1, -(2**62)]) | st.integers(2**53 - t_max_ns, 2**62)
+    traces = []
+    for _ in range(draw(st.integers(0, 6))):
+        raw = draw(st.lists(st.tuples(ts, st.sampled_from([1, -1])), max_size=12))
+        offset = draw(offsets)
+        cells = sorted((t + offset, d) for t, d in raw)
+        traces.append(Trace.from_cells(cells, label=draw(st.none() | st.just("a.example"))))
+    return traces, t_max_s, n_slots
+
+
+@given(trace_batches(), st.integers(1, 12), st.sampled_from([1, 2, 5, 1 << 13]))
+@example(
+    (
+        [
+            trace_of([(2**53 + 1, -1)]),
+            trace_of([(-SEC, 1), (0, -1), (SEC, 1)]),
+            trace_of([(-(2**62) - 5, 1), (2**62 + 5, -1)]),  # lasts longer than int64 holds
+            trace_of([(i * MS, 1 if i % 3 else -1) for i in range(20)]),
+            trace_of([]),
+        ],
+        2.0,
+        4,
+    ),
+    8,
+    3,
+)
+@settings(max_examples=300, deadline=None)
+def test_feature_matrix_on_columns_equals_per_trace_builders(batch, length, block_cells):
+    traces, t_max_s, n_slots = batch
+    columns = columns_of(traces)
+    builders = {
+        "direction": lambda t: direction_sequence(t, length),
+        "timing": lambda t: directional_timing(t, length),
+        "tam": lambda t: build_tam(t, t_max_s, n_slots).matrix,
+    }
+    # small blocks split traces between the steps that place cells
+    with mock.patch.object(features_module, "_BLOCK_CELLS", block_cells):
+        for kind, build in builders.items():
+            array, _ = feature_matrix(columns, kind, length, t_max_s, n_slots)
+            assert len(array) == len(traces)
+            for row, trace in zip(array, traces):
+                assert same_bytes(row, build(trace))
+    if traces:
+        assert default_t_max(columns) == max(t.duration_ns for t in traces) / SEC
 
 
 class TestDirectionSequence:
@@ -156,12 +220,12 @@ class TestSlotSweep:
 
     def test_default_t_max_is_longest(self):
         traces = [trace_of([(0, 1), (3 * SEC, -1)]), trace_of([(0, 1), (9 * SEC, 1)])]
-        assert default_t_max(traces) == 9.0
+        assert default_t_max(columns_of(traces)) == 9.0
 
 
 class TestFeatureMatrix:
     def test_incoming_cell_at_zero_keeps_negative_zero(self):
-        array, meta = feature_matrix([trace_of([(0, -1), (SEC, 1)])], "timing", 3)
+        array, meta = feature_matrix(columns_of([trace_of([(0, -1), (SEC, 1)])]), "timing", 3)
         assert np.signbit(array[0, 0]) and array[0, 0] == 0.0
         assert meta == {"kind": "timing", "length": 3}
 
@@ -178,11 +242,11 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             build_tam(trace_of([(0, 1)]), t_max_s, n_slots)
         with pytest.raises(ValueError):
-            feature_matrix([trace_of([(0, 1)])], "tam", t_max_s=t_max_s, n_slots=n_slots)
+            feature_matrix(columns_of([trace_of([(0, 1)])]), "tam", t_max_s=t_max_s, n_slots=n_slots)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            feature_matrix([trace_of([(0, 1)])], "sizes")
+            feature_matrix(columns_of([trace_of([(0, 1)])]), "sizes")
 
 
 def _edge_case_traces():
@@ -220,6 +284,20 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     assert outputs[0] == outputs[1]
     labels = (tmp_path / "run1" / "labels.csv").read_text().splitlines()[1:]
     assert labels == [f"{t.trace_id},{t.label or ''}" for t in traces]
+
+
+def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
+    traces_path = tmp_path / "traces.ndjson"
+    write_dataset(_edge_case_traces(), 3, traces_path)
+    traces = read_dataset(traces_path)
+    t_max_s = max(t.duration_ns for t in traces) / SEC
+    out = tmp_path / "out"
+    assert main([
+        "featurize", "--in", str(traces_path), "--out", str(out), "--kind", "tam", "--n-slots", "4",
+    ]) == 0
+    array, meta = read_features(out / "features.bin")
+    assert meta["t_max_s"] == t_max_s
+    assert same_bytes(array, np.stack([build_tam(t, t_max_s, 4).matrix for t in traces]))
 
 
 def test_feature_dump_roundtrip(tmp_path):

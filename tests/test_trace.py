@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import json_values, oracle_trace_id, oracle_trace_line
 from guardsift.errors import EmptyTraceError, GuardsiftError, NotNormalizedError, ParseError
+import guardsift.columns as columns_module
+from guardsift.columns import read_columns
 from guardsift.trace import (
     CellRecord,
     Trace,
@@ -310,26 +314,119 @@ bad_lines = st.sampled_from(BAD_FIELDS).map('{{"phase":"pre","label":null,{}}}'.
 UNSORTED = '{"phase":"pre","label":null,"cells":[[5,1],[0,-1]]}'
 BAD_DIRECTION = '{"phase":"pre","label":null,"cells":[[0,1],[3,0]]}'
 TOO_BIG = '{"phase":"pre","label":null,"cells":[[0,1],[9223372036854775808,1]]}'
+# the line breaks str.splitlines knows beside "\n"; the JSON writer escapes them all
+NEWLINES = ["\n", "\r\n", "\x85", "\u2028"]
+# lines near the writer's form: the batch decoder must take or refuse each
+# one exactly as the JSON decoder does
+PINNED_GOOD_LINES = [
+    '{"phase":"pre","label":null,"cells":[[-0,1]]}',
+    '{"phase":"pre","label":null,"cells":[[1234567890123456789,1]]}',
+    '{"phase":"pre","label":null,"cells":[[-9223372036854775808,1],[9223372036854775807,-1]]}',
+    '{"phase":"pre","label":"a\\"b","cells":[[0,1]]}',
+    '{"phase":"pre","label":"caf\\u00e9","cells":[[0,1]]}',
+    '{"phase":"pre","label":"café","cells":[[0,1]]}',
+    '{"phase": "pre", "label": null, "cells": [[0, 1], [5, -1]]}',
+    '{"phase":"pre","label":null,"cells":[[0,1] ,[5,-1]]}',
+    '{"cells":[[0,1]],"label":null,"phase":"post"}',
+    '{"phase":"pre","label":null,"cells":[]}',
+]
+PINNED_BAD_LINES = [
+    '{"phase":"pre","label":null,"cells":[[01,1]]}',
+    '{"phase":"pre","label":null,"cells":[[1,+1]]}',
+    '{"phase":"pre","label":null,"cells":[[12345678901234567890,1]]}',
+    '{"phase":"pre","label":null,"cells":[[9223372036854775808,1]]}',
+    '{"phase":"pre","label":"a\x01b","cells":[[0,1]]}',
+    '{"phase":"pre","label":null,"cells":[[0,1],[5,-1]]]}',
+]
 
 
-@given(st.lists(good_lines | bad_lines | st.just(""), max_size=10))
-@example([GOOD_LINE.strip(), UNSORTED, BAD_DIRECTION])
-@example([GOOD_LINE.strip(), BAD_DIRECTION, UNSORTED])
-@example([BAD_DIRECTION, TOO_BIG])
-@example([UNSORTED, "{oops"])
-@settings(max_examples=300, deadline=None)
-def test_reader_matches_the_per_line_oracle(lines):
+def read_outcome(text):
+    """The traces read from ``text``, or the line and text of its ParseError."""
     try:
-        outcome = read_dataset(io.StringIO("\n".join(lines)))
+        return read_dataset(io.StringIO(text))
     except ParseError as err:
-        outcome = err.line_no
+        return err.line_no, str(err)
+
+
+def json_decoder_outcome(text):
+    """``read_outcome`` with every line decoded on its own by ``_decode_line``."""
+    with mock.patch.object(columns_module, "_WRITER_HEAD", re.compile("(?!)")):
+        return read_outcome(text)
+
+
+def pinned(test):
+    """Each pinned bad line between good lines, and the pinned good lines
+    under every line break."""
+    good = GOOD_LINE.strip()
+    for line in PINNED_BAD_LINES:
+        test = example([good, line, good], "\n")(test)
+    for newline in NEWLINES:
+        test = example([good, *PINNED_GOOD_LINES, good], newline)(test)
+    return test
+
+
+@given(st.lists(good_lines | bad_lines | st.just(""), max_size=10), st.sampled_from(NEWLINES))
+@example([GOOD_LINE.strip(), UNSORTED, BAD_DIRECTION], "\n")
+@example([GOOD_LINE.strip(), BAD_DIRECTION, UNSORTED], "\n")
+@example([BAD_DIRECTION, TOO_BIG], "\n")
+@example([UNSORTED, "{oops"], "\n")
+# cells texts that are no cell lists alone but form one when joined by ","
+@example(['{"phase":"pre","label":null,"cells":[[0,1],[5]}', '{"phase":"pre","label":null,"cells":[1]]}'], "\n")
+@pinned
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_per_line_oracle(lines, newline):
+    text = newline.join(lines)
+    outcome = read_outcome(text)
+    # the same traces, or the same ParseError line and text, as the JSON decoder alone
+    assert outcome == json_decoder_outcome(text)
     parsed = [(no, oracle_read_line(line)) for no, line in enumerate(lines, start=1) if line]
     first_bad = next((no for no, trace in parsed if trace is None), None)
     if first_bad is not None:
-        assert outcome == first_bad
+        assert isinstance(outcome, tuple) and outcome[0] == first_bad
     else:
         # == compares every field, so each trace must carry its line's metadata
         assert outcome == [trace for _, trace in parsed]
+
+
+@given(st.lists(cell_lists() | st.just([]), max_size=6))
+@settings(deadline=None)
+def test_column_trace_ids_equal_each_trace_s_content_hash(cell_sets):
+    text = "".join(oracle_trace_line("pre", None, cells) + "\n" for cells in cell_sets)
+    assert read_columns(io.StringIO(text)).trace_ids() == [oracle_trace_id(c) for c in cell_sets]
+
+
+# cells texts as the writer renders them, with numbers of any size
+writer_cells_texts = st.lists(
+    st.tuples(st.integers(-(10**20), 10**20), st.integers(-3, 3)), min_size=1, max_size=4
+).map(lambda cells: ",".join("[%d,%d]" % cell for cell in cells))
+
+
+@given(writer_cells_texts | st.text("[],-+0123456789 ", max_size=24), st.data())
+@example("[0,1],[-0,1]", None)
+@example("[01,1]", None)
+@example("[1,1]5,[2,1]", None)
+@example("[1-2,1]", None)
+@example("[12,3-4]", None)
+@settings(max_examples=500, deadline=None)
+def test_batch_cells_decoder_agrees_with_json(text, data):
+    if data is not None and data.draw(st.booleans()):
+        # one edit next to the writer's form
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(["", "[", "]", ",", "-", "0", "9", " "])) + text[at + 1 :]
+    values = columns_module._writer_values(text.encode())
+    try:
+        cells = json.loads(f"[{text}]")
+    except json.JSONDecodeError:
+        cells = None
+    pairs = bool(cells) and all(
+        type(c) is list and len(c) == 2 and {type(v) for v in c} == {int} for c in cells
+    )
+    if values is not None:
+        assert pairs and values.tolist() == [v for c in cells for v in c]
+    if pairs and ",".join("[%d,%d]" % tuple(c) for c in cells) == text:
+        if all(abs(v) < 10**18 for c in cells for v in c):
+            # every cells text the writer renders with up to 18 digits is taken
+            assert values is not None
 
 
 def test_reader_accepts_the_int64_range():
