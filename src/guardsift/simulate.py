@@ -6,6 +6,10 @@ records, per circuit, what the sanitization pipeline should decide about
 it. Channels are generated independently from per-channel seeds, so the
 output is byte-identical for a given seed regardless of worker count.
 
+Single-leg circuits are int64 arrays of cell rows whose random draws match
+a cell-by-cell pass draw for draw; the logs are merged and written from
+int64 columns.
+
 Traffic model, deliberately minimal: page loads are bursts of a few
 outgoing request cells answered by a stream of incoming cells, with flow
 control acknowledged every ``sendme_interval`` cells. Linked two-leg
@@ -15,8 +19,9 @@ is lowest among legs with congestion-window space.
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -229,17 +234,15 @@ class LowRttScheduler:
         self.interval = sendme_interval
         self.sampler = rtt_sampler or (lambda leg, k: self.true_rtts[leg])
         self._sample_counts = [0] * len(self.legs)
-        self._pending: list[tuple[int, int]] = []  # (ack_ts, leg)
+        self._pending: list[tuple[int, int]] = []  # heap of (ack_ts, leg)
         self._last_leg: int | None = None
         self._cell_index = 0
         self.switches: list[int] = []
 
     def _process_acks(self, now: int) -> None:
-        due = sorted(item for item in self._pending if item[0] <= now)
-        if not due:
-            return
-        self._pending = [item for item in self._pending if item[0] > now]
-        for _, leg in due:
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            _, leg = heapq.heappop(pending)
             state = self.legs[leg]
             state.cwnd += self.interval
             k = self._sample_counts[leg]
@@ -266,7 +269,7 @@ class LowRttScheduler:
         while leg is None:
             if not self._pending:
                 raise RuntimeError("every leg is blocked and no acknowledgment pending")
-            t_ns = min(ts for ts, _ in self._pending)
+            t_ns = self._pending[0][0]
             self._process_acks(t_ns)
             leg = self._choose()
         state = self.legs[leg]
@@ -275,7 +278,7 @@ class LowRttScheduler:
         sendme_due = False
         if state.cells_since_sendme >= self.interval:
             state.cells_since_sendme = 0
-            self._pending.append((t_ns + int(self.true_rtts[leg] * MS), leg))
+            heapq.heappush(self._pending, (t_ns + int(self.true_rtts[leg] * MS), leg))
             sendme_due = True
         if self._last_leg is not None and leg != self._last_leg:
             self.switches.append(self._cell_index)
@@ -357,23 +360,26 @@ def _plan_tail(rng: np.random.Generator, config: ScenarioConfig) -> TailPlan | N
     return TailPlan(False, False, n, duration, gap)
 
 
-def _emit_tail(rng: np.random.Generator, t: int, plan: TailPlan) -> tuple[list[CellEv], int]:
-    cells: list[CellEv] = []
-    t += plan.gap_ns
-    start = t
-    step = max(plan.duration_ns // max(plan.n_cells - 1, 1), 1)
-    for i in range(plan.n_cells):
-        if i == 0:
-            direction = INCOMING if plan.incoming_led else OUTGOING
-        else:
-            direction = OUTGOING if rng.random() < 0.6 else INCOMING
-        cells.append((t, direction, int(CellTypeCode.RELAY_DATA)))
-        t += step
-    if plan.n_cells > 1:
-        # pin the span so sub-second variants stay sub-second
-        cells[-1] = (start + plan.duration_ns, cells[-1][1], cells[-1][2])
-        t = cells[-1][0]
-    return cells, t
+def _check_int64(t: int, span: int) -> None:
+    """Numpy int64 sums wrap where Python ints grow: refuse times that could."""
+    if abs(t) + span >= 2**63:
+        raise OverflowError(f"times within {span} ns of {t} leave the int64 range")
+
+
+def _emit_tail(rng: np.random.Generator, t: int, plan: TailPlan) -> tuple[np.ndarray, int]:
+    n = plan.n_cells
+    start = t + plan.gap_ns
+    _check_int64(start, plan.duration_ns + n)
+    step = max(plan.duration_ns // max(n - 1, 1), 1)
+    cells = np.empty((n, 3), dtype=np.int64)
+    cells[:, 0] = start + step * np.arange(n)
+    cells[:1, 1] = INCOMING if plan.incoming_led else OUTGOING
+    cells[1:, 1] = np.where(rng.random(max(n - 1, 0)) < 0.6, OUTGOING, INCOMING)
+    cells[:, 2] = CellTypeCode.RELAY_DATA
+    end = start + plan.duration_ns if n > 1 else start + n * step
+    if n > 1:
+        cells[-1, 0] = end  # pin the span so sub-second variants stay sub-second
+    return cells, end
 
 
 def _emit_bursts(
@@ -382,22 +388,38 @@ def _emit_bursts(
     bursts: Sequence[tuple[int, int, float]],
     rtt_ms: float,
     sendme_interval: int,
-) -> tuple[list[CellEv], int]:
-    """Single-leg page payload: request bursts, responses, flow control."""
-    cells: list[CellEv] = []
-    received = 0
-    for out, inc, think_ms in bursts:
-        for _ in range(out):
-            cells.append((t, OUTGOING, int(CellTypeCode.RELAY_DATA)))
-            t += _ui(rng, 200_000, 1_200_000)
-        t += int(rtt_ms * MS) + int(think_ms * MS)
-        for _ in range(inc):
-            cells.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
-            received += 1
-            if received % sendme_interval == 0:
-                cells.append((t + 300_000, OUTGOING, int(CellTypeCode.RELAY_SENDME)))
-            t += _ui(rng, 300_000, 1_000_000)
-    return cells, t
+) -> tuple[np.ndarray, int]:
+    """Single-leg page payload: request bursts, responses, flow control.
+
+    Each cell draws the gap after it, in emission order, all in one call:
+    per-cell bounds give the same stream as one scalar draw per cell. A cell
+    is sent at ``t`` plus every gap and wait before it, and a SENDME follows
+    every ``sendme_interval``-th incoming cell 0.3 ms later. Returns the
+    cells in emission order and the time after the last gap.
+    """
+    if not bursts:
+        return np.empty((0, 3), dtype=np.int64), t
+    # per burst: its outgoing cells, one wait, its incoming cells
+    lengths = [n for out, inc, _ in bursts for n in (out, 1, inc)]
+    kinds = np.repeat(np.tile([OUTGOING, 0, INCOMING], len(bursts)), lengths)
+    sent = kinds != 0
+    outgoing = kinds[sent] == OUTGOING
+    steps = np.empty(len(kinds), dtype=np.int64)
+    low, high = np.where(outgoing, 200_000, 300_000), np.where(outgoing, 1_200_001, 1_000_001)
+    steps[sent] = rng.integers(low, high)
+    waits = [int(rtt_ms * MS) + int(think_ms * MS) for _, _, think_ms in bursts]
+    _check_int64(t, sum(map(abs, waits)) + 1_200_000 * len(kinds))
+    steps[~sent] = waits
+    clock = t + np.cumsum(steps)
+    cells = np.empty((len(outgoing), 3), dtype=np.int64)
+    cells[:, 0] = (clock - steps)[sent]
+    cells[:, 1] = kinds[sent]
+    cells[:, 2] = CellTypeCode.RELAY_DATA
+    due = np.flatnonzero(~outgoing)[sendme_interval - 1 :: sendme_interval]
+    sendmes = cells[due]
+    sendmes[:, 0] += 300_000
+    sendmes[:, 1:] = (OUTGOING, CellTypeCode.RELAY_SENDME)
+    return np.insert(cells, due + 1, sendmes, axis=0), int(clock[-1])
 
 
 SHAPE_PRE = "pre"  # create/created then payload
@@ -419,7 +441,7 @@ class PlainCircuitSpec:
 
 @dataclass
 class EmittedCircuit:
-    cells: list[CellEv]
+    cells: np.ndarray  # int64 rows in time order: timestamp, direction[, cell_type]
     valid: bool
     payload_start: int
     payload_end: int
@@ -438,48 +460,47 @@ def _emit_plain_circuit(
     """
     t = spec.t0
     rtt_ns = int(rtt_ms * MS)
-    cells: list[CellEv] = []
     d1, d2 = (INCOMING, OUTGOING) if spec.invalid_kind == 1 else (OUTGOING, INCOMING)
-    cells.append((t, d1, CELL_CREATE))
+    opening: list[CellEv] = [(t, d1, CELL_CREATE), (t + rtt_ns, d2, CELL_CREATED)]
     t += rtt_ns
-    cells.append((t, d2, CELL_CREATED))
     if spec.shape == SHAPE_POST_LEG:
         # linked legs are built and linked in one go; idle comes after
         t += _ui(rng, 1_000_000, 2_200_000)
-        cells.append((t, OUTGOING, int(CellTypeCode.CFX_LINK)))
+        opening.append((t, OUTGOING, int(CellTypeCode.CFX_LINK)))
         t += rtt_ns
-        cells.append((t, INCOMING, int(CellTypeCode.CFX_LINKED)))
+        opening.append((t, INCOMING, int(CellTypeCode.CFX_LINKED)))
         t += _ui(rng, 1_000_000, 2_200_000)
         ack_dir = INCOMING if spec.invalid_kind == 2 else OUTGOING
-        cells.append((t, ack_dir, int(CellTypeCode.CFX_LINKED_ACK)))
+        opening.append((t, ack_dir, int(CellTypeCode.CFX_LINKED_ACK)))
         t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
     elif spec.shape == SHAPE_POST_PLAIN:
         # a plain circuit shows the same five-cell shape, but it sat idle
         # between construction and first use
         t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
-        cells.append((t, OUTGOING, int(CellTypeCode.RELAY_BEGIN)))
+        opening.append((t, OUTGOING, int(CellTypeCode.RELAY_BEGIN)))
         t += rtt_ns
-        cells.append((t, INCOMING, int(CellTypeCode.RELAY_CONNECTED)))
+        opening.append((t, INCOMING, int(CellTypeCode.RELAY_CONNECTED)))
         t += _ui(rng, 800_000, 2_200_000)
         if spec.invalid_kind == 2:
-            cells.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
+            opening.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
             t += _ui(rng, 300_000, 1_000_000)
     else:
         t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
         if spec.invalid_kind == 2:
-            cells.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
+            opening.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
             t += _ui(rng, 300_000, 1_000_000)
     payload_start = t
     payload, t = _emit_bursts(rng, t, spec.bursts, rtt_ms, sendme_interval)
-    cells.extend(payload)
-    payload_end = max(c[0] for c in payload) if payload else t
+    parts = [np.array(opening, dtype=np.int64), payload]
+    payload_end = int(payload[:, 0].max()) if len(payload) else t
     if spec.tail is not None:
         tail_cells, t = _emit_tail(rng, t, spec.tail)
-        cells.extend(tail_cells)
+        parts.append(tail_cells)
     t += _ui(rng, 100_000_000, 1_500_000_000)
-    cells.append((t, OUTGOING, CELL_DESTROY))
-    cells.append((t + _ui(rng, 1_000_000, 20_000_000), INCOMING, CELL_DESTROY))
-    cells.sort(key=lambda c: c[0])
+    teardown = (t, OUTGOING, CELL_DESTROY), (t + _ui(rng, 1_000_000, 20_000_000), INCOMING, CELL_DESTROY)
+    parts.append(np.array(teardown, dtype=np.int64))
+    cells = np.concatenate(parts)
+    cells = cells[np.argsort(cells[:, 0], kind="stable")]
     return EmittedCircuit(cells, spec.invalid_kind == 0, payload_start, payload_end)
 
 
@@ -525,8 +546,8 @@ def plan_conflux_visit(
 
     def draw_pair(count):
         return (
-            tuple(float(x) for x in rng.normal(0.0, noise, count)),
-            tuple(float(x) for x in rng.normal(0.0, noise, count)),
+            tuple(rng.normal(0.0, noise, count).tolist()),
+            tuple(rng.normal(0.0, noise, count).tolist()),
         )
 
     client_noise = draw_pair(n_samples)
@@ -534,9 +555,9 @@ def plan_conflux_visit(
     init_c = (float(rng.normal(0.0, noise)), float(rng.normal(0.0, noise)))
     init_x = (float(rng.normal(0.0, noise)), float(rng.normal(0.0, noise)))
     switch_flags = tuple(bool(rng.random() < config.exit_switch_prob) for _ in range(n_samples))
-    out_spacing = tuple(int(x) for x in rng.integers(200_000, 1_200_000, total_out))
-    in_spacing = tuple(int(x) for x in rng.integers(300_000, 1_000_000, total_in))
-    turnarounds = tuple(int(x) for x in rng.integers(1_000_000, 2_200_000, 8))
+    out_spacing = tuple(rng.integers(200_000, 1_200_000, total_out).tolist())
+    in_spacing = tuple(rng.integers(300_000, 1_000_000, total_in).tolist())
+    turnarounds = tuple(rng.integers(1_000_000, 2_200_000, 8).tolist())
     return ConfluxVisitPlan(
         page=page,
         t0=t0,
@@ -689,18 +710,15 @@ class ChannelOutput:
     channel_id: int
     kind: str
     relay_auth: bool = False
-    guard_rows: list = None  # (ts, circuit_id, direction)
-    client_rows: list = None  # (ts, circuit_id, direction, cell_type)
-    visit_rows: list = None  # (first_party, request_ts, target, circuit_id, leg_a, leg_b)
-    circuits: list = None  # truth dicts
-    visit_truth: list = None
-    set_truth: list = None
-
-    def __post_init__(self):
-        for name in ("guard_rows", "client_rows", "visit_rows", "circuits",
-                     "visit_truth", "set_truth"):
-            if getattr(self, name) is None:
-                setattr(self, name, [])
+    # per circuit: (circuit_id, (n, 2) int64 rows of timestamp, direction)
+    guard_cells: list = field(default_factory=list)
+    # per leg: (circuit_id, (n, 3) int64 rows of timestamp, direction, cell_type)
+    client_cells: list = field(default_factory=list)
+    # (first_party, request_ts, target, circuit_id, leg_a, leg_b)
+    visit_rows: list = field(default_factory=list)
+    circuits: list = field(default_factory=list)  # truth dicts
+    visit_truth: list = field(default_factory=list)
+    set_truth: list = field(default_factory=list)
 
 
 def _make_plans(config: ScenarioConfig) -> list[ChannelPlan]:
@@ -740,16 +758,20 @@ def _id_pool(rng: np.random.Generator, channel_index: int, count: int) -> list[i
     return [block + int(o) for o in offsets]
 
 
-def _apply_noise(rng: np.random.Generator, cells: list, config: ScenarioConfig) -> list:
-    """Perturb the guard's view of one circuit: drops and adjacent swaps."""
+def _apply_noise(rng: np.random.Generator, cells: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Perturb the guard's view of one circuit: drops and adjacent swaps.
+
+    One drop uniform per (timestamp, direction) row, then one swap uniform
+    per adjacent pair left; swaps run in order, so a run carries a direction.
+    """
     if config.drop_prob > 0:
-        cells = [c for c in cells if rng.random() >= config.drop_prob]
+        cells = cells[rng.random(len(cells)) >= config.drop_prob]
     if config.reorder_prob > 0 and len(cells) > 1:
-        cells = list(cells)
-        for i in range(len(cells) - 1):
-            if rng.random() < config.reorder_prob:
-                (t1, d1), (t2, d2) = cells[i][:2], cells[i + 1][:2]
-                cells[i], cells[i + 1] = (t1, d2), (t2, d1)
+        swaps = np.flatnonzero(rng.random(len(cells) - 1) < config.reorder_prob)
+        cells = cells.copy()
+        d = cells[:, 1]
+        for i in swaps.tolist():
+            d[i], d[i + 1] = d[i + 1], d[i]
     return cells
 
 
@@ -781,8 +803,7 @@ def _record_circuit(
     tail: TailPlan | None,
     stage_kind: str | None = None,
 ) -> None:
-    guard_cells = _apply_noise(rng, [(ts, d) for ts, d, _ in emitted.cells], config)
-    out.guard_rows.extend((ts, circuit_id, d) for ts, d in guard_cells)
+    out.guard_cells.append((circuit_id, _apply_noise(rng, emitted.cells[:, :2], config)))
     out.circuits.append(
         {
             "circuit_id": circuit_id,
@@ -837,25 +858,8 @@ def _fill_spam(out: ChannelOutput, rng: np.random.Generator, config: ScenarioCon
             ct += _ui(rng, 1_000_000, 30_000_000)
             cells.append((ct, OUTGOING if rng.random() < 0.5 else INCOMING))
         valid = m >= 3 and cells[2][1] == OUTGOING
-        guard_cells = _apply_noise(rng, cells, config)
-        out.guard_rows.extend((ts, circuit_id, d) for ts, d in guard_cells)
-        out.circuits.append(
-            {
-                "circuit_id": circuit_id,
-                "channel_id": out.channel_id,
-                "kind": KIND_SPAM,
-                "label": None,
-                "handshake_valid": valid,
-                "conflux_leg": False,
-                "cell_count": m,
-                "tail_present": False,
-                "tail_qualifies": False,
-                "tail_cells": 0,
-                "payload_start": t,
-                "payload_end": ct,
-                "expected_stage": Stage.SPAM,
-            }
-        )
+        emitted = EmittedCircuit(np.array(cells, dtype=np.int64), valid, t, ct)
+        _record_circuit(out, rng, config, circuit_id, KIND_SPAM, emitted, False, None, None)
 
 
 def _fill_nonmon(out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int) -> None:
@@ -1003,38 +1007,15 @@ def _fill_monitored_post(
         leg_ids = (guard_id, other_id)
         visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
 
-        guard_cells = _apply_noise(rng, [(ts, d) for ts, d, _ in sim.leg_cells[0]], config)
-        out.guard_rows.extend((ts, guard_id, d) for ts, d in guard_cells)
-        for leg, circuit_id in enumerate(leg_ids):
-            out.client_rows.extend(
-                (ts, circuit_id, d, ct) for ts, d, ct in sim.leg_cells[leg]
-            )
-
-        begin_ts = next(
-            ts for ts, d, ct in sorted(sim.leg_cells[sim.client_primary])
-            if ct == int(CellTypeCode.RELAY_BEGIN)
-        )
+        legs = [np.array(cells, dtype=np.int64) for cells in sim.leg_cells]
+        primary = legs[sim.client_primary]
+        begin_ts = int(primary[primary[:, 2] == CellTypeCode.RELAY_BEGIN, 0].min())
+        guard_end = int(legs[0][:, 0].max())
+        guard = EmittedCircuit(legs[0], True, begin_ts, guard_end)
+        _record_circuit(out, rng, config, guard_id, "leg", guard, True, page.label, None)
+        out.client_cells.extend(zip(leg_ids, legs))
         out.visit_rows.append(
             (page.label, begin_ts, page.label, leg_ids[sim.client_primary], guard_id, other_id)
-        )
-
-        guard_count = len(sim.leg_cells[0])
-        out.circuits.append(
-            {
-                "circuit_id": guard_id,
-                "channel_id": out.channel_id,
-                "kind": "leg",
-                "label": page.label,
-                "handshake_valid": True,
-                "conflux_leg": True,
-                "cell_count": guard_count,
-                "tail_present": False,
-                "tail_qualifies": False,
-                "tail_cells": 0,
-                "payload_start": begin_ts,
-                "payload_end": max(ts for ts, _, _ in sim.leg_cells[0]),
-                "expected_stage": _expected_stage("leg", True, True, guard_count, POST),
-            }
         )
         out.visit_truth.append(
             {
@@ -1043,7 +1024,7 @@ def _fill_monitored_post(
                 "channel_id": out.channel_id,
                 "main_circuit_id": guard_id,
                 "circuit_ids": [guard_id],
-                "window": [begin_ts, max(ts for ts, _, _ in sim.leg_cells[0])],
+                "window": [begin_ts, guard_end],
                 "client_tag": config.client_tag,
             }
         )
@@ -1094,6 +1075,31 @@ class GeneratedDataset:
     truth_json: Path
 
 
+def _merged_rows(outputs: Sequence[ChannelOutput], name: str, width: int) -> np.ndarray:
+    """All channels' cells as int64 (channel_id, circuit_id, timestamp, ...) rows,
+    stably sorted by (timestamp, channel_id, circuit_id): full ties keep channel order."""
+    ids, counts, blocks = [], [], [np.empty((0, width), dtype=np.int64)]
+    for out in outputs:
+        for circuit_id, cells in getattr(out, name):
+            ids.append((out.channel_id, circuit_id))
+            counts.append(len(cells))
+            blocks.append(cells)
+    rows = np.empty((sum(counts), 2 + width), dtype=np.int64)
+    rows[:, :2] = np.repeat(np.array(ids, dtype=np.int64).reshape(-1, 2), counts, axis=0)
+    rows[:, 2:] = np.concatenate(blocks)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0], rows[:, 2]))]
+
+
+def _write_rows(path: Path, header: list[str], rows: np.ndarray, block: int = 1 << 16) -> None:
+    """Write header lines, then a line per row; ``block`` rows at a time bounds memory."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(header) + "\n")
+        for start in range(0, len(rows), block):
+            part = rows[start : start + block]
+            f.write(line * len(part) % tuple(part.ravel().tolist()))
+
+
 def generate_dataset(
     config: ScenarioConfig, out_dir: str | Path, jobs: int = 1
 ) -> GeneratedDataset:
@@ -1103,10 +1109,11 @@ def generate_dataset(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     plans = _make_plans(config)
-    outputs = parallel_map(_build_channel, [(config, plan) for plan in plans], jobs)
+    try:
+        outputs = parallel_map(_build_channel, [(config, plan) for plan in plans], jobs)
+    except OverflowError:
+        raise ConfigError("the scenario's times do not fit 64-bit nanosecond timestamps") from None
 
-    guard_rows: list[tuple[int, int, int, int]] = []
-    client_rows: list[tuple[int, int, int, int, int]] = []
     visit_rows: list[tuple] = []
     channels_truth = []
     circuits_truth = []
@@ -1114,10 +1121,6 @@ def generate_dataset(
     sets_truth = []
     auth_ids = []
     for out in outputs:
-        guard_rows.extend((ts, out.channel_id, cid, d) for ts, cid, d in out.guard_rows)
-        client_rows.extend(
-            (ts, out.channel_id, cid, d, ct) for ts, cid, d, ct in out.client_rows
-        )
         visit_rows.extend(out.visit_rows)
         circuits_truth.extend(out.circuits)
         visits_truth.extend(out.visit_truth)
@@ -1134,20 +1137,15 @@ def generate_dataset(
             }
         )
 
-    guard_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    client_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     visit_rows.sort(key=lambda r: (r[1], r[3]))
 
     guard_csv = out_path / "guard.csv"
-    lines = ["channel_id,circuit_id,timestamp_ns,direction"]
-    lines.extend(f"#AUTH,{cid}" for cid in sorted(auth_ids))
-    lines.extend(f"{ch},{cid},{ts},{d}" for ts, ch, cid, d in guard_rows)
-    guard_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["channel_id,circuit_id,timestamp_ns,direction", *(f"#AUTH,{c}" for c in sorted(auth_ids))]
+    _write_rows(guard_csv, header, _merged_rows(outputs, "guard_cells", 2))
 
     client_csv = out_path / "client.csv"
-    lines = ["channel_id,circuit_id,timestamp_ns,direction,cell_type"]
-    lines.extend(f"{ch},{cid},{ts},{d},{ct}" for ts, ch, cid, d, ct in client_rows)
-    client_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["channel_id,circuit_id,timestamp_ns,direction,cell_type"]
+    _write_rows(client_csv, header, _merged_rows(outputs, "client_cells", 3))
 
     visits_csv = out_path / "visits.csv"
     lines = ["first_party_domain,request_ts,target_domain,circuit_id"]

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import json_values
+from conftest import MS, SEC, json_values
 
 from guardsift.errors import ConfigError, GuardsiftError
 from guardsift.ingest import parse_guard_log, parse_visit_log, filter_relay_channels
 from guardsift.sanitize import SanitizeConfig, sanitize, validate_handshake_post, CONFLUX
 from guardsift.simulate import (
+    ChannelOutput,
     LegState,
     ScenarioConfig,
+    TailPlan,
+    _apply_noise,
+    _emit_bursts,
+    _emit_tail,
+    _merged_rows,
+    _write_rows,
     generate_dataset,
     page_model,
     plan_conflux_visit,
@@ -20,6 +27,161 @@ from guardsift.simulate import (
     schedule_lowrtt,
     simulate_conflux_visit,
 )
+from guardsift.conflux import CellTypeCode
+from guardsift.trace import INCOMING, OUTGOING
+
+RELAY_DATA, RELAY_SENDME = int(CellTypeCode.RELAY_DATA), int(CellTypeCode.RELAY_SENDME)
+
+
+# --- per-cell oracles: the list implementations the array emitters replaced -----
+
+
+def _ui(rng, lo, hi):
+    return int(rng.integers(lo, hi + 1))
+
+
+def oracle_emit_bursts(rng, t, bursts, rtt_ms, sendme_interval):
+    """One scalar gap draw per cell; a SENDME after every interval-th incoming cell."""
+    cells = []
+    received = 0
+    for out, inc, think_ms in bursts:
+        for _ in range(out):
+            cells.append((t, OUTGOING, RELAY_DATA))
+            t += _ui(rng, 200_000, 1_200_000)
+        t += int(rtt_ms * MS) + int(think_ms * MS)
+        for _ in range(inc):
+            cells.append((t, INCOMING, RELAY_DATA))
+            received += 1
+            if received % sendme_interval == 0:
+                cells.append((t + 300_000, OUTGOING, RELAY_SENDME))
+            t += _ui(rng, 300_000, 1_000_000)
+    return cells, t
+
+
+def oracle_emit_tail(rng, t, plan):
+    cells = []
+    t += plan.gap_ns
+    start = t
+    step = max(plan.duration_ns // max(plan.n_cells - 1, 1), 1)
+    for i in range(plan.n_cells):
+        if i == 0:
+            direction = INCOMING if plan.incoming_led else OUTGOING
+        else:
+            direction = OUTGOING if rng.random() < 0.6 else INCOMING
+        cells.append((t, direction, RELAY_DATA))
+        t += step
+    if plan.n_cells > 1:
+        cells[-1] = (start + plan.duration_ns, cells[-1][1], cells[-1][2])
+        t = cells[-1][0]
+    return cells, t
+
+
+def oracle_apply_noise(rng, cells, drop_prob, reorder_prob):
+    """One drop uniform per cell, then one swap uniform per adjacent pair left."""
+    if drop_prob > 0:
+        cells = [c for c in cells if rng.random() >= drop_prob]
+    if reorder_prob > 0 and len(cells) > 1:
+        cells = list(cells)
+        for i in range(len(cells) - 1):
+            if rng.random() < reorder_prob:
+                (t1, d1), (t2, d2) = cells[i][:2], cells[i + 1][:2]
+                cells[i], cells[i + 1] = (t1, d2), (t2, d1)
+    return cells
+
+
+def oracle_log_lines(outputs, name):
+    """Rows as tuples, merged by a stable (timestamp, channel, circuit) key sort."""
+    rows = [
+        (int(row[0]), out.channel_id, circuit_id, *map(int, row[1:]))
+        for out in outputs
+        for circuit_id, cells in getattr(out, name)
+        for row in cells
+    ]
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return "".join(",".join(map(str, (ch, cid, ts, *rest))) + "\n" for ts, ch, cid, *rest in rows)
+
+
+def _same_rng_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+probs = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+seeds = st.integers(0, 2**32 - 1)
+burst_lists = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 150), st.floats(0.0, 1200.0)), max_size=6
+)
+
+
+class TestArrayEmittersMatchPerCellOracles:
+    """Each array emitter returns the oracle's cells and leaves the rng where
+    the oracle leaves it, so every later draw in the channel is unchanged."""
+
+    @given(seeds, burst_lists, st.floats(0.0, 300.0), st.sampled_from([1, 10**4]) | st.integers(1, 400),
+           st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_bursts(self, seed, bursts, rtt_ms, sendme_interval, warmup):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (a, b):  # leave half a 64-bit word buffered on odd warm-ups
+            rng.integers(0, 10, size=warmup)
+        cells, t = _emit_bursts(a, 10**12, bursts, rtt_ms, sendme_interval)
+        expected, expected_t = oracle_emit_bursts(b, 10**12, bursts, rtt_ms, sendme_interval)
+        assert [tuple(c) for c in cells.tolist()] == expected
+        assert t == expected_t
+        assert _same_rng_state(a, b)
+
+    @given(seeds, st.integers(0, 200), st.integers(0, 3 * SEC), st.integers(0, 10 * SEC),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tail(self, seed, n_cells, duration_ns, gap_ns, incoming_led):
+        plan = TailPlan(True, incoming_led, n_cells, duration_ns, gap_ns)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        cells, t = _emit_tail(a, 5 * SEC, plan)
+        expected, expected_t = oracle_emit_tail(b, 5 * SEC, plan)
+        assert [tuple(c) for c in cells.tolist()] == expected
+        assert t == expected_t
+        assert _same_rng_state(a, b)
+
+    @given(seeds, st.lists(st.tuples(st.integers(0, 10**9), st.sampled_from([-1, 1])), max_size=60),
+           probs, probs)
+    @settings(max_examples=300, deadline=None)
+    def test_noise(self, seed, cells, drop_prob, reorder_prob):
+        config = ScenarioConfig(drop_prob=drop_prob, reorder_prob=reorder_prob)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        noisy = _apply_noise(a, rows, config)
+        assert [tuple(c) for c in noisy.tolist()] == oracle_apply_noise(b, cells, drop_prob, reorder_prob)
+        assert rows.tolist() == [list(c) for c in cells]  # the input is not modified
+        assert _same_rng_state(a, b)
+
+    def test_times_past_int64_raise_instead_of_wrapping(self):
+        # the cells would fit, but numpy would wrap the times that follow them
+        near_end = 2**63 - SEC
+        with pytest.raises(OverflowError):
+            _emit_bursts(np.random.default_rng(0), near_end, [(3, 3000, 500.0)], 60.0, 100)
+        with pytest.raises(OverflowError):
+            _emit_tail(np.random.default_rng(0), near_end, TailPlan(True, False, 40, 3 * SEC, 0))
+
+
+# few distinct timestamps, channels and circuits, so many rows tie on all three
+tied_cells = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1, 1]), st.integers(0, 30)),
+                      max_size=8)
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 2), tied_cells), max_size=4), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_merged_log_matches_stable_tuple_sort(tmp_path_factory, channels):
+    outputs = []
+    for channel_id, circuits in enumerate(channels):
+        out = ChannelOutput(channel_id % 2, "nonmon")
+        for circuit_id, cells in circuits:
+            rows = np.array(cells, dtype=np.int64).reshape(-1, 3)
+            out.guard_cells.append((circuit_id, rows[:, :2]))
+            out.client_cells.append((circuit_id, rows))
+        outputs.append(out)
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    for name, width in (("guard_cells", 2), ("client_cells", 3)):
+        _write_rows(path, ["header", "#AUTH,1"], _merged_rows(outputs, name, width), block=3)
+        assert path.read_text(encoding="utf-8") == "header\n#AUTH,1\n" + oracle_log_lines(outputs, name)
 
 
 class TestScheduler:
@@ -162,6 +324,33 @@ class TestGenerateDataset:
         visits = parse_visit_log(paths.visits_csv)
         result = sanitize(kept, SanitizeConfig(), "pre", visits)
         assert result.report.handshake_dropped == 0
+
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_noisy_guard_view_is_deterministic_and_never_adds_cells(self, tmp_path, phase):
+        cfg = ScenarioConfig(seed=14, phase=phase, n_pages=2, n_visits_per_page=3, n_nonmon_channels=4,
+                             spam_channel_fraction=0.25, spam_circuit_range=(10_001, 10_020),
+                             relay_auth_channels=1, drop_prob=0.1, reorder_prob=0.2,
+                             exit_switch_prob=0.1)
+        runs = [generate_dataset(cfg, tmp_path / "a"), generate_dataset(cfg, tmp_path / "b"),
+                generate_dataset(cfg, tmp_path / "c", jobs=2)]
+        for name in ("guard.csv", "client.csv", "visits.csv", "truth.json"):
+            assert len({(run.out_dir / name).read_bytes() for run in runs}) == 1, name
+        truth = json.loads(runs[0].truth_json.read_text())
+        lines = runs[0].guard_csv.read_text().splitlines()[1:]
+        rows = np.array([line.split(",") for line in lines if not line.startswith("#")], dtype=np.int64)
+        ids, counts = np.unique(rows[:, 1], return_counts=True)
+        seen = dict(zip(ids.tolist(), counts.tolist()))
+        assert all(seen.get(c["circuit_id"], 0) <= c["cell_count"] for c in truth["circuits"])
+        assert set(seen) <= {c["circuit_id"] for c in truth["circuits"]}
+        # the noise acts: some circuit lost cells
+        assert sum(seen.values()) < sum(c["cell_count"] for c in truth["circuits"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_times_past_int64_are_a_config_error(self, tmp_path, jobs):
+        cfg = ScenarioConfig(n_pages=1, n_visits_per_page=0, n_nonmon_channels=2,
+                             prebuilt_idle_range_s=(1e10, 1e10))
+        with pytest.raises(ConfigError, match="64-bit"):
+            generate_dataset(cfg, tmp_path / "d", jobs=jobs)
 
     def test_recovered_labels_match_sidecar(self, tmp_path):
         cfg = ScenarioConfig(seed=12, n_pages=3, n_visits_per_page=3, n_nonmon_channels=2)
