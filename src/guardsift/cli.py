@@ -81,9 +81,8 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     out_dir = Path(args.out)
-    if args.rtt_sweep:
-        deltas = [float(x) for x in args.rtt_sweep.split(",")]
-        rows = run_rtt_advantage_sweep(config, deltas, args.sweep_visits)
+    if args.rtt_sweep is not None:
+        rows = run_rtt_advantage_sweep(config, args.rtt_sweep, args.sweep_visits)
         out_dir.mkdir(parents=True, exist_ok=True)
         sweep_csv = out_dir / "rtt_sweep.csv"
         header = list(rows[0].keys())
@@ -106,7 +105,7 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     guard, client, visits = _load_inputs(args)
-    parsed = parse_guard_log(guard, args.tag)
+    parsed = parse_guard_log(guard)
     kept, dropped = filter_relay_channels(parsed.channels)
     summary = {
         "command": "ingest",
@@ -168,7 +167,7 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict
 def cmd_sanitize(args) -> int:
     guard, _, visits_path = _load_inputs(args)
     config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
-    parsed = parse_guard_log(guard, args.tag)
+    parsed = parse_guard_log(guard)
     kept, dropped_relay = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
@@ -193,7 +192,7 @@ def cmd_conflux(args) -> int:
         raise GuardsiftError("conflux analysis needs --client and --visits")
     from . import conflux as cfx
 
-    parsed = parse_guard_log(guard, args.tag)
+    parsed = parse_guard_log(guard)
     client_log = parse_client_log(client, visits_path)
     client_circuits = client_log.circuit_map()
     guard_circuits = {}
@@ -345,12 +344,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _rtt_deltas(text: str) -> list[float]:
+    """A comma list of finite, non-negative RTT deltas in ms."""
+    deltas = [float(x) for x in text.split(",")]
+    if not all(0 <= d < math.inf for d in deltas):
+        raise argparse.ArgumentTypeError(f"deltas must be non-negative and finite, got {text}")
+    return deltas
+
+
 def _add_io_flags(parser, needs_out=True):
     parser.add_argument("--in", dest="in_dir", help="input directory (guard/client/visits csv)")
     parser.add_argument("--guard", help="guard cell log")
     parser.add_argument("--client", help="client cell log")
     parser.add_argument("--visits", help="client visit log")
-    parser.add_argument("--tag", default="guard", help="source tag for parsed channels")
     if needs_out:
         parser.add_argument("--out", required=True)
     parser.add_argument("--report", help="write a JSON report here")
@@ -369,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report")
-    p.add_argument("--rtt-sweep", help="comma-separated competitor RTT deltas (ms)")
-    p.add_argument("--sweep-visits", type=int, default=None)
+    p.add_argument("--rtt-sweep", type=_rtt_deltas, help="comma-separated competitor RTT deltas (ms)")
+    p.add_argument("--sweep-visits", type=_positive_int, default=None)
     p.set_defaults(func=cmd_generate, stages=("simulate",))
 
     p = sub.add_parser("ingest", help="parse logs and report channel statistics")
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="sanitizer thresholds JSON")
     p.add_argument("--seed", type=int, default=0, help="export shuffle seed")
     p.add_argument("--segmentation", choices=["circuit", "time"], default="circuit")
-    p.add_argument("--window-s", type=float, default=60.0, help="monitored window length (time)")
+    p.add_argument("--window-s", type=_positive_float, default=60.0, help="monitored window length (time)")
     p.set_defaults(func=cmd_sanitize, stages=("ingest", "sanitize", "segment", "trace"))
 
     p = sub.add_parser("conflux", help="linked-leg analysis against client ground truth")

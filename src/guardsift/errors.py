@@ -116,7 +116,10 @@ def read_config(path, what: str, cls):
             )
         if isinstance(value, list):
             data[key] = tuple(value)
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError as exc:  # a value the config class rejects
+        raise ConfigError(f"bad {what} config: {exc}") from None
 
 
 def _not_json(constant: str):

@@ -10,7 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -114,22 +113,6 @@ def default_t_max(columns: TraceColumns) -> float:
     last = columns.timestamps[ends[cells] - 1].view(np.uint64)
     # sorted cells: last - first fits uint64 even where int64 wraps
     return int((last - first).max(initial=0)) / SEC
-
-
-def slot_sweep(
-    traces: Sequence[Trace], t_max_s: float, slot_durations_s: Sequence[float]
-) -> list[tuple[float, int, list[TAM]]]:
-    """Build matrices at several slot granularities.
-
-    For each requested duration, the slot count is round(t_max / duration).
-    """
-    results = []
-    for duration in slot_durations_s:
-        if duration <= 0:
-            raise ValueError("slot durations must be positive")
-        n_slots = max(1, round(t_max_s / duration))
-        results.append((duration, n_slots, [build_tam(t, t_max_s, n_slots) for t in traces]))
-    return results
 
 
 # cells placed per step: index buffers this small take no memory next to the matrix

@@ -252,7 +252,7 @@ def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
     return table, auth_ids
 
 
-def _parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
+def _parse_cells(source, require_type: bool) -> ParsedLog:
     table, auth_ids = _read_table(source, require_type)
     rows, ends, duplicates = _group_cells(table)
     timestamps = rows[:, 2].copy()
@@ -265,7 +265,7 @@ def _parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
     ):
         channel = channels.get(channel_id)
         if channel is None:
-            channel = channels[channel_id] = Channel(channel_id, source_tag=source_tag)
+            channel = channels[channel_id] = Channel(channel_id)
         channel.circuits[circuit_id] = Circuit(
             circuit_id,
             timestamps[start:end],
@@ -277,7 +277,7 @@ def _parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
         channel = channels.get(channel_id)
         if channel is None:
             # marker for a channel with no logged cells; keep it visible
-            channel = channels[channel_id] = Channel(channel_id, source_tag=source_tag)
+            channel = channels[channel_id] = Channel(channel_id)
         channel.relay_authenticated = True
     if duplicates:
         log.warning("deduplicated %d repeated cell records", duplicates)
@@ -290,9 +290,9 @@ def _parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
     )
 
 
-def parse_guard_log(source, source_tag: str = "") -> ParsedLog:
+def parse_guard_log(source) -> ParsedLog:
     """Parse a guard cell log into channels grouped by (channel, circuit)."""
-    return _parse_cells(source, source_tag, require_type=False)
+    return _parse_cells(source, require_type=False)
 
 
 def filter_relay_channels(channels: Iterable[Channel]) -> tuple[list[Channel], int]:
@@ -355,8 +355,8 @@ class ClientLog:
         return out
 
 
-def parse_client_log(cell_source, visit_source, source_tag: str = "client") -> ClientLog:
+def parse_client_log(cell_source, visit_source) -> ClientLog:
     """Parse client cell and visit logs; circuits join to visits by circuit id."""
-    parsed = _parse_cells(cell_source, source_tag, require_type=True)
+    parsed = _parse_cells(cell_source, require_type=True)
     visits = parse_visit_log(visit_source)
     return ClientLog(visits=visits, channels=parsed.channels, stats=parsed)

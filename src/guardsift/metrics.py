@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -298,45 +297,6 @@ def operating_point_at_fpr(
     if best is None:
         raise NoFeasibleThresholdError(f"no threshold achieves FPR <= {target_fpr}")
     return best
-
-
-def per_class_error_cdf(
-    records: Sequence[ScoreRecord],
-    threshold: float,
-    classes: Iterable[int] | None = None,
-) -> list[tuple[int, float]]:
-    """Combined per-class error (misses plus wrong-class) at a threshold.
-
-    Returns (class, error_rate) pairs sorted by error. Requested classes
-    with no records are skipped with a warning.
-    """
-    totals: dict[int, int] = {}
-    correct: dict[int, int] = {}
-    for rec in records:
-        if rec.true_label == NONMON:
-            continue
-        totals[rec.true_label] = totals.get(rec.true_label, 0) + 1
-        if (
-            rec.predicted_label == rec.true_label
-            and rec.predicted_label != NONMON
-            and rec.score >= threshold
-        ):
-            correct[rec.true_label] = correct.get(rec.true_label, 0) + 1
-    wanted = sorted(totals) if classes is None else list(classes)
-    out = []
-    for cls in wanted:
-        if cls not in totals:
-            warnings.warn(f"class {cls} has no records; skipped", stacklevel=2)
-            continue
-        out.append((cls, 1.0 - correct.get(cls, 0) / totals[cls]))
-    return sorted(out, key=lambda item: (item[1], item[0]))
-
-
-def ecdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF steps: (value, fraction at or below)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 # --- serialization --------------------------------------------------------------

@@ -146,15 +146,6 @@ def validate_handshake_post(
     return CONFLUX if ratio <= gap_ratio_threshold else NON_CONFLUX
 
 
-def filter_small_circuits(
-    circuits: Iterable[Circuit], min_cells: int = 200
-) -> list[Circuit]:
-    """Keep circuits carrying at least ``min_cells`` cells."""
-    if min_cells < 1:
-        raise ConfigError("min_cells must be >= 1")
-    return [c for c in circuits if len(c) >= min_cells]
-
-
 def select_main_circuit(
     page_domain: str,
     candidates: Sequence[tuple[PageVisitRecord, Circuit]],
@@ -349,7 +340,7 @@ class SanitizedDataset:
 
 
 def _trim_cohort(
-    entries: list[tuple[Trace, str | None, str | None, int]],
+    entries: list[tuple[Trace, str | None, int]],
     config: SanitizeConfig,
     report: SanitizationReport,
     outcomes: dict[int, str],
@@ -359,8 +350,8 @@ def _trim_cohort(
     The duration cap comes from the monitored traces after the gap-based
     stages, so those stages run first for everyone.
     """
-    staged: list[tuple[Trace, str | None, str | None, int]] = []
-    for trace, label, tag, circuit_id in entries:
+    staged: list[tuple[Trace, str | None, int]] = []
+    for trace, label, circuit_id in entries:
         end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
         if not end:
             report.trim_dropped += 1
@@ -369,11 +360,11 @@ def _trim_cohort(
         if pruned:
             report.tail_gap_pruned += 1
         kept = trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
-        staged.append((kept, label, tag, circuit_id))
+        staged.append((kept, label, circuit_id))
 
     cap = config.duration_cap_ns
     if cap is None:
-        monitored = [t for t, label, _, _ in staged if label is not None]
+        monitored = [t for t, label, _ in staged if label is not None]
         if monitored:
             cap = compute_duration_cap(monitored, config.duration_cap_percentile)
         else:
@@ -381,7 +372,7 @@ def _trim_cohort(
     report.duration_cap_ns = cap
 
     out: list[Trace] = []
-    for trace, label, tag, circuit_id in staged:
+    for trace, label, circuit_id in staged:
         capped, end = cap_tail(trace.timestamps, cap, config.max_len)
         if capped < len(trace):
             report.duration_capped += 1
@@ -392,7 +383,7 @@ def _trim_cohort(
             outcomes[circuit_id] = Stage.TRIM
             continue
         timestamps, directions = trace.timestamps[:end], trace.directions[:end]
-        out.append(trace.with_cells(timestamps, directions, label=label, client_tag=tag))
+        out.append(trace.with_cells(timestamps, directions, label=label))
         outcomes[circuit_id] = Stage.RETAINED
         report.retained += 1
     return out
@@ -425,8 +416,8 @@ def sanitize(
         else:
             live.append(channel)
 
-    # (label, client_tag, channel_id, circuit) entries that continue down the pipeline
-    pending: list[tuple[str | None, str | None, int, Circuit]] = []
+    # (label, channel_id, circuit) entries that continue down the pipeline
+    pending: list[tuple[str | None, int, Circuit]] = []
     if visits:
         circuit_to_channel: dict[int, int] = {}
         for channel in live:
@@ -435,7 +426,7 @@ def sanitize(
         groups = group_visits(visits, circuit_to_channel, config.visit_span_ns)
         channel_by_id = {ch.channel_id: ch for ch in live}
         monitored_channel_ids = set()
-        claimed: dict[int, tuple[str, str]] = {}
+        claimed: dict[int, str] = {}  # main circuit id -> page label
         for group in groups:
             candidates = []
             for row in group.rows:
@@ -451,27 +442,25 @@ def sanitize(
                 main = select_main_circuit(group.page_domain, candidates)
             except NoMainCircuitError:
                 continue
-            tag = channel_by_id[circuit_to_channel[main.circuit_id]].source_tag
-            claimed[main.circuit_id] = (group.page_domain, tag)
+            claimed[main.circuit_id] = group.page_domain
         for channel in live:
             if channel.channel_id in monitored_channel_ids:
                 for circuit_id, circuit in channel.circuits.items():
                     if circuit_id in claimed:
-                        label, tag = claimed[circuit_id]
-                        pending.append((label, tag, channel.channel_id, circuit))
+                        pending.append((claimed[circuit_id], channel.channel_id, circuit))
                     else:
                         report.visit_extra_dropped += 1
                         outcomes[circuit_id] = Stage.UNSELECTED
             else:
                 for circuit in channel.circuits.values():
-                    pending.append((None, None, channel.channel_id, circuit))
+                    pending.append((None, channel.channel_id, circuit))
     else:
         for channel in live:
             for circuit in channel.circuits.values():
-                pending.append((None, None, channel.channel_id, circuit))
+                pending.append((None, channel.channel_id, circuit))
 
-    trimmed_entries: list[tuple[Trace, str | None, str | None, int]] = []
-    for label, tag, channel_id, circuit in pending:
+    trimmed_entries: list[tuple[Trace, str | None, int]] = []
+    for label, channel_id, circuit in pending:
         if phase == PRE:
             if not validate_handshake_pre(circuit):
                 report.handshake_dropped += 1
@@ -502,14 +491,14 @@ def sanitize(
             continue
         except MalformedCircuitError as exc:
             raise MalformedCircuitError(f"channel {channel_id}: {exc}") from None
-        trimmed_entries.append((trace, label, tag, circuit.circuit_id))
+        trimmed_entries.append((trace, label, circuit.circuit_id))
 
     traces = _trim_cohort(trimmed_entries, config, report, outcomes)
     labels = {}
     if visits:
         labels = {
-            circuit_id: claimed[circuit_id][0]
-            for circuit_id in claimed
+            circuit_id: label
+            for circuit_id, label in claimed.items()
             if outcomes.get(circuit_id) == Stage.RETAINED
         }
     if not report.consistent():

@@ -76,7 +76,6 @@ def _finish_segment(
     directions: np.ndarray,
     config: SanitizeConfig,
     label: str | None,
-    tag: str | None,
 ) -> Trace | None:
     """Align time-sorted cells to the first outgoing one, normalize, tail-trim."""
     outgoing = np.flatnonzero(directions == OUTGOING)
@@ -90,9 +89,7 @@ def _finish_segment(
     _, end = cap_tail(timestamps[:end], config.duration_cap_ns, config.max_len)
     if not end:
         return None
-    return Trace(
-        timestamps[:end], directions[:end], PRE, label=label, client_tag=tag, tail_trimmed=True
-    )
+    return Trace(timestamps[:end], directions[:end], PRE, label=label, tail_trimmed=True)
 
 
 def _concat(circuits: list[Circuit]) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +122,7 @@ def extract_monitored_window(
     timestamps, directions = _concat(list(channel.circuits.values()))
     inside = np.flatnonzero((visit_start <= timestamps) & (timestamps <= visit_end))
     order = inside[np.argsort(timestamps[inside], kind="stable")]
-    trace = _finish_segment(
-        timestamps[order], directions[order], config, label, channel.source_tag or None
-    )
+    trace = _finish_segment(timestamps[order], directions[order], config, label)
     if trace is None:
         raise EmptySegmentError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
@@ -167,9 +162,7 @@ def segment_nonmonitored(
     traces: list[Trace] = []
     start = 0
     for end in ends:
-        trace = _finish_segment(
-            timestamps[start:end], directions[start:end], config, None, channel.source_tag or None
-        )
+        trace = _finish_segment(timestamps[start:end], directions[start:end], config, None)
         if trace is not None:
             traces.append(trace)
         start = end

@@ -132,6 +132,17 @@ class ScenarioConfig:
             setattr(self, name, (lo, hi))
         if self.spam_circuit_range[1] >= 2**_CIRCUIT_BLOCK_BITS:
             raise ConfigError("spam_circuit_range exceeds the per-channel id block")
+        # a monitored channel draws ids for up to 4 (pre) or 2 (post) circuits per visit, plus slack
+        visits = min(self.visits_per_channel, self.n_pages * self.n_visits_per_page)
+        for name, ids in (
+            ("nonmon_circuits_range", self.nonmon_circuits_range[1]),
+            ("visits_per_channel", (4 if self.phase == PRE else 2) * (visits + 1)),
+        ):
+            if ids > 2**_CIRCUIT_BLOCK_BITS:
+                raise ConfigError(
+                    f"{name} needs {ids} circuit ids per channel, more than the"
+                    f" {2**_CIRCUIT_BLOCK_BITS} of the per-channel id block"
+                )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -285,45 +296,6 @@ class LowRttScheduler:
         self._last_leg = leg
         self._cell_index += 1
         return t_ns, leg, sendme_due
-
-
-@dataclass
-class ScheduleResult:
-    assignments: list[int]
-    switch_events: list[int]
-    times: list[int]
-
-
-def schedule_lowrtt(
-    n_cells: int,
-    legs: tuple[LegState, LegState],
-    rng: np.random.Generator | None = None,
-    *,
-    true_rtts_ms: tuple[float, float] | None = None,
-    sendme_interval: int = 100,
-    rtt_noise_ms: float = 0.0,
-    cell_spacing_ns: int = 500_000,
-    start_ns: int = 0,
-) -> ScheduleResult:
-    """Assign ``n_cells`` cells to legs under lowest-RTT scheduling.
-
-    ``legs`` carry the initial estimates and windows and are updated in
-    place. Without an rng, RTT re-estimates equal the true RTTs.
-    """
-    true = true_rtts_ms or (legs[0].rtt_ms, legs[1].rtt_ms)
-    sampler = None
-    if rng is not None and rtt_noise_ms > 0:
-        sampler = lambda leg, k: true[leg] + float(rng.normal(0.0, rtt_noise_ms))
-    sched = LowRttScheduler(true, legs, sendme_interval, sampler)
-    assignments: list[int] = []
-    times: list[int] = []
-    t = start_ns
-    for _ in range(n_cells):
-        t, leg, _ = sched.send_one(t)
-        assignments.append(leg)
-        times.append(t)
-        t += cell_spacing_ns
-    return ScheduleResult(assignments, sched.switches, times)
 
 
 # --- single-leg circuits --------------------------------------------------------
@@ -1237,6 +1209,8 @@ def run_rtt_advantage_sweep(
         raise ConfigError("deltas must be non-negative")
     if n_visits is None:
         n_visits = config.n_pages * config.n_visits_per_page
+    if n_visits < 1:
+        raise ConfigError("the sweep needs at least one visit")
     plans = []
     for v in range(n_visits):
         rng = _rng(config.seed, 0x5EE, v)

@@ -89,22 +89,20 @@ def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str =
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A time-sorted cell sequence with provenance metadata.
+    """A time-sorted cell sequence with its phase, label and trim state.
 
     Cells are parallel arrays, as in ``Circuit``: ``timestamps`` is int64
     nanoseconds and ``directions`` int8. ``label`` is the monitored class
-    (page) label; ``None`` marks a non-monitored trace. ``client_tag``
-    records which controlled client produced a monitored trace.
-    ``tail_trimmed`` marks that the tail heuristics already ran, so
-    re-running them cannot eat more cells. ``trace_id`` is the content hash
-    of the cells, computed on first read.
+    (page) label; ``None`` marks a non-monitored trace. ``tail_trimmed``
+    marks that the tail heuristics already ran, so re-running them cannot
+    eat more cells. ``trace_id`` is the content hash of the cells,
+    computed on first read.
     """
 
     timestamps: np.ndarray
     directions: np.ndarray
     phase: str = PRE
     label: str | None = None
-    client_tag: str | None = None
     tail_trimmed: bool = False
 
     def __post_init__(self):
@@ -141,8 +139,8 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return (
-            (self.phase, self.label, self.client_tag, self.tail_trimmed)
-            == (other.phase, other.label, other.client_tag, other.tail_trimmed)
+            (self.phase, self.label, self.tail_trimmed)
+            == (other.phase, other.label, other.tail_trimmed)
             and np.array_equal(self.timestamps, other.timestamps)
             and np.array_equal(self.directions, other.directions)
         )
@@ -214,7 +212,6 @@ class Channel:
     channel_id: int
     circuits: dict[int, Circuit] = field(default_factory=dict)
     relay_authenticated: bool = False
-    source_tag: str = ""
 
     @property
     def circuit_count(self) -> int:

@@ -32,8 +32,8 @@ def circuit_from_dirs(directions, circuit_id=1, channel_id=1, gaps_ns=None, star
     return Circuit.from_records(circuit_id, cells)
 
 
-def channel_of(*circuits, channel_id=1, auth=False, tag=""):
-    ch = Channel(channel_id, relay_authenticated=auth, source_tag=tag)
+def channel_of(*circuits, channel_id=1, auth=False):
+    ch = Channel(channel_id, relay_authenticated=auth)
     for c in circuits:
         ch.circuits[c.circuit_id] = c
     return ch

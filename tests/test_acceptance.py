@@ -148,7 +148,7 @@ def pre_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("pre_dataset")
     paths = generate_dataset(config, out)
     truth = json.loads(paths.truth_json.read_text())
-    parsed = parse_guard_log(paths.guard_csv, "sim")
+    parsed = parse_guard_log(paths.guard_csv)
     channels, _ = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(paths.visits_csv)
     return paths, truth, channels, visits

@@ -73,8 +73,14 @@ def test_segment_path(dataset_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["segment", "--in", "data", "--out", "seg"], ["featurize", "--in", "t", "--out", "f", "--jobs", "2"]],
-    ids=["segment-subcommand", "featurize-jobs"],
+    [
+        ["segment", "--in", "data", "--out", "seg"],
+        ["featurize", "--in", "t", "--out", "f", "--jobs", "2"],
+        ["ingest", "--in", "data", "--tag", "x"],
+        ["sanitize", "--in", "data", "--phase", "pre", "--out", "o", "--tag", "x"],
+        ["conflux", "--in", "data", "--out", "c.csv", "--tag", "x"],
+    ],
+    ids=["segment-subcommand", "featurize-jobs", "ingest-tag", "sanitize-tag", "conflux-tag"],
 )
 def test_removed_cli_surface_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as err:
@@ -294,8 +300,9 @@ def test_bad_config_file_is_stage_error(request, tmp_path, capsys, command, text
     assert "Traceback" not in err
 
 
-# config values of the wrong JSON type for their field, or not JSON at all;
-# each must be rejected when the file is read, with the key or value named
+# config values of the wrong JSON type for their field, not JSON at all, or
+# needing more circuit ids than a generated channel's id block holds; each
+# must be rejected when the file is read, with the key or value named
 WRONG_TYPE_CONFIGS = {
     "string-for-int": ("sanitize", [], {"tail_gap_ns": "x"}, "tail_gap_ns must be int,"),
     "list-for-int": ("sanitize", ["--segmentation", "time"], {"visit_span_ns": [1]}, "visit_span_ns"),
@@ -306,6 +313,18 @@ WRONG_TYPE_CONFIGS = {
     "short-range": ("generate", [], {"leg_rtt_ms": [60.0]}, "leg_rtt_ms must be tuple"),
     "bool-for-int-scenario": ("generate", [], {"n_pages": True}, "n_pages"),
     "nan-for-number": ("generate", [], {"phase": "post", "competitor_rtt_delta_ms": math.nan}, "NaN"),
+    "nonmon-ids-over-block": (
+        "generate", [],
+        {"nonmon_circuits_range": [140000, 140000], "n_nonmon_channels": 1, "n_pages": 1,
+         "n_visits_per_page": 0},
+        "nonmon_circuits_range",
+    ),
+    "visit-ids-over-block": (
+        "generate", [],
+        {"visits_per_channel": 40000, "n_pages": 1, "n_visits_per_page": 40000,
+         "n_nonmon_channels": 0},
+        "visits_per_channel",
+    ),
 }
 
 
@@ -448,8 +467,29 @@ def test_garbage_input_is_a_stage_error_in_a_fresh_process(tmp_path, case, garba
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command", sorted({argv[0] for argv, _ in GARBAGE_COMMANDS.values()}))
-def test_usage_errors_exit_2_in_a_fresh_process(tmp_path, command):
-    proc = run_fresh(["-m", "guardsift.cli", command, "--no-such-flag"], tmp_path)
-    assert proc.returncode == 2
+TIME_PATH = ["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
+SWEEP = ["generate", "--out", "o", "--rtt-sweep"]
+# an unknown flag on every command, and numeric flag values a command cannot run with
+USAGE_ERRORS = {
+    **{argv[0]: [argv[0], "--no-such-flag"] for argv, _ in GARBAGE_COMMANDS.values()},
+    "window-s-zero": [*TIME_PATH, "--window-s", "0"],
+    "window-s-negative": [*TIME_PATH, "--window-s=-1"],
+    "window-s-nan": [*TIME_PATH, "--window-s", "nan"],
+    "window-s-inf": [*TIME_PATH, "--window-s", "inf"],
+    "rtt-sweep-word": [*SWEEP, "abc"],
+    "rtt-sweep-nan": [*SWEEP, "0,nan"],
+    "rtt-sweep-inf": [*SWEEP, "inf"],
+    "rtt-sweep-negative": [*SWEEP, "0,-32"],
+    "rtt-sweep-empty": ["generate", "--out", "o", "--rtt-sweep="],
+    "sweep-visits-zero": [*SWEEP, "0,32", "--sweep-visits", "0"],
+    "sweep-visits-negative": [*SWEEP, "0,32", "--sweep-visits=-3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_in_a_fresh_process(tmp_path, case):
+    (tmp_path / "guard.csv").write_text("1,2,0,1\n")
+    proc = run_fresh(["-m", "guardsift.cli", *USAGE_ERRORS[case]], tmp_path)
+    assert proc.returncode == 2, proc.stderr
     assert "usage: guardsift" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()

@@ -18,7 +18,6 @@ from guardsift.features import (
     directional_timing,
     feature_matrix,
     read_features,
-    slot_sweep,
     write_features,
 )
 from guardsift.columns import read_columns
@@ -213,11 +212,6 @@ class TestTam:
 
 
 class TestSlotSweep:
-    def test_slot_counts_from_durations(self):
-        traces = [trace_of([(0, 1)])]
-        table = slot_sweep(traces, 45.0, [0.15, 45.0, 0.3])
-        assert [(d, n) for d, n, _ in table] == [(0.15, 300), (45.0, 1), (0.3, 150)]
-
     def test_default_t_max_is_longest(self):
         traces = [trace_of([(0, 1), (3 * SEC, -1)]), trace_of([(0, 1), (9 * SEC, 1)])]
         assert default_t_max(columns_of(traces)) == 9.0

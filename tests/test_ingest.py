@@ -18,12 +18,11 @@ from guardsift.trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 def test_grouping_by_channel_and_circuit():
     log = io.StringIO("5,9,100,1\n5,12,200,-1\n")
-    parsed = parse_guard_log(log, "tag")
+    parsed = parse_guard_log(log)
     assert len(parsed.channels) == 1
     channel = parsed.channels[0]
     assert channel.channel_id == 5
     assert sorted(channel.circuits) == [9, 12]
-    assert channel.source_tag == "tag"
     assert parsed.cell_count == 2
 
 
@@ -109,7 +108,7 @@ def test_link_ack_cell_type_parsed():
 # --- the bulk parser against the per-line parser it replaced -------------------
 
 
-def oracle_parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog:
+def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
     """The per-line, per-record parser the bulk path replaced, kept as reference."""
     channels: dict[int, dict[int, list[CellRecord]]] = {}
     auth_ids: set[int] = set()
@@ -169,7 +168,6 @@ def oracle_parse_cells(source, source_tag: str, require_type: bool) -> ParsedLog
             channel_id,
             {cid: Circuit.from_records(cid, records) for cid, records in circuits.items()},
             relay_authenticated=flagged.get(channel_id, False),
-            source_tag=source_tag,
         )
         for channel_id, circuits in channels.items()
     ]
@@ -188,7 +186,7 @@ def describe(parsed: ParsedLog) -> tuple:
             ]
             assert c.timestamps.dtype == np.int64 and c.directions.dtype == np.int8
             circuits.append((cid, list(zip(c.timestamps.tolist(), c.directions.tolist(), types))))
-        channels.append((ch.channel_id, ch.relay_authenticated, ch.source_tag, circuits))
+        channels.append((ch.channel_id, ch.relay_authenticated, circuits))
     counters = (parsed.line_count, parsed.cell_count, parsed.duplicate_count, parsed.auth_channel_count)
     return counters, channels
 
@@ -196,7 +194,7 @@ def describe(parsed: ParsedLog) -> tuple:
 def outcome(parse, lines, require_type):
     """describe() of the parse, or the ParseError it raised; nothing else may escape."""
     try:
-        return describe(parse(lines, "tag", require_type))
+        return describe(parse(lines, require_type))
     except GuardsiftError as exc:
         assert isinstance(exc, ParseError)
         return ("error", exc.line_no, str(exc))

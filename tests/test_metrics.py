@@ -17,10 +17,8 @@ from guardsift.metrics import (
     Rates,
     ScoreRecord,
     WilsonParams,
-    ecdf_points,
     f1,
     operating_point_at_fpr,
-    per_class_error_cdf,
     r_precision,
     rates,
     read_scores,
@@ -269,33 +267,6 @@ class TestOperatingPoint:
         point = operating_point_at_fpr(records, 0.005)
         assert point.recall == 0.7
         assert point.threshold == 0.7
-
-
-class TestPerClassErrors:
-    def test_all_perfect(self):
-        records = [rec(c, c, 0.9, f"t{c}") for c in range(3)]
-        errors = per_class_error_cdf(records, 0.5)
-        assert errors == [(0, 0.0), (1, 0.0), (2, 0.0)]
-        assert ecdf_points([e for _, e in errors])[-1] == (0.0, 1.0)
-
-    def test_fully_missed_class(self):
-        records = [rec(0, 0, 0.9), rec(1, NONMON, 0.9), rec(1, 0, 0.2)]
-        errors = dict(per_class_error_cdf(records, 0.5))
-        assert errors[1] == 1.0
-
-    def test_mixed_hand_computed(self):
-        records = [
-            rec(0, 0, 0.9), rec(0, 0, 0.9), rec(0, 2, 0.9), rec(0, 0, 0.1),
-            rec(1, 1, 0.9),
-        ]
-        errors = dict(per_class_error_cdf(records, 0.5))
-        assert errors[0] == pytest.approx(0.5)
-        assert errors[1] == 0.0
-
-    def test_missing_class_warns(self):
-        with pytest.warns(UserWarning):
-            out = per_class_error_cdf([rec(0, 0, 0.9)], 0.5, classes=[0, 7])
-        assert dict(out) == {0: 0.0}
 
 
 def test_scores_csv_roundtrip(tmp_path):

@@ -25,7 +25,6 @@ from guardsift.sanitize import (
     SanitizeConfig,
     compute_duration_cap,
     detect_spam_channels,
-    filter_small_circuits,
     group_visits,
     prune_close_tail,
     sanitize,
@@ -92,14 +91,6 @@ class TestHandshakePost:
         # both gaps tiny: ratio bounded by the 1 ms floor, still linked
         circuit = self.post_circuit(0, 0)
         assert validate_handshake_post(circuit, 3.0) == CONFLUX
-
-
-class TestSmallCircuits:
-    def test_boundaries(self):
-        sizes = [199, 200, 5000]
-        circuits = [circuit_from_dirs([1, -1] * (n // 2) + [1] * (n % 2), circuit_id=n) for n in sizes]
-        kept = filter_small_circuits(circuits)
-        assert [c.circuit_id for c in kept] == [200, 5000]
 
 
 def visit(first_party, target, circuit_id, ts=0):

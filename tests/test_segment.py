@@ -281,7 +281,7 @@ class TestPlannerAgainstOracle:
 # --- the array segmentation against the per-cell loops it replaced -------------
 
 
-def reference_finish_segment(cells, config, label, tag):
+def reference_finish_segment(cells, config, label):
     start = next((i for i, (_, d) in enumerate(cells) if d == 1), None)
     if start is None:
         return None
@@ -290,7 +290,7 @@ def reference_finish_segment(cells, config, label, tag):
     cells, _ = oracle_tail_stages([(ts - base, d) for ts, d in cells], config)
     if not cells:
         return None
-    return Trace.from_cells(tuple(cells), phase="pre", label=label, client_tag=tag, tail_trimmed=True)
+    return Trace.from_cells(tuple(cells), phase="pre", label=label, tail_trimmed=True)
 
 
 def circuit_cells(circuit):
@@ -306,7 +306,7 @@ def reference_extract_monitored_window(channel, visit_start, visit_end, config, 
         if visit_start <= cell[0] <= visit_end
     ]
     cells.sort(key=lambda c: c[0])
-    return reference_finish_segment(cells, config, label, channel.source_tag or None)
+    return reference_finish_segment(cells, config, label)
 
 
 def reference_segment_nonmonitored(channel, config):
@@ -320,14 +320,14 @@ def reference_segment_nonmonitored(channel, config):
             if window.t_start <= cell[0] <= window.t_end
         ]
         cells.sort(key=lambda c: c[0])
-        trace = reference_finish_segment(cells, config, None, channel.source_tag or None)
+        trace = reference_finish_segment(cells, config, None)
         if trace is not None:
             traces.append(trace)
     return traces
 
 
 def trace_fields(trace):
-    return (trace.cells, trace.phase, trace.label, trace.client_tag, trace.tail_trimmed)
+    return (trace.cells, trace.phase, trace.label, trace.tail_trimmed)
 
 
 # small thresholds so tail pruning, the duration cap and the length cap all bite

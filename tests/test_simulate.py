@@ -13,6 +13,7 @@ from guardsift.sanitize import SanitizeConfig, sanitize, validate_handshake_post
 from guardsift.simulate import (
     ChannelOutput,
     LegState,
+    LowRttScheduler,
     ScenarioConfig,
     TailPlan,
     _apply_noise,
@@ -24,7 +25,6 @@ from guardsift.simulate import (
     page_model,
     plan_conflux_visit,
     run_rtt_advantage_sweep,
-    schedule_lowrtt,
     simulate_conflux_visit,
 )
 from guardsift.conflux import CellTypeCode
@@ -188,33 +188,46 @@ class TestScheduler:
     def legs(self, rtt_a=50.0, rtt_b=200.0, cwnd=10_000):
         return (LegState(rtt_a, cwnd), LegState(rtt_b, cwnd))
 
+    def send(self, n_cells, legs, spacing_ns=500_000, sendme_interval=100):
+        """The scheduler, and the leg and send time of each of ``n_cells``
+        cells offered ``spacing_ns`` after the previous one was sent."""
+        sched = LowRttScheduler([leg.rtt_ms for leg in legs], legs, sendme_interval)
+        assignments, times = [], []
+        t = 0
+        for _ in range(n_cells):
+            t, leg, _ = sched.send_one(t)
+            assignments.append(leg)
+            times.append(t)
+            t += spacing_ns
+        return sched, assignments, times
+
     def test_all_cells_on_faster_leg(self):
-        result = schedule_lowrtt(500, self.legs())
-        assert result.assignments == [0] * 500
-        assert result.switch_events == []
+        sched, assignments, _ = self.send(500, self.legs())
+        assert assignments == [0] * 500
+        assert sched.switches == []
 
     def test_equal_rtts_tie_to_first_leg(self):
-        result = schedule_lowrtt(50, self.legs(80.0, 80.0))
-        assert set(result.assignments) == {0}
+        _, assignments, _ = self.send(50, self.legs(80.0, 80.0))
+        assert set(assignments) == {0}
 
     def test_cwnd_exhaustion_overflows_to_other_leg(self):
         # window of 100 and a long burst: leg 0 fills, leg 1 takes the rest
         legs = (LegState(50.0, 100), LegState(200.0, 10_000))
-        result = schedule_lowrtt(150, legs, cell_spacing_ns=1000)
-        assert result.assignments[:100] == [0] * 100
-        assert 1 in result.assignments[100:]
-        assert len(result.assignments) == 150  # conservation
+        _, assignments, _ = self.send(150, legs, spacing_ns=1000)
+        assert assignments[:100] == [0] * 100
+        assert 1 in assignments[100:]
+        assert len(assignments) == 150  # conservation
 
     def test_blocked_legs_wait_for_replenish(self):
         legs = (LegState(50.0, 100), LegState(60.0, 100))
-        result = schedule_lowrtt(300, legs, cell_spacing_ns=1000)
-        assert len(result.assignments) == 300
+        _, assignments, times = self.send(300, legs, spacing_ns=1000)
+        assert len(assignments) == 300
         # replenish happened: more cells than the combined initial windows
-        assert result.times[-1] > result.times[0]
+        assert times[-1] > times[0]
 
     def test_cells_since_sendme_stays_below_interval(self):
         legs = self.legs()
-        schedule_lowrtt(1234, legs, sendme_interval=100)
+        self.send(1234, legs, sendme_interval=100)
         for leg in legs:
             assert 0 <= leg.cells_since_sendme < 100
 
@@ -275,6 +288,15 @@ class TestSweep:
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError):
             run_rtt_advantage_sweep(ScenarioConfig(), [-1])
+
+    @pytest.mark.parametrize(
+        "config, n_visits",
+        [(ScenarioConfig(n_visits_per_page=0), None), (ScenarioConfig(), 0)],
+        ids=["no-visits-in-config", "zero-sweep-visits"],
+    )
+    def test_a_sweep_without_visits_is_rejected(self, config, n_visits):
+        with pytest.raises(ConfigError, match="at least one visit"):
+            run_rtt_advantage_sweep(config, [0], n_visits)
 
 
 class TestGenerateDataset:
