@@ -91,7 +91,7 @@ def cmd_generate(args) -> int:
         sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_report(args.report, {"command": "generate", "sweep": rows})
         return 0
-    paths = generate_dataset(config, out_dir, jobs=args.jobs)
+    paths = generate_dataset(config, out_dir)
     _write_report(
         args.report,
         {
@@ -344,12 +344,30 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _rtt_deltas(text: str) -> list[float]:
     """A comma list of finite, non-negative RTT deltas in ms."""
-    deltas = [float(x) for x in text.split(",")]
-    if not all(0 <= d < math.inf for d in deltas):
-        raise argparse.ArgumentTypeError(f"deltas must be non-negative and finite, got {text}")
-    return deltas
+    return [_non_negative_float(x) for x in text.split(",")]
 
 
 def _add_io_flags(parser, needs_out=True):
@@ -373,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report")
     p.add_argument("--rtt-sweep", type=_rtt_deltas, help="comma-separated competitor RTT deltas (ms)")
     p.add_argument("--sweep-visits", type=_positive_int, default=None)
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jitter-ms", type=float, default=None)
-    p.add_argument("--max-duration-s", type=float, default=45.0)
+    p.add_argument("--max-duration-s", type=_positive_float, default=45.0)
     p.add_argument("--load-percent", type=float, default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -420,14 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="open-world metrics over classifier scores")
     p.add_argument("--scores", required=True)
-    p.add_argument("--r", type=float, default=10.0)
+    p.add_argument("--r", type=_non_negative_float, default=10.0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
         "--max-f1", action="store_true", help="pick the F1-maximizing threshold (the default)"
     )
-    mode.add_argument("--target-fpr", type=float, default=None)
-    mode.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--wilson-z", type=float, default=1.96, help="0 disables the Wilson bound")
+    mode.add_argument("--target-fpr", type=_fraction, default=None)
+    mode.add_argument("--threshold", type=_finite_float, default=None)
+    p.add_argument("--wilson-z", type=_non_negative_float, default=1.96, help="0 disables the Wilson bound")
     p.add_argument("--curve", help="write the threshold sweep here")
     p.add_argument("--report")
     p.set_defaults(func=cmd_eval, stages=())

@@ -3,8 +3,8 @@
 The generator stands in for live relay data: it emits the guard cell log,
 the typed client log, the visit log, and a ``truth.json`` sidecar that
 records, per circuit, what the sanitization pipeline should decide about
-it. Channels are generated independently from per-channel seeds, so the
-output is byte-identical for a given seed regardless of worker count.
+it. Each channel draws from its own seed, derived from the scenario seed
+and the channel's index, so the output is byte-identical for a given seed.
 
 Single-leg circuits are int64 arrays of cell rows whose random draws match
 a cell-by-cell pass draw for draw; the logs are merged and written from
@@ -1017,8 +1017,7 @@ def _fill_monitored_post(
         )
 
 
-def _build_channel(args: tuple[ScenarioConfig, ChannelPlan]) -> ChannelOutput:
-    config, plan = args
+def _build_channel(config: ScenarioConfig, plan: ChannelPlan) -> ChannelOutput:
     rng = _rng(config.seed, 0xC4A, plan.index)
     out = ChannelOutput(plan.index, plan.kind)
     t0 = int(_uf(rng, 0.0, 600.0) * SEC)
@@ -1072,17 +1071,13 @@ def _write_rows(path: Path, header: list[str], rows: np.ndarray, block: int = 1 
             f.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
-def generate_dataset(
-    config: ScenarioConfig, out_dir: str | Path, jobs: int = 1
-) -> GeneratedDataset:
+def generate_dataset(config: ScenarioConfig, out_dir: str | Path) -> GeneratedDataset:
     """Write guard.csv, client.csv, visits.csv, and truth.json."""
-    from .parallel import parallel_map
-
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     plans = _make_plans(config)
     try:
-        outputs = parallel_map(_build_channel, [(config, plan) for plan in plans], jobs)
+        outputs = [_build_channel(config, plan) for plan in plans]
     except OverflowError:
         raise ConfigError("the scenario's times do not fit 64-bit nanosecond timestamps") from None
 

@@ -21,8 +21,8 @@ def inject_jitter(
     accumulated jitter, so the trace only ever stretches. Cells pushed
     past ``max_duration_ns`` are dropped. J = 0 returns the trace as is.
     """
-    if jitter_ms < 0:
-        raise ValueError("jitter must be non-negative")
+    if not 0 <= jitter_ms < np.inf:
+        raise ValueError("jitter must be non-negative and finite")
     n = len(trace)
     if jitter_ms == 0 or n < 2:
         return trace

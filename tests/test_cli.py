@@ -79,8 +79,9 @@ def test_segment_path(dataset_dir, tmp_path):
         ["ingest", "--in", "data", "--tag", "x"],
         ["sanitize", "--in", "data", "--phase", "pre", "--out", "o", "--tag", "x"],
         ["conflux", "--in", "data", "--out", "c.csv", "--tag", "x"],
+        ["generate", "--out", "o", "--jobs", "2"],
     ],
-    ids=["segment-subcommand", "featurize-jobs", "ingest-tag", "sanitize-tag", "conflux-tag"],
+    ids=["segment-subcommand", "featurize-jobs", "ingest-tag", "sanitize-tag", "conflux-tag", "generate-jobs"],
 )
 def test_removed_cli_surface_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as err:
@@ -226,12 +227,13 @@ def test_featurize_stage_errors(tmp_path, capsys, ndjson, extra, message):
         (ONE_CELL_TRACE, ["--load-percent", "150"], "percent must be in [1, 100]"),
         (ONE_CELL_TRACE, ["--max-len", "0"], "max_len must be >= 1"),
         (ONE_CELL_TRACE, ["--jitter-ms", "-1"], "jitter must be non-negative"),
+        (ONE_CELL_TRACE, ["--jitter-ms", "nan"], "jitter must be non-negative and finite"),
         ('{"phase":"pre","label":null,"cells":[[0,1],[1.5,1]]}\n', [], "line 1"),
         # jitter would push the second cell past int64
         ('{"phase":"pre","label":null,"cells":[[9223372036854775800,1],[9223372036854775807,1]]}\n',
          ["--jitter-ms", "20"], "sorted"),
     ],
-    ids=["load-percent", "max-len", "negative-jitter", "float-cell", "int64-overflow"],
+    ids=["load-percent", "max-len", "negative-jitter", "nan-jitter", "float-cell", "int64-overflow"],
 )
 def test_transform_stage_errors(tmp_path, capsys, ndjson, flags, message):
     traces = tmp_path / "traces.ndjson"
@@ -469,6 +471,7 @@ def test_garbage_input_is_a_stage_error_in_a_fresh_process(tmp_path, case, garba
 
 TIME_PATH = ["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
 SWEEP = ["generate", "--out", "o", "--rtt-sweep"]
+EVAL = ["eval", "--scores", "scores.csv"]
 # an unknown flag on every command, and numeric flag values a command cannot run with
 USAGE_ERRORS = {
     **{argv[0]: [argv[0], "--no-such-flag"] for argv, _ in GARBAGE_COMMANDS.values()},
@@ -483,6 +486,18 @@ USAGE_ERRORS = {
     "rtt-sweep-empty": ["generate", "--out", "o", "--rtt-sweep="],
     "sweep-visits-zero": [*SWEEP, "0,32", "--sweep-visits", "0"],
     "sweep-visits-negative": [*SWEEP, "0,32", "--sweep-visits=-3"],
+    "max-duration-s-nan": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "nan"],
+    "r-nan": [*EVAL, "--r", "nan"],
+    "r-negative": [*EVAL, "--r=-1"],
+    "r-inf": [*EVAL, "--r", "inf"],
+    "wilson-z-nan": [*EVAL, "--wilson-z", "nan"],
+    "wilson-z-negative": [*EVAL, "--wilson-z=-1"],
+    "target-fpr-nan": [*EVAL, "--target-fpr", "nan"],
+    "target-fpr-zero": [*EVAL, "--target-fpr", "0"],
+    "target-fpr-one": [*EVAL, "--target-fpr", "1"],
+    "target-fpr-two": [*EVAL, "--target-fpr", "2"],
+    "threshold-nan": [*EVAL, "--threshold", "nan"],
+    "threshold-inf": [*EVAL, "--threshold=-inf"],
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import run_fresh
 from guardsift.metrics import NONMON, ScoreRecord, write_scores
+from guardsift.simulate import ScenarioConfig
 from guardsift.trace import Trace, write_dataset
 
 STAGES = {
@@ -70,6 +71,13 @@ def test_eval_loads_no_numpy(tmp_path):
 def test_trace_commands_load_only_their_stage(tmp_path, traces_path, argv, stages):
     argv = [a.format(traces=traces_path, out=tmp_path / "out") for a in argv]
     assert _stages(_modules_after(argv, tmp_path)) == stages
+
+
+def test_generate_loads_no_process_pool(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    ScenarioConfig(n_pages=1, n_visits_per_page=1, n_nonmon_channels=1).to_json(scenario)
+    modules = _modules_after(["generate", "--config", str(scenario), "--out", str(tmp_path / "o")], tmp_path)
+    assert not modules & {"concurrent.futures", "multiprocessing"}
 
 
 @pytest.mark.parametrize("extra", [[], ["--segmentation", "time"]], ids=["circuit", "time"])
