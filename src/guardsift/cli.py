@@ -270,20 +270,25 @@ def cmd_featurize(args) -> int:
         t_max_s = features.default_t_max(columns)
         if t_max_s == 0:
             raise GuardsiftError("every trace lasts 0 s; pass --t-max-s")
+    out_dir = Path(args.out)
     try:
-        array, meta = features.feature_matrix(columns, args.kind, args.length, t_max_s, args.n_slots)
+        blocks = features.FeatureBlocks(columns, args.kind, args.length, t_max_s, args.n_slots)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        features.write_features(out_dir / "features.bin", blocks)
+        if args.csv:
+            features.write_features_csv(out_dir / "features.csv", blocks)
+        with open(out_dir / "labels.csv", "w", encoding="utf-8") as handle:
+            handle.write("trace_id,label\n")
+            # ids a block of rows at a time, so the hashed text of all cells is never held
+            for start in range(0, len(columns), blocks.block_rows):
+                rows = columns.rows(start, start + blocks.block_rows)
+                ids = zip(rows.trace_ids(), rows.labels)
+                handle.writelines(f"{trace_id},{label or ''}\n" for trace_id, label in ids)
     except (ValueError, OverflowError) as exc:
         raise GuardsiftError(str(exc)) from None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    features.write_features(out_dir / "features.bin", array, meta)
-    if args.csv:
-        features.write_features_csv(out_dir / "features.csv", array.reshape(len(columns), -1))
-    report = {"command": "featurize", "shape": list(array.shape), **meta}
-    del array  # freed before the ids are rendered, so the two do not add up in memory
-    rows = (f"{trace_id},{label or ''}\n" for trace_id, label in zip(columns.trace_ids(), columns.labels))
-    (out_dir / "labels.csv").write_text("trace_id,label\n" + "".join(rows), encoding="utf-8")
-    _write_report(args.report, report)
+    except MemoryError as exc:
+        raise GuardsiftError(str(exc) or "out of memory") from None
+    _write_report(args.report, {"command": "featurize", "shape": list(blocks.shape), **blocks.meta})
     return 0
 
 

@@ -148,6 +148,17 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.phases)
 
+    def rows(self, start: int, stop: int) -> TraceColumns:
+        """Traces ``start:stop`` as columns that view these ones."""
+        bounds = self.bounds[start : stop + 1]
+        return TraceColumns(
+            self.timestamps[bounds[0] : bounds[-1]],
+            self.directions[bounds[0] : bounds[-1]],
+            bounds - bounds[0],
+            self.phases[start:stop],
+            self.labels[start:stop],
+        )
+
     def traces(self) -> list[Trace]:
         """One ``Trace`` per trace, with views into the columns as cells."""
         ends = self.bounds.tolist()

@@ -72,7 +72,8 @@ def _tam_horizon_ns(t_max_s: float, n_slots: int) -> int:
         raise ValueError("t_max must be positive and finite")
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    t_max_ns = int(round(t_max_s * SEC))
+    # a horizon past int64 overflows below anyway; inf cannot be rounded
+    t_max_ns = int(round(min(t_max_s * SEC, 2.0**63)))
     if t_max_ns < 1:
         raise ValueError("t_max must be at least 1 ns")
     if t_max_ns * n_slots >= 2**63:
@@ -115,7 +116,7 @@ def default_t_max(columns: TraceColumns) -> float:
     return int((last - first).max(initial=0)) / SEC
 
 
-# cells placed per step: index buffers this small take no memory next to the matrix
+# cells placed per step: index buffers this small take no memory next to a block
 _BLOCK_CELLS = 1 << 13
 
 
@@ -155,53 +156,88 @@ def _tam_counts(columns: TraceColumns, t_max_ns: int, n_slots: int) -> np.ndarra
     return counts.astype(np.int64, copy=False).reshape(n, 2, n_slots)
 
 
-def feature_matrix(
-    columns: TraceColumns,
-    kind: str,
-    length: int = 5000,
-    t_max_s: float | None = None,
-    n_slots: int = 1800,
-) -> tuple[np.ndarray, dict]:
-    """One row per trace of the ``kind`` view, plus the header metadata.
+# bytes of feature rows built at once: featurize holds one block, not the matrix
+_BLOCK_BYTES = 1 << 22
+
+
+class FeatureBlocks:
+    """One row per trace of the ``kind`` view, built a block of rows at a time.
 
     ``direction`` and ``timing`` rows hold ``length`` values; ``tam`` rows
     are 2 x ``n_slots`` matrices over [0, ``t_max_s``]. Row ``i`` equals
     ``direction_sequence``, ``directional_timing`` or ``build_tam`` of
-    trace ``i``; the cells of all traces are placed at once.
+    trace ``i``. Iterating yields the rows in order, ``block_rows`` at a
+    time (fewer in the last block). Direction and timing blocks are views
+    of one buffer that each step zeroes and fills again, so a block is only
+    valid until the next step. ``shape``, ``dtype`` and ``meta`` describe
+    the whole matrix; ``len`` is its row count.
     """
-    if kind == "tam":
-        if t_max_s is None:
-            raise ValueError("tam features need t_max_s")
-        out = _tam_counts(columns, _tam_horizon_ns(t_max_s, n_slots), n_slots)
-        meta = {
-            "kind": kind,
-            "t_max_s": t_max_s,
-            "n_slots": n_slots,
-            "slot_duration_s": t_max_s / n_slots,
-        }
-        return out, meta
-    if kind not in ("direction", "timing"):
-        raise ValueError(f"unknown feature kind {kind!r}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if kind == "direction":
-        out = np.zeros((len(columns), length), dtype=np.int8)
-        _fill_heads(out, columns, lambda cells: columns.directions[cells])
-    else:
-        out = np.zeros((len(columns), length), dtype=np.float64)
-        _fill_heads(
-            out, columns, lambda cells: _signed_seconds(columns.timestamps[cells], columns.directions[cells])
-        )
-    return out, {"kind": kind, "length": length}
+
+    def __init__(
+        self,
+        columns: TraceColumns,
+        kind: str,
+        length: int = 5000,
+        t_max_s: float | None = None,
+        n_slots: int = 1800,
+    ):
+        if kind == "tam":
+            if t_max_s is None:
+                raise ValueError("tam features need t_max_s")
+            self._t_max_ns = _tam_horizon_ns(t_max_s, n_slots)
+            row_shape, self.dtype = (2, n_slots), np.dtype(np.int64)
+            self.meta = {
+                "kind": kind,
+                "t_max_s": t_max_s,
+                "n_slots": n_slots,
+                "slot_duration_s": t_max_s / n_slots,
+            }
+        elif kind in ("direction", "timing"):
+            if length < 1:
+                raise ValueError("length must be >= 1")
+            row_shape = (length,)
+            self.dtype = np.dtype(np.int8 if kind == "direction" else np.float64)
+            self.meta = {"kind": kind, "length": length}
+        else:
+            raise ValueError(f"unknown feature kind {kind!r}")
+        self.columns, self.kind = columns, kind
+        self.shape = (len(columns), *row_shape)
+        self.block_rows = max(1, _BLOCK_BYTES // (math.prod(row_shape) * self.dtype.itemsize))
+        # one buffer for every block: a fresh array per block pays its page faults again
+        buffer_shape = (min(self.block_rows, len(columns)), *row_shape)
+        self._buffer = None if kind == "tam" else np.zeros(buffer_shape, self.dtype)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self):
+        for start in range(0, len(self.columns), self.block_rows):
+            rows = self.columns.rows(start, start + self.block_rows)
+            if self.kind == "tam":
+                yield _tam_counts(rows, self._t_max_ns, self.meta["n_slots"])
+                continue
+            block = self._buffer[: len(rows)]
+            block.fill(0)
+            if self.kind == "direction":
+                _fill_heads(block, rows, lambda cells: rows.directions[cells])
+            else:
+                _fill_heads(
+                    block,
+                    rows,
+                    lambda cells: _signed_seconds(rows.timestamps[cells], rows.directions[cells]),
+                )
+            yield block
 
 
-def write_features(path: str | Path, array: np.ndarray, meta: dict | None = None) -> None:
-    """Row-major binary dump plus a JSON header sidecar."""
+def write_features(path: str | Path, blocks: FeatureBlocks) -> None:
+    """Row-major binary dump plus a JSON header sidecar (shape, dtype and
+    ``blocks.meta``), written after the data. Appending the blocks in turn
+    writes the bytes of one dump of the whole matrix."""
     path = Path(path)
-    array = np.ascontiguousarray(array)
-    array.tofile(path)
-    header = {"shape": list(array.shape), "dtype": str(array.dtype)}
-    header.update(meta or {})
+    with open(path, "wb") as handle:
+        for block in blocks:
+            block.tofile(handle)
+    header = {"shape": list(blocks.shape), "dtype": str(blocks.dtype), **blocks.meta}
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(header, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -242,10 +278,10 @@ def read_features(path: str | Path) -> tuple[np.ndarray, dict]:
     return np.fromfile(path, dtype=dtype, count=count).reshape(shape), header
 
 
-def write_features_csv(path: str | Path, array: np.ndarray) -> None:
-    """Plain-text alternative for inspection."""
-    arr = np.asarray(array)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    fmt = "%d" if np.issubdtype(arr.dtype, np.integer) else "%.9g"
-    np.savetxt(path, arr, fmt=fmt, delimiter=",")
+def write_features_csv(path: str | Path, blocks: FeatureBlocks) -> None:
+    """Plain-text alternative for inspection: one line per row, written a
+    block at a time."""
+    fmt = "%d" if np.issubdtype(blocks.dtype, np.integer) else "%.9g"
+    with open(path, "w", encoding="utf-8") as handle:
+        for block in blocks:
+            np.savetxt(handle, block.reshape(len(block), -1), fmt=fmt, delimiter=",")

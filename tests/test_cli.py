@@ -1,6 +1,8 @@
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import run_fresh
@@ -207,9 +209,12 @@ ONE_CELL_TRACE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
         (None, [], "No such file"),
         (ONE_CELL_TRACE, ["--kind", "tam"], "pass --t-max-s"),
         (ONE_CELL_TRACE, ["--kind", "tam", "--t-max-s", "1e10", "--n-slots", "1800"], "overflows"),
+        # t_max_s * 1e9 is inf, which no integer holds
+        (ONE_CELL_TRACE, ["--kind", "tam", "--t-max-s", "1e300"],
+         "t_max 1e+300 s with 1800 slots overflows int64 slot arithmetic"),
     ],
     ids=["malformed-json", "missing-cells", "unsorted-cells", "missing-file", "zero-duration-tam",
-         "slot-overflow"],
+         "slot-overflow", "infinite-horizon"],
 )
 def test_featurize_stage_errors(tmp_path, capsys, ndjson, extra, message):
     traces = tmp_path / "traces.ndjson"
@@ -219,6 +224,34 @@ def test_featurize_stage_errors(tmp_path, capsys, ndjson, extra, message):
     err = capsys.readouterr().err
     assert err.startswith("guardsift featurize: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "kind, allocator", [("direction", "zeros"), ("timing", "zeros"), ("tam", "bincount")]
+)
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError("Unable to allocate 93.1 GiB for an array with shape (1, 100000000000)"),
+         "Unable to allocate 93.1 GiB for an array with shape (1, 100000000000)"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_featurize_out_of_memory_is_a_stage_error(
+    tmp_path, capsys, kind, allocator, error, message
+):
+    # stands in for a --length or --n-slots too large for memory: a row that
+    # does fit would stream a file of that size to disk
+    traces = tmp_path / "traces.ndjson"
+    traces.write_text(ONE_CELL_TRACE)
+    with mock.patch.object(np, allocator, side_effect=error):
+        status = main([
+            "featurize", "--in", str(traces), "--out", str(tmp_path / "f"), "--kind", kind,
+            "--t-max-s", "45",
+        ])
+    assert status == 1
+    assert capsys.readouterr().err == f"guardsift featurize: error: {message}\n"
 
 
 @pytest.mark.parametrize(

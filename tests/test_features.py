@@ -11,12 +11,12 @@ import guardsift.features as features_module
 from guardsift.cli import main
 from guardsift.errors import GuardsiftError, ParseError
 from guardsift.features import (
+    FeatureBlocks,
     build_tam,
     coarsen_tam,
     default_t_max,
     direction_sequence,
     directional_timing,
-    feature_matrix,
     read_features,
     write_features,
 )
@@ -28,10 +28,21 @@ def trace_of(cells):
     return Trace.from_cells(tuple(cells))
 
 
+def trace_lines(traces):
+    return "".join(oracle_trace_line(t.phase, t.label, t.cells) + "\n" for t in traces)
+
+
 def columns_of(traces):
     """The traces as ``read_columns`` decodes them from their NDJSON lines."""
-    text = "".join(oracle_trace_line(t.phase, t.label, t.cells) + "\n" for t in traces)
-    return read_columns(io.StringIO(text))
+    return read_columns(io.StringIO(trace_lines(traces)))
+
+
+def feature_matrix(columns, kind, *args):
+    """Every block of ``FeatureBlocks`` stacked, plus the header metadata.
+    The blocks share one buffer, so each is copied before the next is filled."""
+    blocks = FeatureBlocks(columns, kind, *args)
+    empty = np.empty((0, *blocks.shape[1:]), blocks.dtype)
+    return np.concatenate([empty] + [block.copy() for block in blocks]), blocks.meta
 
 
 # --- brute-force references: the per-cell loops the numpy builders replace ---
@@ -110,7 +121,12 @@ def trace_batches(draw):
     return traces, t_max_s, n_slots
 
 
-@given(trace_batches(), st.integers(1, 12), st.sampled_from([1, 2, 5, 1 << 13]))
+@given(
+    trace_batches(),
+    st.integers(1, 12),
+    st.sampled_from([1, 2, 5, 1 << 13]),
+    st.sampled_from([1, 100, 1 << 22]),
+)
 @example(
     (
         [
@@ -125,9 +141,12 @@ def trace_batches(draw):
     ),
     8,
     3,
+    1,
 )
 @settings(max_examples=300, deadline=None)
-def test_feature_matrix_on_columns_equals_per_trace_builders(batch, length, block_cells):
+def test_feature_matrix_on_columns_equals_per_trace_builders(
+    batch, length, block_cells, block_bytes
+):
     traces, t_max_s, n_slots = batch
     columns = columns_of(traces)
     builders = {
@@ -135,8 +154,12 @@ def test_feature_matrix_on_columns_equals_per_trace_builders(batch, length, bloc
         "timing": lambda t: directional_timing(t, length),
         "tam": lambda t: build_tam(t, t_max_s, n_slots).matrix,
     }
-    # small blocks split traces between the steps that place cells
-    with mock.patch.object(features_module, "_BLOCK_CELLS", block_cells):
+    # small cell blocks split traces between the steps that place cells, and
+    # small byte budgets split the rows between blocks of the one buffer
+    with (
+        mock.patch.object(features_module, "_BLOCK_CELLS", block_cells),
+        mock.patch.object(features_module, "_BLOCK_BYTES", block_bytes),
+    ):
         for kind, build in builders.items():
             array, _ = feature_matrix(columns, kind, length, t_max_s, n_slots)
             assert len(array) == len(traces)
@@ -230,17 +253,17 @@ class TestFeatureMatrix:
     @pytest.mark.parametrize(
         "t_max_s, n_slots",
         [(0.0, 4), (-1.0, 4), (float("inf"), 4), (float("nan"), 4), (1e-12, 4), (10.0, 0),
-         (1e10, 1800)],  # the last pair overflows t_max_ns * n_slots in int64
+         (1e10, 1800), (1e300, 1)],  # the last two overflow t_max_ns * n_slots in int64
     )
     def test_bad_tam_settings_rejected(self, t_max_s, n_slots):
         with pytest.raises(ValueError):
             build_tam(trace_of([(0, 1)]), t_max_s, n_slots)
         with pytest.raises(ValueError):
-            feature_matrix(columns_of([trace_of([(0, 1)])]), "tam", t_max_s=t_max_s, n_slots=n_slots)
+            FeatureBlocks(columns_of([trace_of([(0, 1)])]), "tam", t_max_s=t_max_s, n_slots=n_slots)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            feature_matrix(columns_of([trace_of([(0, 1)])]), "sizes")
+            FeatureBlocks(columns_of([trace_of([(0, 1)])]), "sizes")
 
 
 def _edge_case_traces():
@@ -280,6 +303,29 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     assert labels == [f"{t.trace_id},{t.label or ''}" for t in traces]
 
 
+@pytest.mark.parametrize("kind", ["direction", "timing", "tam"])
+def test_featurize_outputs_do_not_depend_on_the_block_size(tmp_path, kind):
+    # 7 rows, which blocks of 3 do not divide, with an empty trace and one
+    # longer than --length
+    traces = _edge_case_traces() * 2 + [trace_of([])]
+    traces_path = tmp_path / "traces.ndjson"
+    traces_path.write_text(trace_lines(traces))
+    flags = ["--kind", kind, "--length", "8", "--t-max-s", "2", "--n-slots", "4", "--csv"]
+    row_bytes = {"direction": 8, "timing": 8 * 8, "tam": 2 * 4 * 8}[kind]
+    outputs = {}
+    for rows_per_block in (1, 3, len(traces)):
+        out = tmp_path / f"rows-{rows_per_block}"
+        with mock.patch.object(features_module, "_BLOCK_BYTES", rows_per_block * row_bytes):
+            blocks = FeatureBlocks(columns_of(traces), kind, 8, 2.0, 4)
+            assert blocks.block_rows == rows_per_block
+            assert main(["featurize", "--in", str(traces_path), "--out", str(out), *flags]) == 0
+        names = ("features.bin", "features.bin.json", "labels.csv", "features.csv")
+        outputs[rows_per_block] = [(out / name).read_bytes() for name in names]
+    assert outputs[1] == outputs[3] == outputs[len(traces)]
+    csv_lines = outputs[1][3].decode().splitlines()
+    assert len(csv_lines) == len(traces) and csv_lines[-1] == ",".join(["0"] * 8)
+
+
 def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
     traces_path = tmp_path / "traces.ndjson"
     write_dataset(_edge_case_traces(), 3, traces_path)
@@ -295,12 +341,15 @@ def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
 
 
 def test_feature_dump_roundtrip(tmp_path):
-    array = np.arange(24, dtype=np.int64).reshape(2, 12)
-    write_features(tmp_path / "f.bin", array, {"kind": "tam"})
+    columns = columns_of(_edge_case_traces())
+    blocks = FeatureBlocks(columns, "tam", t_max_s=2.0, n_slots=4)
+    write_features(tmp_path / "f.bin", blocks)
     back, header = read_features(tmp_path / "f.bin")
-    assert np.array_equal(back, array)
-    assert header["kind"] == "tam"
-    assert header["dtype"] == "int64"
+    assert same_bytes(back, feature_matrix(columns, "tam", 5000, 2.0, 4)[0])
+    assert header == {
+        "shape": [3, 2, 4], "dtype": "int64", "kind": "tam", "t_max_s": 2.0, "n_slots": 4,
+        "slot_duration_s": 0.5,
+    }
 
 
 feature_headers = json_values | st.fixed_dictionaries(
@@ -328,8 +377,9 @@ def test_read_features_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, 
 
 
 def test_read_features_rejects_a_shape_the_data_does_not_fill(tmp_path):
-    write_features(tmp_path / "f.bin", np.arange(6, dtype=np.int64), {"kind": "tam"})
+    blocks = FeatureBlocks(columns_of([trace_of([(0, 1)])]), "direction", 6)
+    write_features(tmp_path / "f.bin", blocks)
     header = tmp_path / "f.bin.json"
-    header.write_text(header.read_text().replace("[6]", "[7]"))
-    with pytest.raises(ParseError, match="does not match the 48 bytes"):
+    header.write_text(header.read_text().replace("[1, 6]", "[1, 7]"))
+    with pytest.raises(ParseError, match="does not match the 6 bytes"):
         read_features(tmp_path / "f.bin")

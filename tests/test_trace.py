@@ -395,6 +395,19 @@ def test_column_trace_ids_equal_each_trace_s_content_hash(cell_sets):
     assert read_columns(io.StringIO(text)).trace_ids() == [oracle_trace_id(c) for c in cell_sets]
 
 
+@given(st.lists(cell_lists() | st.just([]), max_size=6), st.data())
+@settings(deadline=None)
+def test_column_rows_are_the_traces_of_that_range(cell_sets, data):
+    lines = [oracle_trace_line("pre", f"p{i}", cells) + "\n" for i, cells in enumerate(cell_sets)]
+    columns = read_columns(io.StringIO("".join(lines)))
+    start = data.draw(st.integers(0, len(cell_sets)))
+    stop = data.draw(st.integers(start, len(cell_sets)))
+    rows = columns.rows(start, stop)
+    assert rows.bounds[0] == 0 and len(rows.bounds) == len(rows) + 1
+    assert rows.traces() == columns.traces()[start:stop]
+    assert rows.trace_ids() == columns.trace_ids()[start:stop]
+
+
 # cells texts as the writer renders them, with numbers of any size
 writer_cells_texts = st.lists(
     st.tuples(st.integers(-(10**20), 10**20), st.integers(-3, 3)), min_size=1, max_size=4
