@@ -9,7 +9,6 @@ module.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from itertools import chain
@@ -174,6 +173,8 @@ class TraceColumns:
 
     def trace_ids(self) -> list[str]:
         """``compute_trace_id`` of every trace, from one rendering of all cells."""
+        import hashlib  # imported by the commands that hash ids only
+
         if not len(self):
             return []
         lengths = np.diff(self.bounds)

@@ -12,19 +12,17 @@ a mandatory ``cell_type`` column, plus a sibling visit log:
 
     first_party_domain,request_ts,target_domain,circuit_id[,leg_a,leg_b]
 
-Cell logs are parsed in bulk: one scan of line starts, one ``np.loadtxt``
-over the data lines, vectorised row checks, and deduplication and grouping
-by sorting, so no per-cell Python object is built. Each circuit holds views
-into the log's channel-sorted arrays.
+Cell logs are decoded from bytes a chunk of lines at a time: one
+``np.fromstring`` per chunk reads the lines in strict digit form, and only
+the other lines are read one by one. Rows are checked, deduplicated and
+grouped by sorting, so no per-cell Python object is built. Each circuit
+holds views into the log's channel-sorted arrays.
 """
 
 from __future__ import annotations
 
-import io
 import logging
-import warnings
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -34,6 +32,8 @@ from .errors import ParseError, read_utf8
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_CHUNK_BYTES = 1 << 20  # cell logs are decoded in runs of whole lines of about this size
+_MAX_DIGITS = 18  # a field of at most this many digits always fits int64
 
 log = logging.getLogger(__name__)
 
@@ -72,25 +72,6 @@ class ParsedLog:
     cell_count: int = 0
     duplicate_count: int = 0
     auth_channel_count: int = 0
-
-
-def _read_text(source: str | Path | IO[str] | Iterable[str]) -> str:
-    """Whole text of a path (with universal newlines, as ``open`` reads it),
-    an open text file or an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        text = read_utf8(source)
-        return io.StringIO(text, newline=None).read() if "\r" in text else text
-    if hasattr(source, "read"):
-        return source.read()
-    return "\n".join(line[:-1] if line.endswith("\n") else line for line in source)
-
-
-def _split_lines(text: str) -> tuple[list[str], np.ndarray]:
-    """The lines of ``text`` and a mask of those that open with a digit."""
-    # the extra newline is the first byte of an empty last line
-    raw = np.frombuffer((text + "\n").encode("utf-8"), dtype=np.uint8)
-    first = raw[np.concatenate(([0], np.flatnonzero(raw[:-1] == ord("\n")) + 1))]
-    return text.split("\n"), (first >= ord("0")) & (first <= ord("9"))
 
 
 def _is_header(line: str) -> bool:
@@ -157,111 +138,177 @@ def _table_per_line(
     return np.array([row[:width] for row in rows], dtype=np.int64).reshape(-1, width)
 
 
-def _parse_table(lines: list[str], line_nos: np.ndarray, require_type: bool) -> np.ndarray:
-    """Data lines as an int64 table: 4 columns, or 5 when cells carry types.
-
-    Logs whose rows all have the first row's shape are read by one
-    ``np.loadtxt`` call; anything else falls back to ``_table_per_line``.
-    """
-    if not lines:
-        return np.empty((0, 4), dtype=np.int64)
-    n_fields = lines[0].count(",") + 1
-    if n_fields >= 5 or (n_fields == 4 and not require_type):
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 still reads "1.0" as an int, with a DeprecationWarning
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(
-                    lines,
-                    dtype=np.int64,
-                    delimiter=",",
-                    comments=None,
-                    usecols=range(5) if n_fields >= 5 else None,
-                    ndmin=2,
-                )
-        except (ValueError, OverflowError, DeprecationWarning):
-            pass
-        else:
-            _check_rows(table, line_nos)
-            return table
-    return _table_per_line(lines, line_nos, require_type)
+def _read_bytes(source: str | Path | IO[str] | Iterable[str]) -> bytes:
+    """UTF-8 bytes of a path, an open text file or an iterable of lines, with
+    universal newlines: "\\r\\n" and a lone "\\r" end a line as "\\n" does."""
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+        if not data.isascii():  # read_utf8 names the first line that is not UTF-8
+            data = read_utf8(source).encode("utf-8")
+    elif hasattr(source, "read"):
+        data = source.read().encode("utf-8")
+    else:
+        data = "\n".join(line[:-1] if line.endswith("\n") else line for line in source).encode("utf-8")
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _group_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Deduplicate rows and order them for per-circuit slicing.
+def _line_chunks(data: bytes) -> Iterable[bytes]:
+    """Runs of about ``_CHUNK_BYTES`` of whole lines, each ending in a newline."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK_BYTES - 1) + 1 or len(data)
+        chunk = data[start:end]
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+        start = end
 
-    Returns the kept rows sorted by (channel first appearance, circuit first
-    appearance within the channel, log position), the end offset of every
-    (channel, circuit) group in that order, and the duplicate count. Of
-    several identical rows the first is kept.
-    """
-    if not len(table):
-        return table, np.empty(0, dtype=np.int64), 0
-    # sorted by every column; stable, so identical rows stay in log order
-    order = np.lexsort(table.T[::-1])
-    ranked = table[order]
-    repeat = np.zeros(len(table), dtype=bool)
-    repeat[1:] = (ranked[1:] == ranked[:-1]).all(axis=1)
-    kept = order[~repeat]  # row numbers, grouped by (channel, circuit)
-    channel, circuit = ranked[~repeat, 0], ranked[~repeat, 1]
-    new_channel = np.ones(len(kept), dtype=bool)
-    new_channel[1:] = channel[1:] != channel[:-1]
-    new_group = new_channel.copy()
-    new_group[1:] |= circuit[1:] != circuit[:-1]
-    group_starts = np.flatnonzero(new_group)
-    sizes = np.diff(np.append(group_starts, len(kept)))
-    group_first = np.minimum.reduceat(kept, group_starts)
-    channel_starts = new_channel[group_starts]
-    channel_first = np.minimum.reduceat(group_first, np.flatnonzero(channel_starts))
-    by_rank = np.lexsort((group_first, channel_first[np.cumsum(channel_starts) - 1]))
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(len(by_rank))
-    final = kept[np.lexsort((kept, np.repeat(rank, sizes)))]
-    return table[final], np.cumsum(sizes[by_rank]), int(repeat.sum())
+
+def _strict_lines(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The field count of every line of ``buf`` and whether the line is in
+    strict form: fields of 1 to ``_MAX_DIGITS`` digits, each optionally led
+    by "-", joined by commas. ``ends`` holds each line's newline offset."""
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    lead = buf[starts] == ord("-")
+    digits = seps - starts - lead
+    odd = (buf - np.uint8(ord("0"))) > 9  # neither a digit, a separator nor a leading "-"
+    odd[seps] = False
+    odd[starts[lead]] = False
+    bad = np.zeros(len(ends), dtype=bool)
+    bad[np.searchsorted(ends, np.flatnonzero(odd))] = True
+    bad[np.searchsorted(ends, seps[(digits < 1) | (digits > _MAX_DIGITS)])] = True
+    fields = np.diff(np.flatnonzero(buf[seps] == ord("\n")), prepend=-1)
+    return fields, ~bad
+
+
+def _widen(table: np.ndarray, width: int) -> np.ndarray:
+    """``table`` with a column of untyped cells added up to ``width`` columns."""
+    if table.shape[1] == width:
+        return table
+    return np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=NO_CELL_TYPE)
 
 
 def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
     """The data rows of a cell log as an int64 table, and its #AUTH channel ids.
 
-    Lines that open with a digit are data rows; only the others (blank,
-    comment, marker, header, leading space or sign) are looked at one by one.
+    Lines in strict form with the log's field count (that of its first
+    strict line of 4 or 5 fields; 5 in a client log) are read by one
+    ``np.fromstring`` per chunk. The others (blank, comment, marker, header,
+    or a data row of any other spelling, for ``_table_per_line``) are looked
+    at one by one. The table has 5 columns when any cell carries a type.
     """
-    lines, is_data = _split_lines(_read_text(source))
+    data = _read_bytes(source)
     auth_ids: set[int] = set()
-    marker_error = None
-    for i in np.flatnonzero(~is_data).tolist():
-        line = lines[i].strip()
-        if line and line[0] != "#":
-            is_data[i] = True
-        elif line.startswith("#AUTH"):
-            try:
-                auth_ids.add(_auth_channel_id(line, i + 1))
-            except ParseError as exc:
-                # data lines above the marker may hold an earlier error
-                marker_error = exc
-                is_data[i:] = False
-                break
-    line_index = np.flatnonzero(is_data)
-    data = list(compress(lines, is_data.tolist()))
-    header = 0
-    while header < len(data) and _is_header(data[header]):
-        header += 1
-    table = _parse_table(data[header:], line_index[header:] + 1, require_type)
-    if marker_error is not None:
-        raise marker_error
+    parts: list[np.ndarray] = []
+    n_fields = 5 if require_type else 0
+    saw_data = False
+    line_no = 1  # of the chunk's first line
+    for chunk in _line_chunks(data):
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        fields, strict = _strict_lines(buf, ends)
+        if not n_fields:
+            first = np.flatnonzero(strict & ((fields == 4) | (fields == 5)))
+            n_fields = int(fields[first[0]]) if len(first) else 0
+        strict &= fields == n_fields
+        rows = np.flatnonzero(strict)
+        first_strict = rows[0] if len(rows) else len(ends)
+        other, other_nos, errors = [], [], []
+        for i in np.flatnonzero(~strict).tolist():
+            line = chunk[ends[i - 1] + 1 if i else 0 : ends[i]].decode("utf-8")
+            stripped = line.strip()
+            if stripped.startswith("#AUTH"):
+                try:
+                    auth_ids.add(_auth_channel_id(stripped, line_no + i))
+                except ParseError as exc:
+                    errors.append(exc)  # data lines above the marker may hold an earlier error
+                    break
+            elif stripped[:1] not in ("", "#"):
+                if saw_data or i > first_strict or not _is_header(line):
+                    saw_data = True
+                    other.append(line)
+                    other_nos.append(line_no + i)
+        saw_data |= len(rows) > 0
+        table = np.empty((0, n_fields or 4), dtype=np.int64)
+        if len(rows):
+            if len(rows) < len(ends):
+                chunk = buf[np.repeat(strict, np.diff(ends, prepend=-1))].tobytes()
+            values = np.fromstring(chunk[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
+            table = values.reshape(-1, n_fields)
+        try:
+            _check_rows(table, rows + line_no)
+        except ParseError as exc:
+            errors.append(exc)
+        try:
+            per_line = _table_per_line(other, np.array(other_nos, dtype=np.int64), require_type)
+        except ParseError as exc:
+            errors.append(exc)
+        if errors:
+            raise min(errors, key=lambda exc: exc.line_no)
+        if len(per_line):
+            width = max(table.shape[1], per_line.shape[1])
+            by_line = np.argsort(np.concatenate((rows + line_no, other_nos)), kind="stable")
+            table = np.concatenate((_widen(table, width), _widen(per_line, width)))[by_line]
+        parts.append(table)
+        line_no += len(ends)
+    width = max((part.shape[1] for part in parts), default=4)
+    table = np.concatenate([_widen(part, width) for part in parts] + [np.empty((0, width), dtype=np.int64)])
     return table, auth_ids
+
+
+def _group_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Deduplicate rows and order them for per-circuit slicing.
+
+    Returns the row numbers of the kept rows in (channel first appearance,
+    circuit first appearance within the channel, log order) order, the end
+    offset of every (channel, circuit) group in that order, and the
+    duplicate count. Of several identical rows the first is kept.
+
+    Rows are grouped by one stable sort on a packed (channel, circuit id)
+    key; channel ids are ranked by value to fit its upper 32 bits.
+    Duplicates are looked for only among the rows whose cell (timestamp and
+    direction) another row shares, which one stable sort by cell finds.
+    """
+    n = len(table)
+    if not n:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    _, channel = np.unique(table[:, 0], return_inverse=True)
+    key = channel << 32 | table[:, 1]
+    # timestamps are validated non-negative, so 2 * ts + 1 fits uint64
+    cell = table[:, 2].view(np.uint64) * 2 + (table[:, 3] > 0)
+    by_cell = np.argsort(cell, kind="stable")
+    tie = np.flatnonzero(cell[by_cell][1:] == cell[by_cell][:-1])
+    rows = by_cell[np.union1d(tie, tie + 1)]  # rows that share their cell, in log order
+    values = np.column_stack((key[rows], table[rows, 2:]))
+    same = np.lexsort(values.T[::-1])  # stable, so identical rows stay in log order
+    values, rows = values[same], rows[same]
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[rows[1:][(values[1:] == values[:-1]).all(axis=1)]] = True
+    order = np.argsort(key, kind="stable")  # grouped, each group in log order
+    grouped = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    group_first = order[starts]
+    new_channel = np.concatenate(([True], np.diff(grouped[starts] >> 32) != 0))
+    channel_first = np.minimum.reduceat(group_first, np.flatnonzero(new_channel))
+    by_rank = np.lexsort((group_first, channel_first[np.cumsum(new_channel) - 1]))
+    sizes = np.diff(np.append(starts, n))[by_rank]
+    ranked_starts = np.cumsum(sizes) - sizes
+    order = order[np.arange(n) + np.repeat(starts[by_rank] - ranked_starts, sizes)]
+    kept = ~duplicate[order]
+    ends = np.cumsum(kept)[np.cumsum(sizes) - 1]
+    return order[kept], ends, int(duplicate.sum())
 
 
 def _parse_cells(source, require_type: bool) -> ParsedLog:
     table, auth_ids = _read_table(source, require_type)
-    rows, ends, duplicates = _group_cells(table)
-    timestamps = rows[:, 2].copy()
-    directions = rows[:, 3].astype(np.int8)
-    cell_types = rows[:, 4].copy() if rows.shape[1] > 4 else None
+    order, ends, duplicates = _group_cells(table)
+    timestamps = table[order, 2]
+    directions = table[order, 3].astype(np.int8)
+    cell_types = table[order, 4] if table.shape[1] > 4 else None
+    last = order[ends - 1]
     channels: dict[int, Channel] = {}
     start = 0
     for end, channel_id, circuit_id in zip(
-        ends.tolist(), rows[ends - 1, 0].tolist(), rows[ends - 1, 1].tolist()
+        ends.tolist(), table[last, 0].tolist(), table[last, 1].tolist()
     ):
         channel = channels.get(channel_id)
         if channel is None:
@@ -284,7 +331,7 @@ def _parse_cells(source, require_type: bool) -> ParsedLog:
     return ParsedLog(
         channels=list(channels.values()),
         line_count=len(table),
-        cell_count=len(rows),
+        cell_count=len(order),
         duplicate_count=duplicates,
         auth_channel_count=len(auth_ids),
     )
@@ -297,21 +344,16 @@ def parse_guard_log(source) -> ParsedLog:
 
 def filter_relay_channels(channels: Iterable[Channel]) -> tuple[list[Channel], int]:
     """Drop authenticated (relay-to-relay) channels; returns (kept, dropped)."""
-    kept = []
-    dropped = 0
-    for channel in channels:
-        if channel.relay_authenticated:
-            dropped += 1
-        else:
-            kept.append(channel)
-    return kept, dropped
+    channels = list(channels)
+    kept = [channel for channel in channels if not channel.relay_authenticated]
+    return kept, len(channels) - len(kept)
 
 
 def parse_visit_log(source) -> list[PageVisitRecord]:
     """Parse the client-side visit log."""
     visits = []
     saw_data = False
-    for line_no, raw in enumerate(_read_text(source).split("\n"), start=1):
+    for line_no, raw in enumerate(_read_bytes(source).decode("utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -349,10 +391,7 @@ class ClientLog:
     stats: ParsedLog | None = None
 
     def circuit_map(self) -> dict[int, Circuit]:
-        out: dict[int, Circuit] = {}
-        for channel in self.channels:
-            out.update(channel.circuits)
-        return out
+        return {cid: c for channel in self.channels for cid, c in channel.circuits.items()}
 
 
 def parse_client_log(cell_source, visit_source) -> ClientLog:

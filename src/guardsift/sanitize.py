@@ -198,40 +198,50 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
 
 
 def prune_close_tail(
-    timestamps: np.ndarray, directions: np.ndarray, config: SanitizeConfig
-) -> tuple[int, bool]:
-    """The gap stages of the tail trim: how many leading cells survive them.
+    timestamps: np.ndarray, directions: np.ndarray, starts, ends, config: SanitizeConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gap stages of the tail trim, over segments of time-sorted cells.
 
-    The last 2 cells (circuit teardown) go first. Then a trailing burst that
-    looks like browser-shutdown traffic goes too: the cells after the last
-    idle gap of at least ``tail_gap_ns``, when they start with an outgoing
-    cell (the client initiates closing) and are fewer than
-    ``max_tail_cells`` or last less than ``max_tail_duration_ns``. Returns
-    the end index and whether the burst was pruned.
+    Segment k is cells ``starts[k]:ends[k]``. Its last 2 cells (circuit
+    teardown) go first. Then a trailing burst that looks like
+    browser-shutdown traffic goes too: the cells after the last idle gap of
+    at least ``tail_gap_ns``, when they start with an outgoing cell (the
+    client initiates closing) and are fewer than ``max_tail_cells`` or last
+    less than ``max_tail_duration_ns``. Returns every segment's end after
+    these stages and whether its burst was pruned.
     """
-    end = max(len(timestamps) - 2, 0)
-    gaps = np.flatnonzero(np.diff(timestamps[:end]) >= config.tail_gap_ns)
-    if not len(gaps):
-        return end, False
-    cut = int(gaps[-1]) + 1
-    if directions[cut] != OUTGOING:
-        return end, False
-    tail_duration = int(timestamps[end - 1]) - int(timestamps[cut])
-    if end - cut < config.max_tail_cells or tail_duration < config.max_tail_duration_ns:
-        return cut, True
-    return end, False
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.maximum(np.asarray(ends, dtype=np.int64) - 2, starts)
+    # the cells that follow an idle gap, after a sentinel below every start
+    after_gap = np.append(-1, np.flatnonzero(np.diff(timestamps) >= config.tail_gap_ns) + 1)
+    cut = after_gap[np.searchsorted(after_gap, ends) - 1]  # the last one before the end
+    gapped = np.flatnonzero(cut > starts)
+    cut, end = cut[gapped], ends[gapped]
+    short = (end - cut < config.max_tail_cells) | (
+        timestamps[end - 1] - timestamps[cut] < config.max_tail_duration_ns
+    )
+    prune = (directions[cut] == OUTGOING) & short
+    pruned = np.zeros(len(ends), dtype=bool)
+    pruned[gapped[prune]] = True
+    ends[gapped[prune]] = cut[prune]
+    return ends, pruned
 
 
-def cap_tail(timestamps: np.ndarray, cap_ns: int | None, max_len: int) -> tuple[int, int]:
-    """The cap stages of the tail trim on time-sorted cells.
+def cap_tail(
+    timestamps: np.ndarray, starts, ends, cap_ns: int | None, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cap stages of the tail trim, over segments of time-sorted cells.
 
-    Returns the end index after the duration cap (cells at or before
-    ``cap_ns``; ``None`` keeps all) and the end after the length cap.
+    Segment k is cells ``starts[k]:ends[k]``. Returns every segment's end
+    after the duration cap (cells at or before ``cap_ns``; ``None`` keeps
+    all) and its end after the length cap.
     """
-    capped = len(timestamps)
+    starts = np.asarray(starts, dtype=np.int64)
+    capped = np.asarray(ends, dtype=np.int64)
     if cap_ns is not None:
-        capped = int(np.searchsorted(timestamps, cap_ns, side="right"))
-    return capped, min(capped, max_len)
+        below = np.concatenate(([0], np.cumsum(timestamps <= cap_ns)))
+        capped = starts + below[capped] - below[starts]
+    return capped, np.minimum(capped, starts + min(max_len, len(timestamps)))
 
 
 def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
@@ -244,8 +254,8 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
     """
     end = len(trace)
     if not trace.tail_trimmed:
-        end, _ = prune_close_tail(trace.timestamps, trace.directions, config)
-    _, end = cap_tail(trace.timestamps[:end], config.duration_cap_ns, config.max_len)
+        (end,), _ = prune_close_tail(trace.timestamps, trace.directions, [0], [end], config)
+    _, (end,) = cap_tail(trace.timestamps, [0], [end], config.duration_cap_ns, config.max_len)
     if not end:
         raise EmptyAfterTrimError(f"trace {trace.trace_id}: empty after tail trim")
     if end == len(trace) and trace.tail_trimmed:
@@ -345,45 +355,43 @@ def _trim_cohort(
     report: SanitizationReport,
     outcomes: dict[int, str],
 ) -> list[Trace]:
-    """Run tail trimming over head-trimmed traces.
+    """Run tail trimming over head-trimmed traces, all of them at once.
 
     The duration cap comes from the monitored traces after the gap-based
     stages, so those stages run first for everyone.
     """
-    staged: list[tuple[Trace, str | None, int]] = []
-    for trace, label, circuit_id in entries:
-        end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
-        if not end:
-            report.trim_dropped += 1
-            outcomes[circuit_id] = Stage.TRIM
-            continue
-        if pruned:
-            report.tail_gap_pruned += 1
-        kept = trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
-        staged.append((kept, label, circuit_id))
+    traces = [trace for trace, _, _ in entries]
+    sizes = np.array([len(trace) for trace in traces], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    timestamps = np.concatenate([t.timestamps for t in traces] + [np.empty(0, dtype=np.int64)])
+    directions = np.concatenate([t.directions for t in traces] + [np.empty(0, dtype=np.int8)])
+    ends, pruned = prune_close_tail(timestamps, directions, starts, starts + sizes, config)
+    report.tail_gap_pruned += int(np.count_nonzero(pruned & (ends > starts)))
 
     cap = config.duration_cap_ns
     if cap is None:
-        monitored = [t for t, label, _ in staged if label is not None]
+        monitored = [
+            trace.with_cells(trace.timestamps[:size], trace.directions[:size], tail_trimmed=True)
+            for (trace, label, _), size in zip(entries, (ends - starts).tolist())
+            if label is not None and size
+        ]
         if monitored:
             cap = compute_duration_cap(monitored, config.duration_cap_percentile)
         else:
             log.warning("no monitored traces and no explicit cap; skipping duration cap")
     report.duration_cap_ns = cap
 
+    capped, kept = cap_tail(timestamps, starts, ends, cap, config.max_len)
+    report.duration_capped += int(np.count_nonzero(capped < ends))
+    report.length_truncated += int(np.count_nonzero(kept < capped))
     out: list[Trace] = []
-    for trace, label, circuit_id in staged:
-        capped, end = cap_tail(trace.timestamps, cap, config.max_len)
-        if capped < len(trace):
-            report.duration_capped += 1
-        if end < capped:
-            report.length_truncated += 1
-        if not end:
+    for (trace, label, circuit_id), size in zip(entries, (kept - starts).tolist()):
+        if not size:
             report.trim_dropped += 1
             outcomes[circuit_id] = Stage.TRIM
             continue
-        timestamps, directions = trace.timestamps[:end], trace.directions[:end]
-        out.append(trace.with_cells(timestamps, directions, label=label))
+        timestamps, directions = trace.timestamps[:size], trace.directions[:size]
+        out.append(trace.with_cells(timestamps, directions, label=label, tail_trimmed=True))
         outcomes[circuit_id] = Stage.RETAINED
         report.retained += 1
     return out

@@ -8,7 +8,6 @@ is segmented by a greedy pass over circuit lifespans.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,47 +48,57 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
 
     Every circuit before the opener is already consumed and every later one
     ends no earlier than the opener starts, so a window consumes exactly the
-    run of circuits that start by its end: one sort plus one bisection per
-    window.
+    run of circuits that start by its end: one stable sort of the start
+    times, and one ``searchsorted`` of every end among them.
     """
-    circuits = sorted(channel.circuits.values(), key=lambda c: c.start_ts)
-    for circuit in circuits:
-        if circuit.end_ts < circuit.start_ts:
-            raise MalformedCircuitError(
-                f"channel {channel.channel_id}: circuit {circuit.circuit_id} ends at"
-                f" {circuit.end_ts} ns, before its first cell at {circuit.start_ts} ns"
-            )
-    starts = [c.start_ts for c in circuits]
+    circuits = list(channel.circuits.values())
+    starts = np.fromiter((c.timestamps[0] for c in circuits), np.int64, len(circuits))
+    order = np.argsort(starts, kind="stable")
+    ends = np.fromiter((c.timestamps[-1] for c in circuits), np.int64, len(circuits))
+    starts, ends = starts[order], ends[order]
+    backwards = np.flatnonzero(ends < starts)
+    if len(backwards):
+        i = int(backwards[0])
+        raise MalformedCircuitError(
+            f"channel {channel.channel_id}: circuit {circuits[order[i]].circuit_id} ends at"
+            f" {ends[i]} ns, before its first cell at {starts[i]} ns"
+        )
+    ids = [circuits[k].circuit_id for k in order.tolist()]
+    consumed_to = np.searchsorted(starts, ends, side="right").tolist()
+    starts, ends = starts.tolist(), ends.tolist()
     windows: list[SegmentWindow] = []
     i = 0
-    while i < len(circuits):
-        t_start, t_end = circuits[i].start_ts, circuits[i].end_ts
-        j = bisect_right(starts, t_end, lo=i)
-        consumed = frozenset(c.circuit_id for c in circuits[i:j])
-        windows.append(SegmentWindow(channel.channel_id, t_start, t_end, consumed))
+    while i < len(ids):
+        j = consumed_to[i]
+        windows.append(SegmentWindow(channel.channel_id, starts[i], ends[i], frozenset(ids[i:j])))
         i = j
     return windows
 
 
-def _finish_segment(
-    timestamps: np.ndarray,
-    directions: np.ndarray,
-    config: SanitizeConfig,
-    label: str | None,
-) -> Trace | None:
-    """Align time-sorted cells to the first outgoing one, normalize, tail-trim."""
-    outgoing = np.flatnonzero(directions == OUTGOING)
-    if not len(outgoing):
-        return None
-    start = int(outgoing[0])
-    timestamps = timestamps[start:] - timestamps[start]
-    directions = directions[start:]
+def _finish_segments(
+    timestamps, directions, starts, ends, config: SanitizeConfig, label: str | None
+) -> list[Trace]:
+    """Traces of the time-sorted segments ``starts[k]:ends[k]``, which tile the cells.
+
+    Each segment is aligned to its first outgoing cell, normalized and
+    tail-trimmed, all segments at once. A segment without an outgoing cell,
+    or that trims away entirely, yields no trace.
+    """
+    if not len(directions):
+        return []
+    outgoing = np.append(np.flatnonzero(directions == OUTGOING), len(directions))
+    first = np.minimum(outgoing[np.searchsorted(outgoing, starts)], ends)
+    # each segment shifted so that its first outgoing cell sits at 0
+    base = timestamps[np.minimum(first, len(directions) - 1)]
+    timestamps = timestamps - np.repeat(base, ends - starts)
     # the channel view has no handshake to strip, so only the tail stages run
-    end, _ = prune_close_tail(timestamps, directions, config)
-    _, end = cap_tail(timestamps[:end], config.duration_cap_ns, config.max_len)
-    if not end:
-        return None
-    return Trace(timestamps[:end], directions[:end], PRE, label=label, tail_trimmed=True)
+    ends, _ = prune_close_tail(timestamps, directions, first, ends, config)
+    _, ends = cap_tail(timestamps, first, ends, config.duration_cap_ns, config.max_len)
+    return [
+        Trace(timestamps[start:end], directions[start:end], PRE, label=label, tail_trimmed=True)
+        for start, end in zip(first.tolist(), ends.tolist())
+        if end > start
+    ]
 
 
 def _concat(circuits: list[Circuit]) -> tuple[np.ndarray, np.ndarray]:
@@ -122,13 +131,15 @@ def extract_monitored_window(
     timestamps, directions = _concat(list(channel.circuits.values()))
     inside = np.flatnonzero((visit_start <= timestamps) & (timestamps <= visit_end))
     order = inside[np.argsort(timestamps[inside], kind="stable")]
-    trace = _finish_segment(timestamps[order], directions[order], config, label)
-    if trace is None:
+    traces = _finish_segments(
+        timestamps[order], directions[order], np.array([0]), np.array([len(order)]), config, label
+    )
+    if not traces:
         raise EmptySegmentError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
             " has no usable outgoing-aligned cells"
         )
-    return trace
+    return traces[0]
 
 
 def segment_nonmonitored(
@@ -158,12 +169,7 @@ def segment_nonmonitored(
     # stable: within a window, ties keep circuit-id order, then log order
     order = inside[np.lexsort((timestamps[inside], window[inside]))]
     timestamps, directions, window = timestamps[order], directions[order], window[order]
-    ends = np.searchsorted(window, np.arange(len(windows)), side="right").tolist()
-    traces: list[Trace] = []
-    start = 0
-    for end in ends:
-        trace = _finish_segment(timestamps[start:end], directions[start:end], config, None)
-        if trace is not None:
-            traces.append(trace)
-        start = end
-    return traces
+    starts, ends = (
+        np.searchsorted(window, np.arange(len(windows)), side=side) for side in ("left", "right")
+    )
+    return _finish_segments(timestamps, directions, starts, ends, config, None)

@@ -7,7 +7,6 @@ client-side convention: +1 for cells sent by the client towards the guard,
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -81,6 +80,8 @@ def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str =
     Invariant under timestamp offsets, so a trace keeps its id through
     normalization. The salt separates id spaces of unrelated datasets.
     """
+    import hashlib  # imported by the commands that hash ids only
+
     # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
     gaps = np.diff(timestamps, prepend=timestamps[:1]).view(np.uint64)
     text = salt + ("%d,%d;" * len(gaps)) % _pairs(directions, gaps)

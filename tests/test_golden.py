@@ -1,0 +1,99 @@
+"""Golden bytes: the artifacts of a fixed-seed noisy scenario never change.
+
+The digests were taken before the log parser decoded bytes in chunks and
+grouped cells by a packed key, and before the time path trimmed every
+window of a channel at once. A change to any of these files is a format
+change and must be made on purpose.
+"""
+
+import hashlib
+from unittest import mock
+
+import pytest
+
+from guardsift import ingest
+from guardsift.cli import main
+from guardsift.simulate import ScenarioConfig
+
+# post phase with dropped and reordered cells and a small spam channel, so
+# both segmentation paths, the time path's windows and Conflux legs all run
+SCENARIO = ScenarioConfig(
+    seed=0, phase="post", n_pages=3, n_visits_per_page=3, n_nonmon_channels=5,
+    spam_channel_fraction=0.2, spam_circuit_range=(60, 80), relay_auth_channels=1,
+    drop_prob=0.05, reorder_prob=0.05, exit_switch_prob=0.1,
+)
+SANITIZE_CONFIG = '{"spam_circuit_threshold": 100}'  # keeps the spam channel
+GOLDEN = {
+    ("clean", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
+    ("clean", "circuit", "report.json"): "73366aa5e09fd824ef43f39572a42c0cd8c6999bbca8e417eafb1bfd9498e067",
+    ("clean", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
+    ("clean", "time", "report.json"): "9fe330b61c9661cebebf5e0409ac8c1c3d3d467279c20a912181f26b55b95002",
+    ("repeated", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
+    ("repeated", "circuit", "report.json"): "ddd549d7065bbea70f51ae42b4d4e4420ac37af38095a57daab7b1a0bf032426",
+    ("repeated", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
+    ("repeated", "time", "report.json"): "9fe330b61c9661cebebf5e0409ac8c1c3d3d467279c20a912181f26b55b95002",
+    ("clean", "conflux.csv"): "12b8e19e2ca1d9fb5c8420ae16c36de2d645d61fbb94cf2cb4bfc82847faae74",
+}
+
+
+def repeat_rows(text: str) -> str:
+    """Every 7th data row again, 3 lines further on, so copies of a row sit
+    apart from it and out of time order."""
+    lines = text.split("\n")
+    out = list(lines)
+    for i in reversed(range(len(lines))):
+        if lines[i][:1].isdigit() and i % 7 == 0:
+            out.insert(min(i + 4, len(out)), lines[i])
+    return "\n".join(out)
+
+
+def artifact_digests(tmp_path) -> dict:
+    """sha256 of every artifact in ``GOLDEN``, from fresh runs in ``tmp_path``."""
+    scenario = tmp_path / "scenario.json"
+    SCENARIO.to_json(scenario)
+    clean = tmp_path / "clean"
+    assert main(["generate", "--config", str(scenario), "--out", str(clean), "--seed", "3"]) == 0
+    repeated = tmp_path / "repeated"
+    repeated.mkdir()
+    for name in ("client.csv", "visits.csv"):
+        (repeated / name).write_bytes((clean / name).read_bytes())
+    (repeated / "guard.csv").write_text(repeat_rows((clean / "guard.csv").read_text()))
+    config = tmp_path / "sanitize.json"
+    config.write_text(SANITIZE_CONFIG)
+    digests = {}
+    for data in ("clean", "repeated"):
+        for path in ("circuit", "time"):
+            out = tmp_path / "out" / data / path
+            argv = ["sanitize", "--in", str(tmp_path / data), "--phase", "post", "--out", str(out)]
+            assert main(argv + ["--segmentation", path, "--config", str(config), "--seed", "5"]) == 0
+            for name in ("traces.ndjson", "report.json"):
+                digests[data, path, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    conflux = tmp_path / "conflux.csv"
+    assert main(["conflux", "--in", str(clean), "--out", str(conflux)]) == 0
+    digests["clean", "conflux.csv"] = hashlib.sha256(conflux.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module", params=[ingest._CHUNK_BYTES, 4096], ids=["1MiB", "4KiB"])
+def digests(request, tmp_path_factory):
+    # small chunks put chunk boundaries all through the logs
+    with mock.patch.object(ingest, "_CHUNK_BYTES", request.param):
+        return artifact_digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("artifact", list(GOLDEN), ids=["-".join(key) for key in GOLDEN])
+def test_artifact_bytes_are_unchanged(digests, artifact):
+    assert digests[artifact] == GOLDEN[artifact]
+
+
+def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    SCENARIO.to_json(scenario)
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(scenario), "--out", str(data), "--seed", "3"]) == 0
+    text = (data / "guard.csv").read_text()
+    added = repeat_rows(text).count("\n") - text.count("\n")
+    (data / "guard.csv").write_text(repeat_rows(text))
+    capsys.readouterr()
+    assert main(["ingest", "--in", str(data)]) == 0
+    assert f'"duplicates_dropped": {added}' in capsys.readouterr().out

@@ -90,6 +90,36 @@ def test_sanitize_loads_no_generator_metrics_features_or_conflux(tmp_path, extra
     assert not loaded & {"simulate", "metrics", "features", "conflux"}
 
 
+@pytest.fixture()
+def logs(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    ScenarioConfig(phase="post", n_pages=1, n_visits_per_page=2, n_nonmon_channels=1).to_json(scenario)
+    code = f"from guardsift.cli import main\nmain(['generate', '--config', {str(scenario)!r}, '--out', 'logs'])"
+    _fresh(code, tmp_path)
+    return tmp_path / "logs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ingest", "--in", "{logs}"], ["conflux", "--in", "{logs}", "--out", "{out}"]],
+    ids=["ingest", "conflux"],
+)
+def test_commands_that_hash_nothing_load_no_hashlib(tmp_path, logs, argv):
+    argv = [a.format(logs=logs, out=tmp_path / "conflux.csv") for a in argv]
+    assert "hashlib" not in _modules_after(argv, tmp_path)
+
+
+def test_sanitize_stages_load_no_hashlib(tmp_path):
+    # sanitize and transform still load it through numpy.random (secrets, hmac)
+    code = (
+        "import json, sys\n"
+        "import guardsift.cli as cli\n"
+        "cli._bind(('columns', 'ingest', 'sanitize', 'segment', 'trace'))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "hashlib" not in set(json.loads(_fresh(code, tmp_path)))
+
+
 def test_import_guardsift_loads_no_stage(tmp_path):
     code = "import json, sys, guardsift\nprint(json.dumps(sorted(sys.modules)))\n"
     modules = set(json.loads(_fresh(code, tmp_path)))

@@ -1,9 +1,11 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardsift import ingest
 from guardsift.errors import GuardsiftError, ParseError
 from guardsift.ingest import (
     ParsedLog,
@@ -151,6 +153,8 @@ def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
             record = CellRecord(*values, cell_type)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
+        if not all(-(2**63) <= v < 2**63 for v in (*values, cell_type or 0)):
+            raise ParseError(line_no, "integer field out of the 64-bit range")
         key = (*values, cell_type)
         if key in seen:
             result.duplicate_count += 1
@@ -202,7 +206,18 @@ def outcome(parse, lines, require_type):
 
 CHANNEL_IDS = st.sampled_from([0, 1, 2, 7, -3, 2**40])
 CIRCUIT_IDS = st.sampled_from([0, 1, 5, 2**32 - 1])
-SPACING = st.sampled_from(["", " ", "\t", "  "])
+SPACING = st.sampled_from(["", "", "", "", "", " ", "\t", "  "])  # mostly strict rows
+# spellings of a non-negative field that the strict decoder leaves to the
+# per-line parser: 19 digits, a plus sign, inner spaces and tabs
+RESPELL = st.sampled_from(["{:019d}", "+{}", " {}", "{}\t", "{}"])
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def respell(draw, field):
+    text = str(field)
+    if text.isdigit() and draw(st.integers(0, 9)) == 0:
+        return draw(RESPELL).format(int(text))
+    return text
 
 
 @st.composite
@@ -211,6 +226,9 @@ def cell_logs(draw, require_type: bool):
 
     Rows come from small pools so channels and circuits interleave and rows
     repeat; markers, comments and blank lines go anywhere, a header may lead.
+    Now and then a row is spelled in a way only the per-line parser reads:
+    a respelled field, a 19-digit timestamp, a 6th column, or no cell type
+    in a typed log.
     """
     typed = require_type or draw(st.booleans())
     rows = []
@@ -218,15 +236,17 @@ def cell_logs(draw, require_type: bool):
         if rows and draw(st.integers(0, 4)) == 0:
             rows.append(draw(st.sampled_from(rows)))  # an exact repeat
             continue
+        timestamp = draw(st.sampled_from([1234567890123456789] + [k * 1000 for k in range(7)]))
         fields = [
-            draw(CHANNEL_IDS), draw(CIRCUIT_IDS),
-            draw(st.integers(0, 6)) * 1000, draw(st.sampled_from([1, -1])),
+            draw(CHANNEL_IDS), draw(CIRCUIT_IDS), timestamp, draw(st.sampled_from([1, -1])),
         ]
-        if typed:
+        if typed and draw(st.integers(0, 19)):
             fields.append(draw(st.sampled_from(["", "0", "2", "21", "21"])))
-        elif draw(st.integers(0, 9)) == 0:
+        elif not typed and draw(st.integers(0, 9)) == 0:
             fields.append(draw(st.sampled_from(["", "3"])))  # a stray 5th column
-        rows.append(",".join(map(str, fields)))
+        if len(fields) == 5 and draw(st.integers(0, 19)) == 0:
+            fields.append("9")  # a 6th column, which no parser reads
+        rows.append(",".join(respell(draw, field) for field in fields))
     lines = [draw(SPACING) + row + draw(SPACING) for row in rows]
     for _ in range(draw(st.integers(0, 6))):
         extra = draw(st.sampled_from([
@@ -241,9 +261,26 @@ def cell_logs(draw, require_type: bool):
     return lines
 
 
+def joined(data, lines) -> str:
+    """The lines as one text, with drawn line ends and maybe a final one."""
+    newline = data.draw(NEWLINES)
+    return newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+
+
+def universal_lines(text: str) -> io.StringIO:
+    """The oracle's view of a text: lines split as ``open`` splits them."""
+    return io.StringIO(text, newline=None)
+
+
+def chunk_bytes(data):
+    """The decoder's chunk size, patched small so chunks hold 1 to 3 lines."""
+    return mock.patch.object(ingest, "_CHUNK_BYTES", data.draw(st.sampled_from([1, 16, 40, 2**20])))
+
+
 MALFORMED = [
     "1,5,1000,0", "1,5,1000,2", "1,5,-1,1", f"1,{2**32},0,1", "1,-5,0,1", "1,5,x,1",
     "1,5,1.5,1", "1,5,1000", "1", "#AUTH", "#AUTH,x", "#AUTH,1,2", "1,5,1000,1,y",
+    "1,5,1-2,1", "1,5,--1,1", "1,5,9999999999999999999,1", "1,,1000,1", "1,-,1000,1",
 ]
 
 
@@ -251,10 +288,10 @@ MALFORMED = [
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_bulk_parse_equals_oracle(require_type, data):
-    lines = data.draw(cell_logs(require_type))
-    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
-    expected = outcome(oracle_parse_cells, text.split("\n"), require_type)
-    assert outcome(_parse_cells, io.StringIO(text), require_type) == expected
+    text = joined(data, data.draw(cell_logs(require_type)))
+    expected = outcome(oracle_parse_cells, universal_lines(text), require_type)
+    with chunk_bytes(data):
+        assert outcome(_parse_cells, io.StringIO(text), require_type) == expected
 
 
 @pytest.mark.parametrize("require_type", [False, True], ids=["guard", "client"])
@@ -265,10 +302,24 @@ def test_malformed_line_raises_on_the_same_line(require_type, data):
     bad = data.draw(st.sampled_from(MALFORMED + (["1,5,1000,1"] if require_type else [])))
     at = data.draw(st.integers(0, len(lines)))
     lines.insert(at, bad)
-    expected = outcome(oracle_parse_cells, lines, require_type)
-    got = outcome(_parse_cells, io.StringIO("\n".join(lines)), require_type)
+    text = joined(data, lines)
+    expected = outcome(oracle_parse_cells, universal_lines(text), require_type)
+    with chunk_bytes(data):
+        got = outcome(_parse_cells, io.StringIO(text), require_type)
     assert got == expected
     assert got[0] == "error"
+
+
+@pytest.mark.parametrize("chunk", [1, 10, 30])
+@pytest.mark.parametrize("bad", ["1,5,1000,0", "1,5,1-2,1", "#AUTH,x", "1,5,9999999999999999999,1"])
+def test_bad_line_in_a_later_chunk_names_its_line(chunk, bad):
+    lines = ["channel_id,circuit_id,timestamp_ns,direction"]
+    lines += [f"1,{i % 3},{i * 1000},{(-1) ** i}" for i in range(40)]
+    lines.insert(33, bad)
+    expected = outcome(oracle_parse_cells, lines, False)
+    assert expected[:2] == ("error", 34)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        assert outcome(_parse_cells, io.StringIO("\n".join(lines)), False) == expected
 
 
 def test_parsed_circuits_are_views_of_one_array():
@@ -290,12 +341,25 @@ def test_parsed_circuits_are_views_of_one_array():
         ("1,2,3,1\n1,2,4,1,x\n", "line 2: non-integer field"),
         ("1,2,3,1\n#AUTH,1,2\n1,2,3,0\n", "line 2: malformed #AUTH marker"),
         ("1,2,3,0\n#AUTH,1,2\n", "line 1: direction must be +1 or -1"),
+        ("1,2,3,1\nchannel_id,circuit_id,timestamp_ns,direction\n", "line 2: non-integer field"),
     ],
-    ids=["negative-type", "int64-overflow", "ragged-bad-type", "bad-marker-first", "bad-row-first"],
+    ids=[
+        "negative-type", "int64-overflow", "ragged-bad-type", "bad-marker-first", "bad-row-first",
+        "header-after-row",
+    ],
 )
 def test_bad_guard_log(text, message):
     with pytest.raises(ParseError, match=message.replace("+", r"\+")):
         parse_guard_log(io.StringIO(text))
+
+
+def test_strict_rows_skip_the_per_line_parser():
+    text = "channel_id,circuit_id,timestamp_ns,direction\n#AUTH,4\n"
+    text += "".join(f"{-i},{i},{i * 10**16},{(-1) ** i}\n" for i in range(20)) + " 1,2,3,1\n"
+    with mock.patch.object(ingest, "_table_per_line", wraps=ingest._table_per_line) as per_line:
+        parsed = parse_guard_log(io.StringIO(text))
+    assert [call.args[0] for call in per_line.call_args_list] == [[" 1,2,3,1"]]
+    assert parsed.line_count == 21
 
 
 def test_ragged_and_empty_cell_types_stay_distinct():

@@ -1,5 +1,6 @@
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from guardsift.sanitize import (
     INVALID,
     NON_CONFLUX,
     SanitizeConfig,
+    cap_tail,
     compute_duration_cap,
     detect_spam_channels,
     group_visits,
@@ -275,18 +277,59 @@ def tail_cells(draw):
     return list(zip(times, dirs))
 
 
+def back_to_back(segments):
+    """The segments' cells in one pair of arrays, any spare cells after each
+    segment, and each segment's start and end offsets."""
+    cells, starts, ends = [], [], []
+    for segment, spare in segments:
+        starts.append(len(cells))
+        ends.append(len(cells) + len(segment))
+        cells += segment + spare
+    timestamps = np.array([ts for ts, _ in cells], dtype=np.int64)
+    directions = np.array([d for _, d in cells], dtype=np.int8)
+    return timestamps, directions, starts, ends
+
+
+# one to three segments, each with up to one unrelated cell after it
+tail_segments = st.lists(
+    st.tuples(
+        tail_cells(),
+        st.lists(st.tuples(st.integers(0, 3 * SEC), st.sampled_from([1, -1])), max_size=1),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestTailStagesAgainstListOracle:
-    @given(tail_cells(), tail_configs)
+    @given(tail_segments, tail_configs)
     @settings(max_examples=300, deadline=None)
-    def test_prune_close_tail(self, cells, config):
-        trace = Trace.from_cells(cells)
-        end, pruned = prune_close_tail(trace.timestamps, trace.directions, config)
-        expected, expected_pruned = cells[:-2], False
-        if expected:
-            expected, expected_pruned = oracle_prune_close_tail(
-                expected, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
-            )
-        assert (list(trace.cells[:end]), pruned) == (expected, expected_pruned)
+    def test_prune_close_tail(self, segments, config):
+        timestamps, directions, starts, ends = back_to_back(segments)
+        got_ends, got_pruned = prune_close_tail(timestamps, directions, starts, ends, config)
+        for (cells, _), start, end, pruned in zip(segments, starts, got_ends.tolist(), got_pruned.tolist()):
+            expected, expected_pruned = cells[:-2], False
+            if expected:
+                expected, expected_pruned = oracle_prune_close_tail(
+                    expected, config.tail_gap_ns, config.max_tail_cells, config.max_tail_duration_ns
+                )
+            assert (cells[: end - start], pruned) == (expected, expected_pruned)
+
+    def test_an_idle_gap_before_a_segment_is_not_in_its_tail(self):
+        timestamps = np.array([0, 10 * SEC, 10 * SEC + MS, 10 * SEC + 2 * MS])
+        directions = np.array([1, 1, -1, 1], dtype=np.int8)
+        ends, pruned = prune_close_tail(timestamps, directions, [0, 1], [1, 4], SanitizeConfig())
+        assert (ends.tolist(), pruned.tolist()) == ([0, 2], [False, False])
+
+    @given(tail_segments, tail_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_cap_tail(self, segments, config):
+        timestamps, _, starts, ends = back_to_back(segments)
+        cap, max_len = config.duration_cap_ns, config.max_len
+        capped, got = cap_tail(timestamps, starts, ends, cap, max_len)
+        for (cells, _), start, capped_end, end in zip(segments, starts, capped.tolist(), got.tolist()):
+            kept = [c for c in cells if cap is None or c[0] <= cap]
+            assert (capped_end - start, end - start) == (len(kept), min(len(kept), max_len))
 
     @given(tail_cells(), tail_configs, st.booleans())
     @settings(max_examples=300, deadline=None)
