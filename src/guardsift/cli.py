@@ -24,7 +24,7 @@ from .errors import GuardsiftError, ParseError
 _STAGE_NAMES = {
     "columns": ("read_columns",),
     "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
-    "sanitize": ("SanitizeConfig", "group_visits", "row_circuit_ids", "sanitize", "trim_head"),
+    "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
     "trace": ("ConfluxSet", "read_dataset", "write_dataset"),
@@ -127,31 +127,23 @@ def cmd_ingest(args) -> int:
 
 def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict]:
     """Cut traces out of the channels by time: one window per visit group on
-    its channel, and the channels no visit row names segmented whole. As in
-    ``sanitize``, every channel that one of a row's circuit ids (a Conflux
-    row's legs too) resolves to is monitored."""
+    its channel, and the channels no visit row names (``VisitGroup.named``,
+    as in ``sanitize``) segmented whole."""
     traces = []
     monitored_channels = set()
     n_windows_failed = 0
-    if visits:
-        circuit_to_channel = {cid: ch.channel_id for ch in kept for cid in ch.circuits}
-        by_id = {ch.channel_id: ch for ch in kept}
-        for group in group_visits(visits, circuit_to_channel, config.visit_span_ns):
-            monitored_channels.update(
-                circuit_to_channel[cid]
-                for row in group.rows
-                for cid in row_circuit_ids(row)
-                if cid in circuit_to_channel
-            )
-            start = group.start_ts
-            try:
-                traces.append(
-                    extract_monitored_window(
-                        by_id[group.channel_id], start, start + window_ns, config, group.page_domain
-                    )
+    by_id = {ch.channel_id: ch for ch in kept}
+    for group in group_visits(visits or (), kept, config.visit_span_ns):
+        monitored_channels.update(channel_id for _, channel_id, _ in group.named)
+        start = group.start_ts
+        try:
+            traces.append(
+                extract_monitored_window(
+                    by_id[group.channel_id], start, start + window_ns, config, group.page_domain
                 )
-            except GuardsiftError:
-                n_windows_failed += 1
+            )
+        except GuardsiftError:
+            n_windows_failed += 1
     for channel in kept:
         if channel.channel_id not in monitored_channels:
             traces.extend(segment_nonmonitored(channel, config))

@@ -40,11 +40,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConfluxMeta:
-    linked: bool
     leg_ids: tuple[int, int]
 
     def __post_init__(self):
-        if self.linked and self.leg_ids[0] == self.leg_ids[1]:
+        if self.leg_ids[0] == self.leg_ids[1]:
             raise ValueError("linked legs must have distinct circuit ids")
 
 
@@ -376,7 +375,7 @@ def parse_visit_log(source) -> list[PageVisitRecord]:
                     request_ts=request_ts,
                     target_domain=fields[2],
                     circuit_id=circuit_id,
-                    conflux_meta=ConfluxMeta(linked=True, leg_ids=leg_ids) if leg_ids else None,
+                    conflux_meta=ConfluxMeta(leg_ids) if leg_ids else None,
                 )
             )
         except ValueError as exc:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class SanitizeConfig:
 
 @dataclass
 class SanitizationReport:
-    """Per-stage removal counters. Dropped counters plus retained equal
-    the number of input circuits."""
+    """Per-stage removal counters. The stage counters (see
+    ``_STAGE_COUNTERS``) sum to the number of input circuits."""
 
     input_circuits: int = 0
     spam_channels: int = 0
@@ -94,19 +95,6 @@ class SanitizationReport:
     length_truncated: int = 0
     retained: int = 0
     duration_cap_ns: int | None = None
-
-    def dropped_total(self) -> int:
-        return (
-            self.spam_circuits_dropped
-            + self.visit_extra_dropped
-            + self.handshake_dropped
-            + self.conflux_heuristic_dropped
-            + self.small_dropped
-            + self.trim_dropped
-        )
-
-    def consistent(self) -> bool:
-        return self.retained + self.dropped_total() == self.input_circuits
 
 
 def detect_spam_channels(
@@ -282,78 +270,102 @@ def compute_duration_cap(
 
 @dataclass
 class VisitGroup:
-    """Circuit-request rows that belong to one page load on one channel."""
+    """Circuit-request rows that belong to one page load on one channel.
+
+    ``named`` holds every ``(row, channel_id, circuit)`` that a row's
+    circuit ids resolve to, in row order and then id order.
+    """
 
     channel_id: int
     page_domain: str
     rows: list[PageVisitRecord] = field(default_factory=list)
+    named: list[tuple[PageVisitRecord, int, Circuit]] = field(default_factory=list)
 
     @property
     def start_ts(self) -> int:
         return self.rows[0].request_ts
 
 
-def row_circuit_ids(row: PageVisitRecord) -> tuple[int, ...]:
-    """Circuit ids a visit row may refer to: its own plus any linked legs."""
-    if row.conflux_meta is None:
-        return (row.circuit_id,)
-    ids = (row.circuit_id,) + row.conflux_meta.leg_ids
-    return tuple(dict.fromkeys(ids))
-
-
 def group_visits(
     visits: Sequence[PageVisitRecord],
-    circuit_to_channel: Mapping[int, int],
+    channels: Sequence[Channel],
     visit_span_ns: int,
 ) -> list[VisitGroup]:
-    """Group visit rows into page loads.
+    """Resolve visit rows to circuits and group them into page loads.
 
-    Each row belongs to the channel of the first of its circuit ids
-    (``row_circuit_ids``) that ``circuit_to_channel`` knows; rows with none
-    are skipped. Rows are bucketed per channel and joined while they fall
+    A row's circuit ids are its own, then a Conflux row's linked legs. Each
+    id resolves to the circuit of that id on ``channels`` (an id carried by
+    two channels resolves to the later one); ids on no channel are ignored,
+    and so are rows with none. A row belongs to the channel of its first
+    resolved id. Rows are bucketed per channel and joined while they fall
     within ``visit_span_ns`` of the group's first request. The first row of
     a group names the page: the client navigates to the scheduled page
     before redirects or alternative services fire.
     """
-    per_channel: dict[int, list[PageVisitRecord]] = {}
+    by_circuit = {circuit_id: channel for channel in channels for circuit_id in channel.circuits}
+    per_channel: dict[int, list[tuple[PageVisitRecord, list]]] = {}
     for row in visits:
-        channel = next(
-            (
-                circuit_to_channel[cid]
-                for cid in row_circuit_ids(row)
-                if cid in circuit_to_channel
-            ),
-            None,
-        )
-        if channel is None:
-            continue
-        per_channel.setdefault(channel, []).append(row)
+        legs = row.conflux_meta.leg_ids if row.conflux_meta else ()
+        named = [
+            (row, by_circuit[cid].channel_id, by_circuit[cid].circuits[cid])
+            for cid in dict.fromkeys((row.circuit_id, *legs))
+            if cid in by_circuit
+        ]
+        if named:
+            per_channel.setdefault(named[0][1], []).append((row, named))
     groups: list[VisitGroup] = []
-    for channel in sorted(per_channel):
-        rows = sorted(per_channel[channel], key=lambda r: r.request_ts)
+    for channel_id in sorted(per_channel):
         current: VisitGroup | None = None
-        for row in rows:
+        for row, named in sorted(per_channel[channel_id], key=lambda entry: entry[0].request_ts):
             if current is None or row.request_ts - current.start_ts > visit_span_ns:
-                current = VisitGroup(channel, row.first_party_domain, [row])
+                current = VisitGroup(channel_id, row.first_party_domain)
                 groups.append(current)
-            else:
-                current.rows.append(row)
+            current.rows.append(row)
+            current.named.extend(named)
     return groups
+
+
+CircuitKey = tuple[int, int]  # (channel_id, circuit_id): circuit ids are unique per channel only
+
+# the report counter of each stage's circuits
+_STAGE_COUNTERS = {
+    Stage.SPAM: "spam_circuits_dropped",
+    Stage.UNSELECTED: "visit_extra_dropped",
+    Stage.HANDSHAKE: "handshake_dropped",
+    Stage.NON_CONFLUX: "conflux_heuristic_dropped",
+    Stage.SMALL: "small_dropped",
+    Stage.TRIM: "trim_dropped",
+    Stage.RETAINED: "retained",
+}
 
 
 @dataclass
 class SanitizedDataset:
     traces: list[Trace]
     report: SanitizationReport
-    outcomes: dict[int, str] = field(default_factory=dict)  # circuit_id -> stage
-    labels: dict[int, str] = field(default_factory=dict)  # retained monitored circuits
+    outcomes: dict[CircuitKey, str] = field(default_factory=dict)  # every input circuit's stage
+    labels: dict[CircuitKey, str] = field(default_factory=dict)  # retained monitored circuits
+
+
+def _opening_stage(circuit: Circuit, phase: str, config: SanitizeConfig) -> str | None:
+    """The stage that drops ``circuit`` for its opening cells or its size, if any."""
+    if phase == PRE:
+        if not validate_handshake_pre(circuit):
+            return Stage.HANDSHAKE
+    else:
+        verdict = validate_handshake_post(circuit, config.gap_ratio_threshold, config.gap_floor_ns)
+        if verdict == INVALID:
+            return Stage.HANDSHAKE
+        if verdict == NON_CONFLUX:
+            return Stage.NON_CONFLUX
+    return Stage.SMALL if len(circuit) < config.min_cells else None
 
 
 def _trim_cohort(
-    entries: list[tuple[Trace, str | None, int]],
+    entries: list[tuple[Trace, str | None, CircuitKey]],
     config: SanitizeConfig,
     report: SanitizationReport,
-    outcomes: dict[int, str],
+    outcomes: dict[CircuitKey, str],
 ) -> list[Trace]:
     """Run tail trimming over head-trimmed traces, all of them at once.
 
@@ -385,15 +397,13 @@ def _trim_cohort(
     report.duration_capped += int(np.count_nonzero(capped < ends))
     report.length_truncated += int(np.count_nonzero(kept < capped))
     out: list[Trace] = []
-    for (trace, label, circuit_id), size in zip(entries, (kept - starts).tolist()):
+    for (trace, label, key), size in zip(entries, (kept - starts).tolist()):
         if not size:
-            report.trim_dropped += 1
-            outcomes[circuit_id] = Stage.TRIM
+            outcomes[key] = Stage.TRIM
             continue
         timestamps, directions = trace.timestamps[:size], trace.directions[:size]
         out.append(trace.with_cells(timestamps, directions, label=label, tail_trimmed=True))
-        outcomes[circuit_id] = Stage.RETAINED
-        report.retained += 1
+        outcomes[key] = Stage.RETAINED
     return out
 
 
@@ -405,110 +415,62 @@ def sanitize(
 ) -> SanitizedDataset:
     """Run the full pipeline over ingested channels.
 
-    When ``visits`` is given, channels referenced by visit rows are treated
-    as controlled-client traffic: one main circuit per page load survives
-    and carries the page label. All other channels yield unlabeled traces.
+    Every channel that a visit row names (``VisitGroup.named``) is
+    controlled-client traffic: the main circuit of each page load survives
+    and carries the page label, and the channel's other circuits are
+    dropped as unselected. All other channels yield unlabeled traces. Each
+    circuit's stage is recorded once in ``outcomes``, keyed by
+    ``(channel_id, circuit_id)``, and the report's stage counters are
+    counted from it.
     """
     report = SanitizationReport()
     report.input_circuits = sum(ch.circuit_count for ch in channels)
-    outcomes: dict[int, str] = {}
-
     spam_ids = detect_spam_channels(channels, config.spam_circuit_threshold)
     report.spam_channels = len(spam_ids)
-    live = []
-    for channel in channels:
-        if channel.channel_id in spam_ids:
-            report.spam_circuits_dropped += channel.circuit_count
-            for circuit_id in channel.circuits:
-                outcomes[circuit_id] = Stage.SPAM
-        else:
-            live.append(channel)
+    outcomes: dict[CircuitKey, str] = {
+        (ch.channel_id, circuit_id): Stage.SPAM
+        for ch in channels
+        if ch.channel_id in spam_ids
+        for circuit_id in ch.circuits
+    }
+    live = [ch for ch in channels if ch.channel_id not in spam_ids]
 
-    # (label, channel_id, circuit) entries that continue down the pipeline
-    pending: list[tuple[str | None, int, Circuit]] = []
-    if visits:
-        circuit_to_channel: dict[int, int] = {}
-        for channel in live:
-            for circuit_id in channel.circuits:
-                circuit_to_channel[circuit_id] = channel.channel_id
-        groups = group_visits(visits, circuit_to_channel, config.visit_span_ns)
-        channel_by_id = {ch.channel_id: ch for ch in live}
-        monitored_channel_ids = set()
-        claimed: dict[int, str] = {}  # main circuit id -> page label
-        for group in groups:
-            candidates = []
-            for row in group.rows:
-                for circuit_id in row_circuit_ids(row):
-                    channel_id = circuit_to_channel.get(circuit_id)
-                    if channel_id is None:
-                        continue
-                    monitored_channel_ids.add(channel_id)
-                    candidates.append((row, channel_by_id[channel_id].circuits[circuit_id]))
-            if not candidates:
-                continue
-            try:
-                main = select_main_circuit(group.page_domain, candidates)
-            except NoMainCircuitError:
-                continue
-            claimed[main.circuit_id] = group.page_domain
-        for channel in live:
-            if channel.channel_id in monitored_channel_ids:
-                for circuit_id, circuit in channel.circuits.items():
-                    if circuit_id in claimed:
-                        pending.append((claimed[circuit_id], channel.channel_id, circuit))
-                    else:
-                        report.visit_extra_dropped += 1
-                        outcomes[circuit_id] = Stage.UNSELECTED
-            else:
-                for circuit in channel.circuits.values():
-                    pending.append((None, channel.channel_id, circuit))
-    else:
-        for channel in live:
-            for circuit in channel.circuits.values():
-                pending.append((None, channel.channel_id, circuit))
-
-    trimmed_entries: list[tuple[Trace, str | None, int]] = []
-    for label, channel_id, circuit in pending:
-        if phase == PRE:
-            if not validate_handshake_pre(circuit):
-                report.handshake_dropped += 1
-                outcomes[circuit.circuit_id] = Stage.HANDSHAKE
-                continue
-        else:
-            verdict = validate_handshake_post(
-                circuit, config.gap_ratio_threshold, config.gap_floor_ns
-            )
-            if verdict == INVALID:
-                report.handshake_dropped += 1
-                outcomes[circuit.circuit_id] = Stage.HANDSHAKE
-                continue
-            if verdict == NON_CONFLUX:
-                report.conflux_heuristic_dropped += 1
-                outcomes[circuit.circuit_id] = Stage.NON_CONFLUX
-                continue
-        if len(circuit) < config.min_cells:
-            report.small_dropped += 1
-            outcomes[circuit.circuit_id] = Stage.SMALL
-            continue
-        strip = config.head_trim_pre if phase == PRE else config.head_trim_post
+    groups = group_visits(visits or (), live, config.visit_span_ns)
+    monitored = {channel_id for group in groups for _, channel_id, _ in group.named}
+    claimed: dict[CircuitKey, str] = {}  # main circuit -> page label
+    for group in groups:
+        candidates = [(row, circuit) for row, _, circuit in group.named]
         try:
-            trace = trim_head(circuit, phase, strip)
-        except EmptyAfterTrimError:
-            report.trim_dropped += 1
-            outcomes[circuit.circuit_id] = Stage.TRIM
+            main = select_main_circuit(group.page_domain, candidates)
+        except NoMainCircuitError:
             continue
-        except MalformedCircuitError as exc:
-            raise MalformedCircuitError(f"channel {channel_id}: {exc}") from None
-        trimmed_entries.append((trace, label, circuit.circuit_id))
+        owner = next(channel_id for _, channel_id, circuit in group.named if circuit is main)
+        claimed[owner, main.circuit_id] = group.page_domain
 
-    traces = _trim_cohort(trimmed_entries, config, report, outcomes)
-    labels = {}
-    if visits:
-        labels = {
-            circuit_id: label
-            for circuit_id, label in claimed.items()
-            if outcomes.get(circuit_id) == Stage.RETAINED
-        }
-    if not report.consistent():
-        raise AssertionError("sanitization counters do not add up")
+    strip = config.head_trim_pre if phase == PRE else config.head_trim_post
+    # (head-trimmed trace, label, key) of the circuits that reach the tail trim
+    entries: list[tuple[Trace, str | None, CircuitKey]] = []
+    for channel in live:
+        for circuit_id, circuit in channel.circuits.items():
+            key = (channel.channel_id, circuit_id)
+            if channel.channel_id in monitored and key not in claimed:
+                stage = Stage.UNSELECTED
+            else:
+                stage = _opening_stage(circuit, phase, config)
+            if stage is None:
+                try:
+                    entries.append((trim_head(circuit, phase, strip), claimed.get(key), key))
+                    continue
+                except EmptyAfterTrimError:
+                    stage = Stage.TRIM
+                except MalformedCircuitError as exc:
+                    raise MalformedCircuitError(f"channel {channel.channel_id}: {exc}") from None
+            outcomes[key] = stage
+
+    traces = _trim_cohort(entries, config, report, outcomes)
+    for stage, count in Counter(outcomes.values()).items():
+        setattr(report, _STAGE_COUNTERS[stage], count)
+    if len(outcomes) != report.input_circuits:
+        raise AssertionError("sanitization outcomes do not cover every input circuit")
+    labels = {key: label for key, label in claimed.items() if outcomes[key] == Stage.RETAINED}
     return SanitizedDataset(traces=traces, report=report, outcomes=outcomes, labels=labels)

@@ -74,17 +74,17 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray, salt: str = "") -> str:
+def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray) -> str:
     """Content hash over the (direction, inter-arrival) sequence.
 
     Invariant under timestamp offsets, so a trace keeps its id through
-    normalization. The salt separates id spaces of unrelated datasets.
+    normalization.
     """
     import hashlib  # imported by the commands that hash ids only
 
     # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
     gaps = np.diff(timestamps, prepend=timestamps[:1]).view(np.uint64)
-    text = salt + ("%d,%d;" * len(gaps)) % _pairs(directions, gaps)
+    text = ("%d,%d;" * len(gaps)) % _pairs(directions, gaps)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

@@ -81,10 +81,9 @@ def oracle_tail_stages(cells, config, tail_trimmed=False):
     return cells[: config.max_len], pruned
 
 
-def oracle_trace_id(cells, salt=""):
+def oracle_trace_id(cells):
     """Content hash over (direction, inter-arrival), one update per cell."""
     h = hashlib.sha256()
-    h.update(salt.encode("utf-8"))
     prev = cells[0][0] if cells else 0
     for ts, direction in cells:
         h.update(b"%d,%d;" % (direction, ts - prev))

@@ -162,12 +162,12 @@ def test_c04_sanitizer_recovers_ground_truth(pre_dataset, tmp_path_factory):
 
     result = sanitize(channels, SanitizeConfig(), "pre", visits)
     expected = {
-        c["circuit_id"]: c["expected_stage"]
+        (c["channel_id"], c["circuit_id"]): c["expected_stage"]
         for c in truth["circuits"]
         if c["expected_stage"] != "relay"
     }
     mismatched = [
-        cid for cid, stage in expected.items() if result.outcomes.get(cid) != stage
+        key for key, stage in expected.items() if result.outcomes.get(key) != stage
     ]
     assert not mismatched, f"{len(mismatched)} circuits disagree with the sidecar"
     assert len(result.outcomes) == len(expected)
@@ -180,11 +180,11 @@ def test_c04_sanitizer_recovers_ground_truth(pre_dataset, tmp_path_factory):
         assert trace.cells[0] == (0, 1)
 
     # main-circuit selection: every retained monitored circuit is the sidecar main
-    truth_mains = {v["main_circuit_id"]: v["label"] for v in truth["visits"]}
+    truth_mains = {(v["channel_id"], v["main_circuit_id"]): v["label"] for v in truth["visits"]}
     assert set(result.labels) <= set(truth_mains)
-    for cid, label in result.labels.items():
-        assert truth_mains[cid] == label
-    retained_mains = {cid for cid, s in expected.items() if s == "retained" and cid in truth_mains}
+    for key, label in result.labels.items():
+        assert truth_mains[key] == label
+    retained_mains = {key for key, s in expected.items() if s == "retained" and key in truth_mains}
     assert set(result.labels) == retained_mains
 
     # the link-gap heuristic, on a split-phase dataset
@@ -212,7 +212,7 @@ def test_c04_sanitizer_recovers_ground_truth(pre_dataset, tmp_path_factory):
     ]
     agreements = 0
     for c in heuristic_subject:
-        got = post_result.outcomes.get(c["circuit_id"])
+        got = post_result.outcomes.get((c["channel_id"], c["circuit_id"]))
         want_linked = c["conflux_leg"]
         got_linked = got != "non_conflux"
         agreements += got_linked == want_linked
@@ -220,11 +220,11 @@ def test_c04_sanitizer_recovers_ground_truth(pre_dataset, tmp_path_factory):
     assert accuracy >= 0.999, f"link heuristic accuracy {accuracy:.4f}"
 
     other = {
-        c["circuit_id"]: c["expected_stage"]
+        (c["channel_id"], c["circuit_id"]): c["expected_stage"]
         for c in post_truth["circuits"]
         if c["expected_stage"] != "relay"
     }
-    post_mismatch = [cid for cid, s in other.items() if post_result.outcomes.get(cid) != s]
+    post_mismatch = [key for key, s in other.items() if post_result.outcomes.get(key) != s]
     assert not post_mismatch
 
     elapsed = time.monotonic() - start
@@ -269,7 +269,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         circuit
         for channel in channels
         for circuit_id, circuit in channel.circuits.items()
-        if result.outcomes[circuit_id] == "retained"
+        if result.outcomes[channel.channel_id, circuit_id] == "retained"
     ]
     assert len(kept) >= 100
     assert result.traces == [trim_tail(trim_head(c, "pre"), config) for c in kept]

@@ -1,9 +1,11 @@
-"""Golden bytes: the artifacts of a fixed-seed noisy scenario never change.
+"""Golden bytes: the artifacts of fixed-seed scenarios never change.
 
-The digests were taken before the log parser decoded bytes in chunks and
-grouped cells by a packed key, and before the time path trimmed every
-window of a channel at once. A change to any of these files is a format
-change and must be made on purpose.
+The digests of the noisy post-phase scenario were taken before the log
+parser decoded bytes in chunks and grouped cells by a packed key, and
+before the time path trimmed every window of a channel at once. Those of
+the pre-phase visit scenario were taken before visit rows were resolved
+once and each circuit's stage was keyed by (channel, circuit). A change to
+any of these files is a format change and must be made on purpose.
 """
 
 import hashlib
@@ -35,6 +37,22 @@ GOLDEN = {
     ("clean", "conflux.csv"): "12b8e19e2ca1d9fb5c8420ae16c36de2d645d61fbb94cf2cb4bfc82847faae74",
 }
 
+# pre phase with retried, alternative-service and redirected visit rows, bad
+# handshakes, a relay channel and a kept spam channel, so main-circuit
+# selection sees ties and ignored candidates, and monitored channels drop
+# their other circuits as unselected
+PRE_SCENARIO = ScenarioConfig(
+    seed=0, phase="pre", n_pages=3, n_visits_per_page=3, n_nonmon_channels=5,
+    retry_prob=0.5, altsvc_prob=0.5, redirect_prob=0.5, invalid_handshake_fraction=0.1,
+    spam_channel_fraction=0.2, spam_circuit_range=(60, 80), relay_auth_channels=1,
+)
+PRE_GOLDEN = {
+    ("circuit", "traces.ndjson"): "59a9ad2de77fd02580787ea1596462d94c5355edf33867821ad4623a9de9606e",
+    ("circuit", "report.json"): "1404537fe921e6ca4ee35e7f53dfd3eed7c4aeb9b730b9aa2045b8503d976966",
+    ("time", "traces.ndjson"): "33e27309e6a2d9c2a6d0a5e63f2d745d356117a411ac72155bb93301734d732e",
+    ("time", "report.json"): "38fdae43524810f772d28976ab6860c697755917a4bce9f29c4e7d125f7bdaed",
+}
+
 
 def repeat_rows(text: str) -> str:
     """Every 7th data row again, 3 lines further on, so copies of a row sit
@@ -47,12 +65,28 @@ def repeat_rows(text: str) -> str:
     return "\n".join(out)
 
 
+def generate(scenario: ScenarioConfig, tmp_path, name: str):
+    """``guardsift generate`` of ``scenario`` at seed 3 into ``tmp_path / name``."""
+    config = tmp_path / f"{name}-scenario.json"
+    scenario.to_json(config)
+    out = tmp_path / name
+    assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+    return out
+
+
+def sanitize_digests(data, out, phase: str, path: str, config) -> dict:
+    """sha256 of ``traces.ndjson`` and ``report.json`` of one sanitize run."""
+    argv = ["sanitize", "--in", str(data), "--phase", phase, "--out", str(out)]
+    assert main(argv + ["--segmentation", path, "--config", str(config), "--seed", "5"]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("traces.ndjson", "report.json")
+    }
+
+
 def artifact_digests(tmp_path) -> dict:
     """sha256 of every artifact in ``GOLDEN``, from fresh runs in ``tmp_path``."""
-    scenario = tmp_path / "scenario.json"
-    SCENARIO.to_json(scenario)
-    clean = tmp_path / "clean"
-    assert main(["generate", "--config", str(scenario), "--out", str(clean), "--seed", "3"]) == 0
+    clean = generate(SCENARIO, tmp_path, "clean")
     repeated = tmp_path / "repeated"
     repeated.mkdir()
     for name in ("client.csv", "visits.csv"):
@@ -64,10 +98,8 @@ def artifact_digests(tmp_path) -> dict:
     for data in ("clean", "repeated"):
         for path in ("circuit", "time"):
             out = tmp_path / "out" / data / path
-            argv = ["sanitize", "--in", str(tmp_path / data), "--phase", "post", "--out", str(out)]
-            assert main(argv + ["--segmentation", path, "--config", str(config), "--seed", "5"]) == 0
-            for name in ("traces.ndjson", "report.json"):
-                digests[data, path, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            found = sanitize_digests(tmp_path / data, out, "post", path, config)
+            digests.update(((data, path, name), digest) for name, digest in found.items())
     conflux = tmp_path / "conflux.csv"
     assert main(["conflux", "--in", str(clean), "--out", str(conflux)]) == 0
     digests["clean", "conflux.csv"] = hashlib.sha256(conflux.read_bytes()).hexdigest()
@@ -86,11 +118,26 @@ def test_artifact_bytes_are_unchanged(digests, artifact):
     assert digests[artifact] == GOLDEN[artifact]
 
 
+@pytest.fixture(scope="module")
+def pre_digests(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("golden-pre")
+    data = generate(PRE_SCENARIO, tmp_path, "data")
+    config = tmp_path / "sanitize.json"
+    config.write_text(SANITIZE_CONFIG)
+    digests = {}
+    for path in ("circuit", "time"):
+        found = sanitize_digests(data, tmp_path / "out" / path, "pre", path, config)
+        digests.update(((path, name), digest) for name, digest in found.items())
+    return digests
+
+
+@pytest.mark.parametrize("artifact", list(PRE_GOLDEN), ids=["-".join(key) for key in PRE_GOLDEN])
+def test_pre_phase_artifact_bytes_are_unchanged(pre_digests, artifact):
+    assert pre_digests[artifact] == PRE_GOLDEN[artifact]
+
+
 def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    SCENARIO.to_json(scenario)
-    data = tmp_path / "data"
-    assert main(["generate", "--config", str(scenario), "--out", str(data), "--seed", "3"]) == 0
+    data = generate(SCENARIO, tmp_path, "data")
     text = (data / "guard.csv").read_text()
     added = repeat_rows(text).count("\n") - text.count("\n")
     (data / "guard.csv").write_text(repeat_rows(text))

@@ -97,7 +97,7 @@ def test_client_log_joins_visits_and_cells():
 def test_conflux_visit_meta_populated():
     visits = parse_visit_log(io.StringIO("example.com,10,example.com,3,3,4\n"))
     meta = visits[0].conflux_meta
-    assert meta is not None and meta.linked
+    assert meta is not None
     assert meta.leg_ids == (3, 4)
 
 

@@ -36,7 +36,7 @@ from guardsift.sanitize import (
     validate_handshake_post,
     validate_handshake_pre,
 )
-from guardsift.trace import Channel, Circuit, CellRecord, Trace
+from guardsift.trace import Channel, Circuit, CellRecord, Stage, Trace
 
 
 def bulk_channel(channel_id, n_circuits):
@@ -361,6 +361,12 @@ class TestDurationCap:
             compute_duration_cap([])
 
 
+def visit_channel(channel_id, *circuit_ids):
+    """A channel carrying one-cell circuits with the given ids."""
+    circuits = (circuit_from_dirs([1], circuit_id=c, channel_id=channel_id) for c in circuit_ids)
+    return channel_of(*circuits, channel_id=channel_id)
+
+
 class TestGroupVisits:
     def test_rows_within_span_join(self):
         rows = [
@@ -368,8 +374,7 @@ class TestGroupVisits:
             PageVisitRecord("moved-a.example", 5 * SEC, "moved-a.example", 2),
             PageVisitRecord("b.example", 120 * SEC, "b.example", 3),
         ]
-        mapping = {1: 7, 2: 7, 3: 7}
-        groups = group_visits(rows, mapping, 60 * SEC)
+        groups = group_visits(rows, [visit_channel(7, 1, 2, 3)], 60 * SEC)
         assert [g.page_domain for g in groups] == ["a.example", "b.example"]
         assert [g.channel_id for g in groups] == [7, 7]
         assert len(groups[0].rows) == 2
@@ -379,18 +384,46 @@ class TestGroupVisits:
             PageVisitRecord("a.example", 0, "a.example", 1),
             # the row's own id and its first leg belong to no channel; its
             # second leg is circuit 3, on channel 9
-            PageVisitRecord("c.example", 0, "c.example", 30, ConfluxMeta(True, (31, 3))),
+            PageVisitRecord("c.example", 0, "c.example", 30, ConfluxMeta((31, 3))),
             # the own id wins over a leg on another channel
-            PageVisitRecord("b.example", 0, "b.example", 2, ConfluxMeta(True, (2, 3))),
+            PageVisitRecord("b.example", 0, "b.example", 2, ConfluxMeta((2, 3))),
         ]
-        groups = group_visits(rows, {1: 7, 2: 8, 3: 9}, 60 * SEC)
+        channels = [visit_channel(7, 1), visit_channel(8, 2), visit_channel(9, 3)]
+        groups = group_visits(rows, channels, 60 * SEC)
         assert [(g.channel_id, g.page_domain, len(g.rows)) for g in groups] == [
             (7, "a.example", 1), (8, "b.example", 1), (9, "c.example", 1),
         ]
 
     def test_unknown_circuits_ignored(self):
         rows = [PageVisitRecord("a.example", 0, "a.example", 99)]
-        assert group_visits(rows, {}, 60 * SEC) == []
+        assert group_visits(rows, [], 60 * SEC) == []
+
+    def test_named_lists_rows_in_time_order_then_ids_in_row_order(self):
+        channels = [visit_channel(7, 1, 2, 3), visit_channel(8, 4)]
+        rows = [
+            PageVisitRecord("a.example", 10 * SEC, "a.example", 3),
+            # own id first, then the legs; the repeated own id is named once
+            PageVisitRecord("a.example", 0, "a.example", 2, ConfluxMeta((1, 2))),
+            PageVisitRecord("a.example", 5 * SEC, "a.example", 4),  # on channel 8
+        ]
+        groups = group_visits(rows, channels, 60 * SEC)
+        assert [(g.channel_id, [r.request_ts for r in g.rows]) for g in groups] == [
+            (7, [0, 10 * SEC]), (8, [5 * SEC]),
+        ]
+        assert [(row.request_ts, channel_id, c.circuit_id) for row, channel_id, c in groups[0].named] == [
+            (0, 7, 2), (0, 7, 1), (10 * SEC, 7, 3),
+        ]
+        # each named circuit is the channel's own object
+        assert all(c is channels[0].circuits[c.circuit_id] for _, _, c in groups[0].named)
+
+    def test_conflux_row_names_legs_on_two_channels(self):
+        channels = [visit_channel(7, 1), visit_channel(8, 2)]
+        row = PageVisitRecord("a.example", 0, "a.example", 1, ConfluxMeta((1, 2)))
+        (group,) = group_visits([row], channels, 60 * SEC)
+        assert group.channel_id == 7
+        assert [(r, channel_id, c) for r, channel_id, c in group.named] == [
+            (row, 7, channels[0].circuits[1]), (row, 8, channels[1].circuits[2]),
+        ]
 
 
 def valid_circuit(circuit_id, n=240, channel_id=1, start=0):
@@ -403,7 +436,14 @@ class TestSanitizePipeline:
         channels = [channel_of(valid_circuit(1), valid_circuit(2), channel_id=1)]
         result = sanitize(channels, SanitizeConfig(), "pre")
         assert result.report.retained == 2
-        assert result.report.consistent()
+        assert result.outcomes == {(1, 1): Stage.RETAINED, (1, 2): Stage.RETAINED}
+        report = result.report
+        stage_counters = (
+            report.spam_circuits_dropped, report.visit_extra_dropped, report.handshake_dropped,
+            report.conflux_heuristic_dropped, report.small_dropped, report.trim_dropped,
+            report.retained,
+        )
+        assert sum(stage_counters) == report.input_circuits == 2
 
     def test_small_only_dataset_dropped(self):
         channels = [channel_of(*(valid_circuit(i, n=100) for i in range(3)), channel_id=1)]
@@ -417,6 +457,24 @@ class TestSanitizePipeline:
         result = sanitize(channels, SanitizeConfig(), "pre")
         assert result.report.handshake_dropped == 1
         assert result.report.retained == 1
+
+    def test_circuit_ids_repeated_on_two_channels_stay_apart(self):
+        # circuit ids are link-local: channels 1 and 2 both carry a circuit 5
+        channels = [
+            channel_of(valid_circuit(5), valid_circuit(6), channel_id=1),
+            channel_of(valid_circuit(5, channel_id=2), channel_id=2),
+        ]
+        visits = [
+            PageVisitRecord("a.example", 0, "a.example", 6),
+            PageVisitRecord("b.example", 0, "b.example", 5),
+        ]
+        result = sanitize(channels, SanitizeConfig(), "pre", visits)
+        assert sorted(t.label for t in result.traces) == ["a.example", "b.example"]
+        assert result.report.visit_extra_dropped == 1
+        assert result.outcomes == {
+            (1, 5): Stage.UNSELECTED, (1, 6): Stage.RETAINED, (2, 5): Stage.RETAINED,
+        }
+        assert result.labels == {(1, 6): "a.example", (2, 5): "b.example"}
 
     def test_retained_traces_invariants(self):
         channels = [channel_of(valid_circuit(1), channel_id=1)]

@@ -380,9 +380,9 @@ class TestGenerateDataset:
         kept, _ = filter_relay_channels(parsed.channels)
         visits = parse_visit_log(paths.visits_csv)
         result = sanitize(kept, SanitizeConfig(), "pre", visits)
-        expected = {v["main_circuit_id"]: v["label"] for v in truth["visits"]}
+        expected = {(v["channel_id"], v["main_circuit_id"]): v["label"] for v in truth["visits"]}
         assert result.labels == {
-            cid: label for cid, label in expected.items() if cid in result.labels
+            key: label for key, label in expected.items() if key in result.labels
         }
         assert len(result.labels) == len(expected)
 
