@@ -276,7 +276,9 @@ def _group_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     cell = table[:, 2].view(np.uint64) * 2 + (table[:, 3] > 0)
     by_cell = np.argsort(cell, kind="stable")
     tie = np.flatnonzero(cell[by_cell][1:] == cell[by_cell][:-1])
-    rows = by_cell[np.union1d(tie, tie + 1)]  # rows that share their cell, in log order
+    shares = np.zeros(n, dtype=bool)  # np.union1d would import numpy.ma
+    shares[tie] = shares[tie + 1] = True
+    rows = by_cell[np.flatnonzero(shares)]  # rows that share their cell, in log order
     values = np.column_stack((key[rows], table[rows, 2:]))
     same = np.lexsort(values.T[::-1])  # stable, so identical rows stay in log order
     values, rows = values[same], rows[same]

@@ -14,14 +14,21 @@ Traffic model, deliberately minimal: page loads are bursts of a few
 outgoing request cells answered by a stream of incoming cells, with flow
 control acknowledged every ``sendme_interval`` cells. Linked two-leg
 connections schedule each cell on the leg whose currently estimated RTT
-is lowest among legs with congestion-window space.
+is lowest among legs with congestion-window space. That choice changes
+only when an acknowledgment falls due, when the chosen leg's window runs
+out, or at a SENDME boundary, so the scheduler sends every cell up to
+the next such event as one run: its times come from the running sum of
+the plan's spacing, and the earliest pending acknowledgment cuts it.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,7 +41,6 @@ from .trace import (
     OUTGOING,
     POST,
     PRE,
-    CellRecord,
     Circuit,
     ConfluxSet,
     SetGroundTruth,
@@ -194,6 +200,14 @@ def page_model(seed: int, page_idx: int, cell_range: tuple[int, int]) -> PageMod
     return PageModel(label=f"site{page_idx:03d}.example", bursts=tuple(bursts))
 
 
+def _page_models(config: ScenarioConfig, n_visits: int) -> list[PageModel]:
+    """The models of the pages ``n_visits`` round-robin visits load, by page index."""
+    return [
+        page_model(config.seed, page, config.page_cell_range)
+        for page in range(min(config.n_pages, n_visits))
+    ]
+
+
 def _burst_skeleton(rng: np.random.Generator, total: int) -> tuple[tuple[int, int, float], ...]:
     """Ad-hoc burst structure for unlabeled traffic."""
     bursts = []
@@ -209,93 +223,119 @@ def _burst_skeleton(rng: np.random.Generator, total: int) -> tuple[tuple[int, in
 
 # --- lowest-RTT scheduling ------------------------------------------------------
 
-
-@dataclass
-class LegState:
-    """Sender-side view of one leg."""
-
-    rtt_ms: float
-    cwnd: int
-    cells_since_sendme: int = 0
-
-    @property
-    def blocked(self) -> bool:
-        return self.cwnd <= 0
+#: the offsets of a run of one cell, sent at the run's base time
+_ONE_CELL = (0,)
 
 
 class LowRttScheduler:
-    """Per-cell leg choice: lowest estimated RTT with window space.
+    """One sender's leg choice: lowest estimated RTT among legs with window space.
 
     Every ``sendme_interval`` cells sent on a leg, an acknowledgment
     returns one true RTT later; it replenishes the window and feeds a new
     RTT sample into an exponential moving average (alpha = 0.5). Ties in
     the estimate go to the first leg. When every leg is blocked, sending
     stalls until the earliest pending acknowledgment.
+
+    The choice can change only when an acknowledgment falls due, when the
+    chosen leg's window runs out, or at a SENDME boundary, so ``send``
+    sends every cell up to the next such event as one run on one leg.
     """
 
     def __init__(
         self,
         true_rtts_ms: Sequence[float],
-        legs: Sequence[LegState],
+        rtt_ms: Sequence[float],
+        cwnd: Sequence[int],
         sendme_interval: int = 100,
         rtt_sampler: Callable[[int, int], float] | None = None,
     ):
-        self.true_rtts = tuple(float(r) for r in true_rtts_ms)
-        self.legs = list(legs)
+        true_rtts = tuple(float(r) for r in true_rtts_ms)
+        self.ack_ns = [int(r * MS) for r in true_rtts]
+        self.rtt_ms = list(rtt_ms)  # per leg: the estimate
+        self.cwnd = list(cwnd)  # per leg: cells it may still send
+        self.since_sendme = [0] * len(self.cwnd)  # per leg: cells since its last SENDME boundary
         self.interval = sendme_interval
-        self.sampler = rtt_sampler or (lambda leg, k: self.true_rtts[leg])
-        self._sample_counts = [0] * len(self.legs)
+        self.sampler = rtt_sampler or (lambda leg, k: true_rtts[leg])
+        self._sample_counts = [0] * len(self.cwnd)
         self._pending: list[tuple[int, int]] = []  # heap of (ack_ts, leg)
         self._last_leg: int | None = None
-        self._cell_index = 0
-        self.switches: list[int] = []
+        self._cells = 0
+        self.switches: list[int] = []  # index of each cell sent on another leg than the one before
 
     def _process_acks(self, now: int) -> None:
         pending = self._pending
         while pending and pending[0][0] <= now:
             _, leg = heapq.heappop(pending)
-            state = self.legs[leg]
-            state.cwnd += self.interval
+            self.cwnd[leg] += self.interval
             k = self._sample_counts[leg]
             self._sample_counts[leg] += 1
-            state.rtt_ms = 0.5 * state.rtt_ms + 0.5 * self.sampler(leg, k)
+            self.rtt_ms[leg] = 0.5 * self.rtt_ms[leg] + 0.5 * self.sampler(leg, k)
 
     def _choose(self) -> int | None:
         best = None
-        for i, state in enumerate(self.legs):
-            if state.blocked:
-                continue
-            if best is None or state.rtt_ms < self.legs[best].rtt_ms:
-                best = i
+        for leg, cwnd in enumerate(self.cwnd):
+            if cwnd > 0 and (best is None or self.rtt_ms[leg] < self.rtt_ms[best]):
+                best = leg
         return best
 
-    def send_one(self, t_ns: int) -> tuple[int, int, bool]:
-        """Send one cell at (or after) ``t_ns``.
+    def send(
+        self,
+        t: int,
+        spacing: Sequence[int],
+        legs: Sequence[list],
+        cell: tuple[int, int],
+        sendme_lag_ns: Sequence[int] | None = None,
+    ) -> tuple[int, int | None]:
+        """Send ``len(spacing)`` cells of one (direction, cell_type): the first
+        at or after ``t``, each next one ``spacing[j]`` after cell ``j`` went out.
 
-        Returns (actual_time, leg, sendme_due) where ``sendme_due`` marks
-        the cell whose receipt triggers the receiver's acknowledgment.
+        Each run is appended to ``legs[leg]`` as ``(base, offsets, direction,
+        cell_type)``: its cells went out at ``base + offset``. Where a run
+        completes a SENDME interval and ``sendme_lag_ns`` gives a lag per
+        leg, a one-cell SENDME run in the other direction follows it, that
+        long after its last cell. Returns the time after the last spacing
+        and the leg of the first cell.
         """
-        self._process_acks(t_ns)
-        leg = self._choose()
-        while leg is None:
-            if not self._pending:
-                raise RuntimeError("every leg is blocked and no acknowledgment pending")
-            t_ns = self._pending[0][0]
-            self._process_acks(t_ns)
+        direction, cell_type = cell
+        offsets = list(accumulate(spacing, initial=0))
+        base = t  # cell j goes out at base + offsets[j]; a stall moves base later
+        pending = self._pending
+        first_leg = None
+        i, n = 0, len(spacing)
+        while i < n:
+            now = base + offsets[i]
+            self._process_acks(now)
             leg = self._choose()
-        state = self.legs[leg]
-        state.cwnd -= 1
-        state.cells_since_sendme += 1
-        sendme_due = False
-        if state.cells_since_sendme >= self.interval:
-            state.cells_since_sendme = 0
-            heapq.heappush(self._pending, (t_ns + int(self.true_rtts[leg] * MS), leg))
-            sendme_due = True
-        if self._last_leg is not None and leg != self._last_leg:
-            self.switches.append(self._cell_index)
-        self._last_leg = leg
-        self._cell_index += 1
-        return t_ns, leg, sendme_due
+            while leg is None:
+                if not pending:
+                    raise RuntimeError("every leg is blocked and no acknowledgment pending")
+                now = pending[0][0]
+                base = now - offsets[i]
+                self._process_acks(now)
+                leg = self._choose()
+            stop = min(n, i + self.cwnd[leg], i + self.interval - self.since_sendme[leg])
+            if pending:  # a cell sent at or after the next acknowledgment sees it first
+                stop = bisect_left(offsets, pending[0][0] - base, i + 1, stop)
+            sent = stop - i
+            self.cwnd[leg] -= sent
+            self.since_sendme[leg] += sent
+            if leg != self._last_leg:
+                if self._last_leg is not None:
+                    self.switches.append(self._cells)
+                self._last_leg = leg
+            if i == 0:
+                first_leg = leg
+            self._cells += sent
+            legs[leg].append((base, offsets[i:stop], direction, cell_type))
+            if self.since_sendme[leg] == self.interval:
+                self.since_sendme[leg] = 0
+                last = base + offsets[stop - 1]
+                heapq.heappush(pending, (last + self.ack_ns[leg], leg))
+                if sendme_lag_ns is not None:  # the SENDME travels the other way
+                    sendme = (-direction, int(CellTypeCode.RELAY_SENDME))
+                    legs[leg].append((last + sendme_lag_ns[leg], _ONE_CELL, *sendme))
+            i = stop
+        return base + offsets[n], first_leg
 
 
 # --- single-leg circuits --------------------------------------------------------
@@ -547,17 +587,37 @@ def plan_conflux_visit(
     )
 
 
+def _leg_cells(runs: Sequence[tuple]) -> np.ndarray:
+    """A leg's runs as int64 (n, 3) rows of timestamp, direction, cell_type,
+    stably sorted by timestamp, so cells sent at one time keep send order.
+
+    A visit's last run, its second DESTROY, holds the latest time as its
+    base, so a time past the int64 range raises ``OverflowError`` here
+    rather than wrapping.
+    """
+    bases, offsets, directions, cell_types = zip(*runs)
+    sizes = [len(o) for o in offsets]
+    cells = np.repeat(np.array((bases, directions, cell_types), dtype=np.int64), sizes, axis=1).T
+    cells[:, 0] += np.fromiter(chain.from_iterable(offsets), np.int64, len(cells))
+    return cells[np.argsort(cells[:, 0], kind="stable")]
+
+
 @dataclass
 class ConfluxVisitSim:
     """Simulated linked visit: per-leg typed cells plus scheduler truth."""
 
-    leg_cells: tuple[list[CellEv], list[CellEv]]
+    leg_runs: tuple[list, list]  # per leg, (base, offsets, direction, cell_type) runs in send order
     client_primary: int  # leg index
     exit_primary: int
     fs: bool
     guard_cells: int  # data-phase cells on leg 0
     full_cells: int  # data-phase cells on both legs
     switches: int
+
+    @cached_property
+    def leg_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per leg, the cells as ``_leg_cells`` rows; the sweep never builds them."""
+        return _leg_cells(self.leg_runs[0]), _leg_cells(self.leg_runs[1])
 
 
 def _array_sampler(arrays: tuple[tuple[float, ...], tuple[float, ...]], rtts, flags=None):
@@ -573,96 +633,81 @@ def _array_sampler(arrays: tuple[tuple[float, ...], tuple[float, ...]], rtts, fl
 def simulate_conflux_visit(
     plan: ConfluxVisitPlan, config: ScenarioConfig, delta_ms: float | None = None
 ) -> ConfluxVisitSim:
-    """Replay a visit plan under a given competitor RTT handicap."""
+    """Replay a visit plan under a given competitor RTT handicap.
+
+    The client sends BEGIN and request cells, the exit CONNECTED and
+    response cells, each through its own scheduler, in runs.
+    """
     if delta_ms is None:
         delta_ms = config.competitor_rtt_delta_ms
     rtts = (plan.rtt_base_ms[0], plan.rtt_base_ms[1] + delta_ms)
-    legs: tuple[list[CellEv], list[CellEv]] = ([], [])
+    rtt_ns = (int(rtts[0] * MS), int(rtts[1] * MS))
+    legs: tuple[list, list] = ([], [])
 
     # both legs are built and linked together, then sit until use
     link_done = plan.t0
     for leg in (0, 1):
         t = plan.t0 + plan.turnaround_ns[leg]
-        rtt_ns = int(rtts[leg] * MS)
-        legs[leg].append((t, OUTGOING, CELL_CREATE))
-        t += rtt_ns
-        legs[leg].append((t, INCOMING, CELL_CREATED))
+        legs[leg].append((t, _ONE_CELL, OUTGOING, CELL_CREATE))
+        t += rtt_ns[leg]
+        legs[leg].append((t, _ONE_CELL, INCOMING, CELL_CREATED))
         t += plan.turnaround_ns[2 + leg]
-        legs[leg].append((t, OUTGOING, int(CellTypeCode.CFX_LINK)))
-        t += rtt_ns
-        legs[leg].append((t, INCOMING, int(CellTypeCode.CFX_LINKED)))
+        legs[leg].append((t, _ONE_CELL, OUTGOING, int(CellTypeCode.CFX_LINK)))
+        t += rtt_ns[leg]
+        legs[leg].append((t, _ONE_CELL, INCOMING, int(CellTypeCode.CFX_LINKED)))
         t += plan.turnaround_ns[4 + leg]
-        legs[leg].append((t, OUTGOING, int(CellTypeCode.CFX_LINKED_ACK)))
+        legs[leg].append((t, _ONE_CELL, OUTGOING, int(CellTypeCode.CFX_LINKED_ACK)))
         link_done = max(link_done, t)
 
+    cwnd = (config.initial_cwnd, config.initial_cwnd)
     client = LowRttScheduler(
         rtts,
-        [
-            LegState(rtts[0] + plan.client_init_noise[0], config.initial_cwnd),
-            LegState(rtts[1] + plan.client_init_noise[1], config.initial_cwnd),
-        ],
+        (rtts[0] + plan.client_init_noise[0], rtts[1] + plan.client_init_noise[1]),
+        cwnd,
         config.sendme_interval,
         _array_sampler(plan.client_noise, rtts),
     )
     exit_side = LowRttScheduler(
         rtts,
-        [
-            LegState(rtts[0] + plan.exit_init_noise[0], config.initial_cwnd),
-            LegState(rtts[1] + plan.exit_init_noise[1], config.initial_cwnd),
-        ],
+        (rtts[0] + plan.exit_init_noise[0], rtts[1] + plan.exit_init_noise[1]),
+        cwnd,
         config.sendme_interval,
         _array_sampler(plan.exit_noise, rtts, plan.exit_switch_flags),
     )
+    # the client's SENDMEs come back one RTT later; the exit's go out at once
+    client_lag, exit_lag = rtt_ns, (300_000, 300_000)
 
-    t = link_done + plan.idle_ns
-    oidx = iidx = 0
-    client_primary = exit_primary = None
-    for _ in range(plan.n_begins):
-        t, leg, sm = client.send_one(t)
-        legs[leg].append((t, OUTGOING, int(CellTypeCode.RELAY_BEGIN)))
-        if client_primary is None:
-            client_primary = leg
-        if sm:
-            legs[leg].append((t + int(rtts[leg] * MS), INCOMING, int(CellTypeCode.RELAY_SENDME)))
-        t += plan.out_spacing[oidx]
-        oidx += 1
-    t_conn = t + int(rtts[client_primary] * MS)
-    t_conn, xleg, _ = exit_side.send_one(t_conn)
-    legs[xleg].append((t_conn, INCOMING, int(CellTypeCode.RELAY_CONNECTED)))
-    exit_primary = xleg
-    t = t_conn + plan.turnaround_ns[6]
-
+    begins = plan.n_begins
+    t, client_primary = client.send(
+        link_done + plan.idle_ns, plan.out_spacing[:begins], legs,
+        (OUTGOING, int(CellTypeCode.RELAY_BEGIN)), client_lag,
+    )
+    t, exit_primary = exit_side.send(
+        t + rtt_ns[client_primary], plan.turnaround_ns[6:7], legs,
+        (INCOMING, int(CellTypeCode.RELAY_CONNECTED)),
+    )
+    data = int(CellTypeCode.RELAY_DATA)
+    oidx, iidx = begins, 0
     for out, inc, think_ms in plan.page.bursts:
-        for _ in range(out):
-            t, leg, sm = client.send_one(t)
-            legs[leg].append((t, OUTGOING, int(CellTypeCode.RELAY_DATA)))
-            if sm:
-                legs[leg].append((t + int(rtts[leg] * MS), INCOMING, int(CellTypeCode.RELAY_SENDME)))
-            t += plan.out_spacing[oidx % len(plan.out_spacing)]
-            oidx += 1
-        t += int(rtts[exit_primary] * MS) + int(think_ms * MS)
-        for _ in range(inc):
-            t, leg, sm = exit_side.send_one(t)
-            legs[leg].append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
-            if sm:
-                legs[leg].append((t + 300_000, OUTGOING, int(CellTypeCode.RELAY_SENDME)))
-            t += plan.in_spacing[iidx % len(plan.in_spacing)]
-            iidx += 1
+        t, _ = client.send(t, plan.out_spacing[oidx : oidx + out], legs, (OUTGOING, data), client_lag)
+        oidx += out
+        t += rtt_ns[exit_primary] + int(think_ms * MS)
+        t, _ = exit_side.send(t, plan.in_spacing[iidx : iidx + inc], legs, (INCOMING, data), exit_lag)
+        iidx += inc
 
-    guard_cells = len(legs[0]) - 5
-    full_cells = guard_cells + len(legs[1]) - 5
-    for leg in (0, 1):
-        end = max(c[0] for c in legs[leg]) + plan.turnaround_ns[7]
-        legs[leg].append((end, OUTGOING, CELL_DESTROY))
-        legs[leg].append((end + 2_000_000, INCOMING, CELL_DESTROY))
-        legs[leg].sort(key=lambda c: c[0])
+    guard_cells, other_cells = (sum(len(run[1]) for run in runs) - 5 for runs in legs)
+    for runs in legs:
+        # spacings are positive, so a run's last cell is its latest
+        end = max(base + offsets[-1] for base, offsets, _, _ in runs) + plan.turnaround_ns[7]
+        runs.append((end, _ONE_CELL, OUTGOING, CELL_DESTROY))
+        runs.append((end + 2_000_000, _ONE_CELL, INCOMING, CELL_DESTROY))
     return ConfluxVisitSim(
-        leg_cells=legs,
+        leg_runs=legs,
         client_primary=client_primary,
         exit_primary=exit_primary,
         fs=(client_primary == 0 and exit_primary == 0),
         guard_cells=guard_cells,
-        full_cells=full_cells,
+        full_cells=guard_cells + other_cells,
         switches=len(client.switches) + len(exit_side.switches),
     )
 
@@ -886,12 +931,17 @@ def _split_bursts(
 
 
 def _fill_monitored_pre(
-    out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int, plan: ChannelPlan
+    out: ChannelOutput,
+    rng: np.random.Generator,
+    config: ScenarioConfig,
+    t0: int,
+    plan: ChannelPlan,
+    pages: Sequence[PageModel],
 ) -> None:
     ids = iter(_id_pool(rng, out.channel_id, 4 * len(plan.visits) + 4))
     t = t0
     for page_idx, serial in plan.visits:
-        page = page_model(config.seed, page_idx, config.page_cell_range)
+        page = pages[page_idx]
         t += int(_uf(rng, 70.0, 130.0) * SEC)
         visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
         circuit_ids: list[int] = []
@@ -966,12 +1016,17 @@ def _fill_monitored_pre(
 
 
 def _fill_monitored_post(
-    out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int, plan: ChannelPlan
+    out: ChannelOutput,
+    rng: np.random.Generator,
+    config: ScenarioConfig,
+    t0: int,
+    plan: ChannelPlan,
+    pages: Sequence[PageModel],
 ) -> None:
     ids = iter(_id_pool(rng, out.channel_id, 2 * len(plan.visits) + 2))
     t = t0
     for page_idx, serial in plan.visits:
-        page = page_model(config.seed, page_idx, config.page_cell_range)
+        page = pages[page_idx]
         t += int(_uf(rng, 100.0, 160.0) * SEC)
         vplan = plan_conflux_visit(rng, config, page, t)
         sim = simulate_conflux_visit(vplan, config)
@@ -979,7 +1034,7 @@ def _fill_monitored_post(
         leg_ids = (guard_id, other_id)
         visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
 
-        legs = [np.array(cells, dtype=np.int64) for cells in sim.leg_cells]
+        legs = sim.leg_cells
         primary = legs[sim.client_primary]
         begin_ts = int(primary[primary[:, 2] == CellTypeCode.RELAY_BEGIN, 0].min())
         guard_end = int(legs[0][:, 0].max())
@@ -1017,7 +1072,7 @@ def _fill_monitored_post(
         )
 
 
-def _build_channel(config: ScenarioConfig, plan: ChannelPlan) -> ChannelOutput:
+def _build_channel(config: ScenarioConfig, plan: ChannelPlan, pages: Sequence[PageModel]) -> ChannelOutput:
     rng = _rng(config.seed, 0xC4A, plan.index)
     out = ChannelOutput(plan.index, plan.kind)
     t0 = int(_uf(rng, 0.0, 600.0) * SEC)
@@ -1028,9 +1083,9 @@ def _build_channel(config: ScenarioConfig, plan: ChannelPlan) -> ChannelOutput:
     elif plan.kind == KIND_NONMON:
         _fill_nonmon(out, rng, config, t0)
     elif config.phase == POST:
-        _fill_monitored_post(out, rng, config, t0, plan)
+        _fill_monitored_post(out, rng, config, t0, plan, pages)
     else:
-        _fill_monitored_pre(out, rng, config, t0, plan)
+        _fill_monitored_pre(out, rng, config, t0, plan, pages)
     return out
 
 
@@ -1076,8 +1131,9 @@ def generate_dataset(config: ScenarioConfig, out_dir: str | Path) -> GeneratedDa
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     plans = _make_plans(config)
+    pages = _page_models(config, config.n_pages * config.n_visits_per_page)
     try:
-        outputs = [_build_channel(config, plan) for plan in plans]
+        outputs = [_build_channel(config, plan, pages) for plan in plans]
     except OverflowError:
         raise ConfigError("the scenario's times do not fit 64-bit nanosecond timestamps") from None
 
@@ -1164,19 +1220,22 @@ class SimulatedSet:
     coverage: float
 
 
+def _leg_circuit(circuit_id: int, cells: np.ndarray) -> Circuit:
+    """A circuit over ``_leg_cells`` rows, each column copied out contiguous."""
+    timestamps, directions, cell_types = cells.T.copy()
+    return Circuit(circuit_id, timestamps, directions.astype(np.int8), cell_types)
+
+
 def simulate_conflux_sets(config: ScenarioConfig, n_sets: int):
     """Yield linked sets one at a time (cell volumes can be large)."""
+    pages = _page_models(config, n_sets)
     for k in range(n_sets):
         rng = _rng(config.seed, 0x5E7, k)
-        page = page_model(config.seed, k % config.n_pages, config.page_cell_range)
-        plan = plan_conflux_visit(rng, config, page, t0=0)
+        plan = plan_conflux_visit(rng, config, pages[k % config.n_pages], t0=0)
         sim = simulate_conflux_visit(plan, config)
         id_a, id_b = 2 * k + 1, 2 * k + 2
         leg_ids = (id_a, id_b)
-        leg_a, leg_b = (
-            Circuit.from_records(cid, [CellRecord(k, cid, ts, d, ct) for ts, d, ct in cells])
-            for cid, cells in zip(leg_ids, sim.leg_cells)
-        )
+        leg_a, leg_b = (_leg_circuit(cid, cells) for cid, cells in zip(leg_ids, sim.leg_cells))
         truth = SetGroundTruth(
             client_primary=leg_ids[sim.client_primary],
             exit_primary=leg_ids[sim.exit_primary],
@@ -1206,11 +1265,11 @@ def run_rtt_advantage_sweep(
         n_visits = config.n_pages * config.n_visits_per_page
     if n_visits < 1:
         raise ConfigError("the sweep needs at least one visit")
-    plans = []
-    for v in range(n_visits):
-        rng = _rng(config.seed, 0x5EE, v)
-        page = page_model(config.seed, v % config.n_pages, config.page_cell_range)
-        plans.append(plan_conflux_visit(rng, config, page, t0=0))
+    pages = _page_models(config, n_visits)
+    plans = [
+        plan_conflux_visit(_rng(config.seed, 0x5EE, v), config, pages[v % config.n_pages], t0=0)
+        for v in range(n_visits)
+    ]
     rows = []
     for delta in deltas_ms:
         coverages = []

@@ -250,10 +250,14 @@ def normalize(trace: Trace) -> Trace:
     return trace.with_cells(trace.timestamps - trace.timestamps[0], trace.directions)
 
 
-def _trace_line(trace: Trace) -> str:
-    phase, label = json.dumps(trace.phase), json.dumps(trace.label)
+def _trace_head(phase: str, label: str | None) -> str:
+    """A trace line up to the "[" that opens its cells."""
+    return f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['
+
+
+def _trace_line(trace: Trace, head: str) -> str:
     cells = (("[%d,%d]," * len(trace)) % _pairs(trace.timestamps, trace.directions))[:-1]
-    return f'{{"phase":{phase},"label":{label},"cells":[{cells}]}}'
+    return f"{head}{cells}]}}"
 
 
 def serialize_dataset(traces: Sequence[Trace], seed: int) -> bytes:
@@ -271,7 +275,9 @@ def serialize_dataset(traces: Sequence[Trace], seed: int) -> bytes:
                 f"trace {trace.trace_id} starts at {trace.timestamps[0]} ns, expected 0"
             )
     order = np.random.default_rng(seed).permutation(len(traces))
-    lines = [_trace_line(traces[i]) for i in order]
+    # phases and labels repeat from trace to trace: render each head once
+    heads = {key: _trace_head(*key) for key in {(t.phase, t.label) for t in traces}}
+    lines = [_trace_line(traces[i], heads[traces[i].phase, traces[i].label]) for i in order]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 

@@ -4,8 +4,10 @@ The digests of the noisy post-phase scenario were taken before the log
 parser decoded bytes in chunks and grouped cells by a packed key, and
 before the time path trimmed every window of a channel at once. Those of
 the pre-phase visit scenario were taken before visit rows were resolved
-once and each circuit's stage was keyed by (channel, circuit). A change to
-any of these files is a format change and must be made on purpose.
+once and each circuit's stage was keyed by (channel, circuit). Those of
+the generated post-phase logs and of the RTT sweep were taken while the
+Conflux scheduler still sent one cell per call. A change to any of these
+files is a format change and must be made on purpose.
 """
 
 import hashlib
@@ -144,3 +146,38 @@ def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ingest", "--in", str(data)]) == 0
     assert f'"duplicates_dropped": {added}' in capsys.readouterr().out
+
+
+# post phase at the default size, and under flow-control stress: a window of
+# one 3-cell SENDME interval, frequent exit-side penalties and wide RTT noise,
+# so the Conflux scheduler stalls on both legs and switches often
+GENERATE_SCENARIOS = {
+    "post-default": ScenarioConfig(phase="post"),
+    "post-stress": ScenarioConfig(
+        phase="post", sendme_interval=3, initial_cwnd=3, exit_switch_prob=0.3, rtt_noise_ms=80.0
+    ),
+}
+GENERATE_GOLDEN = {
+    ("post-default", "guard.csv"): "a21e56f23ea5ab2eee82533e122223b80f825e73d76ae348649b31bff8ffad98",
+    ("post-default", "client.csv"): "5262dedaa91d2575d35850d3723d533b10df8f8eba25b1034cbca3552db999b8",
+    ("post-default", "visits.csv"): "7cb0330a6fa9cb93d5407425b5ae17c07a249762c9bd30e800fd3839be308f30",
+    ("post-default", "truth.json"): "a9b46694c71db8130f14c7a5d9eeb3c3974be00632f7377eea02ef0d1e59169e",
+    ("post-stress", "guard.csv"): "4dd414e0961445917ba792b72b788c06cb567003e0ca496b015019ceb329a23a",
+    ("post-stress", "client.csv"): "c425841b116cabf66290760d8f99e72e6b85124a43d0bd2a2fbf7f4a781c9f38",
+    ("post-stress", "visits.csv"): "dd7818606ff6e4aff07e57be16d834f7fdfafe55ee77a2510305551440e26cce",
+    ("post-stress", "truth.json"): "449573f386736cadab318ed3fe4854f81a69c387c5b0d07d4ba4cf564a686d51",
+}
+SWEEP_GOLDEN = "cee92feac176c9ca4465292031077eda185f3f696d6b41cc668ccd94c961ff93"
+
+
+@pytest.mark.parametrize("scenario", list(GENERATE_SCENARIOS))
+def test_generated_bytes_are_unchanged(tmp_path, scenario):
+    data = generate(GENERATE_SCENARIOS[scenario], tmp_path, scenario)
+    for name in ("guard.csv", "client.csv", "visits.csv", "truth.json"):
+        digest = hashlib.sha256((data / name).read_bytes()).hexdigest()
+        assert digest == GENERATE_GOLDEN[scenario, name], name
+
+
+def test_rtt_sweep_bytes_are_unchanged(tmp_path):
+    assert main(["generate", "--out", str(tmp_path), "--rtt-sweep", "0,16,64,512"]) == 0
+    assert hashlib.sha256((tmp_path / "rtt_sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN

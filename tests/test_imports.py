@@ -109,6 +109,22 @@ def test_commands_that_hash_nothing_load_no_hashlib(tmp_path, logs, argv):
     assert "hashlib" not in _modules_after(argv, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--in", "{logs}"],
+        ["conflux", "--in", "{logs}", "--out", "{out}"],
+        ["sanitize", "--in", "{logs}", "--phase", "post", "--out", "{out}"],
+        ["sanitize", "--in", "{logs}", "--phase", "post", "--segmentation", "time", "--out", "{out}"],
+    ],
+    ids=["ingest", "conflux", "sanitize-circuit", "sanitize-time"],
+)
+def test_log_commands_load_no_numpy_ma(tmp_path, logs, argv):
+    # numpy.ma costs about 12 ms to import; set operations such as np.union1d load it
+    argv = [a.format(logs=logs, out=tmp_path / "out") for a in argv]
+    assert "numpy.ma" not in _modules_after(argv, tmp_path)
+
+
 def test_sanitize_stages_load_no_hashlib(tmp_path):
     # sanitize and transform still load it through numpy.random (secrets, hmac)
     code = (

@@ -1,5 +1,6 @@
+import heapq
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from guardsift.errors import ConfigError, GuardsiftError
 from guardsift.ingest import parse_guard_log, parse_visit_log, filter_relay_channels
 from guardsift.sanitize import SanitizeConfig, sanitize, validate_handshake_post, CONFLUX
 from guardsift.simulate import (
+    CELL_CREATE,
+    CELL_CREATED,
+    CELL_DESTROY,
     ChannelOutput,
-    LegState,
     LowRttScheduler,
     ScenarioConfig,
     TailPlan,
     _apply_noise,
+    _array_sampler,
     _emit_bursts,
     _emit_tail,
     _merged_rows,
@@ -184,21 +188,227 @@ def test_merged_log_matches_stable_tuple_sort(tmp_path_factory, channels):
         assert path.read_text(encoding="utf-8") == "header\n#AUTH,1\n" + oracle_log_lines(outputs, name)
 
 
+# --- per-cell oracle: the scheduler and visit replay that sent one cell a call --
+
+
+@dataclass
+class OracleLeg:
+    """Sender-side view of one leg."""
+
+    rtt_ms: float
+    cwnd: int
+    cells_since_sendme: int = 0
+
+
+class OracleScheduler:
+    """Per-cell leg choice: lowest estimated RTT with window space."""
+
+    def __init__(self, true_rtts_ms, legs, sendme_interval=100, rtt_sampler=None):
+        self.true_rtts = tuple(float(r) for r in true_rtts_ms)
+        self.legs = list(legs)
+        self.interval = sendme_interval
+        self.sampler = rtt_sampler or (lambda leg, k: self.true_rtts[leg])
+        self._sample_counts = [0] * len(self.legs)
+        self._pending = []  # heap of (ack_ts, leg)
+        self._last_leg = None
+        self._cell_index = 0
+        self.switches = []
+
+    def _process_acks(self, now):
+        while self._pending and self._pending[0][0] <= now:
+            _, leg = heapq.heappop(self._pending)
+            state = self.legs[leg]
+            state.cwnd += self.interval
+            k = self._sample_counts[leg]
+            self._sample_counts[leg] += 1
+            state.rtt_ms = 0.5 * state.rtt_ms + 0.5 * self.sampler(leg, k)
+
+    def _choose(self):
+        best = None
+        for i, state in enumerate(self.legs):
+            if state.cwnd > 0 and (best is None or state.rtt_ms < self.legs[best].rtt_ms):
+                best = i
+        return best
+
+    def send_one(self, t_ns):
+        """(actual send time, leg, whether the cell completes a SENDME interval)"""
+        self._process_acks(t_ns)
+        leg = self._choose()
+        while leg is None:
+            if not self._pending:
+                raise RuntimeError("every leg is blocked and no acknowledgment pending")
+            t_ns = self._pending[0][0]
+            self._process_acks(t_ns)
+            leg = self._choose()
+        state = self.legs[leg]
+        state.cwnd -= 1
+        state.cells_since_sendme += 1
+        sendme_due = False
+        if state.cells_since_sendme >= self.interval:
+            state.cells_since_sendme = 0
+            heapq.heappush(self._pending, (t_ns + int(self.true_rtts[leg] * MS), leg))
+            sendme_due = True
+        if self._last_leg is not None and leg != self._last_leg:
+            self.switches.append(self._cell_index)
+        self._last_leg = leg
+        self._cell_index += 1
+        return t_ns, leg, sendme_due
+
+
+def oracle_conflux_visit(plan, config, delta_ms):
+    """Per leg, the (timestamp, direction, cell_type) cells in stable time
+    order, then client_primary, exit_primary, fs, guard_cells, full_cells and
+    switches."""
+    rtts = (plan.rtt_base_ms[0], plan.rtt_base_ms[1] + delta_ms)
+    legs = ([], [])
+    link_done = plan.t0
+    for leg in (0, 1):
+        t = plan.t0 + plan.turnaround_ns[leg]
+        rtt_ns = int(rtts[leg] * MS)
+        legs[leg].append((t, OUTGOING, CELL_CREATE))
+        t += rtt_ns
+        legs[leg].append((t, INCOMING, CELL_CREATED))
+        t += plan.turnaround_ns[2 + leg]
+        legs[leg].append((t, OUTGOING, int(CellTypeCode.CFX_LINK)))
+        t += rtt_ns
+        legs[leg].append((t, INCOMING, int(CellTypeCode.CFX_LINKED)))
+        t += plan.turnaround_ns[4 + leg]
+        legs[leg].append((t, OUTGOING, int(CellTypeCode.CFX_LINKED_ACK)))
+        link_done = max(link_done, t)
+
+    def scheduler(init_noise, noise, flags=None):
+        states = [OracleLeg(rtts[leg] + init_noise[leg], config.initial_cwnd) for leg in (0, 1)]
+        return OracleScheduler(rtts, states, config.sendme_interval, _array_sampler(noise, rtts, flags))
+
+    client = scheduler(plan.client_init_noise, plan.client_noise)
+    exit_side = scheduler(plan.exit_init_noise, plan.exit_noise, plan.exit_switch_flags)
+    begin, connected = int(CellTypeCode.RELAY_BEGIN), int(CellTypeCode.RELAY_CONNECTED)
+    t = link_done + plan.idle_ns
+    oidx = iidx = 0
+    client_primary = None
+    for _ in range(plan.n_begins):
+        t, leg, sm = client.send_one(t)
+        legs[leg].append((t, OUTGOING, begin))
+        if client_primary is None:
+            client_primary = leg
+        if sm:
+            legs[leg].append((t + int(rtts[leg] * MS), INCOMING, RELAY_SENDME))
+        t += plan.out_spacing[oidx]
+        oidx += 1
+    t_conn, exit_primary, _ = exit_side.send_one(t + int(rtts[client_primary] * MS))
+    legs[exit_primary].append((t_conn, INCOMING, connected))
+    t = t_conn + plan.turnaround_ns[6]
+    for out, inc, think_ms in plan.page.bursts:
+        for _ in range(out):
+            t, leg, sm = client.send_one(t)
+            legs[leg].append((t, OUTGOING, RELAY_DATA))
+            if sm:
+                legs[leg].append((t + int(rtts[leg] * MS), INCOMING, RELAY_SENDME))
+            t += plan.out_spacing[oidx % len(plan.out_spacing)]
+            oidx += 1
+        t += int(rtts[exit_primary] * MS) + int(think_ms * MS)
+        for _ in range(inc):
+            t, leg, sm = exit_side.send_one(t)
+            legs[leg].append((t, INCOMING, RELAY_DATA))
+            if sm:
+                legs[leg].append((t + 300_000, OUTGOING, RELAY_SENDME))
+            t += plan.in_spacing[iidx % len(plan.in_spacing)]
+            iidx += 1
+    guard_cells = len(legs[0]) - 5
+    full_cells = guard_cells + len(legs[1]) - 5
+    for leg in (0, 1):
+        end = max(c[0] for c in legs[leg]) + plan.turnaround_ns[7]
+        legs[leg].append((end, OUTGOING, CELL_DESTROY))
+        legs[leg].append((end + 2_000_000, INCOMING, CELL_DESTROY))
+        legs[leg].sort(key=lambda c: c[0])
+    switches = len(client.switches) + len(exit_side.switches)
+    fs = client_primary == 0 and exit_primary == 0
+    return legs, client_primary, exit_primary, fs, guard_cells, full_cells, switches
+
+
+def replay_result(sim):
+    legs = tuple([tuple(c) for c in cells.tolist()] for cells in sim.leg_cells)
+    return (legs, sim.client_primary, sim.exit_primary, sim.fs, sim.guard_cells, sim.full_cells,
+            sim.switches)
+
+
+sendme_intervals = st.sampled_from([1, 2, 3, 100]) | st.integers(1, 150)
+half_ms = st.integers(0, 8).map(lambda k: k * MS // 2)
+
+
+class TestRunReplayMatchesPerCellOracle:
+    """The run replay sends every cell where the per-cell scheduler does."""
+
+    @given(seeds, st.integers(0, 7), sendme_intervals, st.sampled_from([0]) | st.integers(0, 400),
+           probs, st.floats(0.0, 100.0), st.floats(-50.0, 10_000.0),
+           st.tuples(st.floats(2.0, 200.0), st.floats(2.0, 200.0)).map(sorted))
+    @settings(max_examples=300, deadline=None)
+    def test_visit(self, seed, page_idx, interval, extra_cwnd, switch_prob, noise_ms, delta_ms, rtts):
+        # extra_cwnd 0 is a window of one interval: legs block and sending stalls
+        config = ScenarioConfig(
+            seed=seed, phase="post", page_cell_range=(30, 400), sendme_interval=interval,
+            initial_cwnd=interval + extra_cwnd, exit_switch_prob=switch_prob, rtt_noise_ms=noise_ms,
+            leg_rtt_ms=tuple(rtts),
+        )
+        page = page_model(seed, page_idx, config.page_cell_range)
+        plan = plan_conflux_visit(np.random.default_rng(seed), config, page, t0=seed % 10**9)
+        sim = simulate_conflux_visit(plan, config, delta_ms)
+        assert replay_result(sim) == oracle_conflux_visit(plan, config, delta_ms)
+
+    @given(st.tuples(half_ms, half_ms).map(lambda r: (r[0] / MS + 0.5, r[1] / MS + 0.5)),
+           st.tuples(st.integers(1, 30), st.integers(1, 30)), st.integers(1, 10),
+           st.lists(st.tuples(half_ms, st.lists(st.sampled_from([0, MS // 2, MS]), max_size=40)),
+                    max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_scheduler(self, rtts, cwnd, interval, segments):
+        # times and RTTs on a half-millisecond grid put many cells at the very
+        # time an acknowledgment falls due; zero spacings send cells together
+        cwnd = tuple(max(w, interval) for w in cwnd)
+        sched = LowRttScheduler(rtts, rtts, cwnd, interval)
+        oracle = OracleScheduler(rtts, [OracleLeg(r, w) for r, w in zip(rtts, cwnd)], interval)
+        runs, expected = ([], []), ([], [])
+        t = expected_t = 0
+        for gap, spacing in segments:
+            t, first = sched.send(t + gap, spacing, runs, (OUTGOING, RELAY_DATA), (7, 9))
+            expected_t += gap
+            expected_first = None
+            for step in spacing:
+                expected_t, leg, due = oracle.send_one(expected_t)
+                expected[leg].append((expected_t, OUTGOING, RELAY_DATA))
+                if due:
+                    expected[leg].append((expected_t + (7, 9)[leg], INCOMING, RELAY_SENDME))
+                expected_first = leg if expected_first is None else expected_first
+                expected_t += step
+            assert (t, first) == (expected_t, expected_first)
+        for leg in (0, 1):
+            cells = [(base + o, d, ct) for base, offsets, d, ct in runs[leg] for o in offsets]
+            assert cells == expected[leg]
+            assert sched.since_sendme[leg] == oracle.legs[leg].cells_since_sendme
+            assert sched.cwnd[leg] == oracle.legs[leg].cwnd
+        assert sched.switches == oracle.switches
+
+    def test_every_leg_blocked_without_a_pending_acknowledgment_raises(self):
+        for sched in (LowRttScheduler((50.0, 60.0), (50.0, 60.0), (0, 0), 10),
+                      LowRttScheduler((50.0, 60.0), (50.0, 60.0), (1, 1), 10)):
+            with pytest.raises(RuntimeError, match="every leg is blocked"):
+                sched.send(0, [1000] * 3, ([], []), (OUTGOING, RELAY_DATA))
+
+
 class TestScheduler:
     def legs(self, rtt_a=50.0, rtt_b=200.0, cwnd=10_000):
-        return (LegState(rtt_a, cwnd), LegState(rtt_b, cwnd))
+        """Per leg, the true and first estimated RTT, and the window."""
+        return ((rtt_a, cwnd), (rtt_b, cwnd))
 
     def send(self, n_cells, legs, spacing_ns=500_000, sendme_interval=100):
         """The scheduler, and the leg and send time of each of ``n_cells``
         cells offered ``spacing_ns`` after the previous one was sent."""
-        sched = LowRttScheduler([leg.rtt_ms for leg in legs], legs, sendme_interval)
-        assignments, times = [], []
-        t = 0
-        for _ in range(n_cells):
-            t, leg, _ = sched.send_one(t)
-            assignments.append(leg)
-            times.append(t)
-            t += spacing_ns
+        rtts, cwnd = zip(*legs)
+        sched = LowRttScheduler(rtts, rtts, cwnd, sendme_interval)
+        runs = ([], [])
+        sched.send(0, [spacing_ns] * n_cells, runs, (OUTGOING, RELAY_DATA))
+        # spacing is positive, so send times rise in send order
+        sent = sorted((base + o, leg) for leg in (0, 1) for base, offsets, _, _ in runs[leg] for o in offsets)
+        times, assignments = map(list, zip(*sent))
         return sched, assignments, times
 
     def test_all_cells_on_faster_leg(self):
@@ -212,24 +422,23 @@ class TestScheduler:
 
     def test_cwnd_exhaustion_overflows_to_other_leg(self):
         # window of 100 and a long burst: leg 0 fills, leg 1 takes the rest
-        legs = (LegState(50.0, 100), LegState(200.0, 10_000))
+        legs = ((50.0, 100), (200.0, 10_000))
         _, assignments, _ = self.send(150, legs, spacing_ns=1000)
         assert assignments[:100] == [0] * 100
         assert 1 in assignments[100:]
         assert len(assignments) == 150  # conservation
 
     def test_blocked_legs_wait_for_replenish(self):
-        legs = (LegState(50.0, 100), LegState(60.0, 100))
+        legs = ((50.0, 100), (60.0, 100))
         _, assignments, times = self.send(300, legs, spacing_ns=1000)
         assert len(assignments) == 300
         # replenish happened: more cells than the combined initial windows
         assert times[-1] > times[0]
 
     def test_cells_since_sendme_stays_below_interval(self):
-        legs = self.legs()
-        self.send(1234, legs, sendme_interval=100)
-        for leg in legs:
-            assert 0 <= leg.cells_since_sendme < 100
+        sched, _, _ = self.send(1234, self.legs(), sendme_interval=100)
+        for count in sched.since_sendme:
+            assert 0 <= count < 100
 
 
 class TestPageModels:
