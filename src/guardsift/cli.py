@@ -27,7 +27,7 @@ _STAGE_NAMES = {
     "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
-    "trace": ("ConfluxSet", "read_dataset", "write_dataset"),
+    "trace": ("ConfluxSet", "TraceColumns", "read_dataset", "write_dataset"),
 }
 _SOURCES = {name: module for module, names in _STAGE_NAMES.items() for name in names}
 
@@ -125,11 +125,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict]:
-    """Cut traces out of the channels by time: one window per visit group on
-    its channel, and the channels no visit row names (``VisitGroup.named``,
-    as in ``sanitize``) segmented whole."""
-    traces = []
+def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[TraceColumns, dict]:
+    """Cut traces out of the channels by time into one table: one window per
+    visit group on its channel, and the channels no visit row names
+    (``VisitGroup.named``, as in ``sanitize``) segmented whole."""
+    tables = []
     monitored_channels = set()
     n_windows_failed = 0
     by_id = {ch.channel_id: ch for ch in kept}
@@ -137,7 +137,7 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict
         monitored_channels.update(channel_id for _, channel_id, _ in group.named)
         start = group.start_ts
         try:
-            traces.append(
+            tables.append(
                 extract_monitored_window(
                     by_id[group.channel_id], start, start + window_ns, config, group.page_domain
                 )
@@ -146,10 +146,11 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[list, dict
             n_windows_failed += 1
     for channel in kept:
         if channel.channel_id not in monitored_channels:
-            traces.extend(segment_nonmonitored(channel, config))
+            tables.append(segment_nonmonitored(channel, config))
+    traces = TraceColumns.join(tables)
     report = {
         "segmentation": "time",
-        "monitored_windows": sum(1 for t in traces if t.label is not None),
+        "monitored_windows": sum(label is not None for label in traces.labels),
         "windows_failed": n_windows_failed,
         "traces": len(traces),
     }
@@ -230,10 +231,10 @@ def cmd_transform(args) -> int:
 
     from . import transforms
 
-    traces = read_dataset(args.in_path)
     out = []
     try:
-        for idx, trace in enumerate(traces):
+        # the loop frees the inputs when it ends; an output keeps only the cells it views
+        for idx, trace in enumerate(read_dataset(args.in_path)):
             if args.jitter_ms is not None:
                 rng = np.random.default_rng(np.random.SeedSequence((args.seed, idx)))
                 trace = transforms.inject_jitter(
@@ -246,6 +247,7 @@ def cmd_transform(args) -> int:
             out.append(trace)
     except (ValueError, OverflowError) as exc:
         raise GuardsiftError(str(exc)) from None
+    out = TraceColumns.from_traces(out)  # rebound, so the list goes once the table holds its cells
     write_dataset(out, args.seed, args.out)
     _write_report(args.report, {"command": "transform", "traces": len(out)})
     return 0
@@ -367,10 +369,11 @@ def _rtt_deltas(text: str) -> list[float]:
     return [_non_negative_float(x) for x in text.split(",")]
 
 
-def _add_io_flags(parser, needs_out=True):
+def _add_io_flags(parser, needs_out=True, reads_client=True):
     parser.add_argument("--in", dest="in_dir", help="input directory (guard/client/visits csv)")
     parser.add_argument("--guard", help="guard cell log")
-    parser.add_argument("--client", help="client cell log")
+    if reads_client:
+        parser.add_argument("--client", help="client cell log")
     parser.add_argument("--visits", help="client visit log")
     if needs_out:
         parser.add_argument("--out", required=True)
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest, stages=("ingest",))
 
     p = sub.add_parser("sanitize", help="cut guard logs into clean traces, by circuit or by time")
-    _add_io_flags(p)
+    _add_io_flags(p, reads_client=False)
     p.add_argument("--phase", choices=["pre", "post"], required=True)
     p.add_argument("--config", help="sanitizer thresholds JSON")
     p.add_argument("--seed", type=int, default=0, help="export shuffle seed")

@@ -1,10 +1,10 @@
-"""Trace files decoded into columns.
+"""The trace file reader.
 
-``read_columns`` reads the newline-delimited JSON that ``trace.write_dataset``
-writes into one timestamp and one direction column for all traces.
-``featurize`` works on the columns; ``trace.read_dataset`` returns them as
-``Trace`` objects. Only the commands that read trace files import this
-module.
+``read_columns`` decodes the newline-delimited JSON that ``trace.write_dataset``
+writes back into a ``trace.TraceColumns`` table: one timestamp and one
+direction column for all traces. ``featurize`` works on the table;
+``trace.read_dataset`` returns its rows as ``Trace`` objects. Only the
+commands that read trace files import this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ParseError, read_utf8
-from .trace import INCOMING, OUTGOING, PHASES, Trace, _pairs
+from .trace import INCOMING, OUTGOING, PHASES, TraceColumns
 
 
 def _decode_line(line: str) -> tuple[list[int], str, str | None]:
@@ -66,7 +66,7 @@ def _signed_numbers(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int 
 
 def _writer_values(cells: bytes) -> np.ndarray | None:
     """The values ``[ts0, dir0, ts1, dir1, ...]`` of ``[ts,dir]`` pairs joined
-    by ``,`` as ``_trace_line`` renders them: integers of at most 18 digits,
+    by ``,`` as ``serialize_dataset`` renders them: integers of at most 18 digits,
     without the ``+`` or leading zeros that ``%d`` never writes (``-0`` is 0
     both here and to JSON). Any other text gives None, so ``np.fromstring``
     only sees text in that form."""
@@ -122,70 +122,6 @@ def _decode_general(line_no: int, line: str) -> tuple[list[int], str, str | None
         raise ParseError(line_no, f"bad trace: {exc}") from None
 
 
-class TraceColumns:
-    """Many traces in one int64 timestamp and one int8 direction column.
-
-    Trace ``i`` holds the cells ``bounds[i]:bounds[i + 1]`` and has phase
-    ``phases[i]`` and label ``labels[i]``. (A plain class: a dataclass
-    would add about 2 ms to the start-up of each command that reads.)
-    """
-
-    def __init__(
-        self,
-        timestamps: np.ndarray,
-        directions: np.ndarray,
-        bounds: np.ndarray,
-        phases: list[str],
-        labels: list[str | None],
-    ):
-        self.timestamps = timestamps
-        self.directions = directions
-        self.bounds = bounds
-        self.phases = phases
-        self.labels = labels
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-    def rows(self, start: int, stop: int) -> TraceColumns:
-        """Traces ``start:stop`` as columns that view these ones."""
-        bounds = self.bounds[start : stop + 1]
-        return TraceColumns(
-            self.timestamps[bounds[0] : bounds[-1]],
-            self.directions[bounds[0] : bounds[-1]],
-            bounds - bounds[0],
-            self.phases[start:stop],
-            self.labels[start:stop],
-        )
-
-    def traces(self) -> list[Trace]:
-        """One ``Trace`` per trace, with views into the columns as cells."""
-        ends = self.bounds.tolist()
-        return [
-            Trace(
-                self.timestamps[ends[i] : ends[i + 1]],
-                self.directions[ends[i] : ends[i + 1]],
-                phase=phase,
-                label=label,
-            )
-            for i, (phase, label) in enumerate(zip(self.phases, self.labels))
-        ]
-
-    def trace_ids(self) -> list[str]:
-        """``compute_trace_id`` of every trace, from one rendering of all cells."""
-        import hashlib  # imported by the commands that hash ids only
-
-        if not len(self):
-            return []
-        lengths = np.diff(self.bounds)
-        gaps = np.diff(self.timestamps, prepend=self.timestamps[:1])
-        gaps[self.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
-        template = "|".join("%d,%d;" * n for n in lengths.tolist())
-        # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
-        text = template % _pairs(self.directions, gaps.view(np.uint64))
-        return [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
-
-
 class _Columns:
     """The cells of many trace lines in one timestamp and one direction
     column. Each line's cells go straight in; their directions and order
@@ -213,7 +149,7 @@ class _Columns:
 
     def add_lines(self, lines: list[tuple[int, str]]) -> None:
         """Store the ``(line_no, line)`` trace lines in order. Lines as
-        ``_trace_line`` renders them are decoded in one batch; any other
+        ``serialize_dataset`` renders them are decoded in one batch; any other
         line goes through ``_decode_line`` on its own."""
         heads = [_WRITER_HEAD.match(line) for _, line in lines]
         # the text between "cells":[ and ]} of each line with the writer's head

@@ -90,7 +90,7 @@ def read_config(path, what: str, cls):
     """Build the dataclass ``cls`` from the JSON object in a config file.
 
     Each key must name a field, and its value must have the JSON type of
-    the field's annotation: an integer (not a boolean) for ``int``, any
+    the field's annotation: an int64 integer (not a boolean) for ``int``, any
     number for ``float``, null where the annotation allows ``None``, and a
     list of one value per item for a ``tuple``. ``NaN`` and ``Infinity``,
     which Python's JSON reader would accept, are not JSON. Anything else
@@ -136,4 +136,6 @@ def _json_fits(value, hint) -> bool:
         return any(_json_fits(value, arg) for arg in args)
     if isinstance(value, bool):
         return hint is bool
+    if hint is int:  # the stages compute on int64
+        return isinstance(value, int) and -(2**63) <= value < 2**63
     return isinstance(value, (int, float) if hint is float else hint)

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .columns import TraceColumns
-from .trace import OUTGOING, Trace
+from .trace import OUTGOING, Trace, TraceColumns
 
 SEC = 1_000_000_000
 

@@ -30,7 +30,7 @@ from .errors import (
     read_config,
 )
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Stage, Trace
+from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Stage, Trace, TraceColumns, concat_cells
 
 log = logging.getLogger(__name__)
 
@@ -168,21 +168,15 @@ def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
         strip = 2 if phase == PRE else 5
     timestamps = circuit.timestamps[strip:]
     if not len(timestamps):
-        raise EmptyAfterTrimError(
-            f"circuit {circuit.circuit_id}: no cells left after head trim"
-        )
-    shifted = timestamps - timestamps[0]
-    try:
-        return Trace(shifted, circuit.directions[strip:], phase=phase)
-    except ValueError:
-        backwards = np.flatnonzero(shifted[1:] < shifted[:-1])
-        if not len(backwards):
-            raise
+        raise EmptyAfterTrimError(f"circuit {circuit.circuit_id}: no cells left after head trim")
+    backwards = np.flatnonzero(timestamps[1:] < timestamps[:-1])
+    if len(backwards):
         i = strip + int(backwards[0])
         raise MalformedCircuitError(
             f"circuit {circuit.circuit_id} has cells out of time order: cell {i + 1} at"
             f" {circuit.timestamps[i + 1]} ns follows cell {i} at {circuit.timestamps[i]} ns"
-        ) from None
+        )
+    return Trace(timestamps - timestamps[0], circuit.directions[strip:], phase=phase)
 
 
 def prune_close_tail(
@@ -251,13 +245,11 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
     return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
 
 
-def compute_duration_cap(
-    traces: Sequence[Trace], percentile: float = 99.0
-) -> int:
+def compute_duration_cap(durations: Sequence[int], percentile: float = 99.0) -> int:
     """Nearest-rank percentile of trace durations, in nanoseconds."""
-    if not traces:
+    if not durations:
         raise NoMonitoredDataError("duration cap needs at least one monitored trace")
-    durations = sorted(t.duration_ns for t in traces)
+    durations = sorted(durations)
     rank = math.ceil(percentile / 100.0 * len(durations))
     cap = durations[max(rank, 1) - 1]
     if not 42_000_000_000 <= cap <= 47_000_000_000:
@@ -341,7 +333,7 @@ _STAGE_COUNTERS = {
 
 @dataclass
 class SanitizedDataset:
-    traces: list[Trace]
+    traces: TraceColumns
     report: SanitizationReport
     outcomes: dict[CircuitKey, str] = field(default_factory=dict)  # every input circuit's stage
     labels: dict[CircuitKey, str] = field(default_factory=dict)  # retained monitored circuits
@@ -362,33 +354,44 @@ def _opening_stage(circuit: Circuit, phase: str, config: SanitizeConfig) -> str 
 
 
 def _trim_cohort(
-    entries: list[tuple[Trace, str | None, CircuitKey]],
+    entries: list[tuple[Circuit, str | None, CircuitKey]],
+    phase: str,
     config: SanitizeConfig,
     report: SanitizationReport,
     outcomes: dict[CircuitKey, str],
-) -> list[Trace]:
-    """Run tail trimming over head-trimmed traces, all of them at once.
+) -> TraceColumns:
+    """Head- and tail-trim the circuits, all of them at once, into one table.
 
-    The duration cap comes from the monitored traces after the gap-based
-    stages, so those stages run first for everyone.
+    The head trim is ``trim_head``'s. The duration cap comes from the
+    monitored traces after the gap-based stages, so those stages run
+    first for everyone. A circuit trimmed to nothing is recorded as
+    ``Stage.TRIM``.
     """
-    traces = [trace for trace, _, _ in entries]
-    sizes = np.array([len(trace) for trace in traces], dtype=np.int64)
+    strip = config.head_trim_pre if phase == PRE else config.head_trim_post
+    circuits, labels = [circuit for circuit, _, _ in entries], [label for _, label, _ in entries]
+    sizes = np.array([max(len(circuit) - strip, 0) for circuit in circuits], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    timestamps = np.concatenate([t.timestamps for t in traces] + [np.empty(0, dtype=np.int64)])
-    directions = np.concatenate([t.directions for t in traces] + [np.empty(0, dtype=np.int8)])
-    ends, pruned = prune_close_tail(timestamps, directions, starts, starts + sizes, config)
+    ends = starts + sizes
+    timestamps, directions = concat_cells(circuits, strip)
+    backwards = timestamps[1:] < timestamps[:-1]
+    backwards[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False  # circuit boundaries
+    if backwards.any():  # trim_head names the first circuit with cells out of order
+        k = np.searchsorted(ends, backwards.argmax(), side="right")
+        try:
+            trim_head(circuits[k], phase, strip)
+        except MalformedCircuitError as exc:
+            raise MalformedCircuitError(f"channel {entries[k][2][0]}: {exc}") from None
+    # time restarts at each circuit's first kept cell
+    timestamps -= np.repeat(timestamps[starts[sizes > 0]], sizes[sizes > 0])
+    ends, pruned = prune_close_tail(timestamps, directions, starts, ends, config)
     report.tail_gap_pruned += int(np.count_nonzero(pruned & (ends > starts)))
 
     cap = config.duration_cap_ns
     if cap is None:
-        monitored = [
-            trace.with_cells(trace.timestamps[:size], trace.directions[:size], tail_trimmed=True)
-            for (trace, label, _), size in zip(entries, (ends - starts).tolist())
-            if label is not None and size
-        ]
-        if monitored:
-            cap = compute_duration_cap(monitored, config.duration_cap_percentile)
+        monitored = np.array([label is not None for label in labels], dtype=bool) & (ends > starts)
+        if monitored.any():
+            durations = timestamps[ends[monitored] - 1] - timestamps[starts[monitored]]
+            cap = compute_duration_cap(durations.tolist(), config.duration_cap_percentile)
         else:
             log.warning("no monitored traces and no explicit cap; skipping duration cap")
     report.duration_cap_ns = cap
@@ -396,15 +399,9 @@ def _trim_cohort(
     capped, kept = cap_tail(timestamps, starts, ends, cap, config.max_len)
     report.duration_capped += int(np.count_nonzero(capped < ends))
     report.length_truncated += int(np.count_nonzero(kept < capped))
-    out: list[Trace] = []
-    for (trace, label, key), size in zip(entries, (kept - starts).tolist()):
-        if not size:
-            outcomes[key] = Stage.TRIM
-            continue
-        timestamps, directions = trace.timestamps[:size], trace.directions[:size]
-        out.append(trace.with_cells(timestamps, directions, label=label, tail_trimmed=True))
-        outcomes[key] = Stage.RETAINED
-    return out
+    for (_, _, key), size in zip(entries, (kept - starts).tolist()):
+        outcomes[key] = Stage.RETAINED if size else Stage.TRIM
+    return TraceColumns.gather(timestamps, directions, starts, kept, phase, labels)
 
 
 def sanitize(
@@ -447,27 +444,19 @@ def sanitize(
         owner = next(channel_id for _, channel_id, circuit in group.named if circuit is main)
         claimed[owner, main.circuit_id] = group.page_domain
 
-    strip = config.head_trim_pre if phase == PRE else config.head_trim_post
-    # (head-trimmed trace, label, key) of the circuits that reach the tail trim
-    entries: list[tuple[Trace, str | None, CircuitKey]] = []
+    # (circuit, label, key) of the circuits that reach the trimmers
+    entries: list[tuple[Circuit, str | None, CircuitKey]] = []
     for channel in live:
         for circuit_id, circuit in channel.circuits.items():
             key = (channel.channel_id, circuit_id)
-            if channel.channel_id in monitored and key not in claimed:
-                stage = Stage.UNSELECTED
-            else:
-                stage = _opening_stage(circuit, phase, config)
+            unselected = channel.channel_id in monitored and key not in claimed
+            stage = Stage.UNSELECTED if unselected else _opening_stage(circuit, phase, config)
             if stage is None:
-                try:
-                    entries.append((trim_head(circuit, phase, strip), claimed.get(key), key))
-                    continue
-                except EmptyAfterTrimError:
-                    stage = Stage.TRIM
-                except MalformedCircuitError as exc:
-                    raise MalformedCircuitError(f"channel {channel.channel_id}: {exc}") from None
-            outcomes[key] = stage
+                entries.append((circuit, claimed.get(key), key))
+            else:
+                outcomes[key] = stage
 
-    traces = _trim_cohort(entries, config, report, outcomes)
+    traces = _trim_cohort(entries, phase, config, report, outcomes)
     for stage, count in Counter(outcomes.values()).items():
         setattr(report, _STAGE_COUNTERS[stage], count)
     if len(outcomes) != report.input_circuits:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptySegmentError, MalformedCircuitError
 from .sanitize import SanitizeConfig, cap_tail, prune_close_tail
-from .trace import OUTGOING, PRE, Channel, Circuit, Trace
+from .trace import OUTGOING, PRE, Channel, TraceColumns, concat_cells
 
 __all__ = [
     "SegmentWindow",
@@ -77,38 +77,22 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
 
 def _finish_segments(
     timestamps, directions, starts, ends, config: SanitizeConfig, label: str | None
-) -> list[Trace]:
-    """Traces of the time-sorted segments ``starts[k]:ends[k]``, which tile the cells.
+) -> TraceColumns:
+    """The time-sorted segments ``starts[k]:ends[k]``, which tile the cells, as a table.
 
     Each segment is aligned to its first outgoing cell, normalized and
     tail-trimmed, all segments at once. A segment without an outgoing cell,
     or that trims away entirely, yields no trace.
     """
-    if not len(directions):
-        return []
     outgoing = np.append(np.flatnonzero(directions == OUTGOING), len(directions))
     first = np.minimum(outgoing[np.searchsorted(outgoing, starts)], ends)
-    # each segment shifted so that its first outgoing cell sits at 0
-    base = timestamps[np.minimum(first, len(directions) - 1)]
+    # each segment shifted so that its first outgoing cell sits at 0 (``first`` may be the end)
+    base = np.append(timestamps, 0)[first]
     timestamps = timestamps - np.repeat(base, ends - starts)
     # the channel view has no handshake to strip, so only the tail stages run
     ends, _ = prune_close_tail(timestamps, directions, first, ends, config)
     _, ends = cap_tail(timestamps, first, ends, config.duration_cap_ns, config.max_len)
-    return [
-        Trace(timestamps[start:end], directions[start:end], PRE, label=label, tail_trimmed=True)
-        for start, end in zip(first.tolist(), ends.tolist())
-        if end > start
-    ]
-
-
-def _concat(circuits: list[Circuit]) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and directions of the circuits, one after the other."""
-    if not circuits:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
-    return (
-        np.concatenate([c.timestamps for c in circuits]),
-        np.concatenate([c.directions for c in circuits]),
-    )
+    return TraceColumns.gather(timestamps, directions, first, ends, PRE, [label] * len(ends))
 
 
 def extract_monitored_window(
@@ -117,34 +101,34 @@ def extract_monitored_window(
     visit_end: int,
     config: SanitizeConfig | None = None,
     label: str | None = None,
-) -> Trace:
+) -> TraceColumns:
     """Merge every channel cell inside a recorded page-load window.
 
-    Overlapping circuits are flattened into one time-sorted trace; cells
-    with equal timestamps keep circuit order, then log order. Leading
-    incoming cells are dropped: the client-initiated request starts with an
-    outgoing cell.
+    Overlapping circuits are flattened into one time-sorted trace, the one
+    row of the table returned; cells with equal timestamps keep circuit
+    order, then log order. Leading incoming cells are dropped: the
+    client-initiated request starts with an outgoing cell.
     """
     if visit_start >= visit_end:
         raise ValueError("visit_start must be before visit_end")
     config = config or SanitizeConfig()
-    timestamps, directions = _concat(list(channel.circuits.values()))
+    timestamps, directions = concat_cells(list(channel.circuits.values()))
     inside = np.flatnonzero((visit_start <= timestamps) & (timestamps <= visit_end))
     order = inside[np.argsort(timestamps[inside], kind="stable")]
-    traces = _finish_segments(
+    table = _finish_segments(
         timestamps[order], directions[order], np.array([0]), np.array([len(order)]), config, label
     )
-    if not traces:
+    if not len(table):
         raise EmptySegmentError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
             " has no usable outgoing-aligned cells"
         )
-    return traces[0]
+    return table
 
 
 def segment_nonmonitored(
     channel: Channel, config: SanitizeConfig | None = None
-) -> list[Trace]:
+) -> TraceColumns:
     """Greedy temporal clustering of a channel into page-like traces.
 
     One trace per planned window, holding every channel cell inside the
@@ -157,7 +141,7 @@ def segment_nonmonitored(
     windows = plan_windows(channel)
     window_of = {cid: k for k, w in enumerate(windows) for cid in w.consumed_circuit_ids}
     circuits = [channel.circuits[cid] for cid in sorted(channel.circuits)]
-    timestamps, directions = _concat(circuits)
+    timestamps, directions = concat_cells(circuits)
     window = np.repeat(
         np.array([window_of[c.circuit_id] for c in circuits], dtype=np.int64),
         [len(c) for c in circuits],

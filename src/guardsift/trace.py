@@ -1,4 +1,4 @@
-"""Core domain types: cells, traces, circuits, channels, and dataset export.
+"""Core domain types: cells, circuits, channels, traces, the trace table and its export.
 
 Timestamps are integer nanoseconds throughout. Directions follow the
 client-side convention: +1 for cells sent by the client towards the guard,
@@ -146,12 +146,6 @@ class Trace:
             and np.array_equal(self.directions, other.directions)
         )
 
-    @property
-    def duration_ns(self) -> int:
-        if not len(self):
-            return 0
-        return int(self.timestamps[-1]) - int(self.timestamps[0])
-
     def with_cells(self, timestamps: np.ndarray, directions: np.ndarray, **changes) -> "Trace":
         """Copy with new cell arrays; the copy computes its own content id."""
         return replace(self, timestamps=timestamps, directions=directions, **changes)
@@ -241,13 +235,105 @@ class ConfluxSet:
             raise ValueError("conflux legs must have distinct circuit ids")
 
 
-def normalize(trace: Trace) -> Trace:
-    """Shift timestamps so the first cell sits at 0; deltas are preserved."""
-    if not len(trace):
-        raise EmptyTraceError("cannot normalize an empty trace")
-    if trace.timestamps[0] == 0:
-        return trace
-    return trace.with_cells(trace.timestamps - trace.timestamps[0], trace.directions)
+def concat_cells(parts: Sequence, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamps and directions of ``parts`` (circuits, traces or
+    tables), each from its cell ``start`` on, one after another."""
+    return (
+        np.concatenate([p.timestamps[start:] for p in parts] + [np.empty(0, dtype=np.int64)]),
+        np.concatenate([p.directions[start:] for p in parts] + [np.empty(0, dtype=np.int8)]),
+    )
+
+
+class TraceColumns:
+    """Many traces in one int64 timestamp and one int8 direction column.
+
+    Trace ``i`` holds the cells ``bounds[i]:bounds[i + 1]`` and has phase
+    ``phases[i]`` and label ``labels[i]``: the values-plus-offsets layout of
+    Arrow's variable-size list. The trimmers build one, ``write_dataset``
+    writes one and ``columns.read_columns`` reads one back. (A plain class:
+    a dataclass would add about 2 ms to the start-up of each command.)
+    """
+
+    def __init__(
+        self,
+        timestamps: np.ndarray,
+        directions: np.ndarray,
+        bounds: np.ndarray,
+        phases: list[str],
+        labels: list[str | None],
+    ):
+        self.timestamps = timestamps
+        self.directions = directions
+        self.bounds = bounds
+        self.phases = phases
+        self.labels = labels
+
+    @classmethod
+    def gather(
+        cls, timestamps, directions, starts, ends, phase: str, labels: Sequence[str | None]
+    ) -> TraceColumns:
+        """The segments ``starts[k]:ends[k]`` of the cells, with labels
+        ``labels[k]``, as one table; empty segments are dropped. Segments
+        must not overlap and must come in the order of their cells."""
+        # +1 where a segment opens and -1 where it closes: the running sum marks its cells
+        inside = np.zeros(len(timestamps) + 1, dtype=np.int8)
+        np.add.at(inside, starts, 1)
+        np.add.at(inside, ends, -1)
+        inside = np.cumsum(inside[:-1], dtype=np.int8).view(bool)
+        lengths = ends - starts
+        kept = [label for label, n in zip(labels, lengths.tolist()) if n]
+        bounds = np.concatenate(([0], np.cumsum(lengths[lengths > 0])))
+        return cls(timestamps[inside], directions[inside], bounds, [phase] * len(kept), kept)
+
+    @classmethod
+    def join(cls, tables: Sequence[TraceColumns]) -> TraceColumns:
+        """The rows of ``tables``, one table after another, in one table."""
+        offsets = np.cumsum([0] + [len(t.timestamps) for t in tables])
+        bounds = np.concatenate([[0]] + [t.bounds[1:] + k for t, k in zip(tables, offsets)])
+        phases = [phase for t in tables for phase in t.phases]
+        return cls(*concat_cells(tables), bounds, phases, [x for t in tables for x in t.labels])
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[Trace]) -> TraceColumns:
+        """The traces as the rows of one table."""
+        bounds = np.cumsum([0] + [len(t) for t in traces])
+        return cls(*concat_cells(traces), bounds, [t.phase for t in traces], [t.label for t in traces])
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    def rows(self, start: int, stop: int) -> TraceColumns:
+        """Traces ``start:stop`` as columns that view these ones."""
+        bounds = self.bounds[start : stop + 1]
+        return TraceColumns(
+            self.timestamps[bounds[0] : bounds[-1]],
+            self.directions[bounds[0] : bounds[-1]],
+            bounds - bounds[0],
+            self.phases[start:stop],
+            self.labels[start:stop],
+        )
+
+    def traces(self) -> list[Trace]:
+        """One ``Trace`` per trace, with views into the columns as cells."""
+        ends = self.bounds.tolist()
+        return [
+            Trace(self.timestamps[start:end], self.directions[start:end], phase, label)
+            for start, end, phase, label in zip(ends, ends[1:], self.phases, self.labels)
+        ]
+
+    def trace_ids(self) -> list[str]:
+        """``compute_trace_id`` of every trace, from one rendering of all cells."""
+        import hashlib  # imported by the commands that hash ids only
+
+        if not len(self):
+            return []
+        lengths = np.diff(self.bounds)
+        gaps = np.diff(self.timestamps, prepend=self.timestamps[:1])
+        gaps[self.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
+        template = "|".join("%d,%d;" * n for n in lengths.tolist())
+        # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
+        text = template % _pairs(self.directions, gaps.view(np.uint64))
+        return [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
 
 
 def _trace_head(phase: str, label: str | None) -> str:
@@ -255,34 +341,35 @@ def _trace_head(phase: str, label: str | None) -> str:
     return f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['
 
 
-def _trace_line(trace: Trace, head: str) -> str:
-    cells = (("[%d,%d]," * len(trace)) % _pairs(trace.timestamps, trace.directions))[:-1]
-    return f"{head}{cells}]}}"
-
-
-def serialize_dataset(traces: Sequence[Trace], seed: int) -> bytes:
-    """Render traces as newline-delimited JSON in a seeded random order.
+def serialize_dataset(table: TraceColumns, seed: int) -> bytes:
+    """Render the traces as newline-delimited JSON in a seeded random order.
 
     Only directions, timestamps, and class labels are written; channel and
     circuit identifiers never reach the output. The same seed yields
     byte-identical bytes.
     """
-    for trace in traces:
-        if not len(trace):
+    bounds, timestamps, directions = table.bounds.tolist(), table.timestamps, table.directions
+    bad = np.diff(table.bounds) == 0  # empty, or (below) not starting at 0
+    bad[~bad] = timestamps[table.bounds[:-1][~bad]] != 0
+    if bad.any():
+        i = int(bad.argmax())
+        row = table.rows(i, i + 1)
+        if not len(row.timestamps):
             raise EmptyTraceError("cannot export an empty trace")
-        if trace.timestamps[0] != 0:
-            raise NotNormalizedError(
-                f"trace {trace.trace_id} starts at {trace.timestamps[0]} ns, expected 0"
-            )
-    order = np.random.default_rng(seed).permutation(len(traces))
+        trace_id = compute_trace_id(row.timestamps, row.directions)
+        raise NotNormalizedError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
     # phases and labels repeat from trace to trace: render each head once
-    heads = {key: _trace_head(*key) for key in {(t.phase, t.label) for t in traces}}
-    lines = [_trace_line(traces[i], heads[traces[i].phase, traces[i].label]) for i in order]
+    heads = {key: _trace_head(*key) for key in set(zip(table.phases, table.labels))}
+    lines = []
+    for i in np.random.default_rng(seed).permutation(len(table)).tolist():
+        start, end = bounds[i], bounds[i + 1]
+        cells = ("[%d,%d]," * (end - start)) % _pairs(timestamps[start:end], directions[start:end])
+        lines.append(f"{heads[table.phases[i], table.labels[i]]}{cells[:-1]}]}}")
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def write_dataset(traces: Sequence[Trace], seed: int, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_dataset(traces, seed))
+def write_dataset(table: TraceColumns, seed: int, path: str | Path) -> None:
+    Path(path).write_bytes(serialize_dataset(table, seed))
 
 
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:

@@ -81,6 +81,11 @@ def oracle_tail_stages(cells, config, tail_trimmed=False):
     return cells[: config.max_len], pruned
 
 
+def duration_ns(trace):
+    """Last timestamp minus first, without int64 wrap; 0 for an empty trace."""
+    return int(trace.timestamps[-1]) - int(trace.timestamps[0]) if len(trace) else 0
+
+
 def oracle_trace_id(cells):
     """Content hash over (direction, inter-arrival), one update per cell."""
     h = hashlib.sha256()

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MS, SEC
+from conftest import MS, SEC, duration_ns
 from guardsift.conflux import (
     detect_first_segment,
     fs_ground_truth,
@@ -28,7 +28,9 @@ from guardsift.simulate import (
     run_rtt_advantage_sweep,
     simulate_conflux_sets,
 )
-from guardsift.trace import CellRecord, Channel, Circuit, ConfluxSet, Trace, serialize_dataset
+from guardsift.trace import (
+    CellRecord, Channel, Circuit, ConfluxSet, Trace, TraceColumns, serialize_dataset,
+)
 from guardsift.transforms import inject_jitter
 
 from test_metrics import oracle_counts, oracle_point, oracle_thresholds, random_records
@@ -174,9 +176,9 @@ def test_c04_sanitizer_recovers_ground_truth(pre_dataset, tmp_path_factory):
 
     # every retained trace respects the pipeline invariants
     assert result.report.duration_cap_ns is not None
-    for trace in result.traces:
+    for trace in result.traces.traces():
         assert 1 <= len(trace.cells) <= 5000
-        assert trace.duration_ns <= result.report.duration_cap_ns
+        assert duration_ns(trace) <= result.report.duration_cap_ns
         assert trace.cells[0] == (0, 1)
 
     # main-circuit selection: every retained monitored circuit is the sidecar main
@@ -272,7 +274,10 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         if result.outcomes[channel.channel_id, circuit_id] == "retained"
     ]
     assert len(kept) >= 100
-    assert result.traces == [trim_tail(trim_head(c, "pre"), config) for c in kept]
+    expected = [trim_tail(trim_head(c, "pre"), config) for c in kept]
+    assert [(t.phase, t.label, t.cells) for t in result.traces.traces()] == [
+        (t.phase, t.label, t.cells) for t in expected
+    ]
 
     rng = np.random.default_rng(55)
     for _ in range(1000):
@@ -316,7 +321,7 @@ def test_c06_segmentation_partition_properties():
         windows = plan_windows(channel)
         consumed = [cid for w in windows for cid in w.consumed_circuit_ids]
         assert sorted(consumed) == sorted(channel.circuits), "not a partition"
-        traces = segment_nonmonitored(channel)
+        traces = segment_nonmonitored(channel).traces()
         for trace in traces:
             assert trace.cells[0][1] == 1, "trace must start with an outgoing cell"
         if n_circuits == 1:
@@ -383,7 +388,7 @@ def test_c09_jitter_expected_extension():
         rng = np.random.default_rng(9000 + trial)
         out = inject_jitter(base, jitter_ms, rng, max_duration_ns=10**15)
         assert len(out.cells) == n
-        extensions.append(out.duration_ns - base.duration_ns)
+        extensions.append(duration_ns(out) - duration_ns(base))
     mean_ext = float(np.mean(extensions))
     expected = (n - 1) * jitter_ms / 2 * MS
     sigma_one = ((jitter_ms * MS) ** 2 / 12 * (n - 1)) ** 0.5
@@ -394,7 +399,9 @@ def test_c09_jitter_expected_extension():
     )
     identity = inject_jitter(base, 0.0, np.random.default_rng(0))
     assert identity is base
-    assert serialize_dataset([identity], 0) == serialize_dataset([base], 0)
+    assert serialize_dataset(TraceColumns.from_traces([identity]), 0) == serialize_dataset(
+        TraceColumns.from_traces([base]), 0
+    )
 
 
 # --- criterion 10: slot matrices -----------------------------------------------------

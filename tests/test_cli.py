@@ -348,6 +348,8 @@ WRONG_TYPE_CONFIGS = {
     "short-range": ("generate", [], {"leg_rtt_ms": [60.0]}, "leg_rtt_ms must be tuple"),
     "bool-for-int-scenario": ("generate", [], {"n_pages": True}, "n_pages"),
     "nan-for-number": ("generate", [], {"phase": "post", "competitor_rtt_delta_ms": math.nan}, "NaN"),
+    "int-past-int64": ("generate", [], {"page_cell_range": [300, 10**20]}, "page_cell_range"),
+    "int-past-int64-sanitize": ("sanitize", [], {"max_len": 2**63}, "max_len must be int, got 9223"),
     "nonmon-ids-over-block": (
         "generate", [],
         {"nonmon_circuits_range": [140000, 140000], "n_nonmon_channels": 1, "n_pages": 1,
@@ -508,6 +510,7 @@ EVAL = ["eval", "--scores", "scores.csv"]
 # an unknown flag on every command, and numeric flag values a command cannot run with
 USAGE_ERRORS = {
     **{argv[0]: [argv[0], "--no-such-flag"] for argv, _ in GARBAGE_COMMANDS.values()},
+    "sanitize-client": [*TIME_PATH[:-2], "--client", "x"],
     "window-s-zero": [*TIME_PATH, "--window-s", "0"],
     "window-s-negative": [*TIME_PATH, "--window-s=-1"],
     "window-s-nan": [*TIME_PATH, "--window-s", "nan"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MS, SEC, json_values, oracle_trace_line
+from conftest import MS, SEC, duration_ns, json_values, oracle_trace_line
 import guardsift.features as features_module
 from guardsift.cli import main
 from guardsift.errors import GuardsiftError, ParseError
@@ -21,7 +21,7 @@ from guardsift.features import (
     write_features,
 )
 from guardsift.columns import read_columns
-from guardsift.trace import OUTGOING, Trace, read_dataset, write_dataset
+from guardsift.trace import OUTGOING, Trace, TraceColumns, read_dataset, write_dataset
 
 
 def trace_of(cells):
@@ -166,7 +166,7 @@ def test_feature_matrix_on_columns_equals_per_trace_builders(
             for row, trace in zip(array, traces):
                 assert same_bytes(row, build(trace))
     if traces:
-        assert default_t_max(columns) == max(t.duration_ns for t in traces) / SEC
+        assert default_t_max(columns) == max(map(duration_ns, traces)) / SEC
 
 
 class TestDirectionSequence:
@@ -279,7 +279,7 @@ def _edge_case_traces():
 @pytest.mark.parametrize("kind", ["direction", "timing", "tam"])
 def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     traces_path = tmp_path / "traces.ndjson"
-    write_dataset(_edge_case_traces(), 3, traces_path)
+    write_dataset(TraceColumns.from_traces(_edge_case_traces()), 3, traces_path)
     traces = read_dataset(traces_path)
     builders = {
         "direction": lambda t: direction_sequence(t, 8),
@@ -328,9 +328,9 @@ def test_featurize_outputs_do_not_depend_on_the_block_size(tmp_path, kind):
 
 def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
     traces_path = tmp_path / "traces.ndjson"
-    write_dataset(_edge_case_traces(), 3, traces_path)
+    write_dataset(TraceColumns.from_traces(_edge_case_traces()), 3, traces_path)
     traces = read_dataset(traces_path)
-    t_max_s = max(t.duration_ns for t in traces) / SEC
+    t_max_s = max(map(duration_ns, traces)) / SEC
     out = tmp_path / "out"
     assert main([
         "featurize", "--in", str(traces_path), "--out", str(out), "--kind", "tam", "--n-slots", "4",

@@ -6,8 +6,11 @@ before the time path trimmed every window of a channel at once. Those of
 the pre-phase visit scenario were taken before visit rows were resolved
 once and each circuit's stage was keyed by (channel, circuit). Those of
 the generated post-phase logs and of the RTT sweep were taken while the
-Conflux scheduler still sent one cell per call. A change to any of these
-files is a format change and must be made on purpose.
+Conflux scheduler still sent one cell per call. Those of the artifacts
+downstream of the trace writer (transform, featurize and eval) were taken
+while the trimmers still returned one ``Trace`` per trace and the writer
+took a list of them. A change to any of these files is a format change
+and must be made on purpose.
 """
 
 import hashlib
@@ -136,6 +139,74 @@ def pre_digests(tmp_path_factory):
 @pytest.mark.parametrize("artifact", list(PRE_GOLDEN), ids=["-".join(key) for key in PRE_GOLDEN])
 def test_pre_phase_artifact_bytes_are_unchanged(pre_digests, artifact):
     assert pre_digests[artifact] == PRE_GOLDEN[artifact]
+
+
+# the artifacts downstream of the trace writer, from the traces of SCENARIO:
+# transform of the circuit path's, featurize of the time path's, and eval of
+# scores derived from the direction run's labels.csv
+DOWNSTREAM_GOLDEN = {
+    ("transform", "jittered.ndjson"): "eedde4e77e96f0031a951577a2abf5fb44219d9270ed6d7b2336ae9bd064c14f",
+    ("direction", "features.bin"): "62881bfa6b390704fe64911601d6ae706231351a3840087bfa24a4de08056e4d",
+    ("direction", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
+    ("timing", "features.bin"): "6fda92d4c612699641ec584ee0415bc08430428734387ad13e6c361136b75ad5",
+    ("timing", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
+    ("tam", "features.bin"): "ba96b45796237aa7c1c91e676b4097a48b993d7783741da3d7c977266ded5a77",
+    ("tam", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
+    ("eval", "eval.json"): "556dfe982d0b403edbce36d2a8220c9e1783fbddd4300337565fa706410104ae",
+}
+
+
+def scores_from_labels(labels_csv, scores_csv) -> None:
+    """A score file with one row per ``labels.csv`` row: the page's index
+    as the true label, and a prediction and a score drawn from the trace id."""
+    rows = [line.split(",") for line in labels_csv.read_text().splitlines()[1:]]
+    index = {label: i for i, label in enumerate(sorted({label for _, label in rows if label}))}
+    lines = ["trace_id,true_label,predicted_label,score"]
+    for trace_id, label in rows:
+        true = index.get(label, -1)
+        predicted = true if int(trace_id[:2], 16) % 4 else (true + 1) % len(index)
+        lines.append(f"{trace_id},{true},{predicted},{int(trace_id[2:6], 16) / 65536}")
+    scores_csv.write_text("\n".join(lines) + "\n")
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def downstream_artifact_digests(tmp_path) -> dict:
+    """sha256 of every artifact in ``DOWNSTREAM_GOLDEN``, from fresh runs in ``tmp_path``."""
+    data = generate(SCENARIO, tmp_path, "data")
+    config = tmp_path / "sanitize.json"
+    config.write_text(SANITIZE_CONFIG)
+    for path in ("circuit", "time"):
+        sanitize_digests(data, tmp_path / path, "post", path, config)
+    jittered = tmp_path / "jittered.ndjson"
+    traces = str(tmp_path / "circuit" / "traces.ndjson")
+    argv = ["transform", "--in", traces, "--out", str(jittered), "--jitter-ms", "20", "--seed", "1"]
+    assert main(argv) == 0
+    digests = {("transform", "jittered.ndjson"): digest(jittered)}
+    for kind in ("direction", "timing", "tam"):
+        out = tmp_path / kind
+        traces = str(tmp_path / "time" / "traces.ndjson")
+        assert main(["featurize", "--in", traces, "--out", str(out), "--kind", kind]) == 0
+        digests.update(((kind, name), digest(out / name)) for name in ("features.bin", "labels.csv"))
+    scores = tmp_path / "scores.csv"
+    scores_from_labels(tmp_path / "direction" / "labels.csv", scores)
+    assert main(["eval", "--scores", str(scores), "--report", str(tmp_path / "eval.json")]) == 0
+    digests["eval", "eval.json"] = digest(tmp_path / "eval.json")
+    return digests
+
+
+@pytest.fixture(scope="module")
+def downstream_digests(tmp_path_factory):
+    return downstream_artifact_digests(tmp_path_factory.mktemp("golden-downstream"))
+
+
+@pytest.mark.parametrize(
+    "artifact", list(DOWNSTREAM_GOLDEN), ids=["-".join(key) for key in DOWNSTREAM_GOLDEN]
+)
+def test_downstream_artifact_bytes_are_unchanged(downstream_digests, artifact):
+    assert downstream_digests[artifact] == DOWNSTREAM_GOLDEN[artifact]
 
 
 def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from conftest import run_fresh
 from guardsift.metrics import NONMON, ScoreRecord, write_scores
 from guardsift.simulate import ScenarioConfig
-from guardsift.trace import Trace, write_dataset
+from guardsift.trace import Trace, TraceColumns, write_dataset
 
 STAGES = {
     "conflux", "features", "ingest", "metrics", "sanitize", "segment", "simulate", "transforms"
@@ -45,7 +45,8 @@ def _stages(modules: set[str]) -> set[str]:
 def traces_path(tmp_path):
     path = tmp_path / "traces.ndjson"
     cells = [(0, 1), (1_000_000, -1), (3_000_000, 1)]
-    write_dataset([Trace.from_cells(cells, label="a.com"), Trace.from_cells(cells)], 0, path)
+    traces = [Trace.from_cells(cells, label="a.com"), Trace.from_cells(cells)]
+    write_dataset(TraceColumns.from_traces(traces), 0, path)
     return path
 
 

@@ -9,6 +9,7 @@ from conftest import (
     SEC,
     channel_of,
     circuit_from_dirs,
+    duration_ns,
     oracle_prune_close_tail,
     oracle_tail_stages,
 )
@@ -173,7 +174,7 @@ class TestHeadTrim:
         circuit = circuit_from_dirs([1, -1, 1, 1], gaps_ns=[MS, 120 * SEC, MS])
         trace = trim_head(circuit, "pre")
         assert trace.cells[0] == (0, 1)
-        assert trace.duration_ns == MS
+        assert duration_ns(trace) == MS
 
 
 def build_trace(segments, tail_trimmed=False):
@@ -346,15 +347,14 @@ class TestTailStagesAgainstListOracle:
 
 class TestDurationCap:
     def test_nearest_rank_99(self):
-        traces = [build_trace([(2, 1, i * SEC)], tail_trimmed=True) for i in range(1, 101)]
-        assert compute_duration_cap(traces) == 99 * SEC
+        durations = [i * SEC for i in range(100, 0, -1)]
+        assert compute_duration_cap(durations) == 99 * SEC
 
     def test_all_equal(self):
-        traces = [build_trace([(2, 1, 45 * SEC)], tail_trimmed=True)] * 5
-        assert compute_duration_cap(traces) == 45 * SEC
+        assert compute_duration_cap([45 * SEC] * 5) == 45 * SEC
 
     def test_single_trace(self):
-        assert compute_duration_cap([build_trace([(2, 1, 30 * SEC)])]) == 30 * SEC
+        assert compute_duration_cap([30 * SEC]) == 30 * SEC
 
     def test_empty_raises(self):
         with pytest.raises(NoMonitoredDataError):
@@ -469,7 +469,7 @@ class TestSanitizePipeline:
             PageVisitRecord("b.example", 0, "b.example", 5),
         ]
         result = sanitize(channels, SanitizeConfig(), "pre", visits)
-        assert sorted(t.label for t in result.traces) == ["a.example", "b.example"]
+        assert sorted(result.traces.labels) == ["a.example", "b.example"]
         assert result.report.visit_extra_dropped == 1
         assert result.outcomes == {
             (1, 5): Stage.UNSELECTED, (1, 6): Stage.RETAINED, (2, 5): Stage.RETAINED,
@@ -478,11 +478,12 @@ class TestSanitizePipeline:
 
     def test_retained_traces_invariants(self):
         channels = [channel_of(valid_circuit(1), channel_id=1)]
-        result = sanitize(channels, SanitizeConfig(), "pre")
-        for trace in result.traces:
-            assert 1 <= len(trace.cells) <= 5000
-            assert trace.cells[0] == (0, 1)  # pre phase starts outgoing
-            assert trace.tail_trimmed
+        config = SanitizeConfig()
+        (trace,) = sanitize(channels, config, "pre").traces.traces()
+        assert 1 <= len(trace.cells) <= 5000
+        assert trace.cells[0] == (0, 1)  # pre phase starts outgoing
+        # the tail stages ran
+        assert trace.cells == trim_tail(trim_head(channels[0].circuits[1], "pre"), config).cells
 
     def test_stages_only_remove_cells(self):
         channels = [channel_of(*(valid_circuit(i, n=nc) for i, nc in
@@ -490,8 +491,19 @@ class TestSanitizePipeline:
         largest = max(len(c) for ch in channels for c in ch.circuits.values())
         result = sanitize(channels, SanitizeConfig(), "pre")
         assert result.report.retained == 3
-        for trace in result.traces:
+        for trace in result.traces.traces():
             assert len(trace.cells) < largest
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+def test_config_integers_must_fit_int64(tmp_path, value):
+    path = tmp_path / "sanitize.json"
+    path.write_text(f'{{"tail_gap_ns": {value}}}')
+    if -(2**63) <= value < 2**63:
+        assert SanitizeConfig.from_json(path).tail_gap_ns == value
+    else:
+        with pytest.raises(ConfigError, match=f"tail_gap_ns must be int, got {value}$"):
+            SanitizeConfig.from_json(path)
 
 
 def test_config_from_json_rejects_unknown_key(tmp_path):

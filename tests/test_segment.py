@@ -90,7 +90,7 @@ class TestMonitoredWindow:
         ch = channel_of(
             spanning_circuit(1, 0, 10), spanning_circuit(2, 5, 9), channel_id=3
         )
-        trace = extract_monitored_window(ch, 0, 10 * SEC, label="p")
+        (trace,) = extract_monitored_window(ch, 0, 10 * SEC, label="p").traces()
         # both circuits contribute, time-sorted, teardown pair removed
         assert len(trace.cells) == 80 - 2
         assert all(b >= a for (a, _), (b, _) in zip(trace.cells, trace.cells[1:]))
@@ -100,7 +100,7 @@ class TestMonitoredWindow:
         cells = [CellRecord(1, 1, i * MS, -1) for i in range(3)]
         cells += [CellRecord(1, 1, (3 + i) * MS, 1) for i in range(10)]
         ch = channel_of(Circuit.from_records(1, cells))
-        trace = extract_monitored_window(ch, 0, SEC)
+        (trace,) = extract_monitored_window(ch, 0, SEC).traces()
         assert trace.cells[0] == (0, 1)
         assert len(trace.cells) == 8
 
@@ -133,7 +133,7 @@ class TestGreedySegmentation:
         windows = plan_windows(ch)
         assert len(windows) == 1
         assert windows[0].consumed_circuit_ids == {1, 2}
-        traces = segment_nonmonitored(ch)
+        traces = segment_nonmonitored(ch).traces()
         assert len(traces) == 1
         # circuit 2 cells beyond the window are dropped, not reused
         in_window = int((ch.circuits[2].timestamps <= 10 * SEC).sum())
@@ -178,11 +178,11 @@ class TestGreedySegmentation:
                 circuits.append(
                     spanning_circuit(cid, start, start + float(rng.uniform(1, 20)), n=int(rng.integers(4, 25)), lead=lead)
                 )
-            for trace in segment_nonmonitored(channel_of(*circuits)):
+            for trace in segment_nonmonitored(channel_of(*circuits)).traces():
                 assert trace.cells[0][1] == 1
 
     def test_empty_channel(self):
-        assert segment_nonmonitored(Channel(1)) == []
+        assert len(segment_nonmonitored(Channel(1))) == 0
 
     def test_single_circuit_matches_sanitizer_modulo_handshake(self):
         # one circuit, built by hand: handshake, long idle, 300-cell load
@@ -203,7 +203,7 @@ class TestGreedySegmentation:
         circuit = Circuit.from_records(9, cells)
         channel = channel_of(circuit)
 
-        seg_traces = segment_nonmonitored(channel)
+        seg_traces = segment_nonmonitored(channel).traces()
         assert len(seg_traces) == 1
         sanitized = trim_tail(trim_head(circuit, "pre"), SanitizeConfig())
         # the segmentation view keeps the two handshake cells; after them
@@ -247,16 +247,14 @@ class TestPlannerAgainstOracle:
         # cells on the coarse grid tie across circuits, often with opposite
         # directions; their order in the output must not depend on the planner
         expected_windows = oracle_plan_windows(channel)
-        traces = segment_nonmonitored(channel)
+        traces = segment_nonmonitored(channel).traces()
         original = segment_module.plan_windows
         segment_module.plan_windows = lambda ch: expected_windows
         try:
-            expected = segment_nonmonitored(channel)
+            expected = segment_nonmonitored(channel).traces()
         finally:
             segment_module.plan_windows = original
-        assert [(t.cells, t.label, t.tail_trimmed) for t in traces] == [
-            (t.cells, t.label, t.tail_trimmed) for t in expected
-        ]
+        assert [(t.cells, t.label) for t in traces] == [(t.cells, t.label) for t in expected]
 
     def test_tied_opposite_directions_keep_circuit_id_order(self):
         # two circuits share every timestamp with opposite directions; the
@@ -266,7 +264,7 @@ class TestPlannerAgainstOracle:
             circuit_at(9, stamps, [-1, -1, 1, -1, 1, -1]),
             circuit_at(4, stamps, [1, 1, -1, 1, -1, 1]),
         )
-        (trace,) = segment_nonmonitored(channel)
+        (trace,) = segment_nonmonitored(channel).traces()
         assert [d for _, d in trace.cells] == [1, -1, 1, -1, -1, 1, 1, -1, -1, 1]
 
     def test_circuit_ending_before_it_starts_is_named(self):
@@ -290,7 +288,7 @@ def reference_finish_segment(cells, config, label):
     cells, _ = oracle_tail_stages([(ts - base, d) for ts, d in cells], config)
     if not cells:
         return None
-    return Trace.from_cells(tuple(cells), phase="pre", label=label, tail_trimmed=True)
+    return Trace.from_cells(tuple(cells), phase="pre", label=label)
 
 
 def circuit_cells(circuit):
@@ -327,7 +325,7 @@ def reference_segment_nonmonitored(channel, config):
 
 
 def trace_fields(trace):
-    return (trace.cells, trace.phase, trace.label, trace.tail_trimmed)
+    return (trace.cells, trace.phase, trace.label)
 
 
 # small thresholds so tail pruning, the duration cap and the length cap all bite
@@ -345,7 +343,7 @@ class TestSegmentationAgainstReference:
     @given(small_channels(sorted_cells=False), segment_configs)
     @settings(max_examples=300, deadline=None)
     def test_nonmonitored_equals_reference(self, channel, config):
-        got = segment_nonmonitored(channel, config)
+        got = segment_nonmonitored(channel, config).traces()
         assert [trace_fields(t) for t in got] == [
             trace_fields(t) for t in reference_segment_nonmonitored(channel, config)
         ]
@@ -365,4 +363,4 @@ class TestSegmentationAgainstReference:
                 extract_monitored_window(channel, start, start + length, config, "p")
         else:
             got = extract_monitored_window(channel, start, start + length, config, "p")
-            assert trace_fields(got) == trace_fields(expected)
+            assert [trace_fields(t) for t in got.traces()] == [trace_fields(expected)]

@@ -14,8 +14,8 @@ from guardsift.columns import read_columns
 from guardsift.trace import (
     CellRecord,
     Trace,
+    TraceColumns,
     compute_trace_id,
-    normalize,
     read_dataset,
     serialize_dataset,
 )
@@ -35,40 +35,9 @@ def test_trace_requires_sorted_cells():
         Trace.from_cells(((10, 1), (5, -1)))
 
 
-def test_normalize_offsets():
-    t = Trace.from_cells(((100, 1), (150, -1), (400, 1)))
-    n = normalize(t)
-    assert [ts for ts, _ in n.cells] == [0, 50, 300]
-
-
-def test_normalize_single_cell():
-    assert normalize(Trace.from_cells(((7, 1),))).cells == ((0, 1),)
-
-
-def test_normalize_empty_raises():
-    with pytest.raises(EmptyTraceError):
-        normalize(Trace.from_cells(()))
-
-
-def test_normalize_already_normalized_is_identity():
-    t = Trace.from_cells(((0, 1), (9, -1)))
-    assert normalize(t) is t
-
-
 cells_strategy = st.lists(
     st.tuples(st.integers(0, 10**6), st.sampled_from([1, -1])), min_size=1, max_size=60
 ).map(lambda items: tuple(sorted(items, key=lambda c: c[0])))
-
-
-@given(cells_strategy)
-def test_normalize_idempotent_and_preserves_deltas(cells):
-    t = Trace.from_cells(cells)
-    n = normalize(t)
-    assert normalize(n).cells == n.cells
-    deltas = [b[0] - a[0] for a, b in zip(cells, cells[1:])]
-    n_deltas = [b[0] - a[0] for a, b in zip(n.cells, n.cells[1:])]
-    assert deltas == n_deltas
-    assert [d for _, d in n.cells] == [d for _, d in cells]
 
 
 def test_trace_id_invariant_under_offset_only():
@@ -87,28 +56,33 @@ def _traces():
     ]
 
 
+def table(traces):
+    return TraceColumns.from_traces(traces)
+
+
 def test_export_is_deterministic_and_stripped():
-    data1 = serialize_dataset(_traces(), seed=1)
-    data2 = serialize_dataset(_traces(), seed=1)
+    data1 = serialize_dataset(table(_traces()), seed=1)
+    data2 = serialize_dataset(table(_traces()), seed=1)
     assert data1 == data2
     text = data1.decode("utf-8")
     assert "channel" not in text and "circuit" not in text
     assert text.endswith("\n")
-    assert serialize_dataset(_traces(), seed=2) != data1
+    assert serialize_dataset(table(_traces()), seed=2) != data1
 
 
 def test_export_roundtrip_bit_exact():
-    data = serialize_dataset(_traces(), seed=3)
+    data = serialize_dataset(table(_traces()), seed=3)
     back = read_dataset(io.StringIO(data.decode("utf-8")))
     original = {(t.phase, t.label, t.cells) for t in _traces()}
     assert {(t.phase, t.label, t.cells) for t in back} == original
 
 
 def test_export_rejects_unnormalized():
-    with pytest.raises(NotNormalizedError):
-        serialize_dataset([Trace.from_cells(((5, 1), (9, -1)))], seed=0)
-    with pytest.raises(EmptyTraceError):
-        serialize_dataset([Trace.from_cells(())], seed=0)
+    late = Trace.from_cells(((5, 1), (9, -1)))
+    with pytest.raises(NotNormalizedError, match=f"^trace {late.trace_id} starts at 5 ns, expected 0$"):
+        serialize_dataset(table([*_traces(), late, Trace.from_cells(())]), seed=0)
+    with pytest.raises(EmptyTraceError, match="^cannot export an empty trace$"):
+        serialize_dataset(table([*_traces(), Trace.from_cells(()), late]), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -147,8 +121,7 @@ def id_calls(monkeypatch):
 def test_building_traces_computes_no_id(id_calls):
     t = Trace.from_cells(((100, 1), (200, -1), (260, -1)), label="site-a")
     t.with_cells(t.timestamps[:2], t.directions[:2], tail_trimmed=True)
-    normalize(t)
-    read_dataset(io.StringIO(serialize_dataset(_traces(), seed=0).decode("utf-8")))
+    read_dataset(io.StringIO(serialize_dataset(table(_traces()), seed=0).decode("utf-8")))
     assert id_calls == []
 
 
@@ -168,7 +141,7 @@ def test_trace_ids_match_pinned_values():
     # existing labels.csv files carry these ids, so the values must not move
     t = Trace.from_cells(((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
     assert t.trace_id == "ae4d0475455b927f"
-    assert normalize(t).trace_id == "ae4d0475455b927f"
+    assert t.with_cells(t.timestamps - 100, t.directions).trace_id == "ae4d0475455b927f"
     assert t.with_cells(t.timestamps[:2], t.directions[:2]).trace_id == "4b6094ff58be4d52"
     assert Trace.from_cells(()).trace_id == "e3b0c44298fc1c14"
     assert Trace.from_cells(((0, 1),)).trace_id == "35df8f7285481b9f"
@@ -179,7 +152,7 @@ def test_copies_do_not_inherit_a_read_id():
     first = t.trace_id
     shorter = t.with_cells(t.timestamps[:2], t.directions[:2])
     assert shorter.trace_id == oracle_trace_id(t.cells[:2]) != first
-    assert normalize(t).trace_id == first
+    assert t.with_cells(t.timestamps - 100, t.directions).trace_id == first
     assert t == Trace.from_cells(t.cells)
 
 
@@ -220,7 +193,7 @@ def test_trace_id_matches_the_per_cell_oracle(cells):
 def test_serialize_matches_the_json_dumps_oracle(traces, seed):
     order = np.random.default_rng(seed).permutation(len(traces))
     lines = [oracle_trace_line(traces[i].phase, traces[i].label, traces[i].cells) for i in order]
-    assert serialize_dataset(traces, seed) == "".join(line + "\n" for line in lines).encode()
+    assert serialize_dataset(table(traces), seed) == "".join(line + "\n" for line in lines).encode()
 
 
 @given(st.lists(exportable_traces(), max_size=6), st.sampled_from([(",", ":"), (", ", ": ")]))
@@ -240,12 +213,64 @@ def test_reader_matches_the_json_loads_oracle(traces, separators):
 @given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
 @settings(deadline=None)
 def test_serialize_read_serialize_is_byte_identical(traces, seed):
-    data = serialize_dataset(traces, seed)
+    data = serialize_dataset(table(traces), seed)
     back = read_dataset(io.StringIO(data.decode("utf-8")))
     # one trace per call keeps the file order of ``back``
-    assert b"".join(serialize_dataset([t], seed) for t in back) == data
+    assert b"".join(serialize_dataset(table([t]), seed) for t in back) == data
     order = np.random.default_rng(seed).permutation(len(traces))
     assert [t.trace_id for t in back] == [traces[i].trace_id for i in order]
+
+
+def table_fields(t):
+    assert (t.timestamps.dtype, t.directions.dtype, t.bounds.dtype) == (np.int64, np.int8, np.int64)
+    return t.timestamps.tolist(), t.directions.tolist(), t.bounds.tolist(), t.phases, t.labels
+
+
+@st.composite
+def segmented_cells(draw):
+    """Cells, and ordered segments of them that do not overlap, some empty."""
+    n = draw(st.integers(0, 30))
+    times = sorted(draw(st.lists(timestamps_strategy, min_size=n, max_size=n)))
+    dirs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+    starts, ends = np.array(cuts[0:-1:2], dtype=np.int64), np.array(cuts[1::2], dtype=np.int64)
+    names = draw(st.lists(labels, min_size=len(starts), max_size=len(starts)))
+    return np.array(times, dtype=np.int64), np.array(dirs, dtype=np.int8), starts, ends, names
+
+
+@given(segmented_cells(), st.sampled_from(["pre", "post"]))
+@settings(deadline=None)
+def test_gather_is_the_table_of_the_non_empty_segments(segments, phase):
+    timestamps, directions, starts, ends, labels = segments
+    got = TraceColumns.gather(timestamps, directions, starts, ends, phase, labels)
+    rows = [
+        Trace(timestamps[start:end], directions[start:end], phase, label)
+        for start, end, label in zip(starts.tolist(), ends.tolist(), labels)
+        if end > start
+    ]
+    assert table_fields(got) == table_fields(table(rows))
+    assert got.traces() == rows
+
+
+@given(st.lists(st.lists(exportable_traces(), max_size=4), max_size=4))
+@settings(deadline=None)
+def test_join_is_the_table_of_all_rows(groups):
+    joined = TraceColumns.join([table(traces) for traces in groups])
+    rows = [trace for traces in groups for trace in traces]
+    assert table_fields(joined) == table_fields(table(rows))
+    assert joined.traces() == rows
+
+
+@given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_read_columns_of_serialize_is_the_table(traces, seed):
+    order = np.random.default_rng(seed).permutation(len(traces)).tolist()
+    back = read_columns(io.StringIO(serialize_dataset(table(traces), seed).decode("utf-8")))
+    # the rows come back in the seeded order, so one row per call gives the table itself
+    assert table_fields(back) == table_fields(table([traces[i] for i in order]))
+    for trace in traces:
+        one = read_columns(io.StringIO(serialize_dataset(table([trace]), seed).decode("utf-8")))
+        assert table_fields(one) == table_fields(table([trace]))
 
 
 GOOD_LINE = '{"phase":"pre","label":null,"cells":[[0,1]]}\n'
