@@ -27,7 +27,7 @@ _STAGE_NAMES = {
     "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
-    "trace": ("ConfluxSet", "TraceColumns", "read_dataset", "write_dataset"),
+    "trace": ("TraceColumns", "read_dataset", "write_dataset"),
 }
 _SOURCES = {name: module for module, names in _STAGE_NAMES.items() for name in names}
 
@@ -185,11 +185,11 @@ def cmd_conflux(args) -> int:
         raise GuardsiftError("conflux analysis needs --client and --visits")
     from . import conflux as cfx
 
-    parsed = parse_guard_log(guard)
+    kept, _ = filter_relay_channels(parse_guard_log(guard).channels)
     client_log = parse_client_log(client, visits_path)
     client_circuits = client_log.circuit_map()
     guard_circuits = {}
-    for channel in parsed.channels:
+    for channel in kept:
         guard_circuits.update(channel.circuits)
     rows = []
     agree = total_truth = 0
@@ -203,10 +203,10 @@ def cmd_conflux(args) -> int:
         guard_leg_id = leg_a_id if leg_a_id in guard_circuits else leg_b_id
         if guard_leg_id not in guard_circuits:
             continue
-        conflux_set = ConfluxSet(client_circuits[leg_a_id], client_circuits[leg_b_id])
+        legs = client_circuits[leg_a_id], client_circuits[leg_b_id]
         try:
             guard_trace = trim_head(guard_circuits[guard_leg_id], "post")
-            analysis = cfx.analyze_set(f"set{idx:05d}", conflux_set, guard_trace, guard_leg_id)
+            analysis = cfx.analyze_set(f"set{idx:05d}", *legs, guard_trace, guard_leg_id)
         except GuardsiftError:
             continue
         rows.append(analysis)
@@ -233,6 +233,8 @@ def cmd_transform(args) -> int:
 
     out = []
     try:
+        # the flags are checked before the input is read, so an empty input fails alike
+        transforms.check_params(args.jitter_ms, args.load_percent, args.max_len)
         # the loop frees the inputs when it ends; an output keeps only the cells it views
         for idx, trace in enumerate(read_dataset(args.in_path)):
             if args.jitter_ms is not None:
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conflux", help="linked-leg analysis against client ground truth")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_conflux, stages=("ingest", "sanitize", "trace"))
+    p.set_defaults(func=cmd_conflux, stages=("ingest", "sanitize"))
 
     p = sub.add_parser("transform", help="perturb an exported trace set")
     p.add_argument("--in", dest="in_path", required=True)

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyTraceError, IndeterminateError, NotLinkedError
-from .trace import INCOMING, OUTGOING, POST, Circuit, ConfluxSet, Trace
+from .trace import INCOMING, OUTGOING, Circuit, Trace
 
 
 class CellTypeCode(IntEnum):
@@ -58,7 +58,7 @@ def _opens_with_begin(leg: Circuit) -> bool:
     return leg.cell_types is not None and leg.cell_types[0] == CellTypeCode.RELAY_BEGIN
 
 
-def identify_primary_legs(conflux_set: ConfluxSet) -> PrimaryLegVerdict:
+def identify_primary_legs(leg_a: Circuit, leg_b: Circuit) -> PrimaryLegVerdict:
     """Recover both endpoints' initial primary leg from typed cells.
 
     Both legs must already be stripped of the link handshake. The client
@@ -67,7 +67,6 @@ def identify_primary_legs(conflux_set: ConfluxSet) -> PrimaryLegVerdict:
     arrives, so an outgoing data cell right after the begins means the
     connected answer came in on the other leg.
     """
-    leg_a, leg_b = conflux_set.leg_a, conflux_set.leg_b
     if not len(leg_a) or not len(leg_b):
         raise IndeterminateError("a leg is empty after handshake strip")
     if _opens_with_begin(leg_a):
@@ -117,23 +116,12 @@ def fs_ground_truth(verdict: PrimaryLegVerdict, guard_leg_id: int) -> bool:
     return verdict.client_primary == guard_leg_id == verdict.exit_primary
 
 
-def leg_coverage(guard_leg: Trace, full_client_trace: Trace) -> float:
-    """Fraction of the full page-load cells visible on the guard's leg."""
-    if not len(full_client_trace):
+def leg_coverage(guard_cells: int, full_cells: int) -> float:
+    """Fraction of the full page load's ``full_cells`` that the guard's leg
+    carries (``guard_cells``)."""
+    if not full_cells:
         raise EmptyTraceError("full client trace is empty")
-    return min(1.0, max(0.0, len(guard_leg) / len(full_client_trace)))
-
-
-def merge_legs(conflux_set: ConfluxSet) -> Trace:
-    """Timestamp-sorted union of both legs; ties put leg_a's cell first.
-
-    Legs must share a clock for the merge to mean anything.
-    """
-    legs = (conflux_set.leg_a, conflux_set.leg_b)
-    timestamps = np.concatenate([leg.timestamps for leg in legs])
-    directions = np.concatenate([leg.directions for leg in legs])
-    order = np.argsort(timestamps, kind="stable")
-    return Trace(timestamps[order], directions[order], phase=POST)
+    return min(1.0, max(0.0, guard_cells / full_cells))
 
 
 @dataclass(frozen=True)
@@ -147,21 +135,19 @@ class SetAnalysis:
 
 
 def analyze_set(
-    set_id: str,
-    conflux_set: ConfluxSet,
-    guard_leg: Trace,
-    guard_leg_id: int,
+    set_id: str, leg_a: Circuit, leg_b: Circuit, guard_leg: Trace, guard_leg_id: int
 ) -> SetAnalysis:
-    """Full per-set report row: verdicts, detection, and coverage."""
-    stripped = ConfluxSet(
-        strip_conflux_handshake(conflux_set.leg_a),
-        strip_conflux_handshake(conflux_set.leg_b),
-        ground_truth=conflux_set.ground_truth,
-    )
-    verdict = identify_primary_legs(stripped)
+    """Full per-set report row: verdicts, detection, and coverage.
+
+    ``leg_a`` and ``leg_b`` are the client's typed legs, handshake included;
+    ``guard_leg`` is the guard's head-trimmed view of leg ``guard_leg_id``.
+    Coverage counts the client legs' cells after the link-ack.
+    """
+    leg_a, leg_b = strip_conflux_handshake(leg_a), strip_conflux_handshake(leg_b)
+    verdict = identify_primary_legs(leg_a, leg_b)
     truth = None if verdict.unused else fs_ground_truth(verdict, guard_leg_id)
     detected = detect_first_segment(guard_leg)
-    coverage = leg_coverage(guard_leg, merge_legs(stripped))
+    coverage = leg_coverage(len(guard_leg), len(leg_a) + len(leg_b))
     return SetAnalysis(
         set_id=set_id,
         client_primary=verdict.client_primary,

@@ -36,17 +36,7 @@ import numpy as np
 
 from .conflux import CellTypeCode
 from .errors import ConfigError, read_config
-from .trace import (
-    INCOMING,
-    OUTGOING,
-    POST,
-    PRE,
-    Circuit,
-    ConfluxSet,
-    SetGroundTruth,
-    Stage,
-    Trace,
-)
+from .trace import INCOMING, OUTGOING, POST, PRE, Stage
 
 MS = 1_000_000
 SEC = 1_000_000_000
@@ -818,7 +808,6 @@ def _record_circuit(
     conflux_leg: bool,
     label: str | None,
     tail: TailPlan | None,
-    stage_kind: str | None = None,
 ) -> None:
     out.guard_cells.append((circuit_id, _apply_noise(rng, emitted.cells[:, :2], config)))
     out.circuits.append(
@@ -836,7 +825,7 @@ def _record_circuit(
             "payload_start": emitted.payload_start,
             "payload_end": emitted.payload_end,
             "expected_stage": _expected_stage(
-                stage_kind or kind, emitted.valid, conflux_leg, len(emitted.cells), config.phase
+                kind, emitted.valid, conflux_leg, len(emitted.cells), config.phase
             ),
         }
     )
@@ -1204,51 +1193,6 @@ def generate_dataset(config: ScenarioConfig, out_dir: str | Path) -> GeneratedDa
         json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )
     return GeneratedDataset(out_path, guard_csv, client_csv, visits_csv, truth_json)
-
-
-# --- in-memory helpers ---------------------------------------------------------
-
-
-@dataclass
-class SimulatedSet:
-    """One linked set with typed legs, the guard's view, and scheduler truth."""
-
-    conflux_set: ConfluxSet
-    guard_leg_id: int
-    guard_trace: Trace
-    fs: bool
-    coverage: float
-
-
-def _leg_circuit(circuit_id: int, cells: np.ndarray) -> Circuit:
-    """A circuit over ``_leg_cells`` rows, each column copied out contiguous."""
-    timestamps, directions, cell_types = cells.T.copy()
-    return Circuit(circuit_id, timestamps, directions.astype(np.int8), cell_types)
-
-
-def simulate_conflux_sets(config: ScenarioConfig, n_sets: int):
-    """Yield linked sets one at a time (cell volumes can be large)."""
-    pages = _page_models(config, n_sets)
-    for k in range(n_sets):
-        rng = _rng(config.seed, 0x5E7, k)
-        plan = plan_conflux_visit(rng, config, pages[k % config.n_pages], t0=0)
-        sim = simulate_conflux_visit(plan, config)
-        id_a, id_b = 2 * k + 1, 2 * k + 2
-        leg_ids = (id_a, id_b)
-        leg_a, leg_b = (_leg_circuit(cid, cells) for cid, cells in zip(leg_ids, sim.leg_cells))
-        truth = SetGroundTruth(
-            client_primary=leg_ids[sim.client_primary],
-            exit_primary=leg_ids[sim.exit_primary],
-        )
-        guard = leg_a.tail(5)
-        guard_trace = Trace(guard.timestamps - guard.start_ts, guard.directions, phase=POST)
-        yield SimulatedSet(
-            conflux_set=ConfluxSet(leg_a, leg_b, truth),
-            guard_leg_id=id_a,
-            guard_trace=guard_trace,
-            fs=sim.fs,
-            coverage=sim.guard_cells / sim.full_cells,
-        )
 
 
 def run_rtt_advantage_sweep(

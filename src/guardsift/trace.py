@@ -213,28 +213,6 @@ class Channel:
         return len(self.circuits)
 
 
-@dataclass(frozen=True)
-class SetGroundTruth:
-    """Scheduler-side truth for a linked leg pair."""
-
-    client_primary: int | None
-    exit_primary: int | None
-    unused: bool = False
-
-
-@dataclass
-class ConfluxSet:
-    """Two linked legs plus optional ground truth from typed cells."""
-
-    leg_a: Circuit
-    leg_b: Circuit
-    ground_truth: SetGroundTruth | None = None
-
-    def __post_init__(self):
-        if self.leg_a.circuit_id == self.leg_b.circuit_id:
-            raise ValueError("conflux legs must have distinct circuit ids")
-
-
 def concat_cells(parts: Sequence, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The timestamps and directions of ``parts`` (circuits, traces or
     tables), each from its cell ``start`` on, one after another."""

@@ -9,6 +9,16 @@ from .trace import Trace
 MS = 1_000_000
 
 
+def check_params(jitter_ms=None, percent=None, max_len=None) -> None:
+    """Raise ``ValueError`` for a parameter out of range; ``None`` is not checked."""
+    if jitter_ms is not None and not 0 <= jitter_ms < np.inf:
+        raise ValueError("jitter must be non-negative and finite")
+    if percent is not None and not 1 <= percent <= 100:
+        raise ValueError("percent must be in [1, 100]")
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be >= 1")
+
+
 def inject_jitter(
     trace: Trace,
     jitter_ms: float,
@@ -21,8 +31,7 @@ def inject_jitter(
     accumulated jitter, so the trace only ever stretches. Cells pushed
     past ``max_duration_ns`` are dropped. J = 0 returns the trace as is.
     """
-    if not 0 <= jitter_ms < np.inf:
-        raise ValueError("jitter must be non-negative and finite")
+    check_params(jitter_ms=jitter_ms)
     n = len(trace)
     if jitter_ms == 0 or n < 2:
         return trace
@@ -36,8 +45,7 @@ def inject_jitter(
 
 def truncate_percent(trace: Trace, percent: float) -> Trace:
     """Keep the first ``percent`` of cells (floor, at least one cell)."""
-    if not 1 <= percent <= 100:
-        raise ValueError("percent must be in [1, 100]")
+    check_params(percent=percent)
     keep = max(1, int(len(trace) * percent // 100))
     if keep >= len(trace):
         return trace
@@ -46,8 +54,7 @@ def truncate_percent(trace: Trace, percent: float) -> Trace:
 
 def truncate_length(trace: Trace, max_len: int = 5000) -> Trace:
     """Keep the first ``max_len`` cells."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    check_params(max_len=max_len)
     if len(trace) <= max_len:
         return trace
     return trace.with_cells(trace.timestamps[:max_len], trace.directions[:max_len])

@@ -11,26 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import MS, SEC, duration_ns
-from guardsift.conflux import (
-    detect_first_segment,
-    fs_ground_truth,
-    identify_primary_legs,
-    strip_conflux_handshake,
-)
+from guardsift.cli import main
 from guardsift.features import build_tam, coarsen_tam
 from guardsift.ingest import filter_relay_channels, parse_guard_log, parse_visit_log
 from guardsift.metrics import f1, sweep, tally, wilson_upper
 from guardsift.sanitize import SanitizeConfig, sanitize, trim_head, trim_tail
 from guardsift.segment import plan_windows, segment_nonmonitored
-from guardsift.simulate import (
-    ScenarioConfig,
-    generate_dataset,
-    run_rtt_advantage_sweep,
-    simulate_conflux_sets,
-)
-from guardsift.trace import (
-    CellRecord, Channel, Circuit, ConfluxSet, Trace, TraceColumns, serialize_dataset,
-)
+from guardsift.simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
+from guardsift.trace import CellRecord, Channel, Circuit, Trace, TraceColumns, serialize_dataset
 from guardsift.transforms import inject_jitter
 
 from test_metrics import oracle_counts, oracle_point, oracle_thresholds, random_records
@@ -332,29 +320,35 @@ def test_c06_segmentation_partition_properties():
 # --- criterion 7: leg identification and first-segment detection -------------------
 
 
-def test_c07_leg_identification_and_fs_detection():
+def test_c07_leg_identification_and_fs_detection(tmp_path):
+    # the conflux command on a generated post-phase dataset, checked against
+    # truth.json's sets: set{idx} is row idx of visits.csv, whose fifth field
+    # is the guard's leg
+    start = time.monotonic()
     config = ScenarioConfig(
-        seed=77, phase="post", n_pages=12, page_cell_range=(240, 520), rtt_noise_ms=25.0
+        seed=77, phase="post", n_pages=12, n_visits_per_page=417,
+        page_cell_range=(240, 520), rtt_noise_ms=25.0, n_nonmon_channels=0,
     )
-    n_sets = 5000
+    paths = generate_dataset(config, tmp_path / "data")
+    out_csv = tmp_path / "conflux.csv"
+    assert main(["conflux", "--in", str(paths.out_dir), "--out", str(out_csv)]) == 0
+    truth = {s["leg_guard"]: s for s in json.loads(paths.truth_json.read_text())["sets"]}
+    visit_rows = [line.split(",") for line in paths.visits_csv.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == len(truth) == len(visit_rows) >= 5000
     identify_ok = fs_agree = 0
-    for sim in simulate_conflux_sets(config, n_sets):
-        stripped = ConfluxSet(
-            strip_conflux_handshake(sim.conflux_set.leg_a),
-            strip_conflux_handshake(sim.conflux_set.leg_b),
-            sim.conflux_set.ground_truth,
+    for set_id, client_primary, exit_primary, fs_detected, fs_truth, _ in rows:
+        want = truth[int(visit_rows[int(set_id[3:])][4])]
+        identify_ok += (int(client_primary), int(exit_primary)) == (
+            want["client_primary"], want["exit_primary"]
         )
-        verdict = identify_primary_legs(stripped)
-        truth = sim.conflux_set.ground_truth
-        identify_ok += (
-            verdict.client_primary == truth.client_primary
-            and verdict.exit_primary == truth.exit_primary
-        )
-        fs_agree += detect_first_segment(sim.guard_trace) == fs_ground_truth(
-            verdict, sim.guard_leg_id
-        )
+        assert fs_truth == str(int(want["fs"])), set_id
+        fs_agree += fs_detected == fs_truth
+    n_sets = len(rows)
     assert identify_ok == n_sets, f"leg identification {identify_ok}/{n_sets}"
     assert fs_agree / n_sets >= 0.99, f"fs agreement {fs_agree / n_sets:.4f}"
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"C07 took {elapsed:.1f}s"
 
 
 # --- criterion 8: scheduling advantage sweep ---------------------------------------
@@ -433,7 +427,6 @@ def test_c10_tam_slots_and_totals():
 
 
 def _run_pipeline(base):
-    from guardsift.cli import main
     from guardsift.trace import read_dataset
 
     base.mkdir(parents=True, exist_ok=True)

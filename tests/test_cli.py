@@ -8,7 +8,7 @@ import pytest
 from conftest import run_fresh
 from guardsift.cli import main
 from guardsift.metrics import NONMON, ScoreRecord, write_scores
-from guardsift.simulate import ScenarioConfig
+from guardsift.simulate import ScenarioConfig, generate_dataset
 from guardsift.trace import read_dataset
 
 
@@ -128,6 +128,22 @@ def test_conflux_subcommand(tmp_path):
     assert len(lines) == 1 + 6
     summary = json.loads(report.read_text())
     assert summary["sets"] == 6
+
+
+def test_conflux_takes_no_guard_leg_from_a_relay_channel(tmp_path):
+    config = ScenarioConfig(seed=4, phase="post", n_pages=2, n_visits_per_page=2,
+                            n_nonmon_channels=2)
+    data = tmp_path / "data"
+    generate_dataset(config, data)
+    argv = ["conflux", "--in", str(data), "--out"]
+    assert main([*argv, str(tmp_path / "clean.csv")]) == 0
+    # a relay channel that carries the guard leg's circuit id of set 0
+    leg_guard = (data / "visits.csv").read_text().splitlines()[1].split(",")[4]
+    relay = [f"999999,{leg_guard},{i * 1_000_000},{1 if i % 2 else -1}" for i in range(40)]
+    with open(data / "guard.csv", "a") as handle:
+        handle.write("#AUTH,999999\n" + "\n".join(relay) + "\n")
+    assert main([*argv, str(tmp_path / "relay.csv")]) == 0
+    assert (tmp_path / "relay.csv").read_text() == (tmp_path / "clean.csv").read_text()
 
 
 def test_eval_max_f1(tmp_path):
@@ -265,8 +281,16 @@ def test_featurize_out_of_memory_is_a_stage_error(
         # jitter would push the second cell past int64
         ('{"phase":"pre","label":null,"cells":[[9223372036854775800,1],[9223372036854775807,1]]}\n',
          ["--jitter-ms", "20"], "sorted"),
+        # the flags are checked before the input is read
+        ("", ["--load-percent", "0"], "percent must be in [1, 100]"),
+        ("", ["--max-len", "0"], "max_len must be >= 1"),
+        ("", ["--jitter-ms", "-1"], "jitter must be non-negative"),
+        ("", ["--jitter-ms", "nan"], "jitter must be non-negative and finite"),
     ],
-    ids=["load-percent", "max-len", "negative-jitter", "nan-jitter", "float-cell", "int64-overflow"],
+    ids=[
+        "load-percent", "max-len", "negative-jitter", "nan-jitter", "float-cell", "int64-overflow",
+        "empty-load-percent", "empty-max-len", "empty-negative-jitter", "empty-nan-jitter",
+    ],
 )
 def test_transform_stage_errors(tmp_path, capsys, ndjson, flags, message):
     traces = tmp_path / "traces.ndjson"

@@ -2,15 +2,15 @@ import pytest
 
 from conftest import MS
 from guardsift.conflux import (
+    analyze_set,
     detect_first_segment,
     fs_ground_truth,
     identify_primary_legs,
     leg_coverage,
-    merge_legs,
     strip_conflux_handshake,
 )
 from guardsift.errors import EmptyTraceError, IndeterminateError, NotLinkedError
-from guardsift.trace import CellRecord, Circuit, ConfluxSet, Trace
+from guardsift.trace import CellRecord, Circuit, Trace
 
 
 def typed_leg(circuit_id, spec, start=0, step=MS):
@@ -39,15 +39,15 @@ class TestStripHandshake:
             strip_conflux_handshake(typed_leg(1, [(1, 200), (-1, 201), (1, 2)]))
 
 
-def stripped_set(a_spec, b_spec):
-    return ConfluxSet(typed_leg(10, a_spec), typed_leg(20, b_spec))
+def stripped_legs(a_spec, b_spec):
+    return typed_leg(10, a_spec), typed_leg(20, b_spec)
 
 
 class TestIdentifyPrimaryLegs:
     def test_connected_on_same_leg(self):
         # begins then an incoming connected on the same leg: exit agrees
         verdict = identify_primary_legs(
-            stripped_set([(1, 1), (-1, 4), (1, 2)], [(1, 2), (-1, 2)])
+            *stripped_legs([(1, 1), (-1, 4), (1, 2)], [(1, 2), (-1, 2)])
         )
         assert verdict.client_primary == 10
         assert verdict.exit_primary == 10
@@ -55,44 +55,43 @@ class TestIdentifyPrimaryLegs:
     def test_outgoing_data_means_other_leg(self):
         # client sends data right after begins: connected arrived elsewhere
         verdict = identify_primary_legs(
-            stripped_set([(1, 1), (1, 2), (-1, 2)], [(-1, 4), (-1, 2)])
+            *stripped_legs([(1, 1), (1, 2), (-1, 2)], [(-1, 4), (-1, 2)])
         )
         assert verdict.client_primary == 10
         assert verdict.exit_primary == 20
 
     def test_neither_leg_begins_is_unused(self):
-        verdict = identify_primary_legs(stripped_set([(1, 2)], [(-1, 2)]))
+        verdict = identify_primary_legs(*stripped_legs([(1, 2)], [(-1, 2)]))
         assert verdict.unused
         assert verdict.client_primary is None
 
     def test_begin_on_second_leg(self):
         verdict = identify_primary_legs(
-            stripped_set([(-1, 4), (-1, 2)], [(1, 1), (-1, 4)])
+            *stripped_legs([(-1, 4), (-1, 2)], [(1, 1), (-1, 4)])
         )
         assert verdict.client_primary == 20
         assert verdict.exit_primary == 20
 
     def test_multiple_begins_skipped(self):
         verdict = identify_primary_legs(
-            stripped_set([(1, 1), (1, 1), (1, 1), (1, 2)], [(-1, 4)])
+            *stripped_legs([(1, 1), (1, 1), (1, 1), (1, 2)], [(-1, 4)])
         )
         assert verdict.exit_primary == 20
 
     def test_switch_cell_counts_as_same_leg(self):
         verdict = identify_primary_legs(
-            stripped_set([(1, 1), (-1, 22), (1, 2)], [(-1, 2)])
+            *stripped_legs([(1, 1), (-1, 22), (1, 2)], [(-1, 2)])
         )
         assert verdict.exit_primary == 10
 
     def test_empty_leg_is_indeterminate(self):
         with pytest.raises(IndeterminateError):
-            identify_primary_legs(ConfluxSet(typed_leg(1, []), typed_leg(2, [(1, 1)])))
+            identify_primary_legs(typed_leg(1, []), typed_leg(2, [(1, 1)]))
 
     def test_symmetric_under_relabeling(self):
         a, b = [(1, 1), (1, 2), (-1, 2)], [(-1, 4), (-1, 2)]
-        v1 = identify_primary_legs(stripped_set(a, b))
-        swapped = ConfluxSet(typed_leg(20, b), typed_leg(10, a))
-        v2 = identify_primary_legs(swapped)
+        v1 = identify_primary_legs(*stripped_legs(a, b))
+        v2 = identify_primary_legs(typed_leg(20, b), typed_leg(10, a))
         assert (v1.client_primary, v1.exit_primary) == (v2.client_primary, v2.exit_primary)
 
 
@@ -145,30 +144,19 @@ class TestFsGroundTruth:
 
 class TestCoverageAndMerge:
     def test_coverage_ratio(self):
-        guard = dir_trace([1] * 500)
-        full = dir_trace([1] * 1000)
-        assert leg_coverage(guard, full) == 0.5
-        assert leg_coverage(full, full) == 1.0
-        assert leg_coverage(dir_trace([]), full) == 0.0
+        assert leg_coverage(500, 1000) == 0.5
+        assert leg_coverage(1000, 1000) == 1.0
+        assert leg_coverage(0, 1000) == 0.0
 
     def test_empty_full_trace_raises(self):
         with pytest.raises(EmptyTraceError):
-            leg_coverage(dir_trace([1]), dir_trace([]))
+            leg_coverage(1, 0)
 
-    def test_merge_sorted_union(self):
-        s = ConfluxSet(
-            typed_leg(1, [(1, 2), (1, 2)], start=0, step=2 * MS),
-            typed_leg(2, [(-1, 2), (-1, 2)], start=MS, step=2 * MS),
-        )
-        merged = merge_legs(s)
-        assert [ts for ts, _ in merged.cells] == [0, MS, 2 * MS, 3 * MS]
-        assert len(merged.cells) == 4
-
-    def test_merge_tie_puts_leg_a_first(self):
-        s = ConfluxSet(typed_leg(1, [(1, 2)]), typed_leg(2, [(-1, 2)]))
-        merged = merge_legs(s)
-        assert [d for _, d in merged.cells] == [1, -1]
-
-    def test_merge_with_empty_leg(self):
-        s = ConfluxSet(typed_leg(1, [(1, 2), (-1, 2)]), typed_leg(2, []))
-        assert len(merge_legs(s).cells) == 2
+    def test_set_coverage_counts_both_legs_after_the_link_ack(self):
+        # 4 + 2 client cells after the link-acks; the guard sees 3 of them
+        leg_a = typed_leg(10, LINK_HS + [(1, 1), (-1, 4), (1, 2), (-1, 2)])
+        leg_b = typed_leg(20, LINK_HS + [(-1, 2), (-1, 2)])
+        analysis = analyze_set("s", leg_a, leg_b, dir_trace([1, -1, 1]), 10)
+        assert analysis.coverage == 0.5
+        assert (analysis.client_primary, analysis.exit_primary) == (10, 10)
+        assert analysis.fs_detected and analysis.fs_truth
