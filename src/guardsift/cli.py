@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from importlib import import_module
 from pathlib import Path
 
@@ -164,7 +164,7 @@ def cmd_sanitize(args) -> int:
     kept, dropped_relay = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
-        traces, report = _segment_time_path(kept, visits, config, int(args.window_s * SEC))
+        traces, report = _segment_time_path(kept, visits, config, args.window_ns)
     else:
         result = sanitize(kept, config, args.phase, visits)
         traces, report = result.traces, asdict(result.report)
@@ -239,9 +239,7 @@ def cmd_transform(args) -> int:
         for idx, trace in enumerate(read_dataset(args.in_path)):
             if args.jitter_ms is not None:
                 rng = np.random.default_rng(np.random.SeedSequence((args.seed, idx)))
-                trace = transforms.inject_jitter(
-                    trace, args.jitter_ms, rng, int(args.max_duration_s * SEC)
-                )
+                trace = transforms.inject_jitter(trace, args.jitter_ms, rng, args.max_duration_ns)
             if args.load_percent is not None:
                 trace = transforms.truncate_percent(trace, args.load_percent)
             if args.max_len is not None:
@@ -291,24 +289,22 @@ def cmd_featurize(args) -> int:
 def cmd_eval(args) -> int:
     from . import metrics
 
-    records = metrics.read_scores(args.scores)
-    wilson_z = None if args.wilson_z == 0 else args.wilson_z
+    scores = metrics.read_scores(args.scores)
     if args.curve:
-        metrics.write_curve(metrics.sweep(records, args.r, wilson_z), args.curve)
+        metrics.write_curve(metrics.sweep(scores, args.r, args.wilson_z), args.curve)
     if args.threshold is not None:
-        counts = metrics.tally(records, args.threshold)
-        rate = metrics.rates(counts)
-        wilson = metrics.WilsonParams(counts.n_fp, counts.n_n, wilson_z) if wilson_z else None
-        pi = metrics.r_precision(rate, args.r, wilson)
+        counts = metrics.tally(scores, args.threshold)
+        pi = metrics.r_precision(*astuple(counts), args.r, args.wilson_z)
+        recall = counts.n_tp / counts.n_p
         payload = {
             "threshold": args.threshold,
             f"pi_{args.r:g}": pi,
-            "recall": rate.tpr,
-            "fpr": rate.fpr,
-            "f1": metrics.f1(pi, rate.tpr),
+            "recall": recall,
+            "fpr": counts.n_fp / counts.n_n,
+            "f1": metrics.f1(pi, recall),
         }
     elif args.target_fpr is not None:
-        point = metrics.operating_point_at_fpr(records, args.target_fpr)
+        point = metrics.operating_point_at_fpr(scores, args.target_fpr)
         payload = {
             "threshold": point.threshold,
             "recall": point.recall,
@@ -316,7 +312,7 @@ def cmd_eval(args) -> int:
             "target_fpr": args.target_fpr,
         }
     else:
-        point = metrics.select_threshold_max_f1(records, args.r, wilson_z)
+        point = metrics.select_threshold_max_f1(scores, args.r, args.wilson_z)
         payload = {
             "threshold": point.threshold,
             f"pi_{args.r:g}": point.pi_r,
@@ -325,7 +321,7 @@ def cmd_eval(args) -> int:
             "f1": point.f1,
         }
     payload["r"] = args.r
-    payload["records"] = len(records)
+    payload["records"] = len(scores)
     print(json.dumps(payload, indent=2, sort_keys=True))
     _write_report(args.report, payload)
     return 0
@@ -366,9 +362,20 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _duration_ns(text: str) -> int:
+    """A duration in seconds, as int nanoseconds from 1 to below 2^63."""
+    ns = float(text) * SEC
+    if not 1 <= ns < 2**63:
+        raise argparse.ArgumentTypeError(f"must be from 1 ns to below 2^63 ns, got {text} s")
+    return int(ns)
+
+
 def _rtt_deltas(text: str) -> list[float]:
-    """A comma list of finite, non-negative RTT deltas in ms."""
-    return [_non_negative_float(x) for x in text.split(",")]
+    """A comma list of RTT deltas in ms, each from 0 to below 2^63 ns."""
+    deltas = [float(x) for x in text.split(",")]
+    if not all(0 <= delta * 1e6 < 2**63 for delta in deltas):
+        raise argparse.ArgumentTypeError(f"each delta must be from 0 to below 2^63 ns, got {text}")
+    return deltas
 
 
 def _add_io_flags(parser, needs_out=True, reads_client=True):
@@ -408,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="sanitizer thresholds JSON")
     p.add_argument("--seed", type=int, default=0, help="export shuffle seed")
     p.add_argument("--segmentation", choices=["circuit", "time"], default="circuit")
-    p.add_argument("--window-s", type=_positive_float, default=60.0, help="monitored window length (time)")
+    p.add_argument(
+        "--window-s", dest="window_ns", type=_duration_ns, default=60 * SEC,
+        help="monitored window length (time)",
+    )
     p.set_defaults(func=cmd_sanitize, stages=("ingest", "sanitize", "segment", "trace"))
 
     p = sub.add_parser("conflux", help="linked-leg analysis against client ground truth")
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jitter-ms", type=float, default=None)
-    p.add_argument("--max-duration-s", type=_positive_float, default=45.0)
+    p.add_argument("--max-duration-s", dest="max_duration_ns", type=_duration_ns, default=45 * SEC)
     p.add_argument("--load-percent", type=float, default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -53,10 +53,6 @@ class IndeterminateError(GuardsiftError):
     """Leg analysis cannot produce a verdict for this set."""
 
 
-class LabelError(GuardsiftError):
-    """A score record carries an invalid class label."""
-
-
 class UndefinedRateError(GuardsiftError):
     """A rate denominator is zero."""
 

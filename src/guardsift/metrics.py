@@ -1,24 +1,25 @@
-"""Open-world evaluation: confusion tallies, rates, r-precision, sweeps.
+"""Open-world evaluation: confusion tallies, r-precision, threshold curves.
 
 Monitored (positive) records are judged against their true class, so a
 positive prediction of the wrong monitored class is a wrong positive, not
 a false positive; only non-monitored records can produce false positives.
 The r in r-precision is the assumed deployment ratio of non-monitored to
 monitored visits.
+
+A score file is held as columns (``Scores``). One pass over its rows,
+sorted once by score from the highest down, counts every threshold
+(``_threshold_counts``); the curve, the F1 maximum and the FPR target all
+read those counts.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import (
-    LabelError,
     NoFeasibleThresholdError,
     NoPositivesError,
     ParseError,
@@ -31,22 +32,16 @@ NONMON = -1
 
 
 @dataclass(frozen=True)
-class ScoreRecord:
-    """One classifier output row."""
+class Scores:
+    """Classifier output rows as columns, in file order."""
 
-    trace_id: str
-    true_label: int
-    predicted_label: int
-    score: float
+    trace_ids: list[str]
+    true_labels: list[int]
+    predicted_labels: list[int]
+    scores: list[float]
 
-    def __post_init__(self):
-        if self.true_label < NONMON or self.predicted_label < NONMON:
-            raise LabelError(
-                f"labels must be class indexes or {NONMON}, got "
-                f"true={self.true_label} predicted={self.predicted_label}"
-            )
-        if not 0.0 <= self.score <= 1.0 or math.isnan(self.score):
-            raise LabelError(f"score must be in [0, 1], got {self.score}")
+    def __len__(self) -> int:
+        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -64,54 +59,27 @@ class ConfusionCounts:
             raise ValueError("counts exceed their population")
 
 
-@dataclass(frozen=True)
-class Rates:
-    tpr: float
-    wpr: float
-    fpr: float
-
-
-@dataclass(frozen=True)
-class WilsonParams:
-    n_fp: int
-    n_n: int
-    z: float = 1.96
-
-
-def tally(records: Sequence[ScoreRecord], threshold: float) -> ConfusionCounts:
+def tally(scores: Scores, threshold: float) -> ConfusionCounts:
     """Count the confusion cells at one decision threshold.
 
     A record counts as positive iff it predicts a monitored class with
     score >= threshold.
     """
     n_p = n_n = n_tp = n_wp = n_fp = 0
-    for rec in records:
-        if rec.true_label == NONMON:
+    for true, predicted, score in zip(scores.true_labels, scores.predicted_labels, scores.scores):
+        if true == NONMON:
             n_n += 1
         else:
             n_p += 1
-        if rec.predicted_label == NONMON or rec.score < threshold:
+        if predicted == NONMON or score < threshold:
             continue
-        if rec.true_label == NONMON:
+        if true == NONMON:
             n_fp += 1
-        elif rec.predicted_label == rec.true_label:
+        elif predicted == true:
             n_tp += 1
         else:
             n_wp += 1
     return ConfusionCounts(n_p, n_n, n_tp, n_wp, n_fp)
-
-
-def rates(counts: ConfusionCounts) -> Rates:
-    """TPR, WPR, FPR from the confusion counts."""
-    if counts.n_p == 0 or counts.n_n == 0:
-        raise UndefinedRateError(
-            f"need monitored and non-monitored records, got n_p={counts.n_p} n_n={counts.n_n}"
-        )
-    return Rates(
-        tpr=counts.n_tp / counts.n_p,
-        wpr=counts.n_wp / counts.n_p,
-        fpr=counts.n_fp / counts.n_n,
-    )
 
 
 def wilson_upper(n_fp: int, n_n: int, z: float = 1.96) -> float:
@@ -127,22 +95,28 @@ def wilson_upper(n_fp: int, n_n: int, z: float = 1.96) -> float:
     return (center + margin) / (1 + z2 / n_n)
 
 
-def r_precision(rate: Rates, r: float, wilson: WilsonParams | None = None) -> float:
-    """Precision under an assumed negatives-to-positives base ratio ``r``.
+def r_precision(
+    n_p: int, n_n: int, n_tp: int, n_wp: int, n_fp: int, r: float, wilson_z: float | None = None
+) -> float:
+    """Precision from the confusion counts at one threshold, under an assumed
+    negatives-to-positives base ratio ``r``.
 
-    When ``wilson`` is given and its false-positive count is small (< 10),
-    the FPR is replaced by its Wilson upper bound, making the result a
-    conservative lower bound.
+    With a nonzero ``wilson_z`` and fewer than 10 false positives, the FPR
+    is replaced by its Wilson upper bound, making the result a conservative
+    lower bound.
     """
+    if n_p == 0 or n_n == 0:
+        raise UndefinedRateError(
+            f"need monitored and non-monitored records, got n_p={n_p} n_n={n_n}"
+        )
     if r < 0:
         raise ValueError("r must be non-negative")
-    fpr = rate.fpr
-    if wilson is not None and wilson.n_fp < 10:
-        fpr = wilson_upper(wilson.n_fp, wilson.n_n, wilson.z)
-    denominator = rate.tpr + rate.wpr + r * fpr
+    tpr = n_tp / n_p
+    fpr = wilson_upper(n_fp, n_n, wilson_z) if wilson_z and n_fp < 10 else n_fp / n_n
+    denominator = tpr + n_wp / n_p + r * fpr
     if denominator <= 0:
         raise UndefinedPrecisionError("r-precision denominator is zero")
-    return rate.tpr / denominator
+    return tpr / denominator
 
 
 def f1(pi_r: float, recall: float) -> float:
@@ -154,91 +128,86 @@ def f1(pi_r: float, recall: float) -> float:
     return 2 * pi_r * recall / (pi_r + recall)
 
 
-# --- threshold sweeps ----------------------------------------------------------
+# --- threshold curves ------------------------------------------------------------
+
+
+def _threshold_counts(scores: Scores) -> tuple[list[float], list[int], list[int], list[int]]:
+    """Every threshold, ascending, with the right, wrong and false positives
+    at or above it.
+
+    The thresholds are every distinct score, plus 0 and a value above the
+    maximum score. Of equal scores (0.0 and -0.0), the first in file order
+    names the threshold. ``scores`` must not be empty.
+    """
+    values, true, predicted = scores.scores, scores.true_labels, scores.predicted_labels
+    # stable, so each run of equal scores starts with its first row in file order
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    names, n_tp, n_wp, n_fp = [], [], [], []
+    tp = wp = fp = 0
+    last = math.nan
+    for i in order:
+        if values[i] != last:
+            # the counts so far are those of the threshold above this one
+            last = values[i]
+            names.append(last)
+            n_tp.append(tp)
+            n_wp.append(wp)
+            n_fp.append(fp)
+        if predicted[i] == NONMON:
+            continue
+        if true[i] == NONMON:
+            fp += 1
+        elif predicted[i] == true[i]:
+            tp += 1
+        else:
+            wp += 1
+    thresholds = [names[0] + 1.0, *names] + ([] if names[-1] == 0.0 else [0.0])
+    # the counts after the last row hold at the lowest threshold, and at 0 below it
+    for column, count in ((n_tp, tp), (n_wp, wp), (n_fp, fp)):
+        column.extend([count] * (len(thresholds) - len(column)))
+        column.reverse()
+    return thresholds[::-1], n_tp, n_wp, n_fp
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    threshold: float
-    pi_r: float | None
-    recall: float | None
-    fpr: float | None
-    counts: ConfusionCounts
+class Curve:
+    """Counts and rates at every threshold, as columns in ascending threshold
+    order; a rate that is undefined at a threshold is None."""
+
+    n_p: int
+    n_n: int
+    thresholds: list[float]
+    n_tp: list[int]
+    n_wp: list[int]
+    n_fp: list[int]
+    pi_r: list[float | None]
+    recall: list[float | None]
+    fpr: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.thresholds)
 
 
-def _sweep_thresholds(records: Sequence[ScoreRecord]) -> list[float]:
-    """Every distinct score, plus 0 and a value above the maximum score."""
-    values = sorted({rec.score for rec in records})
-    thresholds = values if values and values[0] == 0.0 else [0.0] + values
-    return thresholds + [values[-1] + 1.0 if values else 1.0]
-
-
-def _point_at(
-    threshold: float,
-    r: float,
-    counts: ConfusionCounts,
-    wilson_z: float | None,
-) -> SweepPoint:
-    recall = counts.n_tp / counts.n_p if counts.n_p else None
-    fpr = counts.n_fp / counts.n_n if counts.n_n else None
-    pi = None
-    if counts.n_p and counts.n_n:
-        rate = rates(counts)
-        wilson = WilsonParams(counts.n_fp, counts.n_n, wilson_z) if wilson_z else None
-        try:
-            pi = r_precision(rate, r, wilson)
-        except UndefinedPrecisionError:
-            pi = None
-    return SweepPoint(threshold, pi, recall, fpr, counts)
-
-
-def _counts_for_thresholds(
-    records: Sequence[ScoreRecord], thresholds: Sequence[float]
-) -> list[ConfusionCounts]:
-    """Confusion counts per threshold via suffix sums over sorted scores."""
-    n_p = sum(1 for rec in records if rec.true_label != NONMON)
-    n_n = len(records) - n_p
-    scored = sorted(
-        (
-            (rec.score, rec.true_label == rec.predicted_label, rec.true_label == NONMON)
-            for rec in records
-            if rec.predicted_label != NONMON
-        ),
-        key=lambda item: item[0],
-    )
-    scores = [item[0] for item in scored]
-    # suffix[i] = counts over scored[i:]
-    suffix_tp = [0] * (len(scored) + 1)
-    suffix_wp = [0] * (len(scored) + 1)
-    suffix_fp = [0] * (len(scored) + 1)
-    for i in range(len(scored) - 1, -1, -1):
-        _, correct, is_nonmon = scored[i]
-        suffix_tp[i] = suffix_tp[i + 1] + (1 if correct and not is_nonmon else 0)
-        suffix_wp[i] = suffix_wp[i + 1] + (1 if not correct and not is_nonmon else 0)
-        suffix_fp[i] = suffix_fp[i + 1] + (1 if is_nonmon else 0)
-    out = []
-    for threshold in thresholds:
-        i = bisect_left(scores, threshold)
-        out.append(ConfusionCounts(n_p, n_n, suffix_tp[i], suffix_wp[i], suffix_fp[i]))
-    return out
-
-
-def sweep(
-    records: Sequence[ScoreRecord], r: float, wilson_z: float | None = None
-) -> list[SweepPoint]:
+def sweep(scores: Scores, r: float, wilson_z: float | None = None) -> Curve:
     """Evaluate every distinct score as a threshold, plus both endpoints.
 
-    Points are ordered by threshold; recall never increases along the
-    curve. Rates that are undefined at a point are reported as None.
+    Recall never increases along the curve.
     """
-    if not records:
-        raise ValueError("need at least one record")
-    thresholds = _sweep_thresholds(records)
-    counts = _counts_for_thresholds(records, thresholds)
-    return [
-        _point_at(threshold, r, c, wilson_z)
-        for threshold, c in zip(thresholds, counts)
-    ]
+    if not len(scores):
+        raise UndefinedRateError("need at least one record")
+    n_n = scores.true_labels.count(NONMON)
+    n_p = len(scores) - n_n
+    thresholds, n_tp, n_wp, n_fp = _threshold_counts(scores)
+    recall = [tp / n_p for tp in n_tp] if n_p else [None] * len(thresholds)
+    fpr = [fp / n_n for fp in n_fp] if n_n else [None] * len(thresholds)
+    pi_r = [None] * len(thresholds)
+    if n_p and n_n:
+        for i, counts in enumerate(zip(n_tp, n_wp, n_fp)):
+            try:
+                pi_r[i] = r_precision(n_p, n_n, *counts, r, wilson_z)
+            except UndefinedPrecisionError:
+                pass
+    return Curve(n_p, n_n, thresholds, n_tp, n_wp, n_fp, pi_r, recall, fpr)
 
 
 @dataclass(frozen=True)
@@ -252,28 +221,28 @@ class OperatingPoint:
 
 
 def select_threshold_max_f1(
-    records: Sequence[ScoreRecord], r: float, wilson_z: float | None = None
+    scores: Scores, r: float, wilson_z: float | None = None
 ) -> OperatingPoint:
     """The threshold maximizing F1; ties resolve to the larger threshold."""
-    if not any(rec.true_label != NONMON for rec in records):
+    if scores.true_labels.count(NONMON) == len(scores):
         raise NoPositivesError("no monitored records; F1 is undefined")
-    best: OperatingPoint | None = None
-    for point in sweep(records, r, wilson_z):
-        if point.pi_r is None or point.recall is None:
+    curve = sweep(scores, r, wilson_z)
+    best = best_f1 = None
+    for i, (pi, recall) in enumerate(zip(curve.pi_r, curve.recall)):
+        if pi is None or recall is None:
             continue
-        score = f1(point.pi_r, point.recall)
-        if best is None or score >= best.f1:
-            best = OperatingPoint(
-                point.threshold, point.pi_r, point.recall, point.fpr, score, point.counts
-            )
+        score = f1(pi, recall)
+        if best is None or score >= best_f1:
+            best, best_f1 = i, score
     if best is None:
         raise NoPositivesError("no threshold yields defined rates")
-    return best
+    counts = ConfusionCounts(curve.n_p, curve.n_n, curve.n_tp[best], curve.n_wp[best], curve.n_fp[best])
+    return OperatingPoint(
+        curve.thresholds[best], curve.pi_r[best], curve.recall[best], curve.fpr[best], best_f1, counts
+    )
 
 
-def operating_point_at_fpr(
-    records: Sequence[ScoreRecord], target_fpr: float = 0.005
-) -> OperatingPoint:
+def operating_point_at_fpr(scores: Scores, target_fpr: float = 0.005) -> OperatingPoint:
     """Highest-TPR threshold whose FPR stays at or below the target.
 
     Only real score thresholds qualify; the reject-everything endpoint
@@ -281,34 +250,34 @@ def operating_point_at_fpr(
     """
     if not 0 < target_fpr < 1:
         raise ValueError("target_fpr must be in (0, 1)")
-    n_p = sum(1 for rec in records if rec.true_label != NONMON)
-    n_n = len(records) - n_p
+    n_n = scores.true_labels.count(NONMON)
+    n_p = len(scores) - n_n
     if n_p == 0 or n_n == 0:
         raise UndefinedRateError("need monitored and non-monitored records")
-    thresholds = _sweep_thresholds(records)[:-1]
-    best: OperatingPoint | None = None
-    for threshold, counts in zip(thresholds, _counts_for_thresholds(records, thresholds)):
-        fpr = counts.n_fp / counts.n_n
-        if fpr > target_fpr:
-            continue
-        tpr = counts.n_tp / counts.n_p
-        if best is None or tpr >= best.recall:
-            best = OperatingPoint(threshold, None, tpr, fpr, None, counts)
+    thresholds, n_tp, n_wp, n_fp = _threshold_counts(scores)
+    best = best_tpr = None
+    for i in range(len(thresholds) - 1):
+        tpr = n_tp[i] / n_p
+        if n_fp[i] / n_n <= target_fpr and (best is None or tpr >= best_tpr):
+            best, best_tpr = i, tpr
     if best is None:
         raise NoFeasibleThresholdError(f"no threshold achieves FPR <= {target_fpr}")
-    return best
+    counts = ConfusionCounts(n_p, n_n, n_tp[best], n_wp[best], n_fp[best])
+    return OperatingPoint(thresholds[best], None, best_tpr, n_fp[best] / n_n, None, counts)
 
 
 # --- serialization --------------------------------------------------------------
 
 
-def read_scores(source: str | Path) -> list[ScoreRecord]:
-    """Parse ``trace_id,true_label,predicted_label,score`` rows.
+def read_scores(source: str | Path) -> Scores:
+    """Parse ``trace_id,true_label,predicted_label,score`` rows into columns.
 
-    A first line whose label field is not an integer is a header. Any
-    other malformed line raises ``ParseError`` naming it.
+    Blank and ``#`` lines are skipped. The first other line is a header if
+    its label field is not an integer. Any other malformed line raises
+    ``ParseError`` naming it.
     """
-    records = []
+    scores = Scores([], [], [], [])
+    header_allowed = True
     for line_no, raw in enumerate(io.StringIO(read_utf8(source), newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,35 +285,35 @@ def read_scores(source: str | Path) -> list[ScoreRecord]:
         fields = line.split(",")
         if len(fields) != 4:
             raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
-        if line_no == 1 and not fields[1].lstrip("-").isdigit():
-            continue
+        if header_allowed:
+            header_allowed = False
+            if not fields[1].lstrip("-").isdigit():
+                continue
         try:
-            records.append(
-                ScoreRecord(fields[0], int(fields[1]), int(fields[2]), float(fields[3]))
-            )
-        except (ValueError, LabelError) as exc:
+            true, predicted, score = int(fields[1]), int(fields[2]), float(fields[3])
+        except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    return records
-
-
-def write_scores(records: Iterable[ScoreRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trace_id", "true_label", "predicted_label", "score"])
-        for rec in records:
-            writer.writerow([rec.trace_id, rec.true_label, rec.predicted_label, rec.score])
-
-
-def write_curve(points: Iterable[SweepPoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["threshold", "pi_r", "recall", "fpr"])
-        for point in points:
-            writer.writerow(
-                [
-                    point.threshold,
-                    "" if point.pi_r is None else f"{point.pi_r:.9f}",
-                    "" if point.recall is None else f"{point.recall:.9f}",
-                    "" if point.fpr is None else f"{point.fpr:.9f}",
-                ]
+        if true < NONMON or predicted < NONMON:
+            raise ParseError(
+                line_no,
+                f"labels must be class indexes or {NONMON}, got true={true} predicted={predicted}",
             )
+        if not 0.0 <= score <= 1.0:  # NaN too
+            raise ParseError(line_no, f"score must be in [0, 1], got {score}")
+        scores.trace_ids.append(fields[0])
+        scores.true_labels.append(true)
+        scores.predicted_labels.append(predicted)
+        scores.scores.append(score)
+    return scores
+
+
+def write_curve(curve: Curve, path: str | Path) -> None:
+    def cell(value: float | None) -> str:
+        return "" if value is None else f"{value:.9f}"
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("threshold,pi_r,recall,fpr\n")
+        handle.writelines(
+            f"{threshold!r},{cell(pi)},{cell(recall)},{cell(fpr)}\n"
+            for threshold, pi, recall, fpr in zip(curve.thresholds, curve.pi_r, curve.recall, curve.fpr)
+        )

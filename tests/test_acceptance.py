@@ -21,7 +21,7 @@ from guardsift.simulate import ScenarioConfig, generate_dataset, run_rtt_advanta
 from guardsift.trace import CellRecord, Channel, Circuit, Trace, TraceColumns, serialize_dataset
 from guardsift.transforms import inject_jitter
 
-from test_metrics import oracle_counts, oracle_point, oracle_thresholds, random_records
+from test_metrics import columns, oracle_counts, oracle_point, oracle_thresholds, random_records
 
 pytestmark = pytest.mark.acceptance
 
@@ -91,16 +91,18 @@ def test_c02_metrics_match_bruteforce_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         records = random_records(rng, n_classes=8, max_n=200)
-        points = sweep(records, r=10)
-        assert [p.threshold for p in points] == oracle_thresholds(records)
-        for point in points:
-            pi, recall = oracle_point(records, point.threshold, 10)
-            assert point.pi_r == pi
-            assert point.recall == recall
-            expected_counts = oracle_counts(records, point.threshold)
-            counted = tally(records, point.threshold)
-            for got in (point.counts, counted):
-                assert expected_counts == (got.n_p, got.n_n, got.n_tp, got.n_wp, got.n_fp)
+        scores = columns(records)
+        curve = sweep(scores, r=10)
+        assert curve.thresholds == oracle_thresholds(records)
+        for i, threshold in enumerate(curve.thresholds):
+            pi, recall = oracle_point(records, threshold, 10)
+            assert curve.pi_r[i] == pi
+            assert curve.recall[i] == recall
+            expected_counts = oracle_counts(records, threshold)
+            swept = (curve.n_p, curve.n_n, curve.n_tp[i], curve.n_wp[i], curve.n_fp[i])
+            got = tally(scores, threshold)
+            for counts in (swept, (got.n_p, got.n_n, got.n_tp, got.n_wp, got.n_fp)):
+                assert expected_counts == counts
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"oracle comparison took {elapsed:.1f}s"
 

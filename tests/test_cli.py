@@ -7,7 +7,6 @@ import pytest
 
 from conftest import run_fresh
 from guardsift.cli import main
-from guardsift.metrics import NONMON, ScoreRecord, write_scores
 from guardsift.simulate import ScenarioConfig, generate_dataset
 from guardsift.trace import read_dataset
 
@@ -148,12 +147,9 @@ def test_conflux_takes_no_guard_leg_from_a_relay_channel(tmp_path):
 
 def test_eval_max_f1(tmp_path):
     scores = tmp_path / "scores.csv"
-    records = (
-        [ScoreRecord(f"m{i}", 1, 1, 0.9) for i in range(9)]
-        + [ScoreRecord("miss", 1, NONMON, 0.9)]
-        + [ScoreRecord(f"n{i}", NONMON, 1, 0.1) for i in range(50)]
-    )
-    write_scores(records, scores)
+    rows = [f"m{i},1,1,0.9" for i in range(9)] + ["miss,1,-1,0.9"]
+    rows += [f"n{i},-1,1,0.1" for i in range(50)]
+    scores.write_text("\n".join(rows) + "\n")
     report = tmp_path / "eval.json"
     # the default Wilson bound kicks in below 10 false positives,
     # reporting a conservative lower bound on precision
@@ -175,10 +171,8 @@ def test_eval_max_f1(tmp_path):
 
 def test_eval_target_fpr(tmp_path):
     scores = tmp_path / "scores.csv"
-    records = [ScoreRecord(f"m{i}", 1, 1, 0.8) for i in range(8)] + [
-        ScoreRecord(f"n{i}", NONMON, 1, 0.2) for i in range(400)
-    ]
-    write_scores(records, scores)
+    rows = [f"m{i},1,1,0.8" for i in range(8)] + [f"n{i},-1,1,0.2" for i in range(400)]
+    scores.write_text("\n".join(rows) + "\n")
     report = tmp_path / "eval.json"
     assert main([
         "eval", "--scores", str(scores), "--target-fpr", "0.005", "--report", str(report),
@@ -413,7 +407,7 @@ def test_wrong_type_config_value_is_a_stage_error_in_a_fresh_process(request, tm
 )
 def test_eval_modes_are_mutually_exclusive(tmp_path, capsys, modes):
     scores = tmp_path / "scores.csv"
-    write_scores([ScoreRecord("m", 1, 1, 0.9), ScoreRecord("n", NONMON, 1, 0.1)], scores)
+    scores.write_text("m,1,1,0.9\nn,-1,1,0.1\n")
     with pytest.raises(SystemExit) as err:
         main(["eval", "--scores", str(scores), *modes])
     assert err.value.code == 2
@@ -528,6 +522,19 @@ def test_garbage_input_is_a_stage_error_in_a_fresh_process(tmp_path, case, garba
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["trace_id,true_label,predicted_label,score\n", "# no rows\n"],
+    ids=["header-only", "comment-only"],
+)
+def test_eval_curve_of_no_rows_is_a_stage_error_in_a_fresh_process(tmp_path, text):
+    (tmp_path / "scores.csv").write_text(text)
+    argv = ["eval", "--scores", "scores.csv", "--curve", "curve.csv"]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "guardsift eval: error: need at least one record\n"
+
+
 TIME_PATH = ["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
 SWEEP = ["generate", "--out", "o", "--rtt-sweep"]
 EVAL = ["eval", "--scores", "scores.csv"]
@@ -539,14 +546,20 @@ USAGE_ERRORS = {
     "window-s-negative": [*TIME_PATH, "--window-s=-1"],
     "window-s-nan": [*TIME_PATH, "--window-s", "nan"],
     "window-s-inf": [*TIME_PATH, "--window-s", "inf"],
+    "window-s-below-1-ns": [*TIME_PATH, "--window-s", "1e-12"],
+    "window-s-overflow": [*TIME_PATH, "--window-s", "1e300"],
     "rtt-sweep-word": [*SWEEP, "abc"],
     "rtt-sweep-nan": [*SWEEP, "0,nan"],
     "rtt-sweep-inf": [*SWEEP, "inf"],
     "rtt-sweep-negative": [*SWEEP, "0,-32"],
     "rtt-sweep-empty": ["generate", "--out", "o", "--rtt-sweep="],
+    "rtt-sweep-overflow": [*SWEEP, "0,1e308"],
+    "rtt-sweep-2-63-ns": [*SWEEP, "9223372036854.775808"],
     "sweep-visits-zero": [*SWEEP, "0,32", "--sweep-visits", "0"],
     "sweep-visits-negative": [*SWEEP, "0,32", "--sweep-visits=-3"],
     "max-duration-s-nan": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "nan"],
+    "max-duration-s-below-1-ns": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e-10"],
+    "max-duration-s-overflow": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e300"],
     "r-nan": [*EVAL, "--r", "nan"],
     "r-negative": [*EVAL, "--r=-1"],
     "r-inf": [*EVAL, "--r", "inf"],

@@ -252,3 +252,89 @@ def test_generated_bytes_are_unchanged(tmp_path, scenario):
 def test_rtt_sweep_bytes_are_unchanged(tmp_path):
     assert main(["generate", "--out", str(tmp_path), "--rtt-sweep", "0,16,64,512"]) == 0
     assert hashlib.sha256((tmp_path / "rtt_sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
+
+
+
+def tied_scores() -> str:
+    """240 rows on nine score values, of every kind: right, wrong and false
+    positives, and rows that predict the non-monitored class."""
+    lines = ["trace_id,true_label,predicted_label,score"]
+    for i in range(240):
+        true = -1 if i % 3 == 0 else i % 5
+        predicted = -1 if i % 11 == 0 else (true if i % 4 else (i + 1) % 5)
+        lines.append(f"t{i},{true},{predicted},{i * 7 % 9 / 8}")
+    return "\n".join(lines) + "\n"
+
+
+# eval of hand-built score files, taken before the scores were read into
+# columns: many tied scores; a -0.0 row before 0.0 rows (the first of equal
+# scores in file order names the threshold, so -0.0 is printed); and one
+# class only, where every mode is a stage error but the curve is written
+EVAL_SCORES = {
+    "ties": tied_scores(),
+    "negative-zero": "a,1,1,-0.0\nb,2,2,0.0\nc,1,1,0.0\nd,-1,-1,0.75\ne,-1,2,0.25\nf,2,1,0.5\n",
+    "all-monitored": "a,1,1,0.5\nb,2,1,0.25\nc,1,-1,0.75\n",
+    "all-unmonitored": "a,-1,1,0.5\nb,-1,-1,0.25\nc,-1,2,0.75\n",
+}
+EVAL_MODES = {
+    "max-f1": ["--max-f1"], "target-fpr": ["--target-fpr", "0.005"], "threshold": ["--threshold", "0.5"],
+}
+EVAL_WILSON = {"default": [], "z0": ["--wilson-z", "0"]}
+# (scores, mode, wilson) -> sha256 of eval.json, or the error of a run that fails
+EVAL_GOLDEN = {
+    ("ties", "max-f1", "default"): "1cbae108832e620019da7a99aae4eacd081b6f508e65b104919d16c0bcd043a2",
+    ("ties", "max-f1", "z0"): "124f4d8f1e44bade856307cd44ffa3187310d2628974de087e4f9ff43d3f173f",
+    ("ties", "target-fpr", "default"): "ff6f472fa0a3ef5e2d3ae9a149aa2672867d0279edb945d4fb34b94b1eccf36b",
+    ("ties", "target-fpr", "z0"): "ff6f472fa0a3ef5e2d3ae9a149aa2672867d0279edb945d4fb34b94b1eccf36b",
+    ("ties", "threshold", "default"): "ede377deb551b77f23bc8913211b6b766129b74e173023978e2a878334cd1550",
+    ("ties", "threshold", "z0"): "124f4d8f1e44bade856307cd44ffa3187310d2628974de087e4f9ff43d3f173f",
+    ("negative-zero", "max-f1", "default"): "9b525694c2e257e18728cac5924955145946c8614b9646956b7c7364ca27dc12",
+    ("negative-zero", "max-f1", "z0"): "6f03dab1e0b389e86000b1effbb6da26fa6028058f6f22a4e298eeb901c80e77",
+    ("negative-zero", "target-fpr", "default"): "7efd2733d527576db670dd40845d3198181dde543e56cf1379aa6a51adeae2ea",
+    ("negative-zero", "target-fpr", "z0"): "7efd2733d527576db670dd40845d3198181dde543e56cf1379aa6a51adeae2ea",
+    ("negative-zero", "threshold", "default"): "b6377e4ba9b5bc93c2d5c76b00357c18c3515b33dc8ee4976fe4f7f0c7ff3e20",
+    ("negative-zero", "threshold", "z0"): "b6377e4ba9b5bc93c2d5c76b00357c18c3515b33dc8ee4976fe4f7f0c7ff3e20",
+    ("all-monitored", "max-f1", "default"): "no threshold yields defined rates",
+    ("all-monitored", "max-f1", "z0"): "no threshold yields defined rates",
+    ("all-monitored", "target-fpr", "default"): "need monitored and non-monitored records",
+    ("all-monitored", "target-fpr", "z0"): "need monitored and non-monitored records",
+    ("all-monitored", "threshold", "default"): "need monitored and non-monitored records, got n_p=3 n_n=0",
+    ("all-monitored", "threshold", "z0"): "need monitored and non-monitored records, got n_p=3 n_n=0",
+    ("all-unmonitored", "max-f1", "default"): "no monitored records; F1 is undefined",
+    ("all-unmonitored", "max-f1", "z0"): "no monitored records; F1 is undefined",
+    ("all-unmonitored", "target-fpr", "default"): "need monitored and non-monitored records",
+    ("all-unmonitored", "target-fpr", "z0"): "need monitored and non-monitored records",
+    ("all-unmonitored", "threshold", "default"): "need monitored and non-monitored records, got n_p=0 n_n=3",
+    ("all-unmonitored", "threshold", "z0"): "need monitored and non-monitored records, got n_p=0 n_n=3",
+}
+# (scores, wilson) -> sha256 of curve.csv, the same in every mode
+CURVE_GOLDEN = {
+    ("ties", "default"): "a97adf064690dfc18d8bcd3117e435442b392e76f4ee7b30056ae2265abf849f",
+    ("ties", "z0"): "5b697c795d9cfe784955ec53484caeb71eb7d0945c5584a81bbf760d628c2d9b",
+    ("negative-zero", "default"): "6001a1849635adaf9d296edd680ed391b6173e7aeb2550447ba0498004f7ec8e",
+    ("negative-zero", "z0"): "4e0a9e5b830298a3c89d8676ca1a073f4baa56cf78ff2a54cb7600cc62fd63cc",
+    ("all-monitored", "default"): "34d8fb3acd8060a773c3d97eccebc3caf9e32ee448959b66f96d7a190770df8d",
+    ("all-monitored", "z0"): "34d8fb3acd8060a773c3d97eccebc3caf9e32ee448959b66f96d7a190770df8d",
+    ("all-unmonitored", "default"): "3526d6155c67033fb793be68e7d30acc0b040171321fea804d93b4c8a0177139",
+    ("all-unmonitored", "z0"): "3526d6155c67033fb793be68e7d30acc0b040171321fea804d93b4c8a0177139",
+}
+
+
+@pytest.mark.parametrize("wilson", list(EVAL_WILSON))
+@pytest.mark.parametrize("mode", list(EVAL_MODES))
+@pytest.mark.parametrize("scores", list(EVAL_SCORES))
+def test_eval_bytes_are_unchanged(tmp_path, capsys, scores, mode, wilson):
+    path, report, curve = tmp_path / "scores.csv", tmp_path / "eval.json", tmp_path / "curve.csv"
+    path.write_text(EVAL_SCORES[scores])
+    argv = ["eval", "--scores", str(path), "--report", str(report), "--curve", str(curve)]
+    code = main(argv + EVAL_MODES[mode] + EVAL_WILSON[wilson])
+    out, err = capsys.readouterr()
+    expected = EVAL_GOLDEN[scores, mode, wilson]
+    if scores.startswith("all-"):
+        assert (code, out, err) == (1, "", f"guardsift eval: error: {expected}\n")
+        assert not report.exists()
+    else:
+        assert (code, err) == (0, "")
+        assert digest(report) == expected
+        assert out == report.read_text()
+    assert digest(curve) == CURVE_GOLDEN[scores, wilson]

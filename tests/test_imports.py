@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from conftest import run_fresh
-from guardsift.metrics import NONMON, ScoreRecord, write_scores
 from guardsift.simulate import ScenarioConfig
 from guardsift.trace import Trace, TraceColumns, write_dataset
 
@@ -52,7 +51,7 @@ def traces_path(tmp_path):
 
 def test_eval_loads_no_numpy(tmp_path):
     scores = tmp_path / "scores.csv"
-    write_scores([ScoreRecord("m", 1, 1, 0.9), ScoreRecord("n", NONMON, 1, 0.1)], scores)
+    scores.write_text("trace_id,true_label,predicted_label,score\nm,1,1,0.9\nn,-1,1,0.1\n")
     modules = _modules_after(["eval", "--scores", str(scores), "--wilson-z", "0"], tmp_path)
     assert "numpy" not in modules
     assert _stages(modules) == {"metrics"}

@@ -1,10 +1,11 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from guardsift.errors import (
     GuardsiftError,
-    LabelError,
     NoFeasibleThresholdError,
     NoPositivesError,
     ParseError,
@@ -13,68 +14,78 @@ from guardsift.errors import (
 )
 from guardsift.metrics import (
     NONMON,
-    ConfusionCounts,
-    Rates,
-    ScoreRecord,
-    WilsonParams,
+    Scores,
     f1,
     operating_point_at_fpr,
     r_precision,
-    rates,
     read_scores,
     select_threshold_max_f1,
     sweep,
     tally,
     wilson_upper,
-    write_scores,
 )
+
+Row = namedtuple("Row", "trace_id true_label predicted_label score")
 
 
 def rec(true, pred, score, trace_id="t"):
-    return ScoreRecord(trace_id, true, pred, score)
+    return Row(trace_id, true, pred, score)
+
+
+def columns(rows) -> Scores:
+    """The rows as the columns ``read_scores`` returns."""
+    return Scores(*(list(column) for column in zip(*rows))) if rows else Scores([], [], [], [])
 
 
 class TestTally:
     def test_true_positive(self):
-        counts = tally([rec(5, 5, 0.9)], 0.5)
+        counts = tally(columns([rec(5, 5, 0.9)]), 0.5)
         assert (counts.n_tp, counts.n_wp, counts.n_fp) == (1, 0, 0)
 
     def test_wrong_positive(self):
-        counts = tally([rec(5, 7, 0.9)], 0.5)
+        counts = tally(columns([rec(5, 7, 0.9)]), 0.5)
         assert (counts.n_tp, counts.n_wp, counts.n_fp) == (0, 1, 0)
 
     def test_false_positive(self):
-        counts = tally([rec(NONMON, 3, 0.9)], 0.5)
+        counts = tally(columns([rec(NONMON, 3, 0.9)]), 0.5)
         assert (counts.n_tp, counts.n_wp, counts.n_fp) == (0, 0, 1)
 
     def test_below_threshold_not_positive(self):
-        counts = tally([rec(5, 5, 0.4)], 0.5)
+        counts = tally(columns([rec(5, 5, 0.4)]), 0.5)
         assert counts.n_tp == 0 and counts.n_p == 1
 
     def test_nonmon_prediction_never_positive(self):
-        counts = tally([rec(5, NONMON, 0.99)], 0.0)
+        counts = tally(columns([rec(5, NONMON, 0.99)]), 0.0)
         assert counts.n_tp + counts.n_wp + counts.n_fp == 0
 
     def test_threshold_is_inclusive(self):
-        assert tally([rec(5, 5, 0.5)], 0.5).n_tp == 1
+        assert tally(columns([rec(5, 5, 0.5)]), 0.5).n_tp == 1
 
-    def test_bad_label_raises(self):
-        with pytest.raises(LabelError):
-            rec(-2, 5, 0.5)
-        with pytest.raises(LabelError):
-            rec(5, 5, 1.5)
+    def test_bad_label_raises(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        for row, message in [
+            ("a,-2,5,0.5", "line 1: labels must be class indexes or -1, got true=-2 predicted=5"),
+            ("a,5,5,1.5", "line 1: score must be in [0, 1], got 1.5"),
+            ("a,5,5,nan", "line 1: score must be in [0, 1], got nan"),
+        ]:
+            path.write_text(row + "\n")
+            with pytest.raises(ParseError) as err:
+                read_scores(path)
+            assert str(err.value) == message
 
 
 class TestRates:
     def test_formulas(self):
-        r = rates(ConfusionCounts(n_p=100, n_n=1000, n_tp=90, n_wp=5, n_fp=0))
-        assert r.tpr == 0.9 and r.wpr == 0.05 and r.fpr == 0.0
+        # tpr 0.9, wpr 0.05 and fpr 0.0 at r = 10
+        assert r_precision(n_p=100, n_n=1000, n_tp=90, n_wp=5, n_fp=0, r=10) == 0.9 / (0.9 + 0.05)
+        curve = sweep(columns([rec(1, 1, 0.9), rec(1, 2, 0.9), rec(NONMON, 1, 0.5)]), 10)
+        assert (curve.recall[1], curve.fpr[1]) == (1 / 2, 1 / 1)
 
     def test_zero_denominator(self):
         with pytest.raises(UndefinedRateError):
-            rates(ConfusionCounts(0, 10, 0, 0, 0))
+            r_precision(0, 10, 0, 0, 0, 10)
         with pytest.raises(UndefinedRateError):
-            rates(ConfusionCounts(10, 0, 1, 0, 0))
+            r_precision(10, 0, 1, 0, 0, 10)
 
 
 class TestWilson:
@@ -94,32 +105,29 @@ class TestWilson:
 
 class TestRPrecision:
     def test_perfect(self):
-        r = Rates(tpr=1.0, wpr=0.0, fpr=0.0)
         for base in (0, 1, 10, 1000):
-            assert r_precision(r, base) == 1.0
+            assert r_precision(10, 10, 10, 0, 0, base) == 1.0
 
     def test_formula(self):
-        assert r_precision(Rates(0.9, 0.05, 0.005), 10) == pytest.approx(0.9)
-        assert r_precision(Rates(0.5, 0.0, 0.05), 100) == pytest.approx(0.5 / 5.5)
+        # tpr, wpr, fpr = 0.9, 0.05, 0.005 and 0.5, 0.0, 0.05
+        assert r_precision(100, 1000, 90, 5, 5, 10) == pytest.approx(0.9)
+        assert r_precision(10, 100, 5, 0, 5, 100) == pytest.approx(0.5 / 5.5)
 
     def test_monotone_in_r(self):
-        r = Rates(0.9, 0.02, 0.01)
-        values = [r_precision(r, base) for base in (0, 1, 10, 100)]
+        values = [r_precision(100, 100, 90, 2, 1, base) for base in (0, 1, 10, 100)]
         assert values == sorted(values, reverse=True)
 
     def test_wilson_substitution_lowers_precision(self):
-        r = Rates(0.9, 0.0, 2 / 1000)
-        plain = r_precision(r, 10)
-        bounded = r_precision(r, 10, WilsonParams(n_fp=2, n_n=1000))
+        plain = r_precision(10, 1000, 9, 0, 2, 10)
+        bounded = r_precision(10, 1000, 9, 0, 2, 10, wilson_z=1.96)
         assert bounded < plain
 
     def test_wilson_ignored_when_fp_large(self):
-        r = Rates(0.9, 0.0, 50 / 1000)
-        assert r_precision(r, 10, WilsonParams(50, 1000)) == r_precision(r, 10)
+        assert r_precision(10, 1000, 9, 0, 50, 10, 1.96) == r_precision(10, 1000, 9, 0, 50, 10)
 
     def test_zero_denominator(self):
         with pytest.raises(UndefinedPrecisionError):
-            r_precision(Rates(0.0, 0.0, 0.0), 10)
+            r_precision(10, 10, 0, 0, 0, 10)
 
 
 class TestF1:
@@ -190,64 +198,58 @@ class TestSweep:
         rng = np.random.default_rng(17)
         for _ in range(100):
             records = random_records(rng)
-            points = sweep(records, r=10)
-            thresholds = oracle_thresholds(records)
-            assert [p.threshold for p in points] == thresholds
-            for point in points:
-                pi, recall = oracle_point(records, point.threshold, 10)
-                assert point.pi_r == pi
-                assert point.recall == recall
-                counts = oracle_counts(records, point.threshold)
-                assert (
-                    counts
-                    == (
-                        point.counts.n_p,
-                        point.counts.n_n,
-                        point.counts.n_tp,
-                        point.counts.n_wp,
-                        point.counts.n_fp,
-                    )
-                )
+            curve = sweep(columns(records), r=10)
+            assert curve.thresholds == oracle_thresholds(records)
+            for i, threshold in enumerate(curve.thresholds):
+                pi, recall = oracle_point(records, threshold, 10)
+                assert curve.pi_r[i] == pi
+                assert curve.recall[i] == recall
+                counts = oracle_counts(records, threshold)
+                assert counts == (curve.n_p, curve.n_n, curve.n_tp[i], curve.n_wp[i], curve.n_fp[i])
 
     def test_recall_non_increasing(self):
         rng = np.random.default_rng(23)
         records = random_records(rng)
-        points = [p for p in sweep(records, 10) if p.recall is not None]
-        recalls = [p.recall for p in points]
+        recalls = [r for r in sweep(columns(records), 10).recall if r is not None]
         assert recalls == sorted(recalls, reverse=True)
 
     def test_all_scores_equal_gives_three_points(self):
         records = [rec(1, 1, 0.5), rec(NONMON, 1, 0.5)]
-        points = sweep(records, 10)
-        assert [p.threshold for p in points] == [0.0, 0.5, 1.5]
+        assert sweep(columns(records), 10).thresholds == [0.0, 0.5, 1.5]
 
     def test_separable_scores_reach_perfect_point(self):
         records = [rec(1, 1, 0.9), rec(2, 2, 0.8), rec(NONMON, 1, 0.1)]
-        points = sweep(records, 10)
-        assert any(p.pi_r == 1.0 and p.recall == 1.0 for p in points)
+        curve = sweep(columns(records), 10)
+        assert any(pi == 1.0 and recall == 1.0 for pi, recall in zip(curve.pi_r, curve.recall))
+
+    def test_first_of_equal_scores_names_the_threshold(self):
+        records = [rec(1, 1, 0.5), rec(NONMON, 1, -0.0), rec(1, 2, 0.0)]
+        thresholds = sweep(columns(records), 10).thresholds
+        assert thresholds == [0.0, 0.5, 1.5]
+        assert str(thresholds[0]) == "-0.0"
 
 
 class TestSelectThreshold:
     def test_separable_picks_largest_gap_threshold(self):
         records = [rec(1, 1, 0.9), rec(2, 2, 0.8), rec(NONMON, 1, 0.1)]
-        point = select_threshold_max_f1(records, 10)
+        point = select_threshold_max_f1(columns(records), 10)
         assert point.threshold == 0.8
         assert point.f1 == 1.0
 
     def test_single_correct_positive(self):
         records = [rec(1, 1, 0.7), rec(NONMON, NONMON, 0.9)]
-        point = select_threshold_max_f1(records, 10)
+        point = select_threshold_max_f1(columns(records), 10)
         assert point.threshold == 0.7
 
     def test_all_nonmon_raises(self):
         with pytest.raises(NoPositivesError):
-            select_threshold_max_f1([rec(NONMON, 1, 0.5)], 10)
+            select_threshold_max_f1(columns([rec(NONMON, 1, 0.5)]), 10)
 
 
 class TestOperatingPoint:
     def test_zero_fpr_achievable(self):
         records = [rec(1, 1, 0.9)] * 8 + [rec(1, 1, 0.2)] * 2 + [rec(NONMON, 1, 0.3)] * 100
-        point = operating_point_at_fpr(records, 0.005)
+        point = operating_point_at_fpr(columns(records), 0.005)
         assert point.fpr == 0.0
         assert point.recall == 0.8
 
@@ -255,7 +257,7 @@ class TestOperatingPoint:
         # every real threshold keeps at least one of the 10 false positives
         records = [rec(1, 1, 0.5)] + [rec(NONMON, 2, 1.0)] * 2 + [rec(NONMON, 3, 0.9)] * 8
         with pytest.raises(NoFeasibleThresholdError):
-            operating_point_at_fpr(records, 0.005)
+            operating_point_at_fpr(columns(records), 0.005)
 
     def test_max_tpr_among_feasible(self):
         records = (
@@ -264,16 +266,23 @@ class TestOperatingPoint:
             + [rec(1, NONMON, 0.9)] * 3
             + [rec(NONMON, 1, 0.1)] * 200
         )
-        point = operating_point_at_fpr(records, 0.005)
+        point = operating_point_at_fpr(columns(records), 0.005)
         assert point.recall == 0.7
         assert point.threshold == 0.7
 
 
 def test_scores_csv_roundtrip(tmp_path):
-    records = [rec(1, 2, 0.25, "a"), rec(NONMON, NONMON, 0.75, "b")]
     path = tmp_path / "scores.csv"
-    write_scores(records, path)
-    assert read_scores(path) == records
+    path.write_text("trace_id,true_label,predicted_label,score\na,1,2,0.25\nb,-1,-1,0.75\n")
+    records = [rec(1, 2, 0.25, "a"), rec(NONMON, NONMON, 0.75, "b")]
+    assert read_scores(path) == columns(records)
+
+
+@pytest.mark.parametrize("before", ["# run 3\n", "\n", "# run 3\n\n# seed 7\n"], ids=["comment", "blank", "both"])
+def test_header_may_follow_comments_and_blank_lines(tmp_path, before):
+    path = tmp_path / "scores.csv"
+    path.write_text(before + "trace_id,true_label,predicted_label,score\na,1,2,0.25\n")
+    assert read_scores(path) == columns([rec(1, 2, 0.25, "a")])
 
 
 @pytest.mark.parametrize(
@@ -283,8 +292,9 @@ def test_scores_csv_roundtrip(tmp_path):
         (b"trace_id,true_label,predicted_label,score\na,1\n", 2),
         (b"a,1,1,0.5\nb,x,1,0.5\n", 2),
         (b"a,1,1,0.5\n\xff,1,1,0.5\n", 2),
+        (b"# run 3\na,1,2,0.25\ntrace_id,true_label,predicted_label,score\n", 3),
     ],
-    ids=["one-field-first-line", "short-row", "bad-label", "not-utf8"],
+    ids=["one-field-first-line", "short-row", "bad-label", "not-utf8", "header-after-a-row"],
 )
 def test_read_scores_names_the_bad_line(tmp_path, data, line_no):
     path = tmp_path / "scores.csv"
@@ -307,7 +317,9 @@ def test_read_scores_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, co
     else:
         path.write_text("\n".join(content), encoding="utf-8")
     try:
-        records = read_scores(path)
+        scores = read_scores(path)
     except GuardsiftError:
         return
-    assert all(isinstance(r, ScoreRecord) for r in records)
+    rows = list(zip(scores.trace_ids, scores.true_labels, scores.predicted_labels, scores.scores))
+    assert len(rows) == len(scores)
+    assert all(true >= NONMON and predicted >= NONMON and 0 <= score <= 1 for _, true, predicted, score in rows)
