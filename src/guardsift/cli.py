@@ -24,7 +24,7 @@ from .errors import GuardsiftError, ParseError
 _STAGE_NAMES = {
     "columns": ("read_columns",),
     "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
-    "sanitize": ("SanitizeConfig", "group_visits", "sanitize", "trim_head"),
+    "sanitize": ("SanitizeConfig", "detect_spam_channels", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
     "trace": ("TraceColumns", "read_dataset", "write_dataset"),
@@ -126,14 +126,16 @@ def cmd_ingest(args) -> int:
 
 
 def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[TraceColumns, dict]:
-    """Cut traces out of the channels by time into one table: one window per
-    visit group on its channel, and the channels no visit row names
-    (``VisitGroup.named``, as in ``sanitize``) segmented whole."""
+    """Cut traces out of the channels by time into one table. Spam channels
+    go as in ``sanitize``; then each visit group gets one window on its
+    channel, and each channel no visit row names is segmented whole."""
+    spam_ids = detect_spam_channels(kept, config.spam_circuit_threshold)
+    live = [ch for ch in kept if ch.channel_id not in spam_ids]
     tables = []
     monitored_channels = set()
     n_windows_failed = 0
-    by_id = {ch.channel_id: ch for ch in kept}
-    for group in group_visits(visits or (), kept, config.visit_span_ns):
+    by_id = {ch.channel_id: ch for ch in live}
+    for group in group_visits(visits or (), live, config.visit_span_ns):
         monitored_channels.update(channel_id for _, channel_id, _ in group.named)
         start = group.start_ts
         try:
@@ -144,15 +146,16 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[TraceColum
             )
         except GuardsiftError:
             n_windows_failed += 1
-    for channel in kept:
+    for channel in live:
         if channel.channel_id not in monitored_channels:
             tables.append(segment_nonmonitored(channel, config))
     traces = TraceColumns.join(tables)
     report = {
         "segmentation": "time",
+        "spam_channels": len(spam_ids),
+        "spam_circuits_dropped": sum(ch.circuit_count for ch in kept if ch.channel_id in spam_ids),
         "monitored_windows": sum(label is not None for label in traces.labels),
         "windows_failed": n_windows_failed,
-        "traces": len(traces),
     }
     return traces, report
 

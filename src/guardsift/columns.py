@@ -43,7 +43,7 @@ def _decode_line(line: str) -> tuple[list[int], str, str | None]:
     return values, phase, label
 
 
-# The head of a line as ``_trace_head`` writes it, up to the "[" that opens
+# The head of a line as ``write_dataset`` writes it, up to the "[" that opens
 # its cells. A label that needs an escape does not match, nor does a raw
 # control character, which JSON forbids.
 _WRITER_HEAD = re.compile(r'\{"phase":"(pre|post)","label":(?:null|"([^"\\\x00-\x1f]*)"),"cells":\[')

@@ -30,12 +30,18 @@ from .errors import (
     read_config,
 )
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, PRE, Channel, Circuit, Stage, Trace, TraceColumns, concat_cells
+from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, Trace, TraceColumns, concat_cells
 
 log = logging.getLogger(__name__)
 
-HANDSHAKE_PRE = (OUTGOING, INCOMING, OUTGOING)
-HANDSHAKE_POST = (OUTGOING, INCOMING, OUTGOING, INCOMING, OUTGOING)
+# per phase: the directions a circuit must open with, and how many cells the head trim strips
+OPENING = {
+    PRE: ((OUTGOING, INCOMING, OUTGOING), 2),
+    POST: ((OUTGOING, INCOMING, OUTGOING, INCOMING, OUTGOING), 5),
+}
+GAP_RATIO_BOUND = 3.0  # a linked leg's larger handshake gap is at most 3x its smaller
+GAP_FLOOR_NS = 1_000_000  # 1 ms floor on the smaller gap keeps the ratio finite
+DURATION_CAP_PERCENTILE = 99.0  # nearest rank, over the monitored traces
 
 CONFLUX = "conflux"
 NON_CONFLUX = "non_conflux"
@@ -48,29 +54,17 @@ class SanitizeConfig:
 
     spam_circuit_threshold: int = 10_000
     min_cells: int = 200
-    gap_ratio_threshold: float = 3.0
-    gap_floor_ns: int = 1_000_000  # 1 ms floor keeps the ratio finite
-    head_trim_pre: int = 2
-    head_trim_post: int = 5
     tail_gap_ns: int = 5_000_000_000
     max_tail_cells: int = 100
     max_tail_duration_ns: int = 1_000_000_000
     duration_cap_ns: int | None = None  # None: derive from the monitored set
-    duration_cap_percentile: float = 99.0
     max_len: int = 5000
     visit_span_ns: int = 60_000_000_000  # rows this close join one page visit
 
     def __post_init__(self):
-        if self.spam_circuit_threshold < 1:
-            raise ConfigError("spam_circuit_threshold must be >= 1")
-        if self.min_cells < 1:
-            raise ConfigError("min_cells must be >= 1")
-        if self.gap_ratio_threshold <= 1:
-            raise ConfigError("gap_ratio_threshold must exceed 1")
-        if self.max_len < 1:
-            raise ConfigError("max_len must be >= 1")
-        if not 0 < self.duration_cap_percentile <= 100:
-            raise ConfigError("duration_cap_percentile must be in (0, 100]")
+        for name in ("spam_circuit_threshold", "min_cells", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SanitizeConfig":
@@ -97,25 +91,18 @@ class SanitizationReport:
     duration_cap_ns: int | None = None
 
 
-def detect_spam_channels(
-    channels: Iterable[Channel], threshold: int = 10_000
-) -> set[int]:
+def detect_spam_channels(channels: Iterable[Channel], threshold: int) -> set[int]:
     """Channel ids whose lifetime circuit count strictly exceeds ``threshold``."""
-    if threshold < 1:
-        raise ConfigError("spam threshold must be >= 1")
     return {ch.channel_id for ch in channels if ch.circuit_count > threshold}
 
 
 def validate_handshake_pre(circuit: Circuit) -> bool:
-    """True iff the circuit opens with the [+1, -1, +1] pattern."""
-    return tuple(circuit.directions[:3].tolist()) == HANDSHAKE_PRE
+    """True iff the circuit opens with the pre phase's ``OPENING`` pattern."""
+    pattern, _ = OPENING[PRE]
+    return tuple(circuit.directions[: len(pattern)].tolist()) == pattern
 
 
-def validate_handshake_post(
-    circuit: Circuit,
-    gap_ratio_threshold: float = 3.0,
-    gap_floor_ns: int = 1_000_000,
-) -> str:
+def validate_handshake_post(circuit: Circuit) -> str:
     """Classify a post-phase circuit via its five-cell opening pattern.
 
     Linked legs answer each relay handshake cell promptly, so the gaps
@@ -123,15 +110,13 @@ def validate_handshake_post(
     shows the [+1,-1,+1,-1,+1] shape too, but it was typically built in
     advance and sat idle before use, making one gap much larger.
     """
-    if gap_ratio_threshold <= 1:
-        raise ConfigError("gap_ratio_threshold must exceed 1")
-    if tuple(circuit.directions[:5].tolist()) != HANDSHAKE_POST:
+    pattern, _ = OPENING[POST]
+    if tuple(circuit.directions[: len(pattern)].tolist()) != pattern:
         return INVALID
     head = circuit.timestamps[:5].tolist()
-    g1 = head[2] - head[1]
-    g2 = head[4] - head[3]
-    ratio = max(g1, g2) / max(min(g1, g2), gap_floor_ns)
-    return CONFLUX if ratio <= gap_ratio_threshold else NON_CONFLUX
+    g1, g2 = head[2] - head[1], head[4] - head[3]
+    ratio = max(g1, g2) / max(min(g1, g2), GAP_FLOOR_NS)
+    return CONFLUX if ratio <= GAP_RATIO_BOUND else NON_CONFLUX
 
 
 def select_main_circuit(
@@ -145,27 +130,23 @@ def select_main_circuit(
     alternative-service legs. Both are ignored. Among the survivors the
     highest cell count wins; ties go to the earliest start.
     """
-    survivors = []
-    for record, circuit in candidates:
-        if record.first_party_domain != page_domain:
-            continue
-        if record.target_domain.endswith(".onion"):
-            continue
-        survivors.append(circuit)
+    survivors = [
+        circuit for record, circuit in candidates
+        if record.first_party_domain == page_domain and not record.target_domain.endswith(".onion")
+    ]
     if not survivors:
         raise NoMainCircuitError(f"no usable circuit for {page_domain}")
     return min(survivors, key=lambda c: (-len(c), c.start_ts))
 
 
-def trim_head(circuit: Circuit, phase: str, strip: int | None = None) -> Trace:
-    """Strip the handshake cells and re-zero time at the first data cell.
+def trim_head(circuit: Circuit, phase: str) -> Trace:
+    """Strip the phase's opening cells and re-zero time at the first data cell.
 
     Circuits are often built well before they carry data, so the raw gap
     between handshake and payload is idle time, not page behavior. Kept
     cells out of time order raise ``MalformedCircuitError``.
     """
-    if strip is None:
-        strip = 2 if phase == PRE else 5
+    _, strip = OPENING[phase]
     timestamps = circuit.timestamps[strip:]
     if not len(timestamps):
         raise EmptyAfterTrimError(f"circuit {circuit.circuit_id}: no cells left after head trim")
@@ -245,12 +226,12 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
     return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
 
 
-def compute_duration_cap(durations: Sequence[int], percentile: float = 99.0) -> int:
-    """Nearest-rank percentile of trace durations, in nanoseconds."""
+def compute_duration_cap(durations: Sequence[int]) -> int:
+    """Nearest-rank ``DURATION_CAP_PERCENTILE`` percentile of trace durations, in ns."""
     if not durations:
         raise NoMonitoredDataError("duration cap needs at least one monitored trace")
     durations = sorted(durations)
-    rank = math.ceil(percentile / 100.0 * len(durations))
+    rank = math.ceil(DURATION_CAP_PERCENTILE / 100.0 * len(durations))
     cap = durations[max(rank, 1) - 1]
     if not 42_000_000_000 <= cap <= 47_000_000_000:
         log.debug("duration cap %.1f s falls outside the usual 42-47 s band", cap / 1e9)
@@ -345,7 +326,7 @@ def _opening_stage(circuit: Circuit, phase: str, config: SanitizeConfig) -> str 
         if not validate_handshake_pre(circuit):
             return Stage.HANDSHAKE
     else:
-        verdict = validate_handshake_post(circuit, config.gap_ratio_threshold, config.gap_floor_ns)
+        verdict = validate_handshake_post(circuit)
         if verdict == INVALID:
             return Stage.HANDSHAKE
         if verdict == NON_CONFLUX:
@@ -367,7 +348,7 @@ def _trim_cohort(
     first for everyone. A circuit trimmed to nothing is recorded as
     ``Stage.TRIM``.
     """
-    strip = config.head_trim_pre if phase == PRE else config.head_trim_post
+    _, strip = OPENING[phase]
     circuits, labels = [circuit for circuit, _, _ in entries], [label for _, label, _ in entries]
     sizes = np.array([max(len(circuit) - strip, 0) for circuit in circuits], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
@@ -378,7 +359,7 @@ def _trim_cohort(
     if backwards.any():  # trim_head names the first circuit with cells out of order
         k = np.searchsorted(ends, backwards.argmax(), side="right")
         try:
-            trim_head(circuits[k], phase, strip)
+            trim_head(circuits[k], phase)
         except MalformedCircuitError as exc:
             raise MalformedCircuitError(f"channel {entries[k][2][0]}: {exc}") from None
     # time restarts at each circuit's first kept cell
@@ -391,7 +372,7 @@ def _trim_cohort(
         monitored = np.array([label is not None for label in labels], dtype=bool) & (ends > starts)
         if monitored.any():
             durations = timestamps[ends[monitored] - 1] - timestamps[starts[monitored]]
-            cap = compute_duration_cap(durations.tolist(), config.duration_cap_percentile)
+            cap = compute_duration_cap(durations.tolist())
         else:
             log.warning("no monitored traces and no explicit cap; skipping duration cap")
     report.duration_cap_ns = cap
@@ -420,8 +401,7 @@ def sanitize(
     ``(channel_id, circuit_id)``, and the report's stage counters are
     counted from it.
     """
-    report = SanitizationReport()
-    report.input_circuits = sum(ch.circuit_count for ch in channels)
+    report = SanitizationReport(input_circuits=sum(ch.circuit_count for ch in channels))
     spam_ids = detect_spam_channels(channels, config.spam_circuit_threshold)
     report.spam_channels = len(spam_ids)
     outcomes: dict[CircuitKey, str] = {

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -314,18 +314,12 @@ class TraceColumns:
         return [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
 
 
-def _trace_head(phase: str, label: str | None) -> str:
-    """A trace line up to the "[" that opens its cells."""
-    return f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['
+_BLOCK_CELLS = 1 << 16  # cells rendered and written at a time
 
 
-def serialize_dataset(table: TraceColumns, seed: int) -> bytes:
-    """Render the traces as newline-delimited JSON in a seeded random order.
-
-    Only directions, timestamps, and class labels are written; channel and
-    circuit identifiers never reach the output. The same seed yields
-    byte-identical bytes.
-    """
+def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
+    """Check that every trace has cells and starts at 0 ns, then yield the
+    lines in the seeded order, encoded, about ``_BLOCK_CELLS`` cells at a time."""
     bounds, timestamps, directions = table.bounds.tolist(), table.timestamps, table.directions
     bad = np.diff(table.bounds) == 0  # empty, or (below) not starting at 0
     bad[~bad] = timestamps[table.bounds[:-1][~bad]] != 0
@@ -336,18 +330,40 @@ def serialize_dataset(table: TraceColumns, seed: int) -> bytes:
             raise EmptyTraceError("cannot export an empty trace")
         trace_id = compute_trace_id(row.timestamps, row.directions)
         raise NotNormalizedError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
-    # phases and labels repeat from trace to trace: render each head once
-    heads = {key: _trace_head(*key) for key in set(zip(table.phases, table.labels))}
-    lines = []
+    # each line's head, up to the "[" of its cells: phases and labels repeat, so render each once
+    heads = {
+        (phase, label): f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['
+        for phase, label in set(zip(table.phases, table.labels))
+    }
+    lines, cells = [], 0
     for i in np.random.default_rng(seed).permutation(len(table)).tolist():
         start, end = bounds[i], bounds[i + 1]
-        cells = ("[%d,%d]," * (end - start)) % _pairs(timestamps[start:end], directions[start:end])
-        lines.append(f"{heads[table.phases[i], table.labels[i]]}{cells[:-1]}]}}")
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+        text = ("[%d,%d]," * (end - start)) % _pairs(timestamps[start:end], directions[start:end])
+        lines.append(f"{heads[table.phases[i], table.labels[i]]}{text[:-1]}]}}\n")
+        cells += end - start
+        if cells >= _BLOCK_CELLS:
+            yield "".join(lines).encode("utf-8")
+            lines, cells = [], 0
+    yield "".join(lines).encode("utf-8")
+
+
+def serialize_dataset(table: TraceColumns, seed: int) -> bytes:
+    """Render the traces as newline-delimited JSON in a seeded random order.
+
+    Only directions, timestamps, and class labels are written; channel and
+    circuit identifiers never reach the output. The same seed yields
+    byte-identical bytes.
+    """
+    return b"".join(_encoded_blocks(table, seed))
 
 
 def write_dataset(table: TraceColumns, seed: int, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_dataset(table, seed))
+    """Write ``serialize_dataset``'s bytes to ``path``, one block at a time."""
+    blocks = _encoded_blocks(table, seed)
+    first = next(blocks)  # the table is checked before the file is opened
+    with open(path, "wb") as handle:
+        handle.write(first)
+        handle.writelines(blocks)
 
 
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:

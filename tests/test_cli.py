@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import run_fresh
 from guardsift.cli import main
+from guardsift.sanitize import SanitizeConfig
 from guardsift.simulate import ScenarioConfig, generate_dataset
 from guardsift.trace import read_dataset
 
@@ -68,8 +70,42 @@ def test_segment_path(dataset_dir, tmp_path):
     assert all(t.cells[0][1] == 1 for t in traces)
     report = json.loads((out / "report.json").read_text())
     assert report["segmentation"] == "time" and report["relay_channels_dropped"] == 1
-    assert report["traces"] == report["traces_written"] == len(traces)
+    assert report["traces_written"] == len(traces)
     assert "duplicates_dropped" not in report
+
+
+def test_time_path_drops_spam_channels(tmp_path):
+    # the spam channel's 60-80 circuits are above the threshold: the time path
+    # must write what it writes for the same logs without that channel's rows
+    scenario = ScenarioConfig(
+        seed=4, n_pages=2, n_visits_per_page=2, n_nonmon_channels=4,
+        spam_channel_fraction=0.25, spam_circuit_range=(60, 80), relay_auth_channels=1,
+    )
+    scenario.to_json(tmp_path / "scenario.json")
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out", str(data)]) == 0
+    spam = json.loads((data / "truth.json").read_text())["summary"]["spam_channels"]
+    assert spam
+    without = tmp_path / "without-spam"
+    without.mkdir()
+    (without / "visits.csv").write_bytes((data / "visits.csv").read_bytes())
+    lines = (data / "guard.csv").read_text().splitlines(keepends=True)
+    (without / "guard.csv").write_text(
+        "".join(line for line in lines if not line[:1].isdigit() or int(line.split(",")[0]) not in spam)
+    )
+    config = tmp_path / "sanitize.json"
+    config.write_text(json.dumps({"spam_circuit_threshold": 50}))
+    for name in ("data", "without-spam"):
+        assert main([
+            "sanitize", "--in", str(tmp_path / name), "--phase", "pre", "--segmentation", "time",
+            "--config", str(config), "--out", str(tmp_path / "out" / name),
+        ]) == 0
+    out = tmp_path / "out"
+    assert (out / "data" / "traces.ndjson").read_bytes() == (out / "without-spam" / "traces.ndjson").read_bytes()
+    report = json.loads((out / "data" / "report.json").read_text())
+    assert report["spam_channels"] == len(spam)
+    assert report["spam_circuits_dropped"] > len(spam) * 50
+    assert json.loads((out / "without-spam" / "report.json").read_text())["spam_channels"] == 0
 
 
 @pytest.mark.parametrize(
@@ -368,6 +404,8 @@ WRONG_TYPE_CONFIGS = {
     "nan-for-number": ("generate", [], {"phase": "post", "competitor_rtt_delta_ms": math.nan}, "NaN"),
     "int-past-int64": ("generate", [], {"page_cell_range": [300, 10**20]}, "page_cell_range"),
     "int-past-int64-sanitize": ("sanitize", [], {"max_len": 2**63}, "max_len must be int, got 9223"),
+    "removed-head-trim": ("sanitize", [], {"head_trim_pre": -1}, "unknown key 'head_trim_pre'"),
+    "removed-gap-floor": ("sanitize", [], {"gap_floor_ns": 0}, "unknown key 'gap_floor_ns'"),
     "nonmon-ids-over-block": (
         "generate", [],
         {"nonmon_circuits_range": [140000, 140000], "n_nonmon_channels": 1, "n_pages": 1,
@@ -395,6 +433,25 @@ def test_wrong_type_config_value_is_a_stage_error_in_a_fresh_process(request, tm
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"guardsift {command}: error: bad ")
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_extreme_sanitize_config_ints_exit_0_or_1(dataset_dir, tmp_path):
+    # every integer key of the sanitizer config at the ends of int64 and around
+    # 0, on both segmentation paths and phases: each run succeeds or is a
+    # stage error, and none raises
+    keys = [f.name for f in dataclasses.fields(SanitizeConfig)]
+    assert len(keys) == 8
+    config = tmp_path / "sanitize.json"
+    for key in keys:
+        for value in (0, -1, 2**63 - 1, -(2**63)):
+            config.write_text(json.dumps({key: value}))
+            for phase in ("pre", "post"):
+                for path in ("circuit", "time"):
+                    code = main([
+                        "sanitize", "--in", str(dataset_dir), "--phase", phase,
+                        "--segmentation", path, "--config", str(config), "--out", str(tmp_path / "out"),
+                    ])
+                    assert code in (0, 1), (key, value, phase, path)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ the generated post-phase logs and of the RTT sweep were taken while the
 Conflux scheduler still sent one cell per call. Those of the artifacts
 downstream of the trace writer (transform, featurize and eval) were taken
 while the trimmers still returned one ``Trace`` per trace and the writer
-took a list of them. A change to any of these files is a format change
+took a list of them. The time path's ``report.json`` digests were taken
+when it began to drop spam channels and count them. A change to any of these files is a format change
 and must be made on purpose.
 """
 
@@ -34,11 +35,11 @@ GOLDEN = {
     ("clean", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
     ("clean", "circuit", "report.json"): "73366aa5e09fd824ef43f39572a42c0cd8c6999bbca8e417eafb1bfd9498e067",
     ("clean", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
-    ("clean", "time", "report.json"): "9fe330b61c9661cebebf5e0409ac8c1c3d3d467279c20a912181f26b55b95002",
+    ("clean", "time", "report.json"): "d7f1d26c6cf7f47d1ae9c1760646cb099344eaf1513d032f1e649d022de29b0b",
     ("repeated", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
     ("repeated", "circuit", "report.json"): "ddd549d7065bbea70f51ae42b4d4e4420ac37af38095a57daab7b1a0bf032426",
     ("repeated", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
-    ("repeated", "time", "report.json"): "9fe330b61c9661cebebf5e0409ac8c1c3d3d467279c20a912181f26b55b95002",
+    ("repeated", "time", "report.json"): "d7f1d26c6cf7f47d1ae9c1760646cb099344eaf1513d032f1e649d022de29b0b",
     ("clean", "conflux.csv"): "12b8e19e2ca1d9fb5c8420ae16c36de2d645d61fbb94cf2cb4bfc82847faae74",
 }
 
@@ -55,7 +56,7 @@ PRE_GOLDEN = {
     ("circuit", "traces.ndjson"): "59a9ad2de77fd02580787ea1596462d94c5355edf33867821ad4623a9de9606e",
     ("circuit", "report.json"): "1404537fe921e6ca4ee35e7f53dfd3eed7c4aeb9b730b9aa2045b8503d976966",
     ("time", "traces.ndjson"): "33e27309e6a2d9c2a6d0a5e63f2d745d356117a411ac72155bb93301734d732e",
-    ("time", "report.json"): "38fdae43524810f772d28976ab6860c697755917a4bce9f29c4e7d125f7bdaed",
+    ("time", "report.json"): "4a137fea238c9d69a6b107dd50441a2e7500cb7f3e6a2f14fe28e04cf1eaf574",
 }
 
 

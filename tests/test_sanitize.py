@@ -50,7 +50,7 @@ def bulk_channel(channel_id, n_circuits):
 class TestSpamDetection:
     def test_strictly_more_than_threshold(self):
         channels = [bulk_channel(1, 10_001), bulk_channel(2, 10_000), bulk_channel(3, 1)]
-        assert detect_spam_channels(channels) == {1}
+        assert detect_spam_channels(channels, 10_000) == {1}
 
     def test_custom_threshold(self):
         assert detect_spam_channels([bulk_channel(4, 3)], threshold=2) == {4}
@@ -77,23 +77,23 @@ class TestHandshakePost:
 
     def test_balanced_gaps_classify_linked(self):
         circuit = self.post_circuit(80 * MS, 85 * MS)
-        assert validate_handshake_post(circuit, 3.0) == CONFLUX
+        assert validate_handshake_post(circuit) == CONFLUX
 
     def test_idle_gap_classifies_plain(self):
         circuit = self.post_circuit(90 * MS, 45 * SEC)
-        assert validate_handshake_post(circuit, 3.0) == NON_CONFLUX
+        assert validate_handshake_post(circuit) == NON_CONFLUX
 
     def test_pattern_mismatch_is_invalid(self):
         circuit = self.post_circuit(80 * MS, 85 * MS, dirs=(1, -1, 1, 1, -1))
-        assert validate_handshake_post(circuit, 3.0) == INVALID
+        assert validate_handshake_post(circuit) == INVALID
 
     def test_short_circuit_is_invalid(self):
-        assert validate_handshake_post(circuit_from_dirs([1, -1, 1]), 3.0) == INVALID
+        assert validate_handshake_post(circuit_from_dirs([1, -1, 1])) == INVALID
 
     def test_zero_gap_uses_floor(self):
         # both gaps tiny: ratio bounded by the 1 ms floor, still linked
         circuit = self.post_circuit(0, 0)
-        assert validate_handshake_post(circuit, 3.0) == CONFLUX
+        assert validate_handshake_post(circuit) == CONFLUX
 
 
 def visit(first_party, target, circuit_id, ts=0):

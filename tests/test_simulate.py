@@ -481,7 +481,7 @@ class TestConfluxVisits:
         sim = simulate_conflux_visit(plan, cfg, delta_ms=0.0)
         for leg_cells in sim.leg_cells:
             cells = [CellRecord(1, 1, ts, d) for ts, d, _ in leg_cells]
-            assert validate_handshake_post(Circuit.from_records(1, cells), 3.0) == CONFLUX
+            assert validate_handshake_post(Circuit.from_records(1, cells)) == CONFLUX
 
 
 class TestSweep:
@@ -535,7 +535,7 @@ class TestGenerateDataset:
         parsed = parse_guard_log(paths.guard_csv)
         from guardsift.sanitize import detect_spam_channels
 
-        assert detect_spam_channels(parsed.channels) == spam_ids
+        assert detect_spam_channels(parsed.channels, 10_000) == spam_ids
 
     def test_pre_circuits_open_with_expected_pattern(self, tmp_path):
         cfg = ScenarioConfig(seed=8, n_pages=2, n_visits_per_page=2, n_nonmon_channels=4,

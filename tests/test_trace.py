@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import json_values, oracle_trace_id, oracle_trace_line
 from guardsift.errors import EmptyTraceError, GuardsiftError, NotNormalizedError, ParseError
 import guardsift.columns as columns_module
+import guardsift.trace as trace_module
 from guardsift.columns import read_columns
 from guardsift.trace import (
     CellRecord,
@@ -18,6 +19,7 @@ from guardsift.trace import (
     compute_trace_id,
     read_dataset,
     serialize_dataset,
+    write_dataset,
 )
 
 
@@ -77,12 +79,16 @@ def test_export_roundtrip_bit_exact():
     assert {(t.phase, t.label, t.cells) for t in back} == original
 
 
-def test_export_rejects_unnormalized():
+def test_export_rejects_unnormalized(tmp_path):
     late = Trace.from_cells(((5, 1), (9, -1)))
     with pytest.raises(NotNormalizedError, match=f"^trace {late.trace_id} starts at 5 ns, expected 0$"):
         serialize_dataset(table([*_traces(), late, Trace.from_cells(())]), seed=0)
     with pytest.raises(EmptyTraceError, match="^cannot export an empty trace$"):
         serialize_dataset(table([*_traces(), Trace.from_cells(()), late]), seed=0)
+    # the writer checks the whole table before it opens the file
+    with pytest.raises(NotNormalizedError):
+        write_dataset(table([*_traces(), late]), 0, tmp_path / "traces.ndjson")
+    assert not (tmp_path / "traces.ndjson").exists()
 
 
 @pytest.mark.parametrize(
@@ -105,8 +111,6 @@ def test_read_dataset_reports_bad_lines(text, line_no):
 @pytest.fixture()
 def id_calls(monkeypatch):
     """Count the calls that reach ``compute_trace_id`` through the trace module."""
-    import guardsift.trace as trace_module
-
     calls = []
     real = trace_module.compute_trace_id
 
@@ -188,12 +192,22 @@ def test_trace_id_matches_the_per_cell_oracle(cells):
     assert compute_trace_id(t.timestamps, t.directions) == oracle_trace_id(cells)
 
 
-@given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
+@given(
+    st.lists(exportable_traces(), max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, trace_module._BLOCK_CELLS]),
+)
 @settings(deadline=None)
-def test_serialize_matches_the_json_dumps_oracle(traces, seed):
+def test_serialize_matches_the_json_dumps_oracle(tmp_path_factory, traces, seed, block_cells):
     order = np.random.default_rng(seed).permutation(len(traces))
     lines = [oracle_trace_line(traces[i].phase, traces[i].label, traces[i].cells) for i in order]
-    assert serialize_dataset(table(traces), seed) == "".join(line + "\n" for line in lines).encode()
+    expected = "".join(line + "\n" for line in lines).encode()
+    assert serialize_dataset(table(traces), seed) == expected
+    # the writer renders the same lines into the file a block of cells at a time
+    path = tmp_path_factory.getbasetemp() / "written.ndjson"
+    with mock.patch.object(trace_module, "_BLOCK_CELLS", block_cells):
+        write_dataset(table(traces), seed, path)
+    assert path.read_bytes() == expected
 
 
 @given(st.lists(exportable_traces(), max_size=6), st.sampled_from([(",", ":"), (", ", ": ")]))
