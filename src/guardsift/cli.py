@@ -337,6 +337,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a dataset with ground truth")
     p.add_argument("--config", help="scenario JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--report")
     p.add_argument("--rtt-sweep", type=_rtt_deltas, help="comma-separated competitor RTT deltas (ms)")
     p.add_argument("--sweep-visits", type=_positive_int, default=None)
@@ -416,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, reads_client=False)
     p.add_argument("--phase", choices=["pre", "post"], required=True)
     p.add_argument("--config", help="sanitizer thresholds JSON")
-    p.add_argument("--seed", type=int, default=0, help="export shuffle seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="export shuffle seed")
     p.add_argument("--segmentation", choices=["circuit", "time"], default="circuit")
     p.add_argument(
         "--window-s", dest="window_ns", type=_duration_ns, default=60 * SEC,
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-duration-s", dest="max_duration_ns", type=_duration_ns, default=45 * SEC)
     p.add_argument("--load-percent", type=float, default=None)
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_transform, stages=("trace",))
 

@@ -96,6 +96,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.phase not in (PRE, POST):
             raise ConfigError(f"phase must be 'pre' or 'post', got {self.phase!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in (
             "retry_prob", "altsvc_prob", "redirect_prob", "nonmon_small_fraction",
             "invalid_handshake_fraction", "conflux_nonmon_fraction",
@@ -178,16 +180,8 @@ class PageModel:
 def page_model(seed: int, page_idx: int, cell_range: tuple[int, int]) -> PageModel:
     """Deterministic per-page burst structure; the page's fingerprint."""
     rng = _rng(seed, 0xA6E, page_idx)
-    total = _ui(rng, *cell_range)
-    bursts = []
-    remaining = total
-    while remaining > 0:
-        out = min(_ui(rng, 1, 6), remaining)
-        remaining -= out
-        inc = min(_ui(rng, 24, 140), remaining)
-        remaining -= inc
-        bursts.append((out, inc, _uf(rng, 40.0, 900.0)))
-    return PageModel(label=f"site{page_idx:03d}.example", bursts=tuple(bursts))
+    bursts = _burst_skeleton(rng, _ui(rng, *cell_range), (24, 140), (40.0, 900.0))
+    return PageModel(label=f"site{page_idx:03d}.example", bursts=bursts)
 
 
 def _page_models(config: ScenarioConfig, n_visits: int) -> list[PageModel]:
@@ -198,16 +192,22 @@ def _page_models(config: ScenarioConfig, n_visits: int) -> list[PageModel]:
     ]
 
 
-def _burst_skeleton(rng: np.random.Generator, total: int) -> tuple[tuple[int, int, float], ...]:
-    """Ad-hoc burst structure for unlabeled traffic."""
+def _burst_skeleton(
+    rng: np.random.Generator,
+    total: int,
+    incoming: tuple[int, int] = (10, 120),
+    think_ms: tuple[float, float] = (30.0, 1200.0),
+) -> tuple[tuple[int, int, float], ...]:
+    """``total`` cells as bursts of 1-6 outgoing cells, then up to ``incoming``
+    cells and a think time in ``think_ms``; the defaults are unlabeled traffic's."""
     bursts = []
     remaining = total
     while remaining > 0:
         out = min(_ui(rng, 1, 6), remaining)
         remaining -= out
-        inc = min(_ui(rng, 10, 120), remaining)
+        inc = min(_ui(rng, *incoming), remaining)
         remaining -= inc
-        bursts.append((out, inc, _uf(rng, 30.0, 1200.0)))
+        bursts.append((out, inc, _uf(rng, *think_ms)))
     return tuple(bursts)
 
 
@@ -429,18 +429,6 @@ SHAPE_POST_PLAIN = "post_plain"  # create/created, idle, begin/connected, payloa
 SHAPE_POST_LEG = "post_leg"  # create/created/link/linked/link-ack, idle, payload
 
 
-@dataclass(frozen=True)
-class PlainCircuitSpec:
-    """Everything needed to emit one single-leg circuit."""
-
-    t0: int
-    bursts: tuple[tuple[int, int, float], ...]
-    prebuilt_idle_ns: int
-    invalid_kind: int  # 0 valid, 1 swapped opening, 2 incoming where outgoing is due
-    tail: TailPlan | None
-    shape: str = SHAPE_PRE
-
-
 @dataclass
 class EmittedCircuit:
     cells: np.ndarray  # int64 rows in time order: timestamp, direction[, cell_type]
@@ -451,59 +439,59 @@ class EmittedCircuit:
 
 def _emit_plain_circuit(
     rng: np.random.Generator,
-    spec: PlainCircuitSpec,
-    rtt_ms: float,
-    sendme_interval: int,
+    config: ScenarioConfig,
+    t0: int,
+    bursts: Sequence[tuple[int, int, float]],
+    idle_ns: int = 0,
+    invalid_kind: int = 0,
+    tail: TailPlan | None = None,
+    shape: str = SHAPE_PRE,
 ) -> EmittedCircuit:
-    """Emit a full circuit: opening, payload, optional tail, teardown.
+    """Emit a full circuit at the scenario's first leg RTT: opening, payload,
+    optional tail, teardown.
 
-    The ``valid`` flag states whether the guard-visible opening pattern is
-    protocol-conformant for the circuit's shape.
+    The circuit sits ``idle_ns`` (0: a drawn 0.5-3 ms) between its opening
+    and first use. ``invalid_kind`` 1 swaps the opening's directions, and 2
+    sends an incoming cell where an outgoing one is due, so ``valid`` states
+    whether the guard-visible opening is protocol-conformant for the shape.
     """
-    t = spec.t0
+    rtt_ms = config.leg_rtt_ms[0]
     rtt_ns = int(rtt_ms * MS)
-    d1, d2 = (INCOMING, OUTGOING) if spec.invalid_kind == 1 else (OUTGOING, INCOMING)
-    opening: list[CellEv] = [(t, d1, CELL_CREATE), (t + rtt_ns, d2, CELL_CREATED)]
-    t += rtt_ns
-    if spec.shape == SHAPE_POST_LEG:
+    d1, d2 = (INCOMING, OUTGOING) if invalid_kind == 1 else (OUTGOING, INCOMING)
+    opening: list[CellEv] = [(t0, d1, CELL_CREATE), (t0 + rtt_ns, d2, CELL_CREATED)]
+    t = t0 + rtt_ns
+    if shape == SHAPE_POST_LEG:
         # linked legs are built and linked in one go; idle comes after
         t += _ui(rng, 1_000_000, 2_200_000)
         opening.append((t, OUTGOING, int(CellTypeCode.CFX_LINK)))
         t += rtt_ns
         opening.append((t, INCOMING, int(CellTypeCode.CFX_LINKED)))
         t += _ui(rng, 1_000_000, 2_200_000)
-        ack_dir = INCOMING if spec.invalid_kind == 2 else OUTGOING
-        opening.append((t, ack_dir, int(CellTypeCode.CFX_LINKED_ACK)))
-        t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
-    elif spec.shape == SHAPE_POST_PLAIN:
+        opening.append((t, INCOMING if invalid_kind == 2 else OUTGOING, int(CellTypeCode.CFX_LINKED_ACK)))
+    t += idle_ns or _ui(rng, 500_000, 3_000_000)
+    if shape == SHAPE_POST_PLAIN:
         # a plain circuit shows the same five-cell shape, but it sat idle
         # between construction and first use
-        t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
         opening.append((t, OUTGOING, int(CellTypeCode.RELAY_BEGIN)))
         t += rtt_ns
         opening.append((t, INCOMING, int(CellTypeCode.RELAY_CONNECTED)))
         t += _ui(rng, 800_000, 2_200_000)
-        if spec.invalid_kind == 2:
-            opening.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
-            t += _ui(rng, 300_000, 1_000_000)
-    else:
-        t += spec.prebuilt_idle_ns or _ui(rng, 500_000, 3_000_000)
-        if spec.invalid_kind == 2:
-            opening.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
-            t += _ui(rng, 300_000, 1_000_000)
+    if invalid_kind == 2 and shape != SHAPE_POST_LEG:
+        opening.append((t, INCOMING, int(CellTypeCode.RELAY_DATA)))
+        t += _ui(rng, 300_000, 1_000_000)
     payload_start = t
-    payload, t = _emit_bursts(rng, t, spec.bursts, rtt_ms, sendme_interval)
+    payload, t = _emit_bursts(rng, t, bursts, rtt_ms, config.sendme_interval)
     parts = [np.array(opening, dtype=np.int64), payload]
     payload_end = int(payload[:, 0].max()) if len(payload) else t
-    if spec.tail is not None:
-        tail_cells, t = _emit_tail(rng, t, spec.tail)
+    if tail is not None:
+        tail_cells, t = _emit_tail(rng, t, tail)
         parts.append(tail_cells)
     t += _ui(rng, 100_000_000, 1_500_000_000)
     teardown = (t, OUTGOING, CELL_DESTROY), (t + _ui(rng, 1_000_000, 20_000_000), INCOMING, CELL_DESTROY)
     parts.append(np.array(teardown, dtype=np.int64))
     cells = np.concatenate(parts)
     cells = cells[np.argsort(cells[:, 0], kind="stable")]
-    return EmittedCircuit(cells, spec.invalid_kind == 0, payload_start, payload_end)
+    return EmittedCircuit(cells, invalid_kind == 0, payload_start, payload_end)
 
 
 # --- linked two-leg visits -------------------------------------------------------
@@ -833,29 +821,17 @@ def _record_circuit(
 
 def _fill_relay(out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int) -> None:
     out.relay_auth = True
-    n = _ui(rng, 3, 8)
-    ids = _id_pool(rng, out.channel_id, n)
     t = t0
-    for circuit_id in ids:
+    for circuit_id in _id_pool(rng, out.channel_id, _ui(rng, 3, 8)):
         t += int(_uf(rng, 0.5, 20.0) * SEC)
-        spec = PlainCircuitSpec(
-            t0=t,
-            bursts=_burst_skeleton(rng, _ui(rng, 50, 300)),
-            prebuilt_idle_ns=0,
-            invalid_kind=0,
-            tail=None,
-            shape=SHAPE_PRE,
-        )
-        emitted = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
+        emitted = _emit_plain_circuit(rng, config, t, _burst_skeleton(rng, _ui(rng, 50, 300)))
         _record_circuit(out, rng, config, circuit_id, KIND_RELAY, emitted, False, None, None)
 
 
 def _fill_spam(out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int) -> None:
-    n = _ui(rng, *config.spam_circuit_range)
-    ids = _id_pool(rng, out.channel_id, n)
     t = t0
     rtt_ns = int(config.leg_rtt_ms[0] * MS)
-    for circuit_id in ids:
+    for circuit_id in _id_pool(rng, out.channel_id, _ui(rng, *config.spam_circuit_range)):
         t += _ui(rng, 1_000_000, 80_000_000)
         m = _ui(rng, 2, 6)
         cells = [(t, OUTGOING), (t + rtt_ns, INCOMING)]
@@ -869,32 +845,18 @@ def _fill_spam(out: ChannelOutput, rng: np.random.Generator, config: ScenarioCon
 
 
 def _fill_nonmon(out: ChannelOutput, rng: np.random.Generator, config: ScenarioConfig, t0: int) -> None:
-    n = _ui(rng, *config.nonmon_circuits_range)
-    ids = _id_pool(rng, out.channel_id, n)
     t = t0
-    for circuit_id in ids:
+    for circuit_id in _id_pool(rng, out.channel_id, _ui(rng, *config.nonmon_circuits_range)):
         t += int(_uf(rng, 0.2, 40.0) * SEC)
         small = rng.random() < config.nonmon_small_fraction
-        invalid = 0
-        if rng.random() < config.invalid_handshake_fraction:
-            invalid = _ui(rng, 1, 2)
-        if config.phase == POST:
-            conflux_leg = rng.random() < config.conflux_nonmon_fraction
-            shape = SHAPE_POST_LEG if conflux_leg else SHAPE_POST_PLAIN
-        else:
-            conflux_leg = False
-            shape = SHAPE_PRE
+        invalid = _ui(rng, 1, 2) if rng.random() < config.invalid_handshake_fraction else 0
+        conflux_leg = config.phase == POST and rng.random() < config.conflux_nonmon_fraction
+        shape = SHAPE_POST_LEG if conflux_leg else SHAPE_POST_PLAIN if config.phase == POST else SHAPE_PRE
         total = _ui(rng, 8, 180) if small else _ui(rng, *config.nonmon_cell_range)
         tail = None if small else _plan_tail(rng, config)
-        spec = PlainCircuitSpec(
-            t0=t,
-            bursts=_burst_skeleton(rng, total),
-            prebuilt_idle_ns=int(_uf(rng, *config.prebuilt_idle_range_s) * SEC),
-            invalid_kind=invalid,
-            tail=tail,
-            shape=shape,
-        )
-        emitted = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
+        bursts = _burst_skeleton(rng, total)
+        idle_ns = int(_uf(rng, *config.prebuilt_idle_range_s) * SEC)
+        emitted = _emit_plain_circuit(rng, config, t, bursts, idle_ns, invalid, tail, shape)
         _record_circuit(out, rng, config, circuit_id, KIND_NONMON, emitted, conflux_leg, None, tail)
 
 
@@ -919,6 +881,32 @@ def _split_bursts(
     return prefix, rest
 
 
+def _record_visit(
+    out: ChannelOutput,
+    config: ScenarioConfig,
+    page_idx: int,
+    serial: int,
+    label: str,
+    main_id: int,
+    circuit_ids: list[int],
+    window: tuple[int, int],
+) -> str:
+    """Add one visit's ``truth.json`` record; returns the visit's id."""
+    visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
+    out.visit_truth.append(
+        {
+            "visit_id": visit_id,
+            "label": label,
+            "channel_id": out.channel_id,
+            "main_circuit_id": main_id,
+            "circuit_ids": circuit_ids,
+            "window": list(window),
+            "client_tag": config.client_tag,
+        }
+    )
+    return visit_id
+
+
 def _fill_monitored_pre(
     out: ChannelOutput,
     rng: np.random.Generator,
@@ -928,80 +916,46 @@ def _fill_monitored_pre(
     pages: Sequence[PageModel],
 ) -> None:
     ids = iter(_id_pool(rng, out.channel_id, 4 * len(plan.visits) + 4))
+
+    def request(kind: str, label: str, at: int, bursts, first_party: str, target: str):
+        """One visit row and its circuit's id and cells. A retried or main circuit
+        was built ahead and sat idle until the request at ``at``; only the main
+        one has a tail."""
+        circuit_id = next(ids)
+        creation = at
+        if kind in ("partial", "main"):
+            creation = max(at - int(_uf(rng, *config.monitored_idle_range_s) * SEC), 0)
+        tail = _plan_tail(rng, config) if kind == "main" else None
+        emitted = _emit_plain_circuit(rng, config, creation, bursts, at - creation, tail=tail)
+        _record_circuit(out, rng, config, circuit_id, kind, emitted, False, label, tail)
+        out.visit_rows.append((first_party, at, target, circuit_id, None, None))
+        return circuit_id, emitted
+
     t = t0
     for page_idx, serial in plan.visits:
         page = pages[page_idx]
+        label = page.label
         t += int(_uf(rng, 70.0, 130.0) * SEC)
-        visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
-        circuit_ids: list[int] = []
-        rows: list[tuple] = []
-
-        split = None
-        if rng.random() < config.retry_prob and page.total_cells >= 500:
-            split = _split_bursts(page.bursts, _uf(rng, 0.10, 0.30))
-        main_bursts = page.bursts
-        main_request = t
-
+        first_row = len(out.visit_rows)
+        retried = rng.random() < config.retry_prob and page.total_cells >= 500
+        split = _split_bursts(page.bursts, _uf(rng, 0.10, 0.30)) if retried else None
+        main_bursts, main_request = page.bursts, t
         if split is not None:
             prefix, main_bursts = split
-            retry_id = next(ids)
-            idle = int(_uf(rng, *config.monitored_idle_range_s) * SEC)
-            creation = max(t - idle, 0)
-            spec = PlainCircuitSpec(creation, prefix, t - creation, 0, None, SHAPE_PRE)
-            emitted = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
-            _record_circuit(out, rng, config, retry_id, "partial", emitted, False, page.label, None)
-            rows.append((page.label, t, page.label, retry_id, None, None))
-            circuit_ids.append(retry_id)
+            request("partial", label, t, prefix, label, label)
             main_request = t + int(_uf(rng, 3.0, 10.0) * SEC)
-
-        main_id = next(ids)
-        idle = int(_uf(rng, *config.monitored_idle_range_s) * SEC)
-        creation = max(main_request - idle, 0)
-        tail = _plan_tail(rng, config)
-        spec = PlainCircuitSpec(
-            creation, main_bursts, main_request - creation, 0, tail, SHAPE_PRE
-        )
-        main = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
-        _record_circuit(out, rng, config, main_id, "main", main, False, page.label, tail)
-        rows.append((page.label, main_request, page.label, main_id, None, None))
-        circuit_ids.append(main_id)
-
+        main_id, main = request("main", label, main_request, main_bursts, label, label)
         if rng.random() < config.altsvc_prob:
-            alt_id = next(ids)
-            alt_request = main_request + int(_uf(rng, 1.0, 8.0) * SEC)
-            spec = PlainCircuitSpec(
-                alt_request, _burst_skeleton(rng, _ui(rng, 40, 220)), 0, 0, None, SHAPE_PRE
-            )
-            emitted = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
-            _record_circuit(out, rng, config, alt_id, "altsvc", emitted, False, page.label, None)
-            rows.append((page.label, alt_request, f"alt-{page_idx:03d}.onion", alt_id, None, None))
-            circuit_ids.append(alt_id)
-
+            at = main_request + int(_uf(rng, 1.0, 8.0) * SEC)
+            bursts = _burst_skeleton(rng, _ui(rng, 40, 220))
+            request("altsvc", label, at, bursts, label, f"alt-{page_idx:03d}.onion")
         if rng.random() < config.redirect_prob:
-            red_id = next(ids)
-            red_request = main_request + int(_uf(rng, 2.0, 9.0) * SEC)
-            spec = PlainCircuitSpec(
-                red_request, _burst_skeleton(rng, _ui(rng, 80, 400)), 0, 0, None, SHAPE_PRE
-            )
-            emitted = _emit_plain_circuit(rng, spec, config.leg_rtt_ms[0], config.sendme_interval)
-            _record_circuit(out, rng, config, red_id, "redirect", emitted, False, page.label, None)
-            rows.append(
-                (f"moved-{page.label}", red_request, f"moved-{page.label}", red_id, None, None)
-            )
-            circuit_ids.append(red_id)
-
-        out.visit_rows.extend(rows)
-        out.visit_truth.append(
-            {
-                "visit_id": visit_id,
-                "label": page.label,
-                "channel_id": out.channel_id,
-                "main_circuit_id": main_id,
-                "circuit_ids": circuit_ids,
-                "window": [main.payload_start, main.payload_end],
-                "client_tag": config.client_tag,
-            }
-        )
+            at = main_request + int(_uf(rng, 2.0, 9.0) * SEC)
+            bursts = _burst_skeleton(rng, _ui(rng, 80, 400))
+            request("redirect", label, at, bursts, f"moved-{label}", f"moved-{label}")
+        circuit_ids = [row[3] for row in out.visit_rows[first_row:]]
+        window = (main.payload_start, main.payload_end)
+        _record_visit(out, config, page_idx, serial, label, main_id, circuit_ids, window)
 
 
 def _fill_monitored_post(
@@ -1021,7 +975,6 @@ def _fill_monitored_post(
         sim = simulate_conflux_visit(vplan, config)
         guard_id, other_id = next(ids), next(ids)
         leg_ids = (guard_id, other_id)
-        visit_id = f"v{out.channel_id:04d}-{serial:03d}-{page_idx:03d}"
 
         legs = sim.leg_cells
         primary = legs[sim.client_primary]
@@ -1033,17 +986,8 @@ def _fill_monitored_post(
         out.visit_rows.append(
             (page.label, begin_ts, page.label, leg_ids[sim.client_primary], guard_id, other_id)
         )
-        out.visit_truth.append(
-            {
-                "visit_id": visit_id,
-                "label": page.label,
-                "channel_id": out.channel_id,
-                "main_circuit_id": guard_id,
-                "circuit_ids": [guard_id],
-                "window": [begin_ts, guard_end],
-                "client_tag": config.client_tag,
-            }
-        )
+        window = (begin_ts, guard_end)
+        visit_id = _record_visit(out, config, page_idx, serial, page.label, guard_id, [guard_id], window)
         out.set_truth.append(
             {
                 "set_id": visit_id,

@@ -406,6 +406,7 @@ WRONG_TYPE_CONFIGS = {
     "int-past-int64-sanitize": ("sanitize", [], {"max_len": 2**63}, "max_len must be int, got 9223"),
     "removed-head-trim": ("sanitize", [], {"head_trim_pre": -1}, "unknown key 'head_trim_pre'"),
     "removed-gap-floor": ("sanitize", [], {"gap_floor_ns": 0}, "unknown key 'gap_floor_ns'"),
+    "negative-seed": ("generate", [], {"seed": -5}, "seed must be >= 0, got -5"),
     "nonmon-ids-over-block": (
         "generate", [],
         {"nonmon_circuits_range": [140000, 140000], "n_nonmon_channels": 1, "n_pages": 1,
@@ -614,6 +615,9 @@ USAGE_ERRORS = {
     "rtt-sweep-2-63-ns": [*SWEEP, "9223372036854.775808"],
     "sweep-visits-zero": [*SWEEP, "0,32", "--sweep-visits", "0"],
     "sweep-visits-negative": [*SWEEP, "0,32", "--sweep-visits=-3"],
+    "generate-seed-negative": ["generate", "--out", "o", "--seed=-1"],
+    "sanitize-seed-negative": [*TIME_PATH, "--seed=-1"],
+    "transform-seed-negative": ["transform", "--in", "t", "--out", "o", "--jitter-ms", "5", "--seed=-1"],
     "max-duration-s-nan": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "nan"],
     "max-duration-s-below-1-ns": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e-10"],
     "max-duration-s-overflow": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e300"],

@@ -6,14 +6,16 @@ before the time path trimmed every window of a channel at once. Those of
 the pre-phase visit scenario were taken before visit rows were resolved
 once and each circuit's stage was keyed by (channel, circuit). Those of
 the generated post-phase logs and of the RTT sweep were taken while the
-Conflux scheduler still sent one cell per call. Those of the artifacts
-downstream of the trace writer (transform, featurize and eval) were taken
-while the trimmers still returned one ``Trace`` per trace and the writer
-took a list of them. The time path's ``report.json`` digests were taken
+Conflux scheduler still sent one cell per call; those of the generated
+pre-phase logs, before the single-leg generator stated each traffic rule
+once. Those of the artifacts downstream of the trace writer (transform,
+featurize and eval) were taken while the trimmers still returned one
+``Trace`` per trace and the writer took a list of them. The time path's ``report.json`` digests were taken
 when it began to drop spam channels and count them. A change to any of these files is a format change
 and must be made on purpose.
 """
 
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -222,12 +224,16 @@ def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
 
 # post phase at the default size, and under flow-control stress: a window of
 # one 3-cell SENDME interval, frequent exit-side penalties and wide RTT noise,
-# so the Conflux scheduler stalls on both legs and switches often
+# so the Conflux scheduler stalls on both legs and switches often; and the
+# pre-phase visit scenario with dropped and swapped cells, so retried,
+# alternative-service and redirected visits, relay and spam channels and bad
+# openings all come from the single-leg generator
 GENERATE_SCENARIOS = {
     "post-default": ScenarioConfig(phase="post"),
     "post-stress": ScenarioConfig(
         phase="post", sendme_interval=3, initial_cwnd=3, exit_switch_prob=0.3, rtt_noise_ms=80.0
     ),
+    "pre-noisy": dataclasses.replace(PRE_SCENARIO, drop_prob=0.05, reorder_prob=0.05),
 }
 GENERATE_GOLDEN = {
     ("post-default", "guard.csv"): "a21e56f23ea5ab2eee82533e122223b80f825e73d76ae348649b31bff8ffad98",
@@ -238,6 +244,10 @@ GENERATE_GOLDEN = {
     ("post-stress", "client.csv"): "c425841b116cabf66290760d8f99e72e6b85124a43d0bd2a2fbf7f4a781c9f38",
     ("post-stress", "visits.csv"): "dd7818606ff6e4aff07e57be16d834f7fdfafe55ee77a2510305551440e26cce",
     ("post-stress", "truth.json"): "449573f386736cadab318ed3fe4854f81a69c387c5b0d07d4ba4cf564a686d51",
+    ("pre-noisy", "guard.csv"): "dde196104f4e3eec84048a285bb963d3de187b78aea044e275e355f8112aa2b0",
+    ("pre-noisy", "client.csv"): "406a58d689a3588a9a2e237285be846480e341fde4cb2767ff748728f85f7dcd",
+    ("pre-noisy", "visits.csv"): "3c969a628e1d2169d771d361c956960be406b44d95b6d4d879448a702150206b",
+    ("pre-noisy", "truth.json"): "3521d48350c6c3aa59997bf6c4536b06057c6b89ded597900215bde204407a95",
 }
 SWEEP_GOLDEN = "cee92feac176c9ca4465292031077eda185f3f696d6b41cc668ccd94c961ff93"
 
