@@ -27,7 +27,7 @@ _STAGE_NAMES = {
     "sanitize": ("SanitizeConfig", "detect_spam_channels", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
-    "trace": ("TraceColumns", "read_dataset", "write_dataset"),
+    "trace": ("TraceColumns", "compute_trace_id", "read_dataset", "write_dataset"),
 }
 _SOURCES = {name: module for module, names in _STAGE_NAMES.items() for name in names}
 
@@ -118,7 +118,7 @@ def cmd_ingest(args) -> int:
     }
     if client and visits:
         client_log = parse_client_log(client, visits)
-        summary["client_circuits"] = len(client_log.circuit_map())
+        summary["client_circuits"] = sum(ch.circuit_count for ch in client_log.channels)
         summary["visit_rows"] = len(client_log.visits)
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_report(args.report, summary)
@@ -236,8 +236,6 @@ def cmd_transform(args) -> int:
 
     out = []
     try:
-        # the flags are checked before the input is read, so an empty input fails alike
-        transforms.check_params(args.jitter_ms, args.load_percent, args.max_len)
         # the loop frees the inputs when it ends; an output keeps only the cells it views
         for idx, trace in enumerate(read_dataset(args.in_path)):
             if args.jitter_ms is not None:
@@ -276,11 +274,8 @@ def cmd_featurize(args) -> int:
             features.write_features_csv(out_dir / "features.csv", blocks)
         with open(out_dir / "labels.csv", "w", encoding="utf-8") as handle:
             handle.write("trace_id,label\n")
-            # ids a block of rows at a time, so the hashed text of all cells is never held
-            for start in range(0, len(columns), blocks.block_rows):
-                rows = columns.rows(start, start + blocks.block_rows)
-                ids = zip(rows.trace_ids(), rows.labels)
-                handle.writelines(f"{trace_id},{label or ''}\n" for trace_id, label in ids)
+            ids = zip(compute_trace_id(columns), columns.labels)
+            handle.writelines(f"{trace_id},{label or ''}\n" for trace_id, label in ids)
     except (ValueError, OverflowError) as exc:
         raise GuardsiftError(str(exc)) from None
     except MemoryError as exc:
@@ -355,6 +350,13 @@ def _non_negative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
+    return value
+
+
+def _percent(text: str) -> float:
+    value = float(text)
+    if not 1 <= value <= 100:
+        raise argparse.ArgumentTypeError(f"must be in [1, 100], got {text}")
     return value
 
 
@@ -438,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="perturb an exported trace set")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jitter-ms", type=float, default=None)
+    p.add_argument("--jitter-ms", type=_non_negative_float, default=None)
     p.add_argument("--max-duration-s", dest="max_duration_ns", type=_duration_ns, default=45 * SEC)
-    p.add_argument("--load-percent", type=float, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--load-percent", type=_percent, default=None)
+    p.add_argument("--max-len", type=_positive_int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_transform, stages=("trace",))
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-slots", type=_positive_int, default=1800)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_featurize, stages=("columns",))
+    p.set_defaults(func=cmd_featurize, stages=("columns", "trace"))
 
     p = sub.add_parser("eval", help="open-world metrics over classifier scores")
     p.add_argument("--scores", required=True)

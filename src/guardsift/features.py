@@ -8,61 +8,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .trace import OUTGOING, Trace, TraceColumns
+from .trace import OUTGOING, TraceColumns
 
 SEC = 1_000_000_000
-
-
-def direction_sequence(trace: Trace, length: int = 5000) -> np.ndarray:
-    """Directions in order, zero-padded or truncated to ``length``."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    out = np.zeros(length, dtype=np.int8)
-    head = trace.directions[:length]
-    out[: len(head)] = head
-    return out
-
-
-def directional_timing(trace: Trace, length: int = 5000) -> np.ndarray:
-    """Per-cell timestamp in seconds, signed by direction, zero-padded."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    out = np.zeros(length, dtype=np.float64)
-    ts, d = trace.timestamps[:length], trace.directions[:length]
-    seconds = ts / SEC
-    if len(ts) and not (-(2**53) < ts[0] and ts[-1] < 2**53):
-        # past 2**53 ns the int64 -> float64 cast rounds before the division;
-        # Python's int / int rounds once, and the sorted ends bound every cell
-        seconds = np.array([t / SEC for t in ts.tolist()], dtype=np.float64)
-    out[: len(ts)] = seconds * d
-    return out
-
-
-@dataclass(frozen=True)
-class TAM:
-    """Per-direction cell counts over fixed time slots.
-
-    Row 0 counts outgoing cells, row 1 incoming. A cell at time t lands in
-    slot floor(t / slot_duration), clamped so t == t_max falls in the last
-    slot; cells before 0 or past t_max are dropped.
-    """
-
-    matrix: np.ndarray
-    t_max_s: float
-    n_slots: int
-
-    @property
-    def slot_duration_s(self) -> float:
-        return self.t_max_s / self.n_slots
-
-    def total(self) -> int:
-        return int(self.matrix.sum())
 
 
 def _tam_horizon_ns(t_max_s: float, n_slots: int) -> int:
@@ -82,27 +35,6 @@ def _tam_horizon_ns(t_max_s: float, n_slots: int) -> int:
     return t_max_ns
 
 
-def build_tam(trace: Trace, t_max_s: float, n_slots: int) -> TAM:
-    """Count cells into a 2 x ``n_slots`` matrix covering [0, t_max]."""
-    t_max_ns = _tam_horizon_ns(t_max_s, n_slots)
-    ts, d = trace.timestamps, trace.directions
-    keep = (ts >= 0) & (ts <= t_max_ns)
-    # integer slot index: exact, and pairwise-coarsening safe
-    slots = np.minimum(ts[keep] * n_slots // t_max_ns, n_slots - 1)
-    rows = (d[keep] != OUTGOING).astype(np.int64)
-    counts = np.bincount(rows * n_slots + slots, minlength=2 * n_slots)
-    matrix = counts.astype(np.int64, copy=False).reshape(2, n_slots)
-    return TAM(matrix=matrix, t_max_s=t_max_s, n_slots=n_slots)
-
-
-def coarsen_tam(tam: TAM, factor: int = 2) -> TAM:
-    """Merge adjacent slot groups; totals are preserved."""
-    if tam.n_slots % factor != 0:
-        raise ValueError("n_slots must be divisible by the coarsening factor")
-    merged = tam.matrix.reshape(2, tam.n_slots // factor, factor).sum(axis=2)
-    return TAM(matrix=merged, t_max_s=tam.t_max_s, n_slots=tam.n_slots // factor)
-
-
 def default_t_max(columns: TraceColumns) -> float:
     """Longest trace duration in seconds; the usual matrix horizon."""
     if not len(columns):
@@ -119,9 +51,10 @@ def default_t_max(columns: TraceColumns) -> float:
 _BLOCK_CELLS = 1 << 13
 
 
-def _fill_heads(out: np.ndarray, columns: TraceColumns, values) -> None:
-    """Write the first ``out.shape[1]`` cells of trace ``i`` into row ``i``
-    of ``out``; ``values`` maps a column slice to the values of its cells."""
+def _fill_heads(out: np.ndarray, columns: TraceColumns, values) -> np.ndarray:
+    """Zero ``out`` and write the first ``out.shape[1]`` cells of trace ``i``
+    into row ``i``; ``values`` maps a column slice to the values of its cells."""
+    out.fill(0)
     length = out.shape[1]
     flat = out.reshape(-1)
     for start in range(0, len(columns.timestamps), _BLOCK_CELLS):
@@ -130,27 +63,45 @@ def _fill_heads(out: np.ndarray, columns: TraceColumns, values) -> None:
         positions = cells - columns.bounds[rows]
         head = positions < length
         flat[rows[head] * length + positions[head]] = values(slice(cells[0], cells[-1] + 1))[head]
+    return out
 
 
-def _signed_seconds(timestamps: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Each timestamp in seconds, signed by its direction, rounded as
-    ``directional_timing`` rounds it."""
-    seconds = timestamps / SEC
-    # past 2**53 ns the int64 -> float64 cast rounds before the division;
-    # Python's int / int rounds once
-    wide = (timestamps < -(2**53)) | (timestamps > 2**53)
-    seconds[wide] = [t / SEC for t in timestamps[wide].tolist()]
-    return seconds * directions
+def direction_sequence(rows: TraceColumns, out: np.ndarray) -> np.ndarray:
+    """``out`` with the directions of trace ``i`` of ``rows`` in row ``i``,
+    truncated to ``out.shape[1]`` cells and zero-padded."""
+    return _fill_heads(out, rows, lambda cells: rows.directions[cells])
 
 
-def _tam_counts(columns: TraceColumns, t_max_ns: int, n_slots: int) -> np.ndarray:
-    """``build_tam`` of every trace as one ``len(columns)`` x 2 x ``n_slots`` array."""
-    n = len(columns)
-    rows = np.repeat(np.arange(n), np.diff(columns.bounds))
-    ts, d = columns.timestamps, columns.directions
+def directional_timing(rows: TraceColumns, out: np.ndarray) -> np.ndarray:
+    """``out`` with the timestamps of trace ``i`` of ``rows`` in row ``i``, in
+    seconds and signed by direction, truncated to ``out.shape[1]`` cells and
+    zero-padded."""
+
+    def signed_seconds(cells: slice) -> np.ndarray:
+        timestamps = rows.timestamps[cells]
+        seconds = timestamps / SEC
+        # past 2**53 ns the int64 -> float64 cast rounds before the division;
+        # Python's int / int rounds once
+        wide = (timestamps < -(2**53)) | (timestamps > 2**53)
+        seconds[wide] = [t / SEC for t in timestamps[wide].tolist()]
+        return seconds * rows.directions[cells]
+
+    return _fill_heads(out, rows, signed_seconds)
+
+
+def build_tam(rows: TraceColumns, t_max_ns: int, n_slots: int) -> np.ndarray:
+    """Per-direction cell counts over fixed time slots: a ``len(rows)`` x 2 x
+    ``n_slots`` int64 array. Row 0 of a trace counts outgoing cells, row 1
+    incoming. A cell at time t lands in slot floor(t * n_slots / t_max),
+    clamped so t == t_max falls in the last slot; cells before 0 or past
+    t_max are dropped. ``t_max_ns`` comes from ``_tam_horizon_ns``."""
+    n = len(rows)
+    trace_of_cell = np.repeat(np.arange(n), np.diff(rows.bounds))
+    ts, d = rows.timestamps, rows.directions
     keep = (ts >= 0) & (ts <= t_max_ns)
+    # integer slot index: exact, so 2k slots sum pairwise to k slots
     slots = np.minimum(ts[keep] * n_slots // t_max_ns, n_slots - 1)
-    index = (2 * rows[keep] + (d[keep] != OUTGOING)) * n_slots + slots
+    index = (2 * trace_of_cell[keep] + (d[keep] != OUTGOING)) * n_slots + slots
     counts = np.bincount(index, minlength=2 * n_slots * n)
     return counts.astype(np.int64, copy=False).reshape(n, 2, n_slots)
 
@@ -163,12 +114,12 @@ class FeatureBlocks:
     """One row per trace of the ``kind`` view, built a block of rows at a time.
 
     ``direction`` and ``timing`` rows hold ``length`` values; ``tam`` rows
-    are 2 x ``n_slots`` matrices over [0, ``t_max_s``]. Row ``i`` equals
-    ``direction_sequence``, ``directional_timing`` or ``build_tam`` of
-    trace ``i``. Iterating yields the rows in order, ``block_rows`` at a
-    time (fewer in the last block). Direction and timing blocks are views
-    of one buffer that each step zeroes and fills again, so a block is only
-    valid until the next step. ``shape``, ``dtype`` and ``meta`` describe
+    are 2 x ``n_slots`` matrices over [0, ``t_max_s``]. Iterating yields the
+    rows in order, ``block_rows`` at a time (fewer in the last block), each
+    block built by ``direction_sequence``, ``directional_timing`` or
+    ``build_tam`` on that block of traces. Direction and timing blocks are
+    views of one buffer that each step zeroes and fills again, so a block is
+    only valid until the next step. ``shape``, ``dtype`` and ``meta`` describe
     the whole matrix; ``len`` is its row count.
     """
 
@@ -210,22 +161,15 @@ class FeatureBlocks:
         return len(self.columns)
 
     def __iter__(self):
+        # the builders are looked up by name at each step, so a wrapper set on the module sees them
         for start in range(0, len(self.columns), self.block_rows):
             rows = self.columns.rows(start, start + self.block_rows)
             if self.kind == "tam":
-                yield _tam_counts(rows, self._t_max_ns, self.meta["n_slots"])
-                continue
-            block = self._buffer[: len(rows)]
-            block.fill(0)
-            if self.kind == "direction":
-                _fill_heads(block, rows, lambda cells: rows.directions[cells])
+                yield build_tam(rows, self._t_max_ns, self.meta["n_slots"])
+            elif self.kind == "direction":
+                yield direction_sequence(rows, self._buffer[: len(rows)])
             else:
-                _fill_heads(
-                    block,
-                    rows,
-                    lambda cells: _signed_seconds(rows.timestamps[cells], rows.directions[cells]),
-                )
-            yield block
+                yield directional_timing(rows, self._buffer[: len(rows)])
 
 
 def write_features(path: str | Path, blocks: FeatureBlocks) -> None:

@@ -30,7 +30,8 @@ from .errors import (
     read_config,
 )
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, Trace, TraceColumns, concat_cells
+from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, Trace, TraceColumns
+from .trace import compute_trace_id, concat_cells
 
 log = logging.getLogger(__name__)
 
@@ -220,7 +221,8 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
         (end,), _ = prune_close_tail(trace.timestamps, trace.directions, [0], [end], config)
     _, (end,) = cap_tail(trace.timestamps, [0], [end], config.duration_cap_ns, config.max_len)
     if not end:
-        raise EmptyAfterTrimError(f"trace {trace.trace_id}: empty after tail trim")
+        (trace_id,) = compute_trace_id(TraceColumns.from_traces([trace]))
+        raise EmptyAfterTrimError(f"trace {trace_id}: empty after tail trim")
     if end == len(trace) and trace.tail_trimmed:
         return trace
     return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -74,20 +73,6 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def compute_trace_id(timestamps: np.ndarray, directions: np.ndarray) -> str:
-    """Content hash over the (direction, inter-arrival) sequence.
-
-    Invariant under timestamp offsets, so a trace keeps its id through
-    normalization.
-    """
-    import hashlib  # imported by the commands that hash ids only
-
-    # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
-    gaps = np.diff(timestamps, prepend=timestamps[:1]).view(np.uint64)
-    text = ("%d,%d;" * len(gaps)) % _pairs(directions, gaps)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A time-sorted cell sequence with its phase, label and trim state.
@@ -96,8 +81,7 @@ class Trace:
     nanoseconds and ``directions`` int8. ``label`` is the monitored class
     (page) label; ``None`` marks a non-monitored trace. ``tail_trimmed``
     marks that the tail heuristics already ran, so re-running them cannot
-    eat more cells. ``trace_id`` is the content hash of the cells,
-    computed on first read.
+    eat more cells.
     """
 
     timestamps: np.ndarray
@@ -124,10 +108,6 @@ class Trace:
             raise ValueError("directions must be +1 or -1")
         return cls(pairs[:, 0].copy(), directions.astype(np.int8), **meta)
 
-    @cached_property
-    def trace_id(self) -> str:
-        return compute_trace_id(self.timestamps, self.directions)
-
     @property
     def cells(self) -> tuple[tuple[int, int], ...]:
         """The cells as ``(timestamp_ns, direction)`` tuples (a derived copy)."""
@@ -147,7 +127,7 @@ class Trace:
         )
 
     def with_cells(self, timestamps: np.ndarray, directions: np.ndarray, **changes) -> "Trace":
-        """Copy with new cell arrays; the copy computes its own content id."""
+        """Copy with new cell arrays."""
         return replace(self, timestamps=timestamps, directions=directions, **changes)
 
 
@@ -299,22 +279,33 @@ class TraceColumns:
             for start, end, phase, label in zip(ends, ends[1:], self.phases, self.labels)
         ]
 
-    def trace_ids(self) -> list[str]:
-        """``compute_trace_id`` of every trace, from one rendering of all cells."""
-        import hashlib  # imported by the commands that hash ids only
 
-        if not len(self):
-            return []
-        lengths = np.diff(self.bounds)
-        gaps = np.diff(self.timestamps, prepend=self.timestamps[:1])
-        gaps[self.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
+_BLOCK_CELLS = 1 << 16  # cells rendered and written, or rendered and hashed, at a time
+
+
+def compute_trace_id(table: TraceColumns) -> list[str]:
+    """The content hash of each trace over its (direction, inter-arrival)
+    sequence, rendered about ``_BLOCK_CELLS`` cells at a time.
+
+    Invariant under timestamp offsets, so a trace keeps its id through
+    normalization.
+    """
+    import hashlib  # imported by the commands that hash ids only
+
+    ids, start = [], 0
+    while start < len(table):
+        # the rows up to the one that takes the block to _BLOCK_CELLS cells
+        stop = int(np.searchsorted(table.bounds, table.bounds[start] + _BLOCK_CELLS))
+        rows = table.rows(start, min(stop, len(table)))
+        lengths = np.diff(rows.bounds)
+        gaps = np.diff(rows.timestamps, prepend=rows.timestamps[:1])
+        gaps[rows.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
         template = "|".join("%d,%d;" * n for n in lengths.tolist())
         # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
-        text = template % _pairs(self.directions, gaps.view(np.uint64))
-        return [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
-
-
-_BLOCK_CELLS = 1 << 16  # cells rendered and written at a time
+        text = template % _pairs(rows.directions, gaps.view(np.uint64))
+        ids += [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
+        start += len(rows)
+    return ids
 
 
 def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
@@ -328,7 +319,7 @@ def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
         row = table.rows(i, i + 1)
         if not len(row.timestamps):
             raise EmptyTraceError("cannot export an empty trace")
-        trace_id = compute_trace_id(row.timestamps, row.directions)
+        (trace_id,) = compute_trace_id(row)
         raise NotNormalizedError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
     # each line's head, up to the "[" of its cells: phases and labels repeat, so render each once
     heads = {

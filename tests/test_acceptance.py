@@ -12,13 +12,15 @@ import pytest
 
 from conftest import MS, SEC, duration_ns
 from guardsift.cli import main
-from guardsift.features import build_tam, coarsen_tam
+from guardsift.features import FeatureBlocks, build_tam
 from guardsift.ingest import filter_relay_channels, parse_guard_log, parse_visit_log
 from guardsift.metrics import f1, sweep, tally, wilson_upper
 from guardsift.sanitize import SanitizeConfig, sanitize, trim_head, trim_tail
 from guardsift.segment import plan_windows, segment_nonmonitored
 from guardsift.simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
-from guardsift.trace import CellRecord, Channel, Circuit, Trace, TraceColumns, serialize_dataset
+from guardsift.trace import (
+    CellRecord, Channel, Circuit, Trace, TraceColumns, compute_trace_id, serialize_dataset,
+)
 from guardsift.transforms import inject_jitter
 
 from test_metrics import columns, oracle_counts, oracle_point, oracle_thresholds, random_records
@@ -404,10 +406,12 @@ def test_c09_jitter_expected_extension():
 
 
 def test_c10_tam_slots_and_totals():
-    tam = build_tam(Trace.from_cells(((0, 1),)), t_max_s=80.0, n_slots=1800)
-    assert 0.0444 <= tam.slot_duration_s <= 0.0445
+    one_cell = TraceColumns.from_traces([Trace.from_cells(((0, 1),))])
+    blocks = FeatureBlocks(one_cell, "tam", t_max_s=80.0, n_slots=1800)
+    assert 0.0444 <= blocks.meta["slot_duration_s"] <= 0.0445
 
     rng = np.random.default_rng(1010)
+    traces, in_range = [], []
     for _ in range(1000):
         n = int(rng.integers(1, 300))
         cells = tuple(
@@ -416,13 +420,14 @@ def test_c10_tam_slots_and_totals():
                 key=lambda c: c[0],
             )
         )
-        trace = Trace.from_cells(cells)
-        tam = build_tam(trace, 80.0, 64)
-        in_range = sum(1 for ts, _ in cells if ts <= 80 * SEC)
-        assert tam.total() == in_range
-        coarse = coarsen_tam(tam, 2)
-        assert coarse.total() == in_range
-        assert np.array_equal(coarse.matrix, build_tam(trace, 80.0, 32).matrix)
+        traces.append(Trace.from_cells(cells))
+        in_range.append(sum(1 for ts, _ in cells if ts <= 80 * SEC))
+    table = TraceColumns.from_traces(traces)
+    fine = build_tam(table, 80 * SEC, 64)
+    assert fine.sum(axis=(1, 2)).tolist() == in_range
+    coarse = fine.reshape(len(traces), 2, 32, 2).sum(axis=3)  # adjacent slot pairs merged
+    assert coarse.sum(axis=(1, 2)).tolist() == in_range
+    assert np.array_equal(coarse, build_tam(table, 80 * SEC, 32))
 
 
 # --- criterion 11: end-to-end determinism --------------------------------------------
@@ -457,11 +462,11 @@ def _run_pipeline(base):
     scores = base / "scores.csv"
     with open(scores, "w", encoding="utf-8") as handle:
         handle.write("trace_id,true_label,predicted_label,score\n")
-        for t in traces:
+        for t, trace_id in zip(traces, compute_trace_id(TraceColumns.from_traces(traces))):
             true = index.get(t.label, -1)
-            digit = int(t.trace_id[:4], 16) % 1000
+            digit = int(trace_id[:4], 16) % 1000
             pred = true if true >= 0 else digit % len(index)
-            handle.write(f"{t.trace_id},{true},{pred},{digit / 1000:.3f}\n")
+            handle.write(f"{trace_id},{true},{pred},{digit / 1000:.3f}\n")
     assert main([
         "eval", "--scores", str(scores), "--r", "10", "--max-f1",
         "--report", str(base / "eval.json"),

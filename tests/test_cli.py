@@ -39,6 +39,17 @@ def test_ingest_summary(dataset_dir, tmp_path, capsys):
     assert summary["circuits"] > 0
 
 
+def test_ingest_counts_client_circuits_per_channel(tmp_path, capsys):
+    # channels 1 and 2 both carry a circuit 5: two circuits on each side
+    cells = "1,5,0,1,0\n1,5,10,-1,0\n2,5,20,1,0\n2,5,30,-1,0\n"
+    (tmp_path / "guard.csv").write_text(cells)
+    (tmp_path / "client.csv").write_text(cells)
+    (tmp_path / "visits.csv").write_text("a.com,0,a.com,5\n")
+    assert main(["ingest", "--in", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["circuits"] == summary["client_circuits"] == 2
+
+
 def test_sanitize_writes_traces_and_report(dataset_dir, tmp_path):
     out = tmp_path / "clean"
     report = tmp_path / "report.json"
@@ -303,24 +314,12 @@ def test_featurize_out_of_memory_is_a_stage_error(
 @pytest.mark.parametrize(
     "ndjson, flags, message",
     [
-        (ONE_CELL_TRACE, ["--load-percent", "150"], "percent must be in [1, 100]"),
-        (ONE_CELL_TRACE, ["--max-len", "0"], "max_len must be >= 1"),
-        (ONE_CELL_TRACE, ["--jitter-ms", "-1"], "jitter must be non-negative"),
-        (ONE_CELL_TRACE, ["--jitter-ms", "nan"], "jitter must be non-negative and finite"),
         ('{"phase":"pre","label":null,"cells":[[0,1],[1.5,1]]}\n', [], "line 1"),
         # jitter would push the second cell past int64
         ('{"phase":"pre","label":null,"cells":[[9223372036854775800,1],[9223372036854775807,1]]}\n',
          ["--jitter-ms", "20"], "sorted"),
-        # the flags are checked before the input is read
-        ("", ["--load-percent", "0"], "percent must be in [1, 100]"),
-        ("", ["--max-len", "0"], "max_len must be >= 1"),
-        ("", ["--jitter-ms", "-1"], "jitter must be non-negative"),
-        ("", ["--jitter-ms", "nan"], "jitter must be non-negative and finite"),
     ],
-    ids=[
-        "load-percent", "max-len", "negative-jitter", "nan-jitter", "float-cell", "int64-overflow",
-        "empty-load-percent", "empty-max-len", "empty-negative-jitter", "empty-nan-jitter",
-    ],
+    ids=["float-cell", "int64-overflow"],
 )
 def test_transform_stage_errors(tmp_path, capsys, ndjson, flags, message):
     traces = tmp_path / "traces.ndjson"
@@ -596,6 +595,7 @@ def test_eval_curve_of_no_rows_is_a_stage_error_in_a_fresh_process(tmp_path, tex
 TIME_PATH = ["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
 SWEEP = ["generate", "--out", "o", "--rtt-sweep"]
 EVAL = ["eval", "--scores", "scores.csv"]
+TRANSFORM = ["transform", "--in", "t", "--out", "o"]
 # an unknown flag on every command, and numeric flag values a command cannot run with
 USAGE_ERRORS = {
     **{argv[0]: [argv[0], "--no-such-flag"] for argv, _ in GARBAGE_COMMANDS.values()},
@@ -619,6 +619,14 @@ USAGE_ERRORS = {
     "sanitize-seed-negative": [*TIME_PATH, "--seed=-1"],
     "transform-seed-negative": ["transform", "--in", "t", "--out", "o", "--jitter-ms", "5", "--seed=-1"],
     "max-duration-s-nan": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "nan"],
+    "load-percent-150": [*TRANSFORM, "--load-percent", "150"],
+    "load-percent-zero": [*TRANSFORM, "--load-percent", "0"],
+    "load-percent-nan": [*TRANSFORM, "--load-percent", "nan"],
+    "max-len-zero": [*TRANSFORM, "--max-len", "0"],
+    "max-len-negative": [*TRANSFORM, "--max-len=-3"],
+    "jitter-ms-negative": [*TRANSFORM, "--jitter-ms=-1"],
+    "jitter-ms-nan": [*TRANSFORM, "--jitter-ms", "nan"],
+    "jitter-ms-inf": [*TRANSFORM, "--jitter-ms", "inf"],
     "max-duration-s-below-1-ns": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e-10"],
     "max-duration-s-overflow": ["transform", "--in", "t", "--out", "o", "--max-duration-s", "1e300"],
     "r-nan": [*EVAL, "--r", "nan"],

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MS, SEC, duration_ns, json_values, oracle_trace_line
+from conftest import MS, SEC, duration_ns, json_values, oracle_trace_id, oracle_trace_line, run_fresh
 import guardsift.features as features_module
 from guardsift.cli import main
 from guardsift.errors import GuardsiftError, ParseError
 from guardsift.features import (
     FeatureBlocks,
     build_tam,
-    coarsen_tam,
     default_t_max,
     direction_sequence,
     directional_timing,
@@ -37,6 +36,22 @@ def columns_of(traces):
     return read_columns(io.StringIO(trace_lines(traces)))
 
 
+def build_rows(kind, columns, length=8, t_max_s=2.0, n_slots=4):
+    """The ``kind`` builder run once over the whole table. Direction and
+    timing buffers start out non-zero, so a builder must zero them."""
+    if kind == "tam":
+        return build_tam(columns, int(round(t_max_s * SEC)), n_slots)
+    buffer = np.full((len(columns), length), 7, np.int8 if kind == "direction" else np.float64)
+    builder = direction_sequence if kind == "direction" else directional_timing
+    assert builder(columns, buffer) is buffer
+    return buffer
+
+
+def row_of(kind, cells, *args):
+    """The ``kind`` row of one trace, built over a one-row table."""
+    return build_rows(kind, TraceColumns.from_traces([trace_of(cells)]), *args)[0]
+
+
 def feature_matrix(columns, kind, *args):
     """Every block of ``FeatureBlocks`` stacked, plus the header metadata.
     The blocks share one buffer, so each is copied before the next is filled."""
@@ -45,7 +60,7 @@ def feature_matrix(columns, kind, *args):
     return np.concatenate([empty] + [block.copy() for block in blocks]), blocks.meta
 
 
-# --- brute-force references: the per-cell loops the numpy builders replace ---
+# --- brute-force references: per-cell loops over one trace ---
 
 
 def reference_direction(trace, length):
@@ -66,11 +81,24 @@ def reference_tam(trace, t_max_s, n_slots):
     t_max_ns = int(round(t_max_s * SEC))
     matrix = np.zeros((2, n_slots), dtype=np.int64)
     for ts, d in trace.cells:
-        if ts > t_max_ns:
+        if not 0 <= ts <= t_max_ns:
             continue
         slot = min(ts * n_slots // t_max_ns, n_slots - 1)
         matrix[0 if d == OUTGOING else 1, slot] += 1
     return matrix
+
+
+REFERENCES = {"direction": reference_direction, "timing": reference_timing}
+
+
+def reference_rows(kind, traces, length=8, t_max_s=2.0, n_slots=4):
+    """The per-cell reference row of each trace, stacked."""
+    if kind == "tam":
+        rows = [reference_tam(t, t_max_s, n_slots) for t in traces]
+        return np.stack(rows) if rows else np.zeros((0, 2, n_slots), np.int64)
+    rows = [REFERENCES[kind](t, length) for t in traces]
+    dtype = np.int8 if kind == "direction" else np.float64
+    return np.stack(rows) if rows else np.zeros((0, length), dtype)
 
 
 def same_bytes(got, want):
@@ -96,11 +124,12 @@ def cells_and_horizon(draw):
 @settings(max_examples=300, deadline=None)
 def test_numpy_builders_equal_references(case, length):
     cells, t_max_s, n_slots = case
-    trace = trace_of(cells)
-    assert same_bytes(direction_sequence(trace, length), reference_direction(trace, length))
-    assert same_bytes(directional_timing(trace, length), reference_timing(trace, length))
-    tam = build_tam(trace, t_max_s, n_slots)
-    assert same_bytes(tam.matrix, reference_tam(trace, t_max_s, n_slots))
+    # the trace between an empty one and a copy, so its cells are not the table's first
+    traces = [trace_of([]), trace_of(cells), trace_of(cells)]
+    columns = TraceColumns.from_traces(traces)
+    for kind in ("direction", "timing", "tam"):
+        got = build_rows(kind, columns, length, t_max_s, n_slots)
+        assert same_bytes(got, reference_rows(kind, traces, length, t_max_s, n_slots))
 
 
 @st.composite
@@ -149,89 +178,77 @@ def test_feature_matrix_on_columns_equals_per_trace_builders(
 ):
     traces, t_max_s, n_slots = batch
     columns = columns_of(traces)
-    builders = {
-        "direction": lambda t: direction_sequence(t, length),
-        "timing": lambda t: directional_timing(t, length),
-        "tam": lambda t: build_tam(t, t_max_s, n_slots).matrix,
-    }
     # small cell blocks split traces between the steps that place cells, and
     # small byte budgets split the rows between blocks of the one buffer
     with (
         mock.patch.object(features_module, "_BLOCK_CELLS", block_cells),
         mock.patch.object(features_module, "_BLOCK_BYTES", block_bytes),
     ):
-        for kind, build in builders.items():
+        for kind in ("direction", "timing", "tam"):
             array, _ = feature_matrix(columns, kind, length, t_max_s, n_slots)
-            assert len(array) == len(traces)
-            for row, trace in zip(array, traces):
-                assert same_bytes(row, build(trace))
+            assert same_bytes(array, reference_rows(kind, traces, length, t_max_s, n_slots))
     if traces:
         assert default_t_max(columns) == max(map(duration_ns, traces)) / SEC
 
 
 class TestDirectionSequence:
     def test_padding(self):
-        seq = direction_sequence(trace_of([(0, 1), (MS, -1)]), length=4)
-        assert seq.tolist() == [1, -1, 0, 0]
+        assert row_of("direction", [(0, 1), (MS, -1)], 4).tolist() == [1, -1, 0, 0]
 
     def test_truncation(self):
-        trace = trace_of([(i, 1) for i in range(6000)])
-        assert direction_sequence(trace, 5000).shape == (5000,)
+        assert row_of("direction", [(i, 1) for i in range(6000)], 5000).shape == (5000,)
 
     def test_empty_trace_all_zero(self):
-        assert direction_sequence(trace_of([]), 16).sum() == 0
+        assert row_of("direction", [], 16).sum() == 0
 
 
 class TestDirectionalTiming:
     def test_sign_convention(self):
-        values = directional_timing(trace_of([(0, 1), (2 * SEC, -1)]), length=3)
-        assert values.tolist() == [0.0, -2.0, 0.0]
+        assert row_of("timing", [(0, 1), (2 * SEC, -1)], 3).tolist() == [0.0, -2.0, 0.0]
 
     def test_sign_agreement_with_direction_sequence(self):
-        trace = trace_of([(i * MS, 1 if i % 3 else -1) for i in range(1, 40)])
-        dirs = direction_sequence(trace, 64)
-        timing = directional_timing(trace, 64)
+        cells = [(i * MS, 1 if i % 3 else -1) for i in range(1, 40)]
+        dirs = row_of("direction", cells, 64)
+        timing = row_of("timing", cells, 64)
         for i in range(1, 39):  # index 0 has timestamp > 0 here, skip padded ones
             assert np.sign(timing[i]) == np.sign(dirs[i])
 
 
 class TestTam:
     def test_slot_duration(self):
-        tam = build_tam(trace_of([(0, 1)]), t_max_s=80.0, n_slots=1800)
-        assert 0.0444 <= tam.slot_duration_s <= 0.0445
+        blocks = FeatureBlocks(columns_of([trace_of([(0, 1)])]), "tam", t_max_s=80.0, n_slots=1800)
+        assert 0.0444 <= blocks.meta["slot_duration_s"] <= 0.0445
 
     def test_empty_trace_zero_matrix(self):
-        assert build_tam(trace_of([]), 10.0, 20).total() == 0
+        assert row_of("tam", [], 0, 10.0, 20).sum() == 0
 
     def test_single_incoming_cell_at_zero(self):
-        tam = build_tam(trace_of([(0, -1)]), 10.0, 20)
-        assert tam.matrix[1][0] == 1
-        assert tam.total() == 1
+        tam = row_of("tam", [(0, -1)], 0, 10.0, 20)
+        assert tam[1][0] == 1
+        assert tam.sum() == 1
 
     def test_boundary_cell_clamps_into_last_slot(self):
-        tam = build_tam(trace_of([(10 * SEC, 1)]), 10.0, 10)
-        assert tam.matrix[0][9] == 1
+        assert row_of("tam", [(10 * SEC, 1)], 0, 10.0, 10)[0][9] == 1
 
     def test_cells_past_horizon_dropped(self):
-        tam = build_tam(trace_of([(0, 1), (11 * SEC, 1)]), 10.0, 10)
-        assert tam.total() == 1
+        assert row_of("tam", [(0, 1), (11 * SEC, 1)], 0, 10.0, 10).sum() == 1
 
     def test_row_sums_match_direction_counts(self):
         cells = [(i * 7 * MS, 1 if i % 2 else -1) for i in range(500)]
-        tam = build_tam(trace_of(cells), 5.0, 64)
+        tam = row_of("tam", cells, 0, 5.0, 64)
         in_range = [c for c in cells if c[0] <= 5 * SEC]
-        assert tam.matrix[0].sum() == sum(1 for _, d in in_range if d == 1)
-        assert tam.matrix[1].sum() == sum(1 for _, d in in_range if d == -1)
+        assert tam[0].sum() == sum(1 for _, d in in_range if d == 1)
+        assert tam[1].sum() == sum(1 for _, d in in_range if d == -1)
 
     @given(st.lists(st.tuples(st.integers(0, 90 * SEC), st.sampled_from([1, -1])), max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_coarsening_preserves_structure(self, raw):
         cells = tuple(sorted(raw, key=lambda c: c[0]))
-        trace = trace_of(cells)
-        fine = build_tam(trace, 80.0, 64)
-        coarse = build_tam(trace, 80.0, 32)
-        assert np.array_equal(coarsen_tam(fine, 2).matrix, coarse.matrix)
-        assert fine.total() == coarse.total()
+        fine = row_of("tam", cells, 0, 80.0, 64)
+        coarse = row_of("tam", cells, 0, 80.0, 32)
+        # adjacent slot pairs of 64 slots sum to the 32 slots
+        assert np.array_equal(fine.reshape(2, 32, 2).sum(axis=2), coarse)
+        assert fine.sum() == coarse.sum()
 
 
 class TestSlotSweep:
@@ -247,8 +264,8 @@ class TestFeatureMatrix:
         assert meta == {"kind": "timing", "length": 3}
 
     def test_cells_before_zero_are_outside_the_tam(self):
-        tam = build_tam(trace_of([(-SEC, 1), (0, 1)]), 10.0, 10)
-        assert tam.matrix[0].tolist() == [1] + [0] * 9
+        tam = row_of("tam", [(-SEC, 1), (0, 1)], 0, 10.0, 10)
+        assert tam[0].tolist() == [1] + [0] * 9
 
     @pytest.mark.parametrize(
         "t_max_s, n_slots",
@@ -256,8 +273,6 @@ class TestFeatureMatrix:
          (1e10, 1800), (1e300, 1)],  # the last two overflow t_max_ns * n_slots in int64
     )
     def test_bad_tam_settings_rejected(self, t_max_s, n_slots):
-        with pytest.raises(ValueError):
-            build_tam(trace_of([(0, 1)]), t_max_s, n_slots)
         with pytest.raises(ValueError):
             FeatureBlocks(columns_of([trace_of([(0, 1)])]), "tam", t_max_s=t_max_s, n_slots=n_slots)
 
@@ -281,12 +296,7 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     traces_path = tmp_path / "traces.ndjson"
     write_dataset(TraceColumns.from_traces(_edge_case_traces()), 3, traces_path)
     traces = read_dataset(traces_path)
-    builders = {
-        "direction": lambda t: direction_sequence(t, 8),
-        "timing": lambda t: directional_timing(t, 8),
-        "tam": lambda t: build_tam(t, 2.0, 4).matrix,
-    }
-    want = np.stack([builders[kind](t) for t in traces])
+    want = reference_rows(kind, traces)
     outputs = []
     for run in ("1", "2"):
         out = tmp_path / f"run{run}"
@@ -300,7 +310,7 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
     labels = (tmp_path / "run1" / "labels.csv").read_text().splitlines()[1:]
-    assert labels == [f"{t.trace_id},{t.label or ''}" for t in traces]
+    assert labels == [f"{oracle_trace_id(t.cells)},{t.label or ''}" for t in traces]
 
 
 @pytest.mark.parametrize("kind", ["direction", "timing", "tam"])
@@ -326,6 +336,50 @@ def test_featurize_outputs_do_not_depend_on_the_block_size(tmp_path, kind):
     assert len(csv_lines) == len(traces) and csv_lines[-1] == ",".join(["0"] * 8)
 
 
+# counts the calls of each builder and of the id hash, wrapped on their modules
+# before the command runs, as a tracing harness wraps them from outside
+WRAPPED_FEATURIZE = """
+import json, sys
+from collections import Counter
+import guardsift.features, guardsift.trace
+from guardsift.cli import main
+
+calls = Counter()
+
+def wrap(module, name):
+    real = getattr(module, name)
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    setattr(module, name, counting)
+
+for name in ("direction_sequence", "directional_timing", "build_tam"):
+    wrap(guardsift.features, name)
+wrap(guardsift.trace, "compute_trace_id")
+assert main(sys.argv[1:]) == 0
+print(json.dumps(calls))
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, builder",
+    [("direction", "direction_sequence"), ("timing", "directional_timing"), ("tam", "build_tam")],
+)
+def test_featurize_runs_the_wrapped_builders_and_id_hash(tmp_path, kind, builder):
+    traces_path = tmp_path / "traces.ndjson"
+    write_dataset(TraceColumns.from_traces(_edge_case_traces() * 3), 3, traces_path)
+    flags = ["--in", str(traces_path), "--kind", kind, "--length", "8", "--t-max-s", "2", "--n-slots", "4", "--csv"]
+    proc = run_fresh(["-c", WRAPPED_FEATURIZE, "featurize", "--out", "wrapped", *flags], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls[builder] >= 1
+    assert calls["compute_trace_id"] == 1
+    assert set(calls) == {builder, "compute_trace_id"}
+    assert main(["featurize", "--out", str(tmp_path / "plain"), *flags]) == 0
+    for name in ("features.bin", "features.bin.json", "features.csv", "labels.csv"):
+        assert (tmp_path / "wrapped" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
     traces_path = tmp_path / "traces.ndjson"
     write_dataset(TraceColumns.from_traces(_edge_case_traces()), 3, traces_path)
@@ -337,7 +391,7 @@ def test_featurize_tam_without_t_max_spans_the_longest_trace(tmp_path):
     ]) == 0
     array, meta = read_features(out / "features.bin")
     assert meta["t_max_s"] == t_max_s
-    assert same_bytes(array, np.stack([build_tam(t, t_max_s, 4).matrix for t in traces]))
+    assert same_bytes(array, reference_rows("tam", traces, 0, t_max_s, 4))
 
 
 def test_feature_dump_roundtrip(tmp_path):
