@@ -24,7 +24,7 @@ from .errors import GuardsiftError, ParseError
 _STAGE_NAMES = {
     "columns": ("read_columns",),
     "ingest": ("parse_client_log", "parse_guard_log", "parse_visit_log", "filter_relay_channels"),
-    "sanitize": ("SanitizeConfig", "detect_spam_channels", "group_visits", "sanitize", "trim_head"),
+    "sanitize": ("SanitizeConfig", "circuit_index", "detect_spam_channels", "group_visits", "sanitize", "trim_head"),
     "segment": ("extract_monitored_window", "segment_nonmonitored"),
     "simulate": ("ScenarioConfig", "generate_dataset", "run_rtt_advantage_sweep"),
     "trace": ("TraceColumns", "compute_trace_id", "read_dataset", "write_dataset"),
@@ -125,10 +125,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[TraceColumns, dict]:
-    """Cut traces out of the channels by time into one table. Spam channels
-    go as in ``sanitize``; then each visit group gets one window on its
-    channel, and each channel no visit row names is segmented whole."""
+def _segment_time_path(kept, visits, config, window_ns: int, phase: str) -> tuple[TraceColumns, dict]:
+    """Cut traces of ``phase`` out of the channels by time into one table.
+    Spam channels go as in ``sanitize``; then each visit group gets one
+    window on its channel, and each channel no visit row names is
+    segmented whole."""
     spam_ids = detect_spam_channels(kept, config.spam_circuit_threshold)
     live = [ch for ch in kept if ch.channel_id not in spam_ids]
     tables = []
@@ -141,14 +142,14 @@ def _segment_time_path(kept, visits, config, window_ns: int) -> tuple[TraceColum
         try:
             tables.append(
                 extract_monitored_window(
-                    by_id[group.channel_id], start, start + window_ns, config, group.page_domain
+                    by_id[group.channel_id], start, start + window_ns, config, group.page_domain, phase
                 )
             )
         except GuardsiftError:
             n_windows_failed += 1
     for channel in live:
         if channel.channel_id not in monitored_channels:
-            tables.append(segment_nonmonitored(channel, config))
+            tables.append(segment_nonmonitored(channel, config, phase))
     traces = TraceColumns.join(tables)
     report = {
         "segmentation": "time",
@@ -167,11 +168,11 @@ def cmd_sanitize(args) -> int:
     kept, dropped_relay = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
-        traces, report = _segment_time_path(kept, visits, config, args.window_ns)
+        traces, report = _segment_time_path(kept, visits, config, args.window_ns, args.phase)
     else:
         result = sanitize(kept, config, args.phase, visits)
         traces, report = result.traces, asdict(result.report)
-        report["duplicates_dropped"] = parsed.duplicate_count
+    report["duplicates_dropped"] = parsed.duplicate_count
     report["relay_channels_dropped"] = dropped_relay
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,40 +190,33 @@ def cmd_conflux(args) -> int:
     from . import conflux as cfx
 
     kept, _ = filter_relay_channels(parse_guard_log(guard).channels)
+    guard_legs = circuit_index(kept)
     client_log = parse_client_log(client, visits_path)
-    client_circuits = client_log.circuit_map()
-    guard_circuits = {}
-    for channel in kept:
-        guard_circuits.update(channel.circuits)
+    client_legs = circuit_index(client_log.channels)
     rows = []
-    agree = total_truth = 0
     for idx, visit in enumerate(client_log.visits):
-        meta = visit.conflux_meta
-        if meta is None:
+        if visit.leg_ids is None:
             continue
-        leg_a_id, leg_b_id = meta.leg_ids
-        if leg_a_id not in client_circuits or leg_b_id not in client_circuits:
+        leg_a_id, leg_b_id = visit.leg_ids
+        if leg_a_id not in client_legs or leg_b_id not in client_legs:
             continue
-        guard_leg_id = leg_a_id if leg_a_id in guard_circuits else leg_b_id
-        if guard_leg_id not in guard_circuits:
+        guard_leg_id = leg_a_id if leg_a_id in guard_legs else leg_b_id
+        if guard_leg_id not in guard_legs:
             continue
-        legs = client_circuits[leg_a_id], client_circuits[leg_b_id]
+        legs = client_legs[leg_a_id][1], client_legs[leg_b_id][1]
         try:
-            guard_trace = trim_head(guard_circuits[guard_leg_id], "post")
-            analysis = cfx.analyze_set(f"set{idx:05d}", *legs, guard_trace, guard_leg_id)
+            _, guard_directions = trim_head(guard_legs[guard_leg_id][1], "post")
+            rows.append(cfx.analyze_set(f"set{idx:05d}", *legs, guard_directions, guard_leg_id))
         except GuardsiftError:
             continue
-        rows.append(analysis)
-        if analysis.fs_truth is not None:
-            total_truth += 1
-            agree += analysis.fs_detected == analysis.fs_truth
     cfx.write_analysis_csv(rows, args.out)
+    agreed = [r.fs_detected == r.fs_truth for r in rows if r.fs_truth is not None]
     summary = {
         "command": "conflux",
         "sets": len(rows),
         "fs_detected": sum(r.fs_detected for r in rows),
-        "fs_truth_available": total_truth,
-        "detector_agreement": (agree / total_truth) if total_truth else None,
+        "fs_truth_available": len(agreed),
+        "detector_agreement": (sum(agreed) / len(agreed)) if agreed else None,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     _write_report(args.report, summary)
@@ -288,8 +282,11 @@ def cmd_eval(args) -> int:
     from . import metrics
 
     scores = metrics.read_scores(args.scores)
+    max_f1 = args.threshold is None and args.target_fpr is None
+    # one sweep serves both the curve file and the F1 maximum
+    curve = metrics.sweep(scores, args.r, args.wilson_z) if args.curve or max_f1 else None
     if args.curve:
-        metrics.write_curve(metrics.sweep(scores, args.r, args.wilson_z), args.curve)
+        metrics.write_curve(curve, args.curve)
     if args.threshold is not None:
         counts = metrics.tally(scores, args.threshold)
         pi = metrics.r_precision(*astuple(counts), args.r, args.wilson_z)
@@ -310,7 +307,7 @@ def cmd_eval(args) -> int:
             "target_fpr": args.target_fpr,
         }
     else:
-        point = metrics.select_threshold_max_f1(scores, args.r, args.wilson_z)
+        point = metrics.select_threshold_max_f1(curve)
         payload = {
             "threshold": point.threshold,
             f"pi_{args.r:g}": point.pi_r,

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyTraceError, IndeterminateError, NotLinkedError
-from .trace import INCOMING, OUTGOING, Circuit, Trace
+from .trace import INCOMING, OUTGOING, Circuit
 
 
 class CellTypeCode(IntEnum):
@@ -34,15 +34,10 @@ class CellTypeCode(IntEnum):
 
 @dataclass(frozen=True)
 class PrimaryLegVerdict:
-    """Which leg each endpoint used first; ``unused`` if neither saw data."""
+    """Which leg each endpoint used first; both None if neither saw data."""
 
     client_primary: int | None
     exit_primary: int | None
-    unused: bool = False
-
-    def __post_init__(self):
-        if self.unused and (self.client_primary is not None or self.exit_primary is not None):
-            raise ValueError("an unused set carries no leg references")
 
 
 def strip_conflux_handshake(leg: Circuit) -> Circuit:
@@ -74,7 +69,7 @@ def identify_primary_legs(leg_a: Circuit, leg_b: Circuit) -> PrimaryLegVerdict:
     elif _opens_with_begin(leg_b):
         client, secondary = leg_b, leg_a
     else:
-        return PrimaryLegVerdict(None, None, unused=True)
+        return PrimaryLegVerdict(None, None)
 
     after_begins = np.flatnonzero(client.cell_types != CellTypeCode.RELAY_BEGIN)
     target = int(after_begins[0]) if len(after_begins) else None
@@ -91,15 +86,14 @@ def identify_primary_legs(leg_a: Circuit, leg_b: Circuit) -> PrimaryLegVerdict:
     return PrimaryLegVerdict(client.circuit_id, exit_primary)
 
 
-def detect_first_segment(guard_leg: Trace) -> bool:
-    """Guard-side first-segment test on a head-trimmed leg.
+def detect_first_segment(directions: np.ndarray) -> bool:
+    """Guard-side first-segment test on a head-trimmed leg's directions.
 
     Holds when (1) the first cell after the link handshake is outgoing,
     (2) an incoming cell appears within the first 10 cells, and (3) an
     outgoing cell appears within the 10 cells right after that first
     incoming one. Missing evidence counts against.
     """
-    directions = guard_leg.directions
     if not len(directions) or directions[0] != OUTGOING:
         return False
     incoming = np.flatnonzero(directions[:10] == INCOMING)
@@ -111,8 +105,8 @@ def detect_first_segment(guard_leg: Trace) -> bool:
 
 def fs_ground_truth(verdict: PrimaryLegVerdict, guard_leg_id: int) -> bool:
     """True iff the guard's leg was the initial primary for both endpoints."""
-    if verdict.unused:
-        raise IndeterminateError("unused set has no first-segment truth")
+    if verdict.client_primary is None:
+        raise IndeterminateError("a set neither endpoint used has no first-segment truth")
     return verdict.client_primary == guard_leg_id == verdict.exit_primary
 
 
@@ -135,19 +129,20 @@ class SetAnalysis:
 
 
 def analyze_set(
-    set_id: str, leg_a: Circuit, leg_b: Circuit, guard_leg: Trace, guard_leg_id: int
+    set_id: str, leg_a: Circuit, leg_b: Circuit, guard_directions: np.ndarray, guard_leg_id: int
 ) -> SetAnalysis:
     """Full per-set report row: verdicts, detection, and coverage.
 
     ``leg_a`` and ``leg_b`` are the client's typed legs, handshake included;
-    ``guard_leg`` is the guard's head-trimmed view of leg ``guard_leg_id``.
-    Coverage counts the client legs' cells after the link-ack.
+    ``guard_directions`` are the directions of leg ``guard_leg_id`` as the
+    guard saw it, head-trimmed (``trim_head``). Coverage counts the client
+    legs' cells after the link-ack.
     """
     leg_a, leg_b = strip_conflux_handshake(leg_a), strip_conflux_handshake(leg_b)
     verdict = identify_primary_legs(leg_a, leg_b)
-    truth = None if verdict.unused else fs_ground_truth(verdict, guard_leg_id)
-    detected = detect_first_segment(guard_leg)
-    coverage = leg_coverage(len(guard_leg), len(leg_a) + len(leg_b))
+    truth = None if verdict.client_primary is None else fs_ground_truth(verdict, guard_leg_id)
+    detected = detect_first_segment(guard_directions)
+    coverage = leg_coverage(len(guard_directions), len(leg_a) + len(leg_b))
     return SetAnalysis(
         set_id=set_id,
         client_primary=verdict.client_primary,

@@ -39,15 +39,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class ConfluxMeta:
-    leg_ids: tuple[int, int]
-
-    def __post_init__(self):
-        if self.leg_ids[0] == self.leg_ids[1]:
-            raise ValueError("linked legs must have distinct circuit ids")
-
-
-@dataclass(frozen=True)
 class PageVisitRecord:
     """One circuit-request event logged at a controlled client."""
 
@@ -55,11 +46,13 @@ class PageVisitRecord:
     request_ts: int
     target_domain: str
     circuit_id: int
-    conflux_meta: ConfluxMeta | None = None
+    leg_ids: tuple[int, int] | None = None  # a Conflux row's linked legs
 
     def __post_init__(self):
         if self.request_ts < 0:
             raise ValueError("request_ts must be non-negative")
+        if self.leg_ids is not None and self.leg_ids[0] == self.leg_ids[1]:
+            raise ValueError("linked legs must have distinct circuit ids")
 
 
 @dataclass
@@ -377,7 +370,7 @@ def parse_visit_log(source) -> list[PageVisitRecord]:
                     request_ts=request_ts,
                     target_domain=fields[2],
                     circuit_id=circuit_id,
-                    conflux_meta=ConfluxMeta(leg_ids) if leg_ids else None,
+                    leg_ids=leg_ids or None,
                 )
             )
         except ValueError as exc:
@@ -390,9 +383,6 @@ class ClientLog:
     visits: list[PageVisitRecord]
     channels: list[Channel]
     stats: ParsedLog | None = None
-
-    def circuit_map(self) -> dict[int, Circuit]:
-        return {cid: c for channel in self.channels for cid, c in channel.circuits.items()}
 
 
 def parse_client_log(cell_source, visit_source) -> ClientLog:

@@ -33,9 +33,8 @@ NONMON = -1
 
 @dataclass(frozen=True)
 class Scores:
-    """Classifier output rows as columns, in file order."""
+    """Classifier output rows as columns, in file order; trace ids are not kept."""
 
-    trace_ids: list[str]
     true_labels: list[int]
     predicted_labels: list[int]
     scores: list[float]
@@ -217,16 +216,12 @@ class OperatingPoint:
     recall: float
     fpr: float
     f1: float | None
-    counts: ConfusionCounts
 
 
-def select_threshold_max_f1(
-    scores: Scores, r: float, wilson_z: float | None = None
-) -> OperatingPoint:
-    """The threshold maximizing F1; ties resolve to the larger threshold."""
-    if scores.true_labels.count(NONMON) == len(scores):
+def select_threshold_max_f1(curve: Curve) -> OperatingPoint:
+    """The threshold of ``curve`` maximizing F1; ties resolve to the larger threshold."""
+    if not curve.n_p:
         raise NoPositivesError("no monitored records; F1 is undefined")
-    curve = sweep(scores, r, wilson_z)
     best = best_f1 = None
     for i, (pi, recall) in enumerate(zip(curve.pi_r, curve.recall)):
         if pi is None or recall is None:
@@ -236,9 +231,8 @@ def select_threshold_max_f1(
             best, best_f1 = i, score
     if best is None:
         raise NoPositivesError("no threshold yields defined rates")
-    counts = ConfusionCounts(curve.n_p, curve.n_n, curve.n_tp[best], curve.n_wp[best], curve.n_fp[best])
     return OperatingPoint(
-        curve.thresholds[best], curve.pi_r[best], curve.recall[best], curve.fpr[best], best_f1, counts
+        curve.thresholds[best], curve.pi_r[best], curve.recall[best], curve.fpr[best], best_f1
     )
 
 
@@ -254,7 +248,7 @@ def operating_point_at_fpr(scores: Scores, target_fpr: float = 0.005) -> Operati
     n_p = len(scores) - n_n
     if n_p == 0 or n_n == 0:
         raise UndefinedRateError("need monitored and non-monitored records")
-    thresholds, n_tp, n_wp, n_fp = _threshold_counts(scores)
+    thresholds, n_tp, _, n_fp = _threshold_counts(scores)
     best = best_tpr = None
     for i in range(len(thresholds) - 1):
         tpr = n_tp[i] / n_p
@@ -262,21 +256,21 @@ def operating_point_at_fpr(scores: Scores, target_fpr: float = 0.005) -> Operati
             best, best_tpr = i, tpr
     if best is None:
         raise NoFeasibleThresholdError(f"no threshold achieves FPR <= {target_fpr}")
-    counts = ConfusionCounts(n_p, n_n, n_tp[best], n_wp[best], n_fp[best])
-    return OperatingPoint(thresholds[best], None, best_tpr, n_fp[best] / n_n, None, counts)
+    return OperatingPoint(thresholds[best], None, best_tpr, n_fp[best] / n_n, None)
 
 
 # --- serialization --------------------------------------------------------------
 
 
 def read_scores(source: str | Path) -> Scores:
-    """Parse ``trace_id,true_label,predicted_label,score`` rows into columns.
+    """Parse ``trace_id,true_label,predicted_label,score`` rows into columns,
+    without the trace ids.
 
     Blank and ``#`` lines are skipped. The first other line is a header if
     its label field is not an integer. Any other malformed line raises
     ``ParseError`` naming it.
     """
-    scores = Scores([], [], [], [])
+    scores = Scores([], [], [])
     header_allowed = True
     for line_no, raw in enumerate(io.StringIO(read_utf8(source), newline=None), start=1):
         line = raw.strip()
@@ -300,7 +294,6 @@ def read_scores(source: str | Path) -> Scores:
             )
         if not 0.0 <= score <= 1.0:  # NaN too
             raise ParseError(line_no, f"score must be in [0, 1], got {score}")
-        scores.trace_ids.append(fields[0])
         scores.true_labels.append(true)
         scores.predicted_labels.append(predicted)
         scores.scores.append(score)

@@ -140,12 +140,13 @@ def select_main_circuit(
     return min(survivors, key=lambda c: (-len(c), c.start_ts))
 
 
-def trim_head(circuit: Circuit, phase: str) -> Trace:
+def trim_head(circuit: Circuit, phase: str) -> tuple[np.ndarray, np.ndarray]:
     """Strip the phase's opening cells and re-zero time at the first data cell.
 
     Circuits are often built well before they carry data, so the raw gap
-    between handshake and payload is idle time, not page behavior. Kept
-    cells out of time order raise ``MalformedCircuitError``.
+    between handshake and payload is idle time, not page behavior. Returns
+    the kept cells' ``(timestamps, directions)``. Kept cells out of time
+    order raise ``MalformedCircuitError``.
     """
     _, strip = OPENING[phase]
     timestamps = circuit.timestamps[strip:]
@@ -158,7 +159,7 @@ def trim_head(circuit: Circuit, phase: str) -> Trace:
             f"circuit {circuit.circuit_id} has cells out of time order: cell {i + 1} at"
             f" {circuit.timestamps[i + 1]} ns follows cell {i} at {circuit.timestamps[i]} ns"
         )
-    return Trace(timestamps - timestamps[0], circuit.directions[strip:], phase=phase)
+    return timestamps - timestamps[0], circuit.directions[strip:]
 
 
 def prune_close_tail(
@@ -261,6 +262,12 @@ class VisitGroup:
         return self.rows[0].request_ts
 
 
+def circuit_index(channels: Iterable[Channel]) -> dict[int, tuple[int, Circuit]]:
+    """Each circuit id on ``channels``, to its channel id and circuit; an id
+    carried by two channels resolves to the later one."""
+    return {cid: (ch.channel_id, circuit) for ch in channels for cid, circuit in ch.circuits.items()}
+
+
 def group_visits(
     visits: Sequence[PageVisitRecord],
     channels: Sequence[Channel],
@@ -269,23 +276,18 @@ def group_visits(
     """Resolve visit rows to circuits and group them into page loads.
 
     A row's circuit ids are its own, then a Conflux row's linked legs. Each
-    id resolves to the circuit of that id on ``channels`` (an id carried by
-    two channels resolves to the later one); ids on no channel are ignored,
-    and so are rows with none. A row belongs to the channel of its first
-    resolved id. Rows are bucketed per channel and joined while they fall
-    within ``visit_span_ns`` of the group's first request. The first row of
-    a group names the page: the client navigates to the scheduled page
-    before redirects or alternative services fire.
+    id resolves through ``circuit_index(channels)``; ids on no channel are
+    ignored, and so are rows with none. A row belongs to the channel of its
+    first resolved id. Rows are bucketed per channel and joined while they
+    fall within ``visit_span_ns`` of the group's first request. The first
+    row of a group names the page: the client navigates to the scheduled
+    page before redirects or alternative services fire.
     """
-    by_circuit = {circuit_id: channel for channel in channels for circuit_id in channel.circuits}
+    index = circuit_index(channels)
     per_channel: dict[int, list[tuple[PageVisitRecord, list]]] = {}
     for row in visits:
-        legs = row.conflux_meta.leg_ids if row.conflux_meta else ()
-        named = [
-            (row, by_circuit[cid].channel_id, by_circuit[cid].circuits[cid])
-            for cid in dict.fromkeys((row.circuit_id, *legs))
-            if cid in by_circuit
-        ]
+        ids = dict.fromkeys((row.circuit_id, *(row.leg_ids or ())))
+        named = [(row, *index[cid]) for cid in ids if cid in index]
         if named:
             per_channel.setdefault(named[0][1], []).append((row, named))
     groups: list[VisitGroup] = []

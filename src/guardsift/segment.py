@@ -76,7 +76,7 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
 
 
 def _finish_segments(
-    timestamps, directions, starts, ends, config: SanitizeConfig, label: str | None
+    timestamps, directions, starts, ends, config: SanitizeConfig, label: str | None, phase: str
 ) -> TraceColumns:
     """The time-sorted segments ``starts[k]:ends[k]``, which tile the cells, as a table.
 
@@ -92,7 +92,7 @@ def _finish_segments(
     # the channel view has no handshake to strip, so only the tail stages run
     ends, _ = prune_close_tail(timestamps, directions, first, ends, config)
     _, ends = cap_tail(timestamps, first, ends, config.duration_cap_ns, config.max_len)
-    return TraceColumns.gather(timestamps, directions, first, ends, PRE, [label] * len(ends))
+    return TraceColumns.gather(timestamps, directions, first, ends, phase, [label] * len(ends))
 
 
 def extract_monitored_window(
@@ -101,13 +101,14 @@ def extract_monitored_window(
     visit_end: int,
     config: SanitizeConfig | None = None,
     label: str | None = None,
+    phase: str = PRE,
 ) -> TraceColumns:
     """Merge every channel cell inside a recorded page-load window.
 
-    Overlapping circuits are flattened into one time-sorted trace, the one
-    row of the table returned; cells with equal timestamps keep circuit
-    order, then log order. Leading incoming cells are dropped: the
-    client-initiated request starts with an outgoing cell.
+    Overlapping circuits are flattened into one time-sorted trace of
+    ``phase``, the one row of the table returned; cells with equal
+    timestamps keep circuit order, then log order. Leading incoming cells
+    are dropped: the client-initiated request starts with an outgoing cell.
     """
     if visit_start >= visit_end:
         raise ValueError("visit_start must be before visit_end")
@@ -115,9 +116,8 @@ def extract_monitored_window(
     timestamps, directions = concat_cells(list(channel.circuits.values()))
     inside = np.flatnonzero((visit_start <= timestamps) & (timestamps <= visit_end))
     order = inside[np.argsort(timestamps[inside], kind="stable")]
-    table = _finish_segments(
-        timestamps[order], directions[order], np.array([0]), np.array([len(order)]), config, label
-    )
+    bounds = np.array([0]), np.array([len(order)])
+    table = _finish_segments(timestamps[order], directions[order], *bounds, config, label, phase)
     if not len(table):
         raise EmptySegmentError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
@@ -127,9 +127,9 @@ def extract_monitored_window(
 
 
 def segment_nonmonitored(
-    channel: Channel, config: SanitizeConfig | None = None
+    channel: Channel, config: SanitizeConfig | None = None, phase: str = PRE
 ) -> TraceColumns:
-    """Greedy temporal clustering of a channel into page-like traces.
+    """Greedy temporal clustering of a channel into page-like traces of ``phase``.
 
     One trace per planned window, holding every channel cell inside the
     window, time-sorted; cells with equal timestamps keep circuit-id order,
@@ -156,4 +156,4 @@ def segment_nonmonitored(
     starts, ends = (
         np.searchsorted(window, np.arange(len(windows)), side=side) for side in ("left", "right")
     )
-    return _finish_segments(timestamps, directions, starts, ends, config, None)
+    return _finish_segments(timestamps, directions, starts, ends, config, None, phase)

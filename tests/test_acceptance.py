@@ -239,8 +239,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         circuit = circuits.get(entry["circuit_id"])
         if circuit is None or len(circuit) < 8:
             continue
-        trace = trim_head(circuit, "pre")
-        trimmed = trim_tail(trace, config)
+        trimmed = trim_tail(Trace(*trim_head(circuit, "pre"), phase="pre"), config)
         expected_len = entry["cell_count"] - 2 - 2
         if entry["tail_present"] and entry["tail_qualifies"]:
             expected_len -= entry["tail_cells"]
@@ -266,7 +265,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
         if result.outcomes[channel.channel_id, circuit_id] == "retained"
     ]
     assert len(kept) >= 100
-    expected = [trim_tail(trim_head(c, "pre"), config) for c in kept]
+    expected = [trim_tail(Trace(*trim_head(c, "pre"), phase="pre"), config) for c in kept]
     assert [(t.phase, t.label, t.cells) for t in result.traces.traces()] == [
         (t.phase, t.label, t.cells) for t in expected
     ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import run_fresh
+from guardsift import metrics
 from guardsift.cli import main
 from guardsift.sanitize import SanitizeConfig
 from guardsift.simulate import ScenarioConfig, generate_dataset
@@ -82,7 +83,7 @@ def test_segment_path(dataset_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["segmentation"] == "time" and report["relay_channels_dropped"] == 1
     assert report["traces_written"] == len(traces)
-    assert "duplicates_dropped" not in report
+    assert report["duplicates_dropped"] == 0
 
 
 def test_time_path_drops_spam_channels(tmp_path):
@@ -190,6 +191,78 @@ def test_conflux_takes_no_guard_leg_from_a_relay_channel(tmp_path):
         handle.write("#AUTH,999999\n" + "\n".join(relay) + "\n")
     assert main([*argv, str(tmp_path / "relay.csv")]) == 0
     assert (tmp_path / "relay.csv").read_text() == (tmp_path / "clean.csv").read_text()
+
+
+def post_dataset(path):
+    generate_dataset(
+        ScenarioConfig(seed=4, phase="post", n_pages=2, n_visits_per_page=2, n_nonmon_channels=2), path
+    )
+    return path
+
+
+def test_post_phase_time_path_writes_post_traces(tmp_path):
+    data, out = post_dataset(tmp_path / "data"), tmp_path / "out"
+    argv = ["sanitize", "--in", str(data), "--phase", "post", "--segmentation", "time"]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = (out / "traces.ndjson").read_text().splitlines()
+    assert lines and all('"phase":"post"' in line for line in lines)
+    assert json.loads((out / "report.json").read_text())["duplicates_dropped"] == 0
+
+
+# counts the calls of circuit_index, wrapped on its module before the command
+# runs, as a tracing harness wraps it from outside
+WRAPPED_INDEX = """
+import sys
+import guardsift.sanitize
+from guardsift.cli import main
+
+real, calls = guardsift.sanitize.circuit_index, []
+def counting(channels):
+    calls.append(channels)
+    return real(channels)
+guardsift.sanitize.circuit_index = counting
+assert main(sys.argv[1:]) == 0
+print(len(calls))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["sanitize", "--phase", "post", "--out", "o"], 1),
+        (["sanitize", "--phase", "post", "--segmentation", "time", "--out", "o"], 1),
+        (["conflux", "--out", "o.csv"], 2),  # the guard's legs, then the client's
+    ],
+    ids=["sanitize-circuit", "sanitize-time", "conflux"],
+)
+def test_circuit_ids_resolve_through_circuit_index(tmp_path, argv, calls):
+    post_dataset(tmp_path / "data")
+    proc = run_fresh(["-c", WRAPPED_INDEX, *argv, "--in", "data"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) == calls
+
+
+@pytest.mark.parametrize("curve", [True, False], ids=["curve", "no-curve"])
+@pytest.mark.parametrize(
+    "mode", [["--max-f1"], ["--target-fpr", "0.5"], ["--threshold", "0.5"]],
+    ids=["max-f1", "target-fpr", "threshold"],
+)
+def test_eval_sweeps_at_most_once(tmp_path, mode, curve):
+    # the curve and the F1 maximum read one sweep; the other modes need none
+    scores = tmp_path / "scores.csv"
+    scores.write_text("m,1,1,0.9\nw,2,1,0.6\nn,-1,1,0.1\nk,-1,-1,0.4\n")
+    argv = ["eval", "--scores", str(scores), *mode]
+    argv += ["--curve", str(tmp_path / "curve.csv")] if curve else []
+    with mock.patch.object(metrics, "sweep", wraps=metrics.sweep) as sweep:
+        assert main(argv) == 0
+    assert sweep.call_count == (1 if curve or mode == ["--max-f1"] else 0)
+
+
+def test_eval_max_f1_of_no_rows_needs_a_record(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("trace_id,true_label,predicted_label,score\n")
+    assert main(["eval", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == "guardsift eval: error: need at least one record\n"
 
 
 def test_eval_max_f1(tmp_path):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from conftest import MS
 from guardsift.conflux import (
+    PrimaryLegVerdict,
     analyze_set,
     detect_first_segment,
     fs_ground_truth,
@@ -10,7 +12,7 @@ from guardsift.conflux import (
     strip_conflux_handshake,
 )
 from guardsift.errors import EmptyTraceError, IndeterminateError, NotLinkedError
-from guardsift.trace import CellRecord, Circuit, Trace
+from guardsift.trace import CellRecord, Circuit
 
 
 def typed_leg(circuit_id, spec, start=0, step=MS):
@@ -62,8 +64,7 @@ class TestIdentifyPrimaryLegs:
 
     def test_neither_leg_begins_is_unused(self):
         verdict = identify_primary_legs(*stripped_legs([(1, 2)], [(-1, 2)]))
-        assert verdict.unused
-        assert verdict.client_primary is None
+        assert verdict == PrimaryLegVerdict(None, None)
 
     def test_begin_on_second_leg(self):
         verdict = identify_primary_legs(
@@ -95,51 +96,48 @@ class TestIdentifyPrimaryLegs:
         assert (v1.client_primary, v1.exit_primary) == (v2.client_primary, v2.exit_primary)
 
 
-def dir_trace(dirs):
-    return Trace.from_cells(tuple((i * MS, d) for i, d in enumerate(dirs)), phase="post")
+def directions(values):
+    """A head-trimmed guard leg's directions, as ``trim_head`` returns them."""
+    return np.array(values, dtype=np.int8)
 
 
 class TestFirstSegmentDetector:
     def test_minimal_positive(self):
-        assert detect_first_segment(dir_trace([1, -1, 1]))
+        assert detect_first_segment(directions([1, -1, 1]))
 
     def test_incoming_start_fails(self):
-        assert not detect_first_segment(dir_trace([-1, 1, 1, -1]))
+        assert not detect_first_segment(directions([-1, 1, 1, -1]))
 
     def test_no_incoming_within_ten_fails(self):
-        assert not detect_first_segment(dir_trace([1] * 10 + [-1, 1]))
+        assert not detect_first_segment(directions([1] * 10 + [-1, 1]))
 
     def test_incoming_at_tenth_position_counts(self):
-        assert detect_first_segment(dir_trace([1] * 9 + [-1] + [1]))
+        assert detect_first_segment(directions([1] * 9 + [-1] + [1]))
 
     def test_no_outgoing_after_first_incoming_fails(self):
-        assert not detect_first_segment(dir_trace([1, -1] + [-1] * 15))
+        assert not detect_first_segment(directions([1, -1] + [-1] * 15))
 
     def test_outgoing_just_inside_second_window(self):
-        assert detect_first_segment(dir_trace([1, -1] + [-1] * 9 + [1]))
+        assert detect_first_segment(directions([1, -1] + [-1] * 9 + [1]))
 
     def test_outgoing_outside_second_window_fails(self):
-        assert not detect_first_segment(dir_trace([1, -1] + [-1] * 10 + [1]))
+        assert not detect_first_segment(directions([1, -1] + [-1] * 10 + [1]))
 
     def test_short_leg_fails_conservatively(self):
-        assert not detect_first_segment(dir_trace([1]))
-        assert not detect_first_segment(dir_trace([]))
+        assert not detect_first_segment(directions([1]))
+        assert not detect_first_segment(directions([]))
 
 
 class TestFsGroundTruth:
     def test_both_primary(self):
-        from guardsift.conflux import PrimaryLegVerdict
-
         v = PrimaryLegVerdict(10, 10)
         assert fs_ground_truth(v, 10)
         assert not fs_ground_truth(v, 20)
         assert not fs_ground_truth(PrimaryLegVerdict(10, 20), 10)
 
     def test_unused_raises(self):
-        from guardsift.conflux import PrimaryLegVerdict
-
         with pytest.raises(IndeterminateError):
-            fs_ground_truth(PrimaryLegVerdict(None, None, unused=True), 10)
+            fs_ground_truth(PrimaryLegVerdict(None, None), 10)
 
 
 class TestCoverageAndMerge:
@@ -156,7 +154,7 @@ class TestCoverageAndMerge:
         # 4 + 2 client cells after the link-acks; the guard sees 3 of them
         leg_a = typed_leg(10, LINK_HS + [(1, 1), (-1, 4), (1, 2), (-1, 2)])
         leg_b = typed_leg(20, LINK_HS + [(-1, 2), (-1, 2)])
-        analysis = analyze_set("s", leg_a, leg_b, dir_trace([1, -1, 1]), 10)
+        analysis = analyze_set("s", leg_a, leg_b, directions([1, -1, 1]), 10)
         assert analysis.coverage == 0.5
         assert (analysis.client_primary, analysis.exit_primary) == (10, 10)
         assert analysis.fs_detected and analysis.fs_truth

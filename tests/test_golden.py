@@ -10,9 +10,10 @@ Conflux scheduler still sent one cell per call; those of the generated
 pre-phase logs, before the single-leg generator stated each traffic rule
 once. Those of the artifacts downstream of the trace writer (transform,
 featurize and eval) were taken while the trimmers still returned one
-``Trace`` per trace and the writer took a list of them. The time path's ``report.json`` digests were taken
-when it began to drop spam channels and count them. A change to any of these files is a format change
-and must be made on purpose.
+``Trace`` per trace and the writer took a list of them. The time path's
+digests were taken when its traces began to carry the phase of the logs
+and its ``report.json`` the count of duplicate rows dropped. A change to
+any of these files is a format change and must be made on purpose.
 """
 
 import dataclasses
@@ -36,12 +37,12 @@ SANITIZE_CONFIG = '{"spam_circuit_threshold": 100}'  # keeps the spam channel
 GOLDEN = {
     ("clean", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
     ("clean", "circuit", "report.json"): "73366aa5e09fd824ef43f39572a42c0cd8c6999bbca8e417eafb1bfd9498e067",
-    ("clean", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
-    ("clean", "time", "report.json"): "d7f1d26c6cf7f47d1ae9c1760646cb099344eaf1513d032f1e649d022de29b0b",
+    ("clean", "time", "traces.ndjson"): "0688c48977135597d833cc32e9e7ac50633bafdc2de8f53b13a26b712fbe5a45",
+    ("clean", "time", "report.json"): "f82c72f6d1ca96cce69fd23b7d28bc1774ee75b381986ca8af9dac6f67588736",
     ("repeated", "circuit", "traces.ndjson"): "c1e2e9fc463eeace3bc3adf3221e8bda2b05f3ec538ce048e51931162fae7f0c",
     ("repeated", "circuit", "report.json"): "ddd549d7065bbea70f51ae42b4d4e4420ac37af38095a57daab7b1a0bf032426",
-    ("repeated", "time", "traces.ndjson"): "3ae431e304c88cc66644d8893433a53bec0c1bd17f8de285145dd601335120f3",
-    ("repeated", "time", "report.json"): "d7f1d26c6cf7f47d1ae9c1760646cb099344eaf1513d032f1e649d022de29b0b",
+    ("repeated", "time", "traces.ndjson"): "0688c48977135597d833cc32e9e7ac50633bafdc2de8f53b13a26b712fbe5a45",
+    ("repeated", "time", "report.json"): "d66c3e502f67c355b5a0611bb42aac5e2927b37578b327abb70b54c7f88b2eb3",
     ("clean", "conflux.csv"): "12b8e19e2ca1d9fb5c8420ae16c36de2d645d61fbb94cf2cb4bfc82847faae74",
 }
 
@@ -58,7 +59,7 @@ PRE_GOLDEN = {
     ("circuit", "traces.ndjson"): "59a9ad2de77fd02580787ea1596462d94c5355edf33867821ad4623a9de9606e",
     ("circuit", "report.json"): "1404537fe921e6ca4ee35e7f53dfd3eed7c4aeb9b730b9aa2045b8503d976966",
     ("time", "traces.ndjson"): "33e27309e6a2d9c2a6d0a5e63f2d745d356117a411ac72155bb93301734d732e",
-    ("time", "report.json"): "4a137fea238c9d69a6b107dd50441a2e7500cb7f3e6a2f14fe28e04cf1eaf574",
+    ("time", "report.json"): "5b0052e42c5271e8fa1d030714f0c4d87877bd06cdeab71de441ed66d6d8bd71",
 }
 
 

@@ -90,21 +90,20 @@ def test_client_log_joins_visits_and_cells():
     log = parse_client_log(cells, visits)
     assert len(log.visits) == 1
     assert log.visits[0].circuit_id == 3
-    circuit = log.circuit_map()[3]
-    assert len(circuit) == 6
+    (channel,) = log.channels
+    assert len(channel.circuits[3]) == 6
 
 
 def test_conflux_visit_meta_populated():
-    visits = parse_visit_log(io.StringIO("example.com,10,example.com,3,3,4\n"))
-    meta = visits[0].conflux_meta
-    assert meta is not None
-    assert meta.leg_ids == (3, 4)
+    rows = "example.com,10,example.com,3,3,4\nexample.com,20,example.com,5\n"
+    visits = parse_visit_log(io.StringIO(rows))
+    assert [visit.leg_ids for visit in visits] == [(3, 4), None]
 
 
 def test_link_ack_cell_type_parsed():
     cells = io.StringIO("1,3,0,1,21\n")
     log = parse_client_log(cells, io.StringIO(""))
-    assert log.circuit_map()[3].cell_types.tolist() == [21]
+    assert log.channels[0].circuits[3].cell_types.tolist() == [21]
 
 
 # --- the bulk parser against the per-line parser it replaced -------------------

@@ -33,8 +33,8 @@ def rec(true, pred, score, trace_id="t"):
 
 
 def columns(rows) -> Scores:
-    """The rows as the columns ``read_scores`` returns."""
-    return Scores(*(list(column) for column in zip(*rows))) if rows else Scores([], [], [], [])
+    """The rows as the columns ``read_scores`` returns, which drop the trace ids."""
+    return Scores(*(list(column) for column in list(zip(*rows))[1:])) if rows else Scores([], [], [])
 
 
 class TestTally:
@@ -232,18 +232,18 @@ class TestSweep:
 class TestSelectThreshold:
     def test_separable_picks_largest_gap_threshold(self):
         records = [rec(1, 1, 0.9), rec(2, 2, 0.8), rec(NONMON, 1, 0.1)]
-        point = select_threshold_max_f1(columns(records), 10)
+        point = select_threshold_max_f1(sweep(columns(records), 10))
         assert point.threshold == 0.8
         assert point.f1 == 1.0
 
     def test_single_correct_positive(self):
         records = [rec(1, 1, 0.7), rec(NONMON, NONMON, 0.9)]
-        point = select_threshold_max_f1(columns(records), 10)
+        point = select_threshold_max_f1(sweep(columns(records), 10))
         assert point.threshold == 0.7
 
     def test_all_nonmon_raises(self):
         with pytest.raises(NoPositivesError):
-            select_threshold_max_f1(columns([rec(NONMON, 1, 0.5)]), 10)
+            select_threshold_max_f1(sweep(columns([rec(NONMON, 1, 0.5)]), 10))
 
 
 class TestOperatingPoint:
@@ -320,6 +320,6 @@ def test_read_scores_fuzz_lets_only_guardsift_errors_escape(tmp_path_factory, co
         scores = read_scores(path)
     except GuardsiftError:
         return
-    rows = list(zip(scores.trace_ids, scores.true_labels, scores.predicted_labels, scores.scores))
+    rows = list(zip(scores.true_labels, scores.predicted_labels, scores.scores))
     assert len(rows) == len(scores)
-    assert all(true >= NONMON and predicted >= NONMON and 0 <= score <= 1 for _, true, predicted, score in rows)
+    assert all(true >= NONMON and predicted >= NONMON and 0 <= score <= 1 for true, predicted, score in rows)

@@ -9,7 +9,6 @@ from conftest import (
     SEC,
     channel_of,
     circuit_from_dirs,
-    duration_ns,
     oracle_prune_close_tail,
     oracle_tail_stages,
 )
@@ -19,7 +18,7 @@ from guardsift.errors import (
     NoMainCircuitError,
     NoMonitoredDataError,
 )
-from guardsift.ingest import ConfluxMeta, PageVisitRecord
+from guardsift.ingest import PageVisitRecord
 from guardsift.sanitize import (
     CONFLUX,
     INVALID,
@@ -156,15 +155,15 @@ class TestMainCircuitSelection:
 class TestHeadTrim:
     def test_pre_strips_two(self):
         circuit = circuit_from_dirs([1, -1] + [1] * 8)
-        trace = trim_head(circuit, "pre")
-        assert len(trace.cells) == 8
-        assert trace.cells[0][0] == 0
+        timestamps, directions = trim_head(circuit, "pre")
+        assert len(timestamps) == len(directions) == 8
+        assert timestamps[0] == 0
 
     def test_post_strips_five(self):
         circuit = circuit_from_dirs([1, -1, 1, -1, 1] + [1] * 5)
-        trace = trim_head(circuit, "post")
-        assert len(trace.cells) == 5
-        assert trace.cells[0][0] == 0
+        timestamps, directions = trim_head(circuit, "post")
+        assert len(timestamps) == len(directions) == 5
+        assert timestamps[0] == 0
 
     def test_post_five_cells_empties(self):
         with pytest.raises(EmptyAfterTrimError):
@@ -172,9 +171,9 @@ class TestHeadTrim:
 
     def test_idle_gap_removed_by_renormalization(self):
         circuit = circuit_from_dirs([1, -1, 1, 1], gaps_ns=[MS, 120 * SEC, MS])
-        trace = trim_head(circuit, "pre")
-        assert trace.cells[0] == (0, 1)
-        assert duration_ns(trace) == MS
+        timestamps, directions = trim_head(circuit, "pre")
+        assert (timestamps[0], directions[0]) == (0, 1)
+        assert timestamps[-1] == MS
 
 
 def build_trace(segments, tail_trimmed=False):
@@ -384,9 +383,9 @@ class TestGroupVisits:
             PageVisitRecord("a.example", 0, "a.example", 1),
             # the row's own id and its first leg belong to no channel; its
             # second leg is circuit 3, on channel 9
-            PageVisitRecord("c.example", 0, "c.example", 30, ConfluxMeta((31, 3))),
+            PageVisitRecord("c.example", 0, "c.example", 30, (31, 3)),
             # the own id wins over a leg on another channel
-            PageVisitRecord("b.example", 0, "b.example", 2, ConfluxMeta((2, 3))),
+            PageVisitRecord("b.example", 0, "b.example", 2, (2, 3)),
         ]
         channels = [visit_channel(7, 1), visit_channel(8, 2), visit_channel(9, 3)]
         groups = group_visits(rows, channels, 60 * SEC)
@@ -403,7 +402,7 @@ class TestGroupVisits:
         rows = [
             PageVisitRecord("a.example", 10 * SEC, "a.example", 3),
             # own id first, then the legs; the repeated own id is named once
-            PageVisitRecord("a.example", 0, "a.example", 2, ConfluxMeta((1, 2))),
+            PageVisitRecord("a.example", 0, "a.example", 2, (1, 2)),
             PageVisitRecord("a.example", 5 * SEC, "a.example", 4),  # on channel 8
         ]
         groups = group_visits(rows, channels, 60 * SEC)
@@ -418,7 +417,7 @@ class TestGroupVisits:
 
     def test_conflux_row_names_legs_on_two_channels(self):
         channels = [visit_channel(7, 1), visit_channel(8, 2)]
-        row = PageVisitRecord("a.example", 0, "a.example", 1, ConfluxMeta((1, 2)))
+        row = PageVisitRecord("a.example", 0, "a.example", 1, (1, 2))
         (group,) = group_visits([row], channels, 60 * SEC)
         assert group.channel_id == 7
         assert [(r, channel_id, c) for r, channel_id, c in group.named] == [
@@ -483,7 +482,8 @@ class TestSanitizePipeline:
         assert 1 <= len(trace.cells) <= 5000
         assert trace.cells[0] == (0, 1)  # pre phase starts outgoing
         # the tail stages ran
-        assert trace.cells == trim_tail(trim_head(channels[0].circuits[1], "pre"), config).cells
+        head = Trace(*trim_head(channels[0].circuits[1], "pre"), phase="pre")
+        assert trace.cells == trim_tail(head, config).cells
 
     def test_stages_only_remove_cells(self):
         channels = [channel_of(*(valid_circuit(i, n=nc) for i, nc in

@@ -205,7 +205,7 @@ class TestGreedySegmentation:
 
         seg_traces = segment_nonmonitored(channel).traces()
         assert len(seg_traces) == 1
-        sanitized = trim_tail(trim_head(circuit, "pre"), SanitizeConfig())
+        sanitized = trim_tail(Trace(*trim_head(circuit, "pre"), phase="pre"), SanitizeConfig())
         # the segmentation view keeps the two handshake cells; after them
         # the two paths carry identical inter-arrival structure
         seg_tail = seg_traces[0].cells[2:]
