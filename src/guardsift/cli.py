@@ -105,7 +105,7 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     guard, client, visits = _load_inputs(args)
-    parsed = parse_guard_log(guard)
+    parsed = parse_guard_log(guard, write_store=True)
     kept, dropped = filter_relay_channels(parsed.channels)
     summary = {
         "command": "ingest",
@@ -117,7 +117,7 @@ def cmd_ingest(args) -> int:
         "duplicates_dropped": parsed.duplicate_count,
     }
     if client and visits:
-        client_log = parse_client_log(client, visits)
+        client_log = parse_client_log(client, visits, write_store=True)
         summary["client_circuits"] = sum(ch.circuit_count for ch in client_log.channels)
         summary["visit_rows"] = len(client_log.visits)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-visits", type=_positive_int, default=None)
     p.set_defaults(func=cmd_generate, stages=("simulate",))
 
-    p = sub.add_parser("ingest", help="parse logs and report channel statistics")
+    p = sub.add_parser("ingest", help="parse logs, write their stores and report channel statistics")
     _add_io_flags(p, needs_out=False)
     p.set_defaults(func=cmd_ingest, stages=("ingest",))
 

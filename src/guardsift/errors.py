@@ -25,6 +25,13 @@ class ParseError(GuardsiftError):
         self.line_no = line_no
 
 
+class StoreError(GuardsiftError):
+    """A cell-log store that matches its log is malformed."""
+
+    def __init__(self, path, message: str):
+        super().__init__(f"bad cell-log store {path}: {message}; delete the store to read the log")
+
+
 class NoMainCircuitError(GuardsiftError):
     """No candidate circuit survived main-circuit selection."""
 

@@ -17,18 +17,26 @@ Cell logs are decoded from bytes a chunk of lines at a time: one
 the other lines are read one by one. Rows are checked, deduplicated and
 grouped by sorting, so no per-cell Python object is built. Each circuit
 holds views into the log's channel-sorted arrays.
+
+The store of a log ``X.csv`` is the directory ``X.store`` beside it: those
+grouped arrays as ``.npy`` files, and a ``meta.json`` with the sha256 of
+the log's bytes. A log given by path is loaded from its store when the
+digest matches, and decoded from its bytes otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ParseError, read_utf8
+from .errors import ParseError, StoreError, read_utf8
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -187,10 +195,13 @@ def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
     ``np.fromstring`` per chunk. The others (blank, comment, marker, header,
     or a data row of any other spelling, for ``_table_per_line``) are looked
     at one by one. The table has 5 columns when any cell carries a type.
+    Each chunk's rows go straight into one table of a row per line, which a
+    guard log widens only at its first typed row.
     """
     data = _read_bytes(source)
     auth_ids: set[int] = set()
-    parts: list[np.ndarray] = []
+    table = np.empty((data.count(b"\n") + 1, 5 if require_type else 4), dtype=np.int64)
+    n_rows, width = 0, 4
     n_fields = 5 if require_type else 0
     saw_data = False
     line_no = 1  # of the chunk's first line
@@ -220,14 +231,14 @@ def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
                     other.append(line)
                     other_nos.append(line_no + i)
         saw_data |= len(rows) > 0
-        table = np.empty((0, n_fields or 4), dtype=np.int64)
+        part = np.empty((0, n_fields or 4), dtype=np.int64)
         if len(rows):
             if len(rows) < len(ends):
                 chunk = buf[np.repeat(strict, np.diff(ends, prepend=-1))].tobytes()
             values = np.fromstring(chunk[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
-            table = values.reshape(-1, n_fields)
+            part = values.reshape(-1, n_fields)
         try:
-            _check_rows(table, rows + line_no)
+            _check_rows(part, rows + line_no)
         except ParseError as exc:
             errors.append(exc)
         try:
@@ -237,14 +248,16 @@ def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
         if errors:
             raise min(errors, key=lambda exc: exc.line_no)
         if len(per_line):
-            width = max(table.shape[1], per_line.shape[1])
+            part_width = max(part.shape[1], per_line.shape[1])
             by_line = np.argsort(np.concatenate((rows + line_no, other_nos)), kind="stable")
-            table = np.concatenate((_widen(table, width), _widen(per_line, width)))[by_line]
-        parts.append(table)
+            part = np.concatenate((_widen(part, part_width), _widen(per_line, part_width)))[by_line]
+        width = max(width, part.shape[1])
+        if width > table.shape[1]:
+            table = _widen(table, width)
+        table[n_rows : n_rows + len(part)] = _widen(part, table.shape[1])
+        n_rows += len(part)
         line_no += len(ends)
-    width = max((part.shape[1] for part in parts), default=4)
-    table = np.concatenate([_widen(part, width) for part in parts] + [np.empty((0, width), dtype=np.int64)])
-    return table, auth_ids
+    return table[:n_rows, :width], auth_ids
 
 
 def _group_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -256,54 +269,98 @@ def _group_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     duplicate count. Of several identical rows the first is kept.
 
     Rows are grouped by one stable sort on a packed (channel, circuit id)
-    key; channel ids are ranked by value to fit its upper 32 bits.
+    key; channel ids that do not fit its upper 31 bits are ranked by value.
     Duplicates are looked for only among the rows whose cell (timestamp and
     direction) another row shares, which one stable sort by cell finds.
     """
     n = len(table)
     if not n:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    _, channel = np.unique(table[:, 0], return_inverse=True)
-    key = channel << 32 | table[:, 1]
+    # each row-long temporary is dropped once used: the sorts set the parse's peak
+    channel = table[:, 0]
+    if channel.min() < 0 or channel.max() >= 2**31:  # ranks sort as the ids do
+        channel = np.unique(channel, return_inverse=True)[1].astype(np.int64, copy=False)
+    key = channel << 32
+    key |= table[:, 1]
     # timestamps are validated non-negative, so 2 * ts + 1 fits uint64
-    cell = table[:, 2].view(np.uint64) * 2 + (table[:, 3] > 0)
+    cell = table[:, 2].view(np.uint64) * 2
+    cell += table[:, 3] > 0
     by_cell = np.argsort(cell, kind="stable")
-    tie = np.flatnonzero(cell[by_cell][1:] == cell[by_cell][:-1])
+    cell = cell[by_cell]
+    tie = np.flatnonzero(cell[1:] == cell[:-1])
+    del cell
     shares = np.zeros(n, dtype=bool)  # np.union1d would import numpy.ma
     shares[tie] = shares[tie + 1] = True
     rows = by_cell[np.flatnonzero(shares)]  # rows that share their cell, in log order
+    del by_cell, shares
     values = np.column_stack((key[rows], table[rows, 2:]))
     same = np.lexsort(values.T[::-1])  # stable, so identical rows stay in log order
     values, rows = values[same], rows[same]
     duplicate = np.zeros(n, dtype=bool)
     duplicate[rows[1:][(values[1:] == values[:-1]).all(axis=1)]] = True
     order = np.argsort(key, kind="stable")  # grouped, each group in log order
-    grouped = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     group_first = order[starts]
-    new_channel = np.concatenate(([True], np.diff(grouped[starts] >> 32) != 0))
+    new_channel = np.concatenate(([True], np.diff(key[starts] >> 32) != 0))
+    del key
     channel_first = np.minimum.reduceat(group_first, np.flatnonzero(new_channel))
     by_rank = np.lexsort((group_first, channel_first[np.cumsum(new_channel) - 1]))
     sizes = np.diff(np.append(starts, n))[by_rank]
     ranked_starts = np.cumsum(sizes) - sizes
-    order = order[np.arange(n) + np.repeat(starts[by_rank] - ranked_starts, sizes)]
+    shift = np.repeat(starts[by_rank] - ranked_starts, sizes)
+    shift += np.arange(n)
+    order = order[shift]
+    del shift
     kept = ~duplicate[order]
-    ends = np.cumsum(kept)[np.cumsum(sizes) - 1]
+    ends = np.cumsum(np.add.reduceat(kept, ranked_starts, dtype=np.int64))
     return order[kept], ends, int(duplicate.sum())
 
 
-def _parse_cells(source, require_type: bool) -> ParsedLog:
-    table, auth_ids = _read_table(source, require_type)
-    order, ends, duplicates = _group_cells(table)
-    timestamps = table[order, 2]
-    directions = table[order, 3].astype(np.int8)
-    cell_types = table[order, 4] if table.shape[1] > 4 else None
-    last = order[ends - 1]
+@dataclass
+class CellColumns:
+    """A cell log's rows, deduplicated and grouped: what a parse builds its
+    channels from, and what a store holds.
+
+    The cell columns are sorted by channel, then circuit (both in order of
+    first appearance), then log order. ``groups`` has one int64 row
+    ``(channel_id, circuit_id, end)`` per circuit in that order, ``end``
+    being the circuit's end offset in the cell columns. ``auth_ids`` are the
+    ``#AUTH`` channel ids, and ``line_count`` counts the data rows,
+    duplicates included.
+    """
+
+    timestamps: np.ndarray  # int64
+    directions: np.ndarray  # int8
+    cell_types: np.ndarray | None  # int64; None when no row has a type column
+    groups: np.ndarray
+    auth_ids: list[int]
+    line_count: int
+    duplicate_count: int
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, auth_ids: Iterable[int]) -> "CellColumns":
+        """Group an int64 ``(channel_id, circuit_id, timestamp, direction[, cell_type])``
+        table of valid rows in log order."""
+        order, ends, duplicates = _group_cells(table)
+        last = order[ends - 1]
+        return cls(
+            timestamps=table[order, 2],
+            directions=table[order, 3].astype(np.int8),
+            cell_types=table[order, 4] if table.shape[1] > 4 else None,
+            groups=np.column_stack((table[last, 0], table[last, 1], ends)),
+            auth_ids=list(auth_ids),
+            line_count=len(table),
+            duplicate_count=duplicates,
+        )
+
+
+def _build_channels(cells: CellColumns) -> ParsedLog:
+    """Channels of circuits that view the cell columns, with the log's counts."""
+    timestamps, directions, cell_types = cells.timestamps, cells.directions, cells.cell_types
     channels: dict[int, Channel] = {}
     start = 0
-    for end, channel_id, circuit_id in zip(
-        ends.tolist(), table[last, 0].tolist(), table[last, 1].tolist()
-    ):
+    for channel_id, circuit_id, end in cells.groups.tolist():
         channel = channels.get(channel_id)
         if channel is None:
             channel = channels[channel_id] = Channel(channel_id)
@@ -314,26 +371,183 @@ def _parse_cells(source, require_type: bool) -> ParsedLog:
             None if cell_types is None else cell_types[start:end],
         )
         start = end
-    for channel_id in auth_ids:
+    for channel_id in cells.auth_ids:
         channel = channels.get(channel_id)
         if channel is None:
             # marker for a channel with no logged cells; keep it visible
             channel = channels[channel_id] = Channel(channel_id)
         channel.relay_authenticated = True
-    if duplicates:
-        log.warning("deduplicated %d repeated cell records", duplicates)
+    if cells.duplicate_count:
+        log.warning("deduplicated %d repeated cell records", cells.duplicate_count)
     return ParsedLog(
         channels=list(channels.values()),
-        line_count=len(table),
-        cell_count=len(order),
-        duplicate_count=duplicates,
-        auth_channel_count=len(auth_ids),
+        line_count=cells.line_count,
+        cell_count=len(timestamps),
+        duplicate_count=cells.duplicate_count,
+        auth_channel_count=len(cells.auth_ids),
     )
 
 
-def parse_guard_log(source) -> ParsedLog:
+# --- the cell-log store -------------------------------------------------------
+
+_STORE_VERSION = 1
+# each array of a store: its dtype and number of dimensions
+_STORE_ARRAYS = {
+    "timestamps": (np.int64, 1),
+    "directions": (np.int8, 1),
+    "cell_types": (np.int64, 1),
+    "groups": (np.int64, 2),
+}
+
+
+def store_path(csv_path) -> Path:
+    """The store of the cell log ``X.csv``: the directory ``X.store`` beside it."""
+    return Path(csv_path).with_suffix(".store")
+
+
+def _sha256(path) -> str:
+    import hashlib  # loaded only by a run that checks or writes a store
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def save_store(csv_path, cells: CellColumns, kind: str, digest: str | None = None) -> Path:
+    """Write ``cells``, read from the ``kind`` ("guard" or "client") log at
+    ``csv_path``, as that log's store; ``digest`` is the log's sha256.
+
+    ``meta.json`` goes last, so a store whose writing stopped early has none
+    and is no store.
+    """
+    store = store_path(csv_path)
+    store.mkdir(exist_ok=True)
+    meta_path = store / "meta.json"
+    meta_path.unlink(missing_ok=True)
+    arrays = {"timestamps": cells.timestamps, "directions": cells.directions, "groups": cells.groups}
+    if cells.cell_types is None:
+        (store / "cell_types.npy").unlink(missing_ok=True)
+    else:
+        arrays["cell_types"] = cells.cell_types
+    for name, array in arrays.items():
+        np.save(store / f"{name}.npy", array, allow_pickle=False)
+    meta = {
+        "version": _STORE_VERSION,
+        "log": kind,
+        "sha256": digest or _sha256(csv_path),
+        "line_count": cells.line_count,
+        "duplicate_count": cells.duplicate_count,
+        "auth_channel_ids": cells.auth_ids,
+        "cell_types": cells.cell_types is not None,
+    }
+    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    return store
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and _INT64_MIN <= value <= _INT64_MAX
+
+
+def _load_array(store: Path, name: str) -> np.ndarray:
+    """One array of a store. Its header is checked against the dtype, the
+    rank and the file's size before ``np.load`` reads it, so an object
+    array, or a header that claims more cells than the file holds, is
+    refused before anything is allocated."""
+    path = store / f"{name}.npy"
+    dtype, ndim = _STORE_ARRAYS[name]
+    try:
+        with open(path, "rb") as handle:
+            try:  # numpy's header parser raises more than ValueError on bad bytes
+                if np.lib.format.read_magic(handle) != (1, 0):
+                    raise ValueError("not a version 1.0 .npy file")
+                shape, _, found = np.lib.format.read_array_header_1_0(handle)
+            except Exception as exc:
+                raise StoreError(path, f"bad .npy header: {exc}") from None
+            if found != dtype or len(shape) != ndim:
+                expected = f"{ndim}-d {np.dtype(dtype)}"
+                raise StoreError(path, f"holds a {len(shape)}-d {found} array, expected {expected}")
+            size = os.fstat(handle.fileno()).st_size - handle.tell()
+            if min(shape, default=0) < 0 or math.prod(shape) * found.itemsize != size:
+                raise StoreError(path, f"{size} bytes of data do not hold shape {shape}")
+            handle.seek(0)
+            return np.load(handle, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise StoreError(path, str(exc)) from None
+
+
+def _load_store(csv_path, kind: str, digest: str) -> CellColumns | None:
+    """The grouped cells of the ``kind`` log at ``csv_path``, whose sha256 is
+    ``digest``, from its store; None when it has none or the store was made
+    from other bytes or by the other kind of reader.
+
+    A store that matches the log but is malformed raises ``StoreError``.
+    """
+    store = store_path(csv_path)
+    meta_path = store / "meta.json"
+    if not meta_path.is_file():
+        return None
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise StoreError(meta_path, f"not JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("sha256"), str):
+        raise StoreError(meta_path, "no sha256 of the log")
+    if meta["sha256"] != digest:
+        return None
+    if meta.get("version") != _STORE_VERSION:
+        raise StoreError(meta_path, f"version {meta.get('version')!r}, expected {_STORE_VERSION}")
+    ids = meta.get("auth_channel_ids")
+    if (
+        meta.get("log") not in ("guard", "client")
+        or not all(_is_int(meta.get(key)) and meta[key] >= 0 for key in ("line_count", "duplicate_count"))
+        or not isinstance(ids, list) or not all(map(_is_int, ids)) or len(set(ids)) != len(ids)
+        or not isinstance(meta.get("cell_types"), bool)
+    ):
+        raise StoreError(meta_path, "missing or mistyped fields")
+    if meta["log"] != kind:
+        return None
+    timestamps = _load_array(store, "timestamps")
+    n = len(timestamps)
+    columns = {"directions": _load_array(store, "directions")}
+    if meta["cell_types"]:
+        columns["cell_types"] = _load_array(store, "cell_types")
+    for name, column in columns.items():
+        if len(column) != n:
+            raise StoreError(store / f"{name}.npy", f"{len(column)} cells, timestamps.npy has {n}")
+    groups = _load_array(store, "groups")
+    bounds = np.concatenate(([0], groups[:, 2])) if groups.shape[1] == 3 else None
+    if bounds is None or bounds[-1] != n or (bounds[1:] <= bounds[:-1]).any():
+        raise StoreError(store / "groups.npy", f"its rows do not split the {n} cells into circuits")
+    if meta["line_count"] - meta["duplicate_count"] != n:
+        raise StoreError(meta_path, f"line and duplicate counts do not leave the {n} cells")
+    return CellColumns(
+        timestamps, columns["directions"], columns.get("cell_types"), groups,
+        ids, meta["line_count"], meta["duplicate_count"],
+    )
+
+
+def _parse_cells(source, require_type: bool, write_store: bool = False) -> ParsedLog:
+    """Channels of a cell log. A log given by path is loaded from its store
+    when the store's digest matches; with ``write_store``, a log decoded from
+    its bytes gets a store written."""
+    kind = "client" if require_type else "guard"
+    path = source if isinstance(source, (str, Path)) else None
+    cells = digest = None
+    if path is not None and (write_store or (store_path(path) / "meta.json").is_file()):
+        digest = _sha256(path)
+        cells = _load_store(path, kind, digest)
+    if cells is None:
+        cells = CellColumns.from_table(*_read_table(source, require_type))
+        if path is not None and write_store:
+            save_store(path, cells, kind, digest)
+    return _build_channels(cells)
+
+
+def parse_guard_log(source, write_store: bool = False) -> ParsedLog:
     """Parse a guard cell log into channels grouped by (channel, circuit)."""
-    return _parse_cells(source, require_type=False)
+    return _parse_cells(source, require_type=False, write_store=write_store)
 
 
 def filter_relay_channels(channels: Iterable[Channel]) -> tuple[list[Channel], int]:
@@ -385,8 +599,8 @@ class ClientLog:
     stats: ParsedLog | None = None
 
 
-def parse_client_log(cell_source, visit_source) -> ClientLog:
+def parse_client_log(cell_source, visit_source, write_store: bool = False) -> ClientLog:
     """Parse client cell and visit logs; circuits join to visits by circuit id."""
-    parsed = _parse_cells(cell_source, require_type=True)
+    parsed = _parse_cells(cell_source, require_type=True, write_store=write_store)
     visits = parse_visit_log(visit_source)
     return ClientLog(visits=visits, channels=parsed.channels, stats=parsed)

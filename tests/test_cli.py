@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -723,3 +724,94 @@ def test_usage_errors_exit_2_in_a_fresh_process(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "usage: guardsift" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_ingest_writes_the_stores_that_sanitize_and_conflux_read(dataset_dir, tmp_path):
+    for store in dataset_dir.glob("*.store"):
+        shutil.rmtree(store)
+    sanitize = ["sanitize", "--in", str(dataset_dir), "--phase", "pre", "--out"]
+    conflux = ["conflux", "--in", str(dataset_dir), "--out"]
+    for run in ("csv", "store"):
+        if run == "store":
+            assert main(["ingest", "--in", str(dataset_dir)]) == 0
+        assert main(sanitize + [str(tmp_path / run)]) == 0
+        assert main(conflux + [str(tmp_path / run / "conflux.csv")]) == 0
+        stores = sorted(p.name for p in dataset_dir.glob("*.store"))
+        assert stores == ([] if run == "csv" else ["client.store", "guard.store"])
+    for name in ("traces.ndjson", "report.json", "conflux.csv"):
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "store" / name).read_bytes()
+
+
+# commands that read the cell logs, and ways to damage a store that still
+# matches its log's digest; each is a stage error naming the damaged file
+STORE_COMMANDS = {
+    "ingest": ["ingest", "--in", "{data}"],
+    "sanitize": ["sanitize", "--in", "{data}", "--phase", "pre", "--out", "{out}"],
+    "sanitize-time": [
+        "sanitize", "--in", "{data}", "--phase", "pre", "--segmentation", "time", "--out", "{out}"
+    ],
+    "conflux": ["conflux", "--in", "{data}", "--out", "{out}"],
+}
+
+
+def _meta_version(store):
+    meta = json.loads((store / "meta.json").read_text())
+    (store / "meta.json").write_text(json.dumps({**meta, "version": 99}))
+
+
+STORE_DAMAGE = {
+    "wrong-version": ("guard", "meta.json", _meta_version),
+    "meta-not-json": ("client", "meta.json", lambda s: (s / "meta.json").write_text("{'a'")),
+    "truncated-npy": (
+        "guard", "timestamps.npy",
+        lambda s: (s / "timestamps.npy").write_bytes((s / "timestamps.npy").read_bytes()[:200]),
+    ),
+    "lengths-differ": (
+        "guard", "directions.npy",
+        lambda s: np.save(s / "directions.npy", np.load(s / "directions.npy")[1:]),
+    ),
+    "object-array": (
+        "client", "cell_types.npy",
+        lambda s: np.save(s / "cell_types.npy", np.array([None] * 3), allow_pickle=True),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, damage",
+    [
+        (case, damage)
+        for case in sorted(STORE_COMMANDS)
+        for damage in sorted(STORE_DAMAGE)
+        if not (case.startswith("sanitize") and STORE_DAMAGE[damage][0] == "client")
+    ],
+)
+def test_a_malformed_store_is_a_stage_error(dataset_dir, tmp_path, capsys, case, damage):
+    log, name, spoil = STORE_DAMAGE[damage]
+    spoil(dataset_dir / f"{log}.store")
+    argv = [a.format(data=dataset_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    damaged = dataset_dir / f"{log}.store" / name
+    assert err.startswith(f"guardsift {argv[0]}: error: bad cell-log store {damaged}: ")
+    assert err.endswith("; delete the store to read the log\n")
+
+
+@pytest.mark.parametrize("case", sorted(STORE_COMMANDS))
+def test_a_malformed_store_is_a_stage_error_in_a_fresh_process(dataset_dir, tmp_path, case):
+    STORE_DAMAGE["truncated-npy"][2](dataset_dir / "guard.store")
+    argv = [a.format(data=dataset_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"guardsift {argv[0]}: error: bad cell-log store ")
+    assert "timestamps.npy" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_store_ingest_cannot_write_is_a_stage_error(dataset_dir, tmp_path, capsys):
+    shutil.rmtree(dataset_dir / "guard.store")
+    (dataset_dir / "guard.store").write_text("not a directory")
+    assert main(["ingest", "--in", str(dataset_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("guardsift ingest: error: ") and "guard.store" in err
+    argv = ["sanitize", "--in", str(dataset_dir), "--phase", "pre", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # a path that holds no store directory is no store

@@ -14,10 +14,16 @@ featurize and eval) were taken while the trimmers still returned one
 digests were taken when its traces began to carry the phase of the logs
 and its ``report.json`` the count of duplicate rows dropped. A change to
 any of these files is a format change and must be made on purpose.
+
+Every artifact is built twice: once with the cell-log stores that
+``generate`` writes, and once with every ``*.store`` directory deleted, so
+the logs are decoded from their bytes. Both must give the golden bytes.
 """
 
 import dataclasses
 import hashlib
+import json
+import shutil
 from unittest import mock
 
 import pytest
@@ -74,13 +80,35 @@ def repeat_rows(text: str) -> str:
     return "\n".join(out)
 
 
-def generate(scenario: ScenarioConfig, tmp_path, name: str):
-    """``guardsift generate`` of ``scenario`` at seed 3 into ``tmp_path / name``."""
+def added_rows(text: str) -> int:
+    """How many rows ``repeat_rows`` adds to ``text``."""
+    return repeat_rows(text).count("\n") - text.count("\n")
+
+
+# the logs read from the stores generate writes, and decoded from their bytes
+STORES = {"store": True, "csv": False}
+
+
+def generate(scenario: ScenarioConfig, tmp_path, name: str, stores: bool = True):
+    """``guardsift generate`` of ``scenario`` at seed 3 into ``tmp_path / name``;
+    without ``stores``, the cell-log stores are deleted."""
     config = tmp_path / f"{name}-scenario.json"
     scenario.to_json(config)
     out = tmp_path / name
     assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+    for store in [] if stores else out.glob("*.store"):
+        shutil.rmtree(store)
     return out
+
+
+def in_each_mode(digests_of, tmp_path) -> dict:
+    """``{mode: digests_of(tmp_path / mode, stores)}`` for each of ``STORES``."""
+    return {mode: digests_of(tmp_path / mode, stores) for mode, stores in STORES.items()}
+
+
+def check(found: dict, artifact, golden: str) -> None:
+    """Both modes' digest of ``artifact`` is ``golden``."""
+    assert {mode: digests[artifact] for mode, digests in found.items()} == dict.fromkeys(found, golden)
 
 
 def sanitize_digests(data, out, phase: str, path: str, config) -> dict:
@@ -93,14 +121,16 @@ def sanitize_digests(data, out, phase: str, path: str, config) -> dict:
     }
 
 
-def artifact_digests(tmp_path) -> dict:
-    """sha256 of every artifact in ``GOLDEN``, from fresh runs in ``tmp_path``."""
-    clean = generate(SCENARIO, tmp_path, "clean")
+def artifact_digests(tmp_path, stores: bool) -> dict:
+    """sha256 of every artifact in ``GOLDEN``, from fresh runs in ``tmp_path``.
+    The repeated rows go into a copy of the clean logs, so with ``stores``
+    that copy's guard store is stale and must not be read."""
+    tmp_path.mkdir()
+    clean = generate(SCENARIO, tmp_path, "clean", stores)
     repeated = tmp_path / "repeated"
-    repeated.mkdir()
-    for name in ("client.csv", "visits.csv"):
-        (repeated / name).write_bytes((clean / name).read_bytes())
-    (repeated / "guard.csv").write_text(repeat_rows((clean / "guard.csv").read_text()))
+    shutil.copytree(clean, repeated)
+    text = (clean / "guard.csv").read_text()
+    (repeated / "guard.csv").write_text(repeat_rows(text))
     config = tmp_path / "sanitize.json"
     config.write_text(SANITIZE_CONFIG)
     digests = {}
@@ -109,6 +139,8 @@ def artifact_digests(tmp_path) -> dict:
             out = tmp_path / "out" / data / path
             found = sanitize_digests(tmp_path / data, out, "post", path, config)
             digests.update(((data, path, name), digest) for name, digest in found.items())
+            dropped = json.loads((out / "report.json").read_text())["duplicates_dropped"]
+            assert dropped == (added_rows(text) if data == "repeated" else 0)
     conflux = tmp_path / "conflux.csv"
     assert main(["conflux", "--in", str(clean), "--out", str(conflux)]) == 0
     digests["clean", "conflux.csv"] = hashlib.sha256(conflux.read_bytes()).hexdigest()
@@ -119,18 +151,18 @@ def artifact_digests(tmp_path) -> dict:
 def digests(request, tmp_path_factory):
     # small chunks put chunk boundaries all through the logs
     with mock.patch.object(ingest, "_CHUNK_BYTES", request.param):
-        return artifact_digests(tmp_path_factory.mktemp("golden"))
+        return in_each_mode(artifact_digests, tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("artifact", list(GOLDEN), ids=["-".join(key) for key in GOLDEN])
 def test_artifact_bytes_are_unchanged(digests, artifact):
-    assert digests[artifact] == GOLDEN[artifact]
+    check(digests, artifact, GOLDEN[artifact])
 
 
-@pytest.fixture(scope="module")
-def pre_digests(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("golden-pre")
-    data = generate(PRE_SCENARIO, tmp_path, "data")
+def pre_artifact_digests(tmp_path, stores: bool) -> dict:
+    """sha256 of every artifact in ``PRE_GOLDEN``, from fresh runs in ``tmp_path``."""
+    tmp_path.mkdir()
+    data = generate(PRE_SCENARIO, tmp_path, "data", stores)
     config = tmp_path / "sanitize.json"
     config.write_text(SANITIZE_CONFIG)
     digests = {}
@@ -140,9 +172,14 @@ def pre_digests(tmp_path_factory):
     return digests
 
 
+@pytest.fixture(scope="module")
+def pre_digests(tmp_path_factory):
+    return in_each_mode(pre_artifact_digests, tmp_path_factory.mktemp("golden-pre"))
+
+
 @pytest.mark.parametrize("artifact", list(PRE_GOLDEN), ids=["-".join(key) for key in PRE_GOLDEN])
 def test_pre_phase_artifact_bytes_are_unchanged(pre_digests, artifact):
-    assert pre_digests[artifact] == PRE_GOLDEN[artifact]
+    check(pre_digests, artifact, PRE_GOLDEN[artifact])
 
 
 # the artifacts downstream of the trace writer, from the traces of SCENARIO:
@@ -177,9 +214,10 @@ def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def downstream_artifact_digests(tmp_path) -> dict:
+def downstream_artifact_digests(tmp_path, stores: bool) -> dict:
     """sha256 of every artifact in ``DOWNSTREAM_GOLDEN``, from fresh runs in ``tmp_path``."""
-    data = generate(SCENARIO, tmp_path, "data")
+    tmp_path.mkdir()
+    data = generate(SCENARIO, tmp_path, "data", stores)
     config = tmp_path / "sanitize.json"
     config.write_text(SANITIZE_CONFIG)
     for path in ("circuit", "time"):
@@ -203,24 +241,32 @@ def downstream_artifact_digests(tmp_path) -> dict:
 
 @pytest.fixture(scope="module")
 def downstream_digests(tmp_path_factory):
-    return downstream_artifact_digests(tmp_path_factory.mktemp("golden-downstream"))
+    return in_each_mode(downstream_artifact_digests, tmp_path_factory.mktemp("golden-downstream"))
 
 
 @pytest.mark.parametrize(
     "artifact", list(DOWNSTREAM_GOLDEN), ids=["-".join(key) for key in DOWNSTREAM_GOLDEN]
 )
 def test_downstream_artifact_bytes_are_unchanged(downstream_digests, artifact):
-    assert downstream_digests[artifact] == DOWNSTREAM_GOLDEN[artifact]
+    check(downstream_digests, artifact, DOWNSTREAM_GOLDEN[artifact])
 
 
 def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
+    # the edit leaves generate's guard store stale: ingest decodes the log
+    # and rewrites the store, and sanitize reads the same count from either
     data = generate(SCENARIO, tmp_path, "data")
     text = (data / "guard.csv").read_text()
-    added = repeat_rows(text).count("\n") - text.count("\n")
+    added = added_rows(text)
     (data / "guard.csv").write_text(repeat_rows(text))
-    capsys.readouterr()
-    assert main(["ingest", "--in", str(data)]) == 0
-    assert f'"duplicates_dropped": {added}' in capsys.readouterr().out
+    sanitize = ["sanitize", "--in", str(data), "--phase", "post", "--out"]
+    for run in ("stale", "fresh"):
+        assert main(sanitize + [str(tmp_path / run)]) == 0
+        assert json.loads((tmp_path / run / "report.json").read_text())["duplicates_dropped"] == added
+        capsys.readouterr()
+        assert main(["ingest", "--in", str(data)]) == 0
+        assert f'"duplicates_dropped": {added}' in capsys.readouterr().out
+    meta = json.loads((data / "guard.store" / "meta.json").read_text())
+    assert meta["duplicate_count"] == added
 
 
 # post phase at the default size, and under flow-control stress: a window of

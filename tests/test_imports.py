@@ -6,6 +6,7 @@ already imported cannot hide an import a command should not make.
 
 import importlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -99,13 +100,11 @@ def logs(tmp_path):
     return tmp_path / "logs"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["ingest", "--in", "{logs}"], ["conflux", "--in", "{logs}", "--out", "{out}"]],
-    ids=["ingest", "conflux"],
-)
-def test_commands_that_hash_nothing_load_no_hashlib(tmp_path, logs, argv):
-    argv = [a.format(logs=logs, out=tmp_path / "conflux.csv") for a in argv]
+def test_conflux_on_logs_without_a_store_loads_no_hashlib(tmp_path, logs):
+    # a log is hashed only to check its store, or by ingest to write one
+    for store in logs.glob("*.store"):
+        shutil.rmtree(store)
+    argv = ["conflux", "--in", str(logs), "--out", str(tmp_path / "conflux.csv")]
     assert "hashlib" not in _modules_after(argv, tmp_path)
 
 

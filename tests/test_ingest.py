@@ -1,4 +1,6 @@
 import io
+import json
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from guardsift import ingest
-from guardsift.errors import GuardsiftError, ParseError
+from guardsift.errors import GuardsiftError, ParseError, StoreError
 from guardsift.ingest import (
     ParsedLog,
     _parse_cells,
@@ -15,6 +17,7 @@ from guardsift.ingest import (
     parse_guard_log,
     parse_visit_log,
 )
+from guardsift.simulate import ScenarioConfig, generate_dataset
 from guardsift.trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 
@@ -395,3 +398,239 @@ def test_guard_log_that_is_not_utf8_names_the_line(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_guard_log(path)
     assert err.value.line_no == 2
+
+
+# --- the cell-log store ---------------------------------------------------------
+
+
+def describe_exactly(parsed: ParsedLog) -> tuple:
+    """describe() plus what it folds away: whether each circuit has a cell
+    type column, and that column's dtype."""
+    types = [
+        None if c.cell_types is None else c.cell_types.dtype
+        for ch in parsed.channels
+        for c in ch.circuits.values()
+    ]
+    return describe(parsed), types
+
+
+def from_store(parse, path, *args):
+    """``parse(path, *args)`` with the log's bytes out of reach, so only its
+    store can answer."""
+    with mock.patch.object(ingest, "_read_table", side_effect=AssertionError("decoded the log")):
+        return parse(path, *args)
+
+
+def remove_store(path) -> None:
+    store = ingest.store_path(path)
+    if store.exists():
+        for part in store.iterdir():
+            part.unlink()
+        store.rmdir()
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("logs")
+
+
+@pytest.mark.parametrize("require_type", [False, True], ids=["guard", "client"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_store_loads_what_the_log_parses(log_dir, require_type, data):
+    path = log_dir / "cells.csv"
+    path.write_bytes(joined(data, data.draw(cell_logs(require_type))).encode())
+    remove_store(path)
+    try:
+        decoded = _parse_cells(path, require_type, write_store=True)
+    except ParseError:
+        assert not ingest.store_path(path).exists()
+        return
+    assert describe_exactly(from_store(_parse_cells, path, require_type)) == describe_exactly(decoded)
+
+
+# the golden scenarios: post phase with relay channels, drop and swap noise
+# and a typed client log; pre phase with retried and redirected visits
+GOLDEN_SCENARIOS = {
+    "post": ScenarioConfig(
+        seed=0, phase="post", n_pages=3, n_visits_per_page=3, n_nonmon_channels=5,
+        spam_channel_fraction=0.2, spam_circuit_range=(60, 80), relay_auth_channels=2,
+        drop_prob=0.05, reorder_prob=0.05, exit_switch_prob=0.1,
+    ),
+    "pre": ScenarioConfig(
+        seed=0, phase="pre", n_pages=3, n_visits_per_page=3, n_nonmon_channels=5,
+        retry_prob=0.5, altsvc_prob=0.5, redirect_prob=0.5, invalid_handshake_fraction=0.1,
+        relay_auth_channels=1,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN_SCENARIOS))
+def generated(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    generate_dataset(GOLDEN_SCENARIOS[request.param], out)
+    return out
+
+
+def test_generated_stores_load_what_the_logs_parse(generated):
+    for name, require_type in (("guard.csv", False), ("client.csv", True)):
+        path = generated / name
+        stored = from_store(_parse_cells, path, require_type)
+        decoded = _parse_cells(io.StringIO(path.read_text()), require_type)
+        assert describe_exactly(stored) == describe_exactly(decoded)
+    guard = parse_guard_log(generated / "guard.csv")
+    assert guard.auth_channel_count and any(ch.relay_authenticated for ch in guard.channels)
+
+
+def test_ingest_writes_the_store_generate_writes(generated, tmp_path):
+    for name, require_type in (("guard.csv", False), ("client.csv", True)):
+        copy = tmp_path / name
+        copy.write_bytes((generated / name).read_bytes())
+        _parse_cells(copy, require_type, write_store=True)
+        store, want = ingest.store_path(copy), ingest.store_path(generated / name)
+        assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in want.iterdir())
+        for part in want.iterdir():
+            assert (store / part.name).read_bytes() == part.read_bytes(), part.name
+
+
+def test_store_keeps_repeated_rows_out(tmp_path):
+    path = tmp_path / "guard.csv"
+    path.write_text("#AUTH,9\n1,2,100,1\n1,2,100,1\n#AUTH,4\n1,2,101,-1\n1,2,100,1\n3,1,5,1,7\n")
+    decoded = parse_guard_log(path, write_store=True)
+    assert (decoded.duplicate_count, decoded.line_count, decoded.auth_channel_count) == (2, 5, 2)
+    assert describe_exactly(from_store(parse_guard_log, path)) == describe_exactly(decoded)
+
+
+# --- the store's error contract
+
+GUARD_LOG = "#AUTH,3\n1,2,100,1\n1,2,100,1\n1,5,150,-1\n4,2,120,1\n"
+
+
+@pytest.fixture()
+def guard_log(tmp_path):
+    path = tmp_path / "guard.csv"
+    path.write_text(GUARD_LOG)
+    parse_guard_log(path, write_store=True)
+    return path
+
+
+def test_a_store_is_used_only_while_its_digest_matches(guard_log):
+    assert from_store(parse_guard_log, guard_log).cell_count == 3
+    guard_log.write_text(GUARD_LOG + "4,2,130,-1\n")
+    assert parse_guard_log(guard_log).cell_count == 4
+    np.save(ingest.store_path(guard_log) / "timestamps.npy", np.zeros(1, dtype=np.int8))
+    assert parse_guard_log(guard_log).cell_count == 4  # a stale store is not even read
+    assert parse_guard_log(guard_log, write_store=True).cell_count == 4
+    assert from_store(parse_guard_log, guard_log).cell_count == 4
+
+
+def test_a_store_of_the_other_reader_is_ignored(guard_log):
+    # a guard log whose rows all carry a type reads as a client log too
+    guard_log.write_text("1,2,100,1,0\n1,2,110,-1,3\n")
+    parsed = parse_guard_log(guard_log, write_store=True)
+    client = parse_client_log(guard_log, io.StringIO(""))
+    assert describe_exactly(client.stats) == describe_exactly(parsed)
+    assert from_store(parse_guard_log, guard_log).cell_count == 2
+
+
+def rewrite_meta(store, **changes):
+    meta = json.loads((store / "meta.json").read_text())
+    (store / "meta.json").write_text(json.dumps({**meta, **changes}))
+
+
+def claim_shape(path, shape) -> None:
+    """Rewrite the ``.npy`` file at ``path`` with a header that claims ``shape``."""
+    array = np.load(path)
+    header = {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False, "shape": shape}
+    with open(path, "wb") as handle:
+        np.lib.format.write_array_header_1_0(handle, header)
+        handle.write(array.tobytes())
+
+
+MALFORMED_STORES = {
+    "wrong-version": (lambda s: rewrite_meta(s, version=2), "meta.json", "version 2, expected 1"),
+    "meta-not-json": (lambda s: (s / "meta.json").write_text("{"), "meta.json", "not JSON"),
+    "meta-not-an-object": (lambda s: (s / "meta.json").write_text("[]"), "meta.json", "no sha256"),
+    "mistyped-count": (lambda s: rewrite_meta(s, line_count="4"), "meta.json", "mistyped"),
+    "counts-disagree": (lambda s: rewrite_meta(s, duplicate_count=0), "meta.json", "counts"),
+    "truncated-npy": (
+        lambda s: (s / "timestamps.npy").write_bytes((s / "timestamps.npy").read_bytes()[:-3]),
+        "timestamps.npy", "do not hold shape",
+    ),
+    "huge-shape": (lambda s: claim_shape(s / "timestamps.npy", (10**14,)), "timestamps.npy", "shape"),
+    "empty-npy": (lambda s: (s / "groups.npy").write_bytes(b""), "groups.npy", ""),
+    "missing-npy": (lambda s: (s / "directions.npy").unlink(), "directions.npy", ""),
+    "missing-cell-types": (lambda s: rewrite_meta(s, cell_types=True), "cell_types.npy", ""),
+    "lengths-differ": (
+        lambda s: np.save(s / "directions.npy", np.ones(2, dtype=np.int8)), "directions.npy", "2 cells"
+    ),
+    "wrong-dtype": (
+        lambda s: np.save(s / "timestamps.npy", np.zeros(3)), "timestamps.npy", "expected 1-d int64"
+    ),
+    "object-array": (
+        lambda s: np.save(s / "directions.npy", np.array([1, -1, 1], dtype=object), allow_pickle=True),
+        "directions.npy", "holds a 1-d object array, expected 1-d int8",
+    ),
+    "pickle": (
+        lambda s: (s / "groups.npy").write_bytes(pickle.dumps([[1, 2, 3]])), "groups.npy", "magic",
+    ),
+    "groups-overrun": (
+        lambda s: np.save(s / "groups.npy", np.array([[1, 2, 2], [1, 5, 4]])), "groups.npy", "3 cells",
+    ),
+    "groups-width": (
+        lambda s: np.save(s / "groups.npy", np.array([[1, 2], [1, 3]])), "groups.npy", "3 cells",
+    ),
+    "groups-no-columns": (
+        lambda s: np.save(s / "groups.npy", np.empty((2, 0), dtype=np.int64)), "groups.npy", "3 cells",
+    ),
+    "groups-out-of-order": (
+        lambda s: np.save(s / "groups.npy", np.array([[1, 2, 2], [1, 5, 1], [4, 2, 3]])),
+        "groups.npy", "3 cells",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+def test_a_malformed_store_that_matches_its_log_is_an_error(guard_log, case):
+    damage, name, message = MALFORMED_STORES[case]
+    store = ingest.store_path(guard_log)
+    damage(store)
+    with pytest.raises(StoreError) as err:
+        parse_guard_log(guard_log)
+    assert str(err.value).startswith(f"bad cell-log store {store / name}: ")
+    assert message in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def pristine_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "guard.csv"
+    path.write_text(GUARD_LOG)
+    parse_guard_log(path, write_store=True)
+    return path, {part.name: part.read_bytes() for part in ingest.store_path(path).iterdir()}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):
+    path, parts = pristine_store
+    store = ingest.store_path(path)
+    for name, raw in parts.items():
+        (store / name).write_bytes(raw)
+    name = data.draw(st.sampled_from(sorted(parts)))
+    raw = bytearray(parts[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        edit = data.draw(st.sampled_from(["set", "cut", "insert"]))
+        if edit == "set" and at < len(raw):
+            raw[at] = data.draw(st.integers(0, 255))
+        elif edit == "cut":
+            del raw[at : at + data.draw(st.integers(1, 200))]
+        else:
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+    (store / name).write_bytes(bytes(raw))
+    try:
+        parsed = parse_guard_log(path)
+    except StoreError as exc:
+        assert str(exc).startswith(f"bad cell-log store {store}")
+    else:
+        assert parsed.cell_count == parsed.line_count - parsed.duplicate_count
