@@ -409,9 +409,11 @@ def _sha256(path) -> str:
     import hashlib  # loaded only by a run that checks or writes a store
 
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while block := handle.read(1 << 20):
-            digest.update(block)
+    block = bytearray(1 << 18)  # one buffer for the whole file, as hashlib.file_digest reads
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

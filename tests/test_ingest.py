@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pickle
@@ -478,6 +479,8 @@ def test_generated_stores_load_what_the_logs_parse(generated):
         stored = from_store(_parse_cells, path, require_type)
         decoded = _parse_cells(io.StringIO(path.read_text()), require_type)
         assert describe_exactly(stored) == describe_exactly(decoded)
+        meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
+        assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     guard = parse_guard_log(generated / "guard.csv")
     assert guard.auth_channel_count and any(ch.relay_authenticated for ch in guard.channels)
 
@@ -491,6 +494,14 @@ def test_ingest_writes_the_store_generate_writes(generated, tmp_path):
         assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in want.iterdir())
         for part in want.iterdir():
             assert (store / part.name).read_bytes() == part.read_bytes(), part.name
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 18, (1 << 18) + 1, 3 << 18])
+def test_a_log_digest_is_the_sha256_of_its_bytes(tmp_path, size):
+    # sizes around the 256 KiB buffer that the digest reads into
+    path = tmp_path / "guard.csv"
+    path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+    assert ingest._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_store_keeps_repeated_rows_out(tmp_path):
