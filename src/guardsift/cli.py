@@ -164,7 +164,7 @@ def _segment_time_path(kept, visits, config, window_ns: int, phase: str) -> tupl
 def cmd_sanitize(args) -> int:
     guard, _, visits_path = _load_inputs(args)
     config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
-    parsed = parse_guard_log(guard)
+    parsed = parse_guard_log(guard, write_store=True)
     kept, dropped_relay = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
@@ -189,9 +189,9 @@ def cmd_conflux(args) -> int:
         raise GuardsiftError("conflux analysis needs --client and --visits")
     from . import conflux as cfx
 
-    kept, _ = filter_relay_channels(parse_guard_log(guard).channels)
+    kept, _ = filter_relay_channels(parse_guard_log(guard, write_store=True).channels)
     guard_legs = circuit_index(kept)
-    client_log = parse_client_log(client, visits_path)
+    client_log = parse_client_log(client, visits_path, write_store=True)
     client_legs = circuit_index(client_log.channels)
     rows = []
     for idx, visit in enumerate(client_log.visits):

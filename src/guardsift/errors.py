@@ -80,13 +80,17 @@ class ConfigError(GuardsiftError):
     """A scenario or pipeline configuration is invalid."""
 
 
-def read_utf8(path) -> str:
-    """The text of a file; a byte that is not UTF-8 raises ``ParseError`` naming its line."""
-    data = Path(path).read_bytes()
+def decode_utf8(data: bytes) -> str:
+    """``data`` as text; a byte that is not UTF-8 raises ``ParseError`` naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+
+
+def read_utf8(path) -> str:
+    """The text of a file; a byte that is not UTF-8 raises ``ParseError`` naming its line."""
+    return decode_utf8(Path(path).read_bytes())
 
 
 def read_config(path, what: str, cls):

@@ -20,8 +20,9 @@ holds views into the log's channel-sorted arrays.
 
 The store of a log ``X.csv`` is the directory ``X.store`` beside it: those
 grouped arrays as ``.npy`` files, and a ``meta.json`` with the sha256 of
-the log's bytes. A log given by path is loaded from its store when the
-digest matches, and decoded from its bytes otherwise.
+the log's bytes. A log read from a regular file is loaded from its store
+when the digest matches, and decoded from its bytes otherwise; a reader
+that keeps stores then writes the store from the bytes it decoded.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ import json
 import logging
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ParseError, StoreError, read_utf8
+from .errors import ParseError, StoreError, decode_utf8
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -92,13 +94,22 @@ def _auth_channel_id(line: str, line_no: int) -> int:
         raise ParseError(line_no, "non-integer channel id in #AUTH marker") from None
 
 
+def _out_of_range(field: str, values: np.ndarray) -> np.ndarray:
+    """Where the values of a ``CellRecord`` field break its rules."""
+    if field == "direction":
+        return (values != 1) & (values != -1)
+    if field == "circuit_id":
+        return (values < 0) | (values >= 2**32)
+    return values < 0  # timestamp_ns, cell_type
+
+
 def _check_rows(table: np.ndarray, line_nos: np.ndarray) -> None:
     """Raise ParseError at the first row that is not a valid cell record."""
-    direction, timestamp, circuit = table[:, 3], table[:, 2], table[:, 1]
-    bad = (direction != 1) & (direction != -1)
-    bad |= (timestamp < 0) | (circuit < 0) | (circuit >= 2**32)
+    bad = _out_of_range("circuit_id", table[:, 1])
+    bad |= _out_of_range("timestamp_ns", table[:, 2])
+    bad |= _out_of_range("direction", table[:, 3])
     if table.shape[1] > 4:
-        bad |= table[:, 4] < 0
+        bad |= _out_of_range("cell_type", table[:, 4])
     if bad.any():
         i = int(np.argmax(bad))
         try:
@@ -138,18 +149,24 @@ def _table_per_line(
     return np.array([row[:width] for row in rows], dtype=np.int64).reshape(-1, width)
 
 
+def _text_bytes(data: bytes) -> bytes:
+    """A file's bytes checked as UTF-8, with universal newlines: "\\r\\n" and
+    a lone "\\r" end a line as "\\n" does."""
+    if not data.isascii():
+        decode_utf8(data)  # names the first line that is not UTF-8
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
 def _read_bytes(source: str | Path | IO[str] | Iterable[str]) -> bytes:
     """UTF-8 bytes of a path, an open text file or an iterable of lines, with
-    universal newlines: "\\r\\n" and a lone "\\r" end a line as "\\n" does."""
+    universal newlines."""
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        if not data.isascii():  # read_utf8 names the first line that is not UTF-8
-            data = read_utf8(source).encode("utf-8")
-    elif hasattr(source, "read"):
+        return _text_bytes(Path(source).read_bytes())
+    if hasattr(source, "read"):
         data = source.read().encode("utf-8")
     else:
         data = "\n".join(line[:-1] if line.endswith("\n") else line for line in source).encode("utf-8")
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    return _text_bytes(data)
 
 
 def _line_chunks(data: bytes) -> Iterable[bytes]:
@@ -187,8 +204,9 @@ def _widen(table: np.ndarray, width: int) -> np.ndarray:
     return np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=NO_CELL_TYPE)
 
 
-def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
-    """The data rows of a cell log as an int64 table, and its #AUTH channel ids.
+def _read_table(data: bytes, require_type: bool) -> tuple[np.ndarray, set[int]]:
+    """The data rows of a cell log, given as ``_read_bytes`` returns it, as
+    an int64 table, and its #AUTH channel ids.
 
     Lines in strict form with the log's field count (that of its first
     strict line of 4 or 5 fields; 5 in a client log) are read by one
@@ -198,7 +216,6 @@ def _read_table(source, require_type: bool) -> tuple[np.ndarray, set[int]]:
     Each chunk's rows go straight into one table of a row per line, which a
     guard log widens only at its first typed row.
     """
-    data = _read_bytes(source)
     auth_ids: set[int] = set()
     table = np.empty((data.count(b"\n") + 1, 5 if require_type else 4), dtype=np.int64)
     n_rows, width = 0, 4
@@ -405,47 +422,62 @@ def store_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".store")
 
 
-def _sha256(path) -> str:
+def _sha256(data: bytes) -> str:
     import hashlib  # loaded only by a run that checks or writes a store
 
-    digest = hashlib.sha256()
-    block = bytearray(1 << 18)  # one buffer for the whole file, as hashlib.file_digest reads
-    view = memoryview(block)
-    with open(path, "rb", buffering=0) as handle:
-        while size := handle.readinto(block):
-            digest.update(view[:size])
-    return digest.hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
-def save_store(csv_path, cells: CellColumns, kind: str, digest: str | None = None) -> Path:
-    """Write ``cells``, read from the ``kind`` ("guard" or "client") log at
-    ``csv_path``, as that log's store; ``digest`` is the log's sha256.
+def save_store(csv_path, cells: CellColumns, kind: str, digest: str) -> Path:
+    """Write ``cells``, decoded from the ``kind`` ("guard" or "client") log
+    at ``csv_path`` whose bytes have the sha256 ``digest``, as that log's store.
 
-    ``meta.json`` goes last, so a store whose writing stopped early has none
-    and is no store.
+    The store is written into a new directory beside the log and renamed into
+    place, replacing an older store, so a reader finds a whole store or none.
     """
     store = store_path(csv_path)
-    store.mkdir(exist_ok=True)
-    meta_path = store / "meta.json"
-    meta_path.unlink(missing_ok=True)
-    arrays = {"timestamps": cells.timestamps, "directions": cells.directions, "groups": cells.groups}
-    if cells.cell_types is None:
-        (store / "cell_types.npy").unlink(missing_ok=True)
-    else:
-        arrays["cell_types"] = cells.cell_types
-    for name, array in arrays.items():
-        np.save(store / f"{name}.npy", array, allow_pickle=False)
-    meta = {
-        "version": _STORE_VERSION,
-        "log": kind,
-        "sha256": digest or _sha256(csv_path),
-        "line_count": cells.line_count,
-        "duplicate_count": cells.duplicate_count,
-        "auth_channel_ids": cells.auth_ids,
-        "cell_types": cells.cell_types is not None,
-    }
-    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    new = store.with_name(f".{store.name}.{os.getpid()}")
+    if new.exists():  # left by a writer of the same pid that was stopped
+        shutil.rmtree(new)
+    new.mkdir()
+    try:
+        arrays = {"timestamps": cells.timestamps, "directions": cells.directions, "groups": cells.groups}
+        if cells.cell_types is not None:
+            arrays["cell_types"] = cells.cell_types
+        for name, array in arrays.items():
+            np.save(new / f"{name}.npy", array, allow_pickle=False)
+        meta = {
+            "version": _STORE_VERSION,
+            "log": kind,
+            "sha256": digest,
+            "line_count": cells.line_count,
+            "duplicate_count": cells.duplicate_count,
+            "auth_channel_ids": cells.auth_ids,
+            "cell_types": cells.cell_types is not None,
+        }
+        (new / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            new.rename(store)
+        except OSError:  # a store is in the way: swap it out
+            if not store.is_dir():
+                raise
+            old = new.with_name(new.name + ".old")
+            store.rename(old)
+            new.rename(store)
+            shutil.rmtree(old)
+    finally:
+        if new.exists():
+            shutil.rmtree(new)
     return store
+
+
+def _keep_store(csv_path, cells: CellColumns, kind: str, digest: str) -> None:
+    """Write the store of a decoded log. A store that cannot be written is
+    no error: the log is then decoded on each read."""
+    try:
+        save_store(csv_path, cells, kind, digest)
+    except OSError as exc:
+        log.warning("cannot write the store of %s, which is decoded on each read: %s", csv_path, exc)
 
 
 def _is_int(value) -> bool:
@@ -479,21 +511,18 @@ def _load_array(store: Path, name: str) -> np.ndarray:
         raise StoreError(path, str(exc)) from None
 
 
-def _load_store(csv_path, kind: str, digest: str) -> CellColumns | None:
-    """The grouped cells of the ``kind`` log at ``csv_path``, whose sha256 is
-    ``digest``, from its store; None when it has none or the store was made
-    from other bytes or by the other kind of reader.
-
-    A store that matches the log but is malformed raises ``StoreError``.
-    """
-    store = store_path(csv_path)
+def _store_meta(store: Path, kind: str, digest: str) -> dict | None:
+    """The ``meta.json`` of a store made from a ``kind`` log whose sha256
+    is ``digest``; None when the store was made from other bytes or by the
+    other kind of reader. A matching ``meta.json`` that is malformed
+    raises ``StoreError``."""
     meta_path = store / "meta.json"
-    if not meta_path.is_file():
-        return None
     try:
         meta = json.loads(meta_path.read_bytes())
     except (ValueError, RecursionError) as exc:
         raise StoreError(meta_path, f"not JSON: {exc}") from None
+    except OSError as exc:
+        raise StoreError(meta_path, str(exc)) from None
     if not isinstance(meta, dict) or not isinstance(meta.get("sha256"), str):
         raise StoreError(meta_path, "no sha256 of the log")
     if meta["sha256"] != digest:
@@ -508,42 +537,70 @@ def _load_store(csv_path, kind: str, digest: str) -> CellColumns | None:
         or not isinstance(meta.get("cell_types"), bool)
     ):
         raise StoreError(meta_path, "missing or mistyped fields")
-    if meta["log"] != kind:
-        return None
+    return meta if meta["log"] == kind else None
+
+
+def _load_store(store: Path, meta: dict) -> CellColumns:
+    """The grouped cells of a store whose ``meta.json`` matched its log.
+
+    The arrays must fit together and hold only values a parse of a log can
+    give; anything else raises ``StoreError``.
+    """
     timestamps = _load_array(store, "timestamps")
     n = len(timestamps)
-    columns = {"directions": _load_array(store, "directions")}
+    columns = {"timestamps": timestamps, "directions": _load_array(store, "directions")}
     if meta["cell_types"]:
         columns["cell_types"] = _load_array(store, "cell_types")
+    groups = _load_array(store, "groups")
     for name, column in columns.items():
         if len(column) != n:
             raise StoreError(store / f"{name}.npy", f"{len(column)} cells, timestamps.npy has {n}")
-    groups = _load_array(store, "groups")
     bounds = np.concatenate(([0], groups[:, 2])) if groups.shape[1] == 3 else None
     if bounds is None or bounds[-1] != n or (bounds[1:] <= bounds[:-1]).any():
         raise StoreError(store / "groups.npy", f"its rows do not split the {n} cells into circuits")
     if meta["line_count"] - meta["duplicate_count"] != n:
-        raise StoreError(meta_path, f"line and duplicate counts do not leave the {n} cells")
+        raise StoreError(store / "meta.json", f"line and duplicate counts do not leave the {n} cells")
+    faults = {
+        "timestamps": _out_of_range("timestamp_ns", timestamps),
+        "directions": _out_of_range("direction", columns["directions"]),
+        "groups": _out_of_range("circuit_id", groups[:, 1]),
+    }
+    if meta["cell_types"]:  # a log's untyped cells hold NO_CELL_TYPE
+        faults["cell_types"] = columns["cell_types"] < NO_CELL_TYPE
+    for name, bad in faults.items():
+        if bad.any():
+            raise StoreError(store / f"{name}.npy", f"row {int(np.argmax(bad))} is out of range")
+    pairs = groups[np.lexsort((groups[:, 1], groups[:, 0])), :2]
+    if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+        raise StoreError(store / "groups.npy", "a (channel, circuit) pair is listed twice")
     return CellColumns(
         timestamps, columns["directions"], columns.get("cell_types"), groups,
-        ids, meta["line_count"], meta["duplicate_count"],
+        meta["auth_channel_ids"], meta["line_count"], meta["duplicate_count"],
     )
 
 
 def _parse_cells(source, require_type: bool, write_store: bool = False) -> ParsedLog:
-    """Channels of a cell log. A log given by path is loaded from its store
-    when the store's digest matches; with ``write_store``, a log decoded from
-    its bytes gets a store written."""
+    """Channels of a cell log.
+
+    A log read from a regular file is read once: its store is loaded when
+    the sha256 of those bytes matches the store's, and otherwise the bytes
+    are decoded and, with ``write_store``, a store is written from them.
+    Other sources (a pipe, an open file, lines) are decoded and get no store.
+    """
+    if not (isinstance(source, (str, Path)) and Path(source).is_file()):
+        return _build_channels(CellColumns.from_table(*_read_table(_read_bytes(source), require_type)))
     kind = "client" if require_type else "guard"
-    path = source if isinstance(source, (str, Path)) else None
-    cells = digest = None
-    if path is not None and (write_store or (store_path(path) / "meta.json").is_file()):
-        digest = _sha256(path)
-        cells = _load_store(path, kind, digest)
-    if cells is None:
-        cells = CellColumns.from_table(*_read_table(source, require_type))
-        if path is not None and write_store:
-            save_store(path, cells, kind, digest)
+    store = store_path(source)
+    raw = Path(source).read_bytes()
+    has_store = (store / "meta.json").exists()
+    digest = _sha256(raw) if has_store or write_store else None
+    meta = _store_meta(store, kind, digest) if has_store else None
+    if meta is not None:
+        del raw  # the store's arrays take the place of the log's bytes
+        return _build_channels(_load_store(store, meta))
+    cells = CellColumns.from_table(*_read_table(_text_bytes(raw), require_type))
+    if write_store:
+        _keep_store(source, cells, kind, digest)
     return _build_channels(cells)
 
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .conflux import CellTypeCode
 from .errors import ConfigError, read_config
-from .ingest import CellColumns, save_store
 from .trace import INCOMING, OUTGOING, POST, PRE, Stage
 
 MS = 1_000_000
@@ -1060,17 +1059,8 @@ def _write_rows(path: Path, header: list[str], rows: np.ndarray, block: int = 1 
             f.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
-def _write_log(path: Path, kind: str, header: list[str], rows: np.ndarray, auth_ids=()) -> None:
-    """Write a cell log and its store, which holds ``rows`` grouped as a parse
-    of the log groups them; ``auth_ids`` are its sorted #AUTH markers."""
-    _write_rows(path, header, rows)
-    # a set filled in marker order, as the parser fills it
-    save_store(path, CellColumns.from_table(rows, set(auth_ids)), kind)
-
-
 def generate_dataset(config: ScenarioConfig, out_dir: str | Path) -> GeneratedDataset:
-    """Write guard.csv, client.csv, visits.csv, and truth.json, and the
-    stores of the two cell logs (guard.store, client.store)."""
+    """Write guard.csv, client.csv, visits.csv, and truth.json."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     plans = _make_plans(config)
@@ -1106,13 +1096,12 @@ def generate_dataset(config: ScenarioConfig, out_dir: str | Path) -> GeneratedDa
     visit_rows.sort(key=lambda r: (r[1], r[3]))
 
     guard_csv = out_path / "guard.csv"
-    auth_ids.sort()
-    header = ["channel_id,circuit_id,timestamp_ns,direction", *(f"#AUTH,{c}" for c in auth_ids)]
-    _write_log(guard_csv, "guard", header, _merged_rows(outputs, "guard_cells", 2), auth_ids)
+    header = ["channel_id,circuit_id,timestamp_ns,direction", *(f"#AUTH,{c}" for c in sorted(auth_ids))]
+    _write_rows(guard_csv, header, _merged_rows(outputs, "guard_cells", 2))
 
     client_csv = out_path / "client.csv"
     header = ["channel_id,circuit_id,timestamp_ns,direction,cell_type"]
-    _write_log(client_csv, "client", header, _merged_rows(outputs, "client_cells", 3))
+    _write_rows(client_csv, header, _merged_rows(outputs, "client_cells", 3))
 
     visits_csv = out_path / "visits.csv"
     lines = ["first_party_domain,request_ts,target_domain,circuit_id"]

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import run_fresh
-from guardsift import metrics
+from guardsift import ingest, metrics
 from guardsift.cli import main
 from guardsift.sanitize import SanitizeConfig
 from guardsift.simulate import ScenarioConfig, generate_dataset
@@ -726,20 +728,34 @@ def test_usage_errors_exit_2_in_a_fresh_process(tmp_path, case):
     assert not (tmp_path / "o").exists()
 
 
-def test_ingest_writes_the_stores_that_sanitize_and_conflux_read(dataset_dir, tmp_path):
-    for store in dataset_dir.glob("*.store"):
-        shutil.rmtree(store)
+def test_each_command_keeps_the_stores_of_the_logs_it_decodes(dataset_dir, tmp_path):
+    assert not list(dataset_dir.glob("*.store"))  # generate writes none
     sanitize = ["sanitize", "--in", str(dataset_dir), "--phase", "pre", "--out"]
     conflux = ["conflux", "--in", str(dataset_dir), "--out"]
-    for run in ("csv", "store"):
-        if run == "store":
-            assert main(["ingest", "--in", str(dataset_dir)]) == 0
-        assert main(sanitize + [str(tmp_path / run)]) == 0
-        assert main(conflux + [str(tmp_path / run / "conflux.csv")]) == 0
-        stores = sorted(p.name for p in dataset_dir.glob("*.store"))
-        assert stores == ([] if run == "csv" else ["client.store", "guard.store"])
+    assert main(sanitize + [str(tmp_path / "csv")]) == 0
+    assert [p.name for p in dataset_dir.glob("*.store")] == ["guard.store"]
+    assert main(conflux + [str(tmp_path / "csv" / "conflux.csv")]) == 0
+    assert sorted(p.name for p in dataset_dir.glob("*.store")) == ["client.store", "guard.store"]
+    with mock.patch.object(ingest, "_read_table", side_effect=AssertionError("decoded a log")):
+        assert main(sanitize + [str(tmp_path / "store")]) == 0
+        assert main(conflux + [str(tmp_path / "store" / "conflux.csv")]) == 0
     for name in ("traces.ndjson", "report.json", "conflux.csv"):
         assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "store" / name).read_bytes()
+
+
+def test_ingest_reads_a_log_from_a_pipe(dataset_dir, tmp_path, capsys):
+    assert main(["ingest", "--guard", str(dataset_dir / "guard.csv")]) == 0
+    want = capsys.readouterr().out
+    shutil.rmtree(dataset_dir / "guard.store")
+    pipe = tmp_path / "guard-pipe.csv"
+    os.mkfifo(pipe)
+    data = (dataset_dir / "guard.csv").read_bytes()
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert main(["ingest", "--guard", str(pipe)]) == 0
+    writer.join(timeout=10)
+    assert capsys.readouterr().out == want
+    assert not list(tmp_path.glob("*.store"))  # a pipe's bytes are gone once read
 
 
 # commands that read the cell logs, and ways to damage a store that still
@@ -777,6 +793,13 @@ STORE_DAMAGE = {
 }
 
 
+@pytest.fixture()
+def stored_dir(dataset_dir):
+    """The generated logs, with the stores ``ingest`` writes beside them."""
+    assert main(["ingest", "--in", str(dataset_dir)]) == 0
+    return dataset_dir
+
+
 @pytest.mark.parametrize(
     "case, damage",
     [
@@ -786,32 +809,37 @@ STORE_DAMAGE = {
         if not (case.startswith("sanitize") and STORE_DAMAGE[damage][0] == "client")
     ],
 )
-def test_a_malformed_store_is_a_stage_error(dataset_dir, tmp_path, capsys, case, damage):
+def test_a_malformed_store_is_a_stage_error(stored_dir, tmp_path, capsys, case, damage):
     log, name, spoil = STORE_DAMAGE[damage]
-    spoil(dataset_dir / f"{log}.store")
-    argv = [a.format(data=dataset_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
+    spoil(stored_dir / f"{log}.store")
+    argv = [a.format(data=stored_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
+    capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    damaged = dataset_dir / f"{log}.store" / name
+    damaged = stored_dir / f"{log}.store" / name
     assert err.startswith(f"guardsift {argv[0]}: error: bad cell-log store {damaged}: ")
     assert err.endswith("; delete the store to read the log\n")
 
 
 @pytest.mark.parametrize("case", sorted(STORE_COMMANDS))
-def test_a_malformed_store_is_a_stage_error_in_a_fresh_process(dataset_dir, tmp_path, case):
-    STORE_DAMAGE["truncated-npy"][2](dataset_dir / "guard.store")
-    argv = [a.format(data=dataset_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
+def test_a_malformed_store_is_a_stage_error_in_a_fresh_process(stored_dir, tmp_path, case):
+    STORE_DAMAGE["truncated-npy"][2](stored_dir / "guard.store")
+    argv = [a.format(data=stored_dir, out=tmp_path / "out") for a in STORE_COMMANDS[case]]
     proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"guardsift {argv[0]}: error: bad cell-log store ")
     assert "timestamps.npy" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_a_store_ingest_cannot_write_is_a_stage_error(dataset_dir, tmp_path, capsys):
+def test_a_store_that_cannot_be_written_is_only_a_warning(dataset_dir, tmp_path, capsys, caplog):
+    # as on a read-only dataset: each command still does its job, exit 0
+    assert main(["ingest", "--guard", str(dataset_dir / "guard.csv")]) == 0
+    want = capsys.readouterr().out
     shutil.rmtree(dataset_dir / "guard.store")
     (dataset_dir / "guard.store").write_text("not a directory")
-    assert main(["ingest", "--in", str(dataset_dir)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("guardsift ingest: error: ") and "guard.store" in err
+    assert main(["ingest", "--guard", str(dataset_dir / "guard.csv")]) == 0
+    assert capsys.readouterr().out == want
+    assert f"cannot write the store of {dataset_dir / 'guard.csv'}" in caplog.text
     argv = ["sanitize", "--in", str(dataset_dir), "--phase", "pre", "--out", str(tmp_path / "out")]
     assert main(argv) == 0  # a path that holds no store directory is no store
+    assert (dataset_dir / "guard.store").read_text() == "not a directory"

@@ -15,9 +15,10 @@ digests were taken when its traces began to carry the phase of the logs
 and its ``report.json`` the count of duplicate rows dropped. A change to
 any of these files is a format change and must be made on purpose.
 
-Every artifact is built twice: once with the cell-log stores that
-``generate`` writes, and once with every ``*.store`` directory deleted, so
-the logs are decoded from their bytes. Both must give the golden bytes.
+Every artifact is built twice: once from the cell-log stores that
+``ingest`` writes beside the generated logs, and once with no store ever
+written, so every command decodes the logs from their bytes. Both must
+give the golden bytes.
 """
 
 import dataclasses
@@ -85,25 +86,28 @@ def added_rows(text: str) -> int:
     return repeat_rows(text).count("\n") - text.count("\n")
 
 
-# the logs read from the stores generate writes, and decoded from their bytes
-STORES = {"store": True, "csv": False}
-
-
 def generate(scenario: ScenarioConfig, tmp_path, name: str, stores: bool = True):
     """``guardsift generate`` of ``scenario`` at seed 3 into ``tmp_path / name``;
-    without ``stores``, the cell-log stores are deleted."""
+    with ``stores``, ``guardsift ingest`` then writes the cell-log stores."""
     config = tmp_path / f"{name}-scenario.json"
     scenario.to_json(config)
     out = tmp_path / name
     assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
-    for store in [] if stores else out.glob("*.store"):
-        shutil.rmtree(store)
+    if stores:
+        assert main(["ingest", "--in", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.store")) == ["client.store", "guard.store"]
     return out
 
 
 def in_each_mode(digests_of, tmp_path) -> dict:
-    """``{mode: digests_of(tmp_path / mode, stores)}`` for each of ``STORES``."""
-    return {mode: digests_of(tmp_path / mode, stores) for mode, stores in STORES.items()}
+    """``{mode: digests_of(tmp_path / mode, stores)}`` for the logs read from
+    the stores ingest writes ("store"), and decoded from their bytes by
+    commands that write no store ("csv")."""
+    found = {"store": digests_of(tmp_path / "store", True)}
+    with mock.patch.object(ingest, "_keep_store"):
+        found["csv"] = digests_of(tmp_path / "csv", False)
+    assert not list((tmp_path / "csv").rglob("*.store"))
+    return found
 
 
 def check(found: dict, artifact, golden: str) -> None:
@@ -124,7 +128,8 @@ def sanitize_digests(data, out, phase: str, path: str, config) -> dict:
 def artifact_digests(tmp_path, stores: bool) -> dict:
     """sha256 of every artifact in ``GOLDEN``, from fresh runs in ``tmp_path``.
     The repeated rows go into a copy of the clean logs, so with ``stores``
-    that copy's guard store is stale and must not be read."""
+    that copy's guard store is stale: the first sanitize must decode the
+    log and replace the store, which the second then reads."""
     tmp_path.mkdir()
     clean = generate(SCENARIO, tmp_path, "clean", stores)
     repeated = tmp_path / "repeated"
@@ -252,8 +257,8 @@ def test_downstream_artifact_bytes_are_unchanged(downstream_digests, artifact):
 
 
 def test_repeated_rows_are_dropped_as_duplicates(tmp_path, capsys):
-    # the edit leaves generate's guard store stale: ingest decodes the log
-    # and rewrites the store, and sanitize reads the same count from either
+    # the edit leaves ingest's guard store stale: sanitize decodes the log
+    # and replaces the store, and each later run reads the count from it
     data = generate(SCENARIO, tmp_path, "data")
     text = (data / "guard.csv").read_text()
     added = added_rows(text)

@@ -6,7 +6,6 @@ already imported cannot hide an import a command should not make.
 
 import importlib
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -98,14 +97,6 @@ def logs(tmp_path):
     code = f"from guardsift.cli import main\nmain(['generate', '--config', {str(scenario)!r}, '--out', 'logs'])"
     _fresh(code, tmp_path)
     return tmp_path / "logs"
-
-
-def test_conflux_on_logs_without_a_store_loads_no_hashlib(tmp_path, logs):
-    # a log is hashed only to check its store, or by ingest to write one
-    for store in logs.glob("*.store"):
-        shutil.rmtree(store)
-    argv = ["conflux", "--in", str(logs), "--out", str(tmp_path / "conflux.csv")]
-    assert "hashlib" not in _modules_after(argv, tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import logging
+import os
 import pickle
+import threading
 from unittest import mock
 
 import numpy as np
@@ -473,35 +476,91 @@ def generated(request, tmp_path_factory):
     return out
 
 
-def test_generated_stores_load_what_the_logs_parse(generated):
+def test_generated_logs_load_from_their_stores_as_they_parse(generated):
+    assert not list(generated.glob("*.store"))  # generate writes none
     for name, require_type in (("guard.csv", False), ("client.csv", True)):
         path = generated / name
+        decoded = _parse_cells(path, require_type, write_store=True)
         stored = from_store(_parse_cells, path, require_type)
-        decoded = _parse_cells(io.StringIO(path.read_text()), require_type)
         assert describe_exactly(stored) == describe_exactly(decoded)
+        from_text = _parse_cells(io.StringIO(path.read_text()), require_type)
+        assert describe_exactly(from_text) == describe_exactly(decoded)
         meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
         assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     guard = parse_guard_log(generated / "guard.csv")
     assert guard.auth_channel_count and any(ch.relay_authenticated for ch in guard.channels)
 
 
-def test_ingest_writes_the_store_generate_writes(generated, tmp_path):
+def test_every_writer_writes_the_same_store_bytes(generated, tmp_path):
     for name, require_type in (("guard.csv", False), ("client.csv", True)):
-        copy = tmp_path / name
-        copy.write_bytes((generated / name).read_bytes())
-        _parse_cells(copy, require_type, write_store=True)
-        store, want = ingest.store_path(copy), ingest.store_path(generated / name)
-        assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in want.iterdir())
-        for part in want.iterdir():
-            assert (store / part.name).read_bytes() == part.read_bytes(), part.name
+        copies = [tmp_path / "a" / name, tmp_path / "b" / name]
+        for copy in copies:
+            copy.parent.mkdir(exist_ok=True)
+            copy.write_bytes((generated / name).read_bytes())
+            _parse_cells(copy, require_type, write_store=True)
+        store, other = (ingest.store_path(copy) for copy in copies)
+        assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in other.iterdir())
+        for part in store.iterdir():
+            assert (other / part.name).read_bytes() == part.read_bytes(), part.name
 
 
-@pytest.mark.parametrize("size", [0, 1, 1 << 18, (1 << 18) + 1, 3 << 18])
-def test_a_log_digest_is_the_sha256_of_its_bytes(tmp_path, size):
-    # sizes around the 256 KiB buffer that the digest reads into
+def test_the_store_records_the_digest_of_the_bytes_it_decoded(tmp_path):
+    # the log changes while it is decoded: the store must describe the
+    # bytes read, and the next read must see that it is stale
     path = tmp_path / "guard.csv"
-    path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
-    assert ingest._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    first, second = "1,2,100,1\n", "1,2,100,1\n1,2,200,-1\n"
+    path.write_text(first)
+    read_table = ingest._read_table
+
+    def edit_while_decoding(*args):
+        path.write_text(second)
+        return read_table(*args)
+
+    with mock.patch.object(ingest, "_read_table", side_effect=edit_while_decoding):
+        assert parse_guard_log(path, write_store=True).cell_count == 1
+    meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
+    assert meta["sha256"] == hashlib.sha256(first.encode()).hexdigest()
+    assert parse_guard_log(path).cell_count == 2
+
+
+def test_a_log_from_a_pipe_is_read_once_and_gets_no_store(tmp_path):
+    path = tmp_path / "guard.csv"
+    path.write_text(GUARD_LOG)
+    want = describe_exactly(parse_guard_log(path, write_store=True))
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    ingest.store_path(path).rename(ingest.store_path(fifo))  # a matching store beside the pipe
+    writer = threading.Thread(target=fifo.write_text, args=(GUARD_LOG,), daemon=True)
+    writer.start()
+    assert describe_exactly(parse_guard_log(fifo, write_store=True)) == want
+    writer.join(timeout=10)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["guard.csv", "pipe.csv", "pipe.store"]
+
+
+def test_a_store_that_cannot_be_written_leaves_the_parse_alone(tmp_path, caplog):
+    path = tmp_path / "guard.csv"
+    path.write_text(GUARD_LOG)
+    ingest.store_path(path).write_text("a file in the store's place")
+    with caplog.at_level(logging.WARNING, logger="guardsift.ingest"):
+        parsed = parse_guard_log(path, write_store=True)
+    assert parsed.cell_count == 3
+    assert "cannot write the store of" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["guard.csv", "guard.store"]
+
+
+def test_a_stale_store_is_replaced_whole(tmp_path):
+    path = tmp_path / "guard.csv"
+    path.write_text("1,2,100,1,7\n")
+    parse_guard_log(path, write_store=True)
+    assert (ingest.store_path(path) / "cell_types.npy").exists()
+    path.write_text(GUARD_LOG)
+    parse_guard_log(path, write_store=True)
+    store = ingest.store_path(path)
+    assert sorted(p.name for p in store.iterdir()) == [
+        "directions.npy", "groups.npy", "meta.json", "timestamps.npy"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["guard.csv", "guard.store"]
+    assert from_store(parse_guard_log, path).cell_count == 3
 
 
 def test_store_keeps_repeated_rows_out(tmp_path):
@@ -598,6 +657,29 @@ MALFORMED_STORES = {
         lambda s: np.save(s / "groups.npy", np.array([[1, 2, 2], [1, 5, 1], [4, 2, 3]])),
         "groups.npy", "3 cells",
     ),
+    # values no parse of a log can give
+    "direction-out-of-range": (
+        lambda s: np.save(s / "directions.npy", np.array([1, -1, 5], dtype=np.int8)),
+        "directions.npy", "row 2 is out of range",
+    ),
+    "negative-timestamp": (
+        lambda s: np.save(s / "timestamps.npy", np.array([100, -150, 120])),
+        "timestamps.npy", "row 1 is out of range",
+    ),
+    "negative-cell-type": (
+        lambda s: (
+            rewrite_meta(s, cell_types=True), np.save(s / "cell_types.npy", np.array([0, -2, 3]))
+        ),
+        "cell_types.npy", "row 1 is out of range",
+    ),
+    "circuit-id-out-of-range": (
+        lambda s: np.save(s / "groups.npy", np.array([[1, 2, 1], [1, 2**32, 2], [4, 2, 3]])),
+        "groups.npy", "row 1 is out of range",
+    ),
+    "repeated-circuit": (
+        lambda s: np.save(s / "groups.npy", np.array([[1, 2, 1], [4, 2, 2], [1, 2, 3]])),
+        "groups.npy", "listed twice",
+    ),
 }
 
 
@@ -644,4 +726,43 @@ def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):
     except StoreError as exc:
         assert str(exc).startswith(f"bad cell-log store {store}")
     else:
-        assert parsed.cell_count == parsed.line_count - parsed.duplicate_count
+        assert_valid_cells(parsed)
+
+
+def assert_valid_cells(parsed: ParsedLog) -> None:
+    """What a parse of any log holds: counts that add up, and only values a
+    ``CellRecord`` can hold, each (channel, circuit) pair once."""
+    assert parsed.cell_count == parsed.line_count - parsed.duplicate_count
+    circuits = [(ch.channel_id, c) for ch in parsed.channels for c in ch.circuits.values()]
+    assert sum(len(c.timestamps) for _, c in circuits) == parsed.cell_count
+    for _, circuit in circuits:
+        assert 0 <= circuit.circuit_id < 2**32 and len(circuit.timestamps)
+        assert (circuit.timestamps >= 0).all() and (np.abs(circuit.directions) == 1).all()
+    assert len({(channel_id, c.circuit_id) for channel_id, c in circuits}) == len(circuits)
+
+
+# each array's bytes per row, the byte of a row that the damage sets, and
+# values of that byte that put the row out of range (little-endian data)
+OUT_OF_RANGE = {
+    "directions.npy": (1, 0, [b"\x00", b"\x02", b"\x7f", b"\x80", b"\xfe"]),
+    "timestamps.npy": (8, 7, [b"\x80", b"\xff"]),  # the sign byte
+    "groups.npy": (24, 12, [b"\x01", b"\x80"]),  # bits 32 to 39 of the circuit id
+}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_an_out_of_range_value_in_a_store_is_a_store_error(pristine_store, data):
+    path, parts = pristine_store
+    store = ingest.store_path(path)
+    for name, raw in parts.items():
+        (store / name).write_bytes(raw)
+    name = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    row_bytes, byte, values = OUT_OF_RANGE[name]
+    raw = bytearray(parts[name])
+    rows = 3  # GUARD_LOG keeps three cells in three circuits
+    at = len(raw) - (rows - data.draw(st.integers(0, rows - 1))) * row_bytes + byte
+    raw[at : at + 1] = data.draw(st.sampled_from(values))
+    (store / name).write_bytes(bytes(raw))
+    with pytest.raises(StoreError, match="out of range"):
+        parse_guard_log(path)
