@@ -105,7 +105,7 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     guard, client, visits = _load_inputs(args)
-    parsed = parse_guard_log(guard, write_store=True)
+    parsed = parse_guard_log(guard)
     kept, dropped = filter_relay_channels(parsed.channels)
     summary = {
         "command": "ingest",
@@ -117,7 +117,7 @@ def cmd_ingest(args) -> int:
         "duplicates_dropped": parsed.duplicate_count,
     }
     if client and visits:
-        client_log = parse_client_log(client, visits, write_store=True)
+        client_log = parse_client_log(client, visits)
         summary["client_circuits"] = sum(ch.circuit_count for ch in client_log.channels)
         summary["visit_rows"] = len(client_log.visits)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -164,7 +164,7 @@ def _segment_time_path(kept, visits, config, window_ns: int, phase: str) -> tupl
 def cmd_sanitize(args) -> int:
     guard, _, visits_path = _load_inputs(args)
     config = SanitizeConfig.from_json(args.config) if args.config else SanitizeConfig()
-    parsed = parse_guard_log(guard, write_store=True)
+    parsed = parse_guard_log(guard)
     kept, dropped_relay = filter_relay_channels(parsed.channels)
     visits = parse_visit_log(visits_path) if visits_path else None
     if args.segmentation == "time":
@@ -189,9 +189,9 @@ def cmd_conflux(args) -> int:
         raise GuardsiftError("conflux analysis needs --client and --visits")
     from . import conflux as cfx
 
-    kept, _ = filter_relay_channels(parse_guard_log(guard, write_store=True).channels)
+    kept, _ = filter_relay_channels(parse_guard_log(guard).channels)
     guard_legs = circuit_index(kept)
-    client_log = parse_client_log(client, visits_path, write_store=True)
+    client_log = parse_client_log(client, visits_path)
     client_legs = circuit_index(client_log.channels)
     rows = []
     for idx, visit in enumerate(client_log.visits):

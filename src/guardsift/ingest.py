@@ -21,8 +21,8 @@ holds views into the log's channel-sorted arrays.
 The store of a log ``X.csv`` is the directory ``X.store`` beside it: those
 grouped arrays as ``.npy`` files, and a ``meta.json`` with the sha256 of
 the log's bytes. A log read from a regular file is loaded from its store
-when the digest matches, and decoded from its bytes otherwise; a reader
-that keeps stores then writes the store from the bytes it decoded.
+when the digest matches, and otherwise decoded from its bytes, which
+then get a store.
 """
 
 from __future__ import annotations
@@ -579,34 +579,32 @@ def _load_store(store: Path, meta: dict) -> CellColumns:
     )
 
 
-def _parse_cells(source, require_type: bool, write_store: bool = False) -> ParsedLog:
+def _parse_cells(source, require_type: bool) -> ParsedLog:
     """Channels of a cell log.
 
     A log read from a regular file is read once: its store is loaded when
     the sha256 of those bytes matches the store's, and otherwise the bytes
-    are decoded and, with ``write_store``, a store is written from them.
-    Other sources (a pipe, an open file, lines) are decoded and get no store.
+    are decoded and the store is written from them. Other sources (a pipe,
+    an open file, lines) are decoded and get no store.
     """
     if not (isinstance(source, (str, Path)) and Path(source).is_file()):
         return _build_channels(CellColumns.from_table(*_read_table(_read_bytes(source), require_type)))
     kind = "client" if require_type else "guard"
     store = store_path(source)
     raw = Path(source).read_bytes()
-    has_store = (store / "meta.json").exists()
-    digest = _sha256(raw) if has_store or write_store else None
-    meta = _store_meta(store, kind, digest) if has_store else None
+    digest = _sha256(raw)
+    meta = _store_meta(store, kind, digest) if (store / "meta.json").exists() else None
     if meta is not None:
         del raw  # the store's arrays take the place of the log's bytes
         return _build_channels(_load_store(store, meta))
     cells = CellColumns.from_table(*_read_table(_text_bytes(raw), require_type))
-    if write_store:
-        _keep_store(source, cells, kind, digest)
+    _keep_store(source, cells, kind, digest)
     return _build_channels(cells)
 
 
-def parse_guard_log(source, write_store: bool = False) -> ParsedLog:
+def parse_guard_log(source) -> ParsedLog:
     """Parse a guard cell log into channels grouped by (channel, circuit)."""
-    return _parse_cells(source, require_type=False, write_store=write_store)
+    return _parse_cells(source, require_type=False)
 
 
 def filter_relay_channels(channels: Iterable[Channel]) -> tuple[list[Channel], int]:
@@ -658,8 +656,8 @@ class ClientLog:
     stats: ParsedLog | None = None
 
 
-def parse_client_log(cell_source, visit_source, write_store: bool = False) -> ClientLog:
+def parse_client_log(cell_source, visit_source) -> ClientLog:
     """Parse client cell and visit logs; circuits join to visits by circuit id."""
-    parsed = _parse_cells(cell_source, require_type=True, write_store=write_store)
+    parsed = _parse_cells(cell_source, require_type=True)
     visits = parse_visit_log(visit_source)
     return ClientLog(visits=visits, channels=parsed.channels, stats=parsed)

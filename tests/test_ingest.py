@@ -446,7 +446,7 @@ def test_store_loads_what_the_log_parses(log_dir, require_type, data):
     path.write_bytes(joined(data, data.draw(cell_logs(require_type))).encode())
     remove_store(path)
     try:
-        decoded = _parse_cells(path, require_type, write_store=True)
+        decoded = _parse_cells(path, require_type)
     except ParseError:
         assert not ingest.store_path(path).exists()
         return
@@ -480,7 +480,7 @@ def test_generated_logs_load_from_their_stores_as_they_parse(generated):
     assert not list(generated.glob("*.store"))  # generate writes none
     for name, require_type in (("guard.csv", False), ("client.csv", True)):
         path = generated / name
-        decoded = _parse_cells(path, require_type, write_store=True)
+        decoded = _parse_cells(path, require_type)
         stored = from_store(_parse_cells, path, require_type)
         assert describe_exactly(stored) == describe_exactly(decoded)
         from_text = _parse_cells(io.StringIO(path.read_text()), require_type)
@@ -497,7 +497,7 @@ def test_every_writer_writes_the_same_store_bytes(generated, tmp_path):
         for copy in copies:
             copy.parent.mkdir(exist_ok=True)
             copy.write_bytes((generated / name).read_bytes())
-            _parse_cells(copy, require_type, write_store=True)
+            _parse_cells(copy, require_type)
         store, other = (ingest.store_path(copy) for copy in copies)
         assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in other.iterdir())
         for part in store.iterdir():
@@ -517,7 +517,7 @@ def test_the_store_records_the_digest_of_the_bytes_it_decoded(tmp_path):
         return read_table(*args)
 
     with mock.patch.object(ingest, "_read_table", side_effect=edit_while_decoding):
-        assert parse_guard_log(path, write_store=True).cell_count == 1
+        assert parse_guard_log(path).cell_count == 1
     meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
     assert meta["sha256"] == hashlib.sha256(first.encode()).hexdigest()
     assert parse_guard_log(path).cell_count == 2
@@ -526,13 +526,13 @@ def test_the_store_records_the_digest_of_the_bytes_it_decoded(tmp_path):
 def test_a_log_from_a_pipe_is_read_once_and_gets_no_store(tmp_path):
     path = tmp_path / "guard.csv"
     path.write_text(GUARD_LOG)
-    want = describe_exactly(parse_guard_log(path, write_store=True))
+    want = describe_exactly(parse_guard_log(path))
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
     ingest.store_path(path).rename(ingest.store_path(fifo))  # a matching store beside the pipe
     writer = threading.Thread(target=fifo.write_text, args=(GUARD_LOG,), daemon=True)
     writer.start()
-    assert describe_exactly(parse_guard_log(fifo, write_store=True)) == want
+    assert describe_exactly(parse_guard_log(fifo)) == want
     writer.join(timeout=10)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["guard.csv", "pipe.csv", "pipe.store"]
 
@@ -542,7 +542,7 @@ def test_a_store_that_cannot_be_written_leaves_the_parse_alone(tmp_path, caplog)
     path.write_text(GUARD_LOG)
     ingest.store_path(path).write_text("a file in the store's place")
     with caplog.at_level(logging.WARNING, logger="guardsift.ingest"):
-        parsed = parse_guard_log(path, write_store=True)
+        parsed = parse_guard_log(path)
     assert parsed.cell_count == 3
     assert "cannot write the store of" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["guard.csv", "guard.store"]
@@ -551,10 +551,10 @@ def test_a_store_that_cannot_be_written_leaves_the_parse_alone(tmp_path, caplog)
 def test_a_stale_store_is_replaced_whole(tmp_path):
     path = tmp_path / "guard.csv"
     path.write_text("1,2,100,1,7\n")
-    parse_guard_log(path, write_store=True)
+    parse_guard_log(path)
     assert (ingest.store_path(path) / "cell_types.npy").exists()
     path.write_text(GUARD_LOG)
-    parse_guard_log(path, write_store=True)
+    parse_guard_log(path)
     store = ingest.store_path(path)
     assert sorted(p.name for p in store.iterdir()) == [
         "directions.npy", "groups.npy", "meta.json", "timestamps.npy"
@@ -566,7 +566,7 @@ def test_a_stale_store_is_replaced_whole(tmp_path):
 def test_store_keeps_repeated_rows_out(tmp_path):
     path = tmp_path / "guard.csv"
     path.write_text("#AUTH,9\n1,2,100,1\n1,2,100,1\n#AUTH,4\n1,2,101,-1\n1,2,100,1\n3,1,5,1,7\n")
-    decoded = parse_guard_log(path, write_store=True)
+    decoded = parse_guard_log(path)
     assert (decoded.duplicate_count, decoded.line_count, decoded.auth_channel_count) == (2, 5, 2)
     assert describe_exactly(from_store(parse_guard_log, path)) == describe_exactly(decoded)
 
@@ -580,27 +580,27 @@ GUARD_LOG = "#AUTH,3\n1,2,100,1\n1,2,100,1\n1,5,150,-1\n4,2,120,1\n"
 def guard_log(tmp_path):
     path = tmp_path / "guard.csv"
     path.write_text(GUARD_LOG)
-    parse_guard_log(path, write_store=True)
+    parse_guard_log(path)
     return path
 
 
 def test_a_store_is_used_only_while_its_digest_matches(guard_log):
     assert from_store(parse_guard_log, guard_log).cell_count == 3
     guard_log.write_text(GUARD_LOG + "4,2,130,-1\n")
-    assert parse_guard_log(guard_log).cell_count == 4
     np.save(ingest.store_path(guard_log) / "timestamps.npy", np.zeros(1, dtype=np.int8))
     assert parse_guard_log(guard_log).cell_count == 4  # a stale store is not even read
-    assert parse_guard_log(guard_log, write_store=True).cell_count == 4
-    assert from_store(parse_guard_log, guard_log).cell_count == 4
+    assert from_store(parse_guard_log, guard_log).cell_count == 4  # but replaced
 
 
 def test_a_store_of_the_other_reader_is_ignored(guard_log):
     # a guard log whose rows all carry a type reads as a client log too
     guard_log.write_text("1,2,100,1,0\n1,2,110,-1,3\n")
-    parsed = parse_guard_log(guard_log, write_store=True)
-    client = parse_client_log(guard_log, io.StringIO(""))
+    parsed = parse_guard_log(guard_log)
+    with mock.patch.object(ingest, "_read_table", wraps=ingest._read_table) as decode:
+        client = parse_client_log(guard_log, io.StringIO(""))
+    assert decode.call_count == 1
     assert describe_exactly(client.stats) == describe_exactly(parsed)
-    assert from_store(parse_guard_log, guard_log).cell_count == 2
+    assert json.loads((ingest.store_path(guard_log) / "meta.json").read_text())["log"] == "client"
 
 
 def rewrite_meta(store, **changes):
@@ -698,7 +698,7 @@ def test_a_malformed_store_that_matches_its_log_is_an_error(guard_log, case):
 def pristine_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "guard.csv"
     path.write_text(GUARD_LOG)
-    parse_guard_log(path, write_store=True)
+    parse_guard_log(path)
     return path, {part.name: part.read_bytes() for part in ingest.store_path(path).iterdir()}
 
 
