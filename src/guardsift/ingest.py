@@ -428,7 +428,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_store(csv_path, cells: CellColumns, kind: str, digest: str) -> Path:
+def _save_store(csv_path, cells: CellColumns, kind: str, digest: str) -> Path:
     """Write ``cells``, decoded from the ``kind`` ("guard" or "client") log
     at ``csv_path`` whose bytes have the sha256 ``digest``, as that log's store.
 
@@ -475,7 +475,7 @@ def _keep_store(csv_path, cells: CellColumns, kind: str, digest: str) -> None:
     """Write the store of a decoded log. A store that cannot be written is
     no error: the log is then decoded on each read."""
     try:
-        save_store(csv_path, cells, kind, digest)
+        _save_store(csv_path, cells, kind, digest)
     except OSError as exc:
         log.warning("cannot write the store of %s, which is decoded on each read: %s", csv_path, exc)
 
