@@ -668,7 +668,49 @@ def test_eval_curve_of_no_rows_is_a_stage_error_in_a_fresh_process(tmp_path, tex
     assert proc.stderr == "guardsift eval: error: need at least one record\n"
 
 
-TIME_PATH = ["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
+# inputs that a stage refuses in its own words: (file name, its text, argv, stderr)
+STAGE_FAILURES = {
+    "transform-late-start": (
+        "t.ndjson", '{"phase":"pre","label":null,"cells":[[5,1],[7,-1]]}\n',
+        ["transform", "--in", "t.ndjson", "--out", "o"],
+        "guardsift transform: error: trace 17e597b5ccd1338a starts at 5 ns, expected 0\n",
+    ),
+    "transform-no-cells": (
+        "t.ndjson", '{"phase":"pre","label":null,"cells":[]}\n',
+        ["transform", "--in", "t.ndjson", "--out", "o"],
+        "guardsift transform: error: cannot export an empty trace\n",
+    ),
+    "max-f1-no-monitored": (
+        "scores.csv", "n1,-1,-1,0.1\nn2,-1,1,0.4\n", ["eval", "--scores", "scores.csv", "--max-f1"],
+        "guardsift eval: error: no monitored records; F1 is undefined\n",
+    ),
+    "target-fpr-infeasible": (
+        "scores.csv", "n1,-1,1,0.9\nm1,1,1,0.1\n", ["eval", "--scores", "scores.csv", "--target-fpr", "0.5"],
+        "guardsift eval: error: no threshold achieves FPR <= 0.5\n",
+    ),
+    "threshold-no-nonmonitored": (
+        "scores.csv", "m1,1,1,0.9\nm2,2,2,0.4\n", ["eval", "--scores", "scores.csv", "--threshold", "0.5"],
+        "guardsift eval: error: need monitored and non-monitored records, got n_p=2 n_n=0\n",
+    ),
+    "threshold-zero-denominator": (
+        "scores.csv", "m1,1,1,0.2\nn1,-1,1,0.1\n",
+        ["eval", "--scores", "scores.csv", "--threshold", "0.5", "--wilson-z", "0"],
+        "guardsift eval: error: r-precision denominator is zero\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_FAILURES))
+def test_stage_failures_print_their_message_in_a_fresh_process(tmp_path, case):
+    name, text, argv, stderr = STAGE_FAILURES[case]
+    (tmp_path / name).write_text(text)
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == stderr
+    assert "Traceback" not in proc.stderr
+
+
+TIME_PATH =["sanitize", "--guard", "guard.csv", "--phase", "pre", "--out", "o", "--segmentation", "time"]
 SWEEP = ["generate", "--out", "o", "--rtt-sweep"]
 EVAL = ["eval", "--scores", "scores.csv"]
 TRANSFORM = ["transform", "--in", "t", "--out", "o"]
