@@ -217,8 +217,10 @@ _BATCH_CHARS = 1 << 15
 def read_columns(source: str | Path | IO[str]) -> TraceColumns:
     """Decode a newline-delimited JSON trace file into columns.
 
-    Each line is an object with ``phase``, ``label`` (a string or null) and
-    ``cells``, a list of ``[timestamp_ns, direction]`` pairs: int64 integers,
+    Lines end at "\\n", "\\r\\n" or "\\r" only, since a JSON string may hold
+    other line breaks, such as a raw U+2028. Each line is an object with
+    ``phase``, ``label`` (a string or null) and ``cells``, a list of
+    ``[timestamp_ns, direction]`` pairs: int64 integers,
     directions +-1, timestamps sorted. Any other line raises ``ParseError``
     naming it; when several lines are bad, the first. Lines exactly as the
     writer renders them are decoded in batches without a JSON parser; every
@@ -227,8 +229,10 @@ def read_columns(source: str | Path | IO[str]) -> TraceColumns:
     """
     text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
     columns = _Columns(text.count("["))  # every cell opens with a "["
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     batch, size = [], 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             batch.append((line_no, line))
             size += len(line)

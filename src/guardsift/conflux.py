@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyTraceError, IndeterminateError, NotLinkedError
+from .errors import GuardsiftError
 from .trace import INCOMING, OUTGOING, Circuit
 
 
@@ -46,7 +46,7 @@ def strip_conflux_handshake(leg: Circuit) -> Circuit:
         acks = np.flatnonzero(leg.cell_types == CellTypeCode.CFX_LINKED_ACK)
         if len(acks):
             return leg.tail(int(acks[0]) + 1)
-    raise NotLinkedError(f"leg {leg.circuit_id} has no link-ack cell")
+    raise GuardsiftError(f"leg {leg.circuit_id} has no link-ack cell")
 
 
 def _opens_with_begin(leg: Circuit) -> bool:
@@ -63,7 +63,7 @@ def identify_primary_legs(leg_a: Circuit, leg_b: Circuit) -> PrimaryLegVerdict:
     connected answer came in on the other leg.
     """
     if not len(leg_a) or not len(leg_b):
-        raise IndeterminateError("a leg is empty after handshake strip")
+        raise GuardsiftError("a leg is empty after handshake strip")
     if _opens_with_begin(leg_a):
         client, secondary = leg_a, leg_b
     elif _opens_with_begin(leg_b):
@@ -106,7 +106,7 @@ def detect_first_segment(directions: np.ndarray) -> bool:
 def fs_ground_truth(verdict: PrimaryLegVerdict, guard_leg_id: int) -> bool:
     """True iff the guard's leg was the initial primary for both endpoints."""
     if verdict.client_primary is None:
-        raise IndeterminateError("a set neither endpoint used has no first-segment truth")
+        raise GuardsiftError("a set neither endpoint used has no first-segment truth")
     return verdict.client_primary == guard_leg_id == verdict.exit_primary
 
 
@@ -114,7 +114,7 @@ def leg_coverage(guard_cells: int, full_cells: int) -> float:
     """Fraction of the full page load's ``full_cells`` that the guard's leg
     carries (``guard_cells``)."""
     if not full_cells:
-        raise EmptyTraceError("full client trace is empty")
+        raise GuardsiftError("full client trace is empty")
     return min(1.0, max(0.0, guard_cells / full_cells))
 
 

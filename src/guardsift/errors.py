@@ -6,15 +6,7 @@ from pathlib import Path
 
 
 class GuardsiftError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class EmptyTraceError(GuardsiftError):
-    """An operation requires a non-empty trace."""
-
-
-class NotNormalizedError(GuardsiftError):
-    """A trace was expected to start at timestamp 0."""
+    """A stage failure; its message says what failed. The base of the other errors."""
 
 
 class ParseError(GuardsiftError):
@@ -32,50 +24,6 @@ class StoreError(GuardsiftError):
         super().__init__(f"bad cell-log store {path}: {message}; delete the store to read the log")
 
 
-class NoMainCircuitError(GuardsiftError):
-    """No candidate circuit survived main-circuit selection."""
-
-
-class EmptyAfterTrimError(GuardsiftError):
-    """Trimming removed every cell of a trace."""
-
-
-class NoMonitoredDataError(GuardsiftError):
-    """An operation requires at least one monitored trace."""
-
-
-class EmptySegmentError(GuardsiftError):
-    """A segmentation window contains no usable cells."""
-
-
-class MalformedCircuitError(GuardsiftError):
-    """A circuit's logged cells contradict each other, e.g. it ends before it starts."""
-
-
-class NotLinkedError(GuardsiftError):
-    """A leg carries no link-handshake completion cell."""
-
-
-class IndeterminateError(GuardsiftError):
-    """Leg analysis cannot produce a verdict for this set."""
-
-
-class UndefinedRateError(GuardsiftError):
-    """A rate denominator is zero."""
-
-
-class UndefinedPrecisionError(GuardsiftError):
-    """The r-precision denominator is zero."""
-
-
-class NoPositivesError(GuardsiftError):
-    """No monitored records exist, so F1 is undefined."""
-
-
-class NoFeasibleThresholdError(GuardsiftError):
-    """No decision threshold satisfies the FPR target."""
-
-
 class ConfigError(GuardsiftError):
     """A scenario or pipeline configuration is invalid."""
 
@@ -86,6 +34,16 @@ def decode_utf8(data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+
+
+def is_header(field: str) -> bool:
+    """Whether a file's first data line is a header, given the field that
+    every data line holds an integer in: it is when ``int`` cannot read it."""
+    try:
+        int(field)
+    except ValueError:
+        return True
+    return False
 
 
 def read_utf8(path) -> str:

@@ -38,7 +38,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ParseError, StoreError, decode_utf8
+from .errors import ParseError, StoreError, decode_utf8, is_header
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -74,14 +74,6 @@ class ParsedLog:
     cell_count: int = 0
     duplicate_count: int = 0
     auth_channel_count: int = 0
-
-
-def _is_header(line: str) -> bool:
-    try:
-        int(line.split(",", 1)[0])
-        return False
-    except ValueError:
-        return True
 
 
 def _auth_channel_id(line: str, line_no: int) -> int:
@@ -243,7 +235,7 @@ def _read_table(data: bytes, require_type: bool) -> tuple[np.ndarray, set[int]]:
                     errors.append(exc)  # data lines above the marker may hold an earlier error
                     break
             elif stripped[:1] not in ("", "#"):
-                if saw_data or i > first_strict or not _is_header(line):
+                if saw_data or i > first_strict or not is_header(line.split(",", 1)[0]):
                     saw_data = True
                     other.append(line)
                     other_nos.append(line_no + i)
@@ -623,7 +615,7 @@ def parse_visit_log(source) -> list[PageVisitRecord]:
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")
-        if not saw_data and len(fields) > 1 and not fields[1].lstrip("-").isdigit():
+        if not saw_data and len(fields) > 1 and is_header(fields[1]):
             continue
         saw_data = True
         if len(fields) not in (4, 6):

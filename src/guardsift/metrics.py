@@ -19,14 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    NoFeasibleThresholdError,
-    NoPositivesError,
-    ParseError,
-    UndefinedPrecisionError,
-    UndefinedRateError,
-    read_utf8,
-)
+from .errors import GuardsiftError, ParseError, is_header, read_utf8
 
 NONMON = -1
 
@@ -84,7 +77,7 @@ def tally(scores: Scores, threshold: float) -> ConfusionCounts:
 def wilson_upper(n_fp: int, n_n: int, z: float = 1.96) -> float:
     """Upper endpoint of the Wilson score interval for n_fp / n_n."""
     if n_n <= 0:
-        raise UndefinedRateError("n_n must be positive")
+        raise GuardsiftError("n_n must be positive")
     if not 0 <= n_fp <= n_n:
         raise ValueError("n_fp must lie in [0, n_n]")
     phat = n_fp / n_n
@@ -105,16 +98,14 @@ def r_precision(
     lower bound.
     """
     if n_p == 0 or n_n == 0:
-        raise UndefinedRateError(
-            f"need monitored and non-monitored records, got n_p={n_p} n_n={n_n}"
-        )
+        raise GuardsiftError(f"need monitored and non-monitored records, got n_p={n_p} n_n={n_n}")
     if r < 0:
         raise ValueError("r must be non-negative")
     tpr = n_tp / n_p
     fpr = wilson_upper(n_fp, n_n, wilson_z) if wilson_z and n_fp < 10 else n_fp / n_n
     denominator = tpr + n_wp / n_p + r * fpr
     if denominator <= 0:
-        raise UndefinedPrecisionError("r-precision denominator is zero")
+        raise GuardsiftError("r-precision denominator is zero")
     return tpr / denominator
 
 
@@ -193,7 +184,7 @@ def sweep(scores: Scores, r: float, wilson_z: float | None = None) -> Curve:
     Recall never increases along the curve.
     """
     if not len(scores):
-        raise UndefinedRateError("need at least one record")
+        raise GuardsiftError("need at least one record")
     n_n = scores.true_labels.count(NONMON)
     n_p = len(scores) - n_n
     thresholds, n_tp, n_wp, n_fp = _threshold_counts(scores)
@@ -204,7 +195,7 @@ def sweep(scores: Scores, r: float, wilson_z: float | None = None) -> Curve:
         for i, counts in enumerate(zip(n_tp, n_wp, n_fp)):
             try:
                 pi_r[i] = r_precision(n_p, n_n, *counts, r, wilson_z)
-            except UndefinedPrecisionError:
+            except GuardsiftError:  # a zero denominator: n_p and n_n are positive
                 pass
     return Curve(n_p, n_n, thresholds, n_tp, n_wp, n_fp, pi_r, recall, fpr)
 
@@ -221,7 +212,7 @@ class OperatingPoint:
 def select_threshold_max_f1(curve: Curve) -> OperatingPoint:
     """The threshold of ``curve`` maximizing F1; ties resolve to the larger threshold."""
     if not curve.n_p:
-        raise NoPositivesError("no monitored records; F1 is undefined")
+        raise GuardsiftError("no monitored records; F1 is undefined")
     best = best_f1 = None
     for i, (pi, recall) in enumerate(zip(curve.pi_r, curve.recall)):
         if pi is None or recall is None:
@@ -230,7 +221,7 @@ def select_threshold_max_f1(curve: Curve) -> OperatingPoint:
         if best is None or score >= best_f1:
             best, best_f1 = i, score
     if best is None:
-        raise NoPositivesError("no threshold yields defined rates")
+        raise GuardsiftError("no threshold yields defined rates")
     return OperatingPoint(
         curve.thresholds[best], curve.pi_r[best], curve.recall[best], curve.fpr[best], best_f1
     )
@@ -247,7 +238,7 @@ def operating_point_at_fpr(scores: Scores, target_fpr: float = 0.005) -> Operati
     n_n = scores.true_labels.count(NONMON)
     n_p = len(scores) - n_n
     if n_p == 0 or n_n == 0:
-        raise UndefinedRateError("need monitored and non-monitored records")
+        raise GuardsiftError("need monitored and non-monitored records")
     thresholds, n_tp, _, n_fp = _threshold_counts(scores)
     best = best_tpr = None
     for i in range(len(thresholds) - 1):
@@ -255,7 +246,7 @@ def operating_point_at_fpr(scores: Scores, target_fpr: float = 0.005) -> Operati
         if n_fp[i] / n_n <= target_fpr and (best is None or tpr >= best_tpr):
             best, best_tpr = i, tpr
     if best is None:
-        raise NoFeasibleThresholdError(f"no threshold achieves FPR <= {target_fpr}")
+        raise GuardsiftError(f"no threshold achieves FPR <= {target_fpr}")
     return OperatingPoint(thresholds[best], None, best_tpr, n_fp[best] / n_n, None)
 
 
@@ -281,7 +272,7 @@ def read_scores(source: str | Path) -> Scores:
             raise ParseError(line_no, f"expected 4 fields, got {len(fields)}")
         if header_allowed:
             header_allowed = False
-            if not fields[1].lstrip("-").isdigit():
+            if is_header(fields[1]):
                 continue
         try:
             true, predicted, score = int(fields[1]), int(fields[2]), float(fields[3])

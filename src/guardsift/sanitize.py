@@ -21,14 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyAfterTrimError,
-    MalformedCircuitError,
-    NoMainCircuitError,
-    NoMonitoredDataError,
-    read_config,
-)
+from .errors import ConfigError, GuardsiftError, read_config
 from .ingest import PageVisitRecord
 from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, Trace, TraceColumns
 from .trace import compute_trace_id, concat_cells
@@ -123,21 +116,20 @@ def validate_handshake_post(circuit: Circuit) -> str:
 def select_main_circuit(
     page_domain: str,
     candidates: Sequence[tuple[PageVisitRecord, Circuit]],
-) -> Circuit:
+) -> Circuit | None:
     """Pick the circuit that actually carried the page load.
 
     Candidates whose first-party domain no longer matches the page were
     created after a redirect; candidates requesting an .onion name are
     alternative-service legs. Both are ignored. Among the survivors the
-    highest cell count wins; ties go to the earliest start.
+    highest cell count wins; ties go to the earliest start. None when no
+    candidate survives.
     """
     survivors = [
         circuit for record, circuit in candidates
         if record.first_party_domain == page_domain and not record.target_domain.endswith(".onion")
     ]
-    if not survivors:
-        raise NoMainCircuitError(f"no usable circuit for {page_domain}")
-    return min(survivors, key=lambda c: (-len(c), c.start_ts))
+    return min(survivors, key=lambda c: (-len(c), c.start_ts), default=None)
 
 
 def trim_head(circuit: Circuit, phase: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,16 +138,16 @@ def trim_head(circuit: Circuit, phase: str) -> tuple[np.ndarray, np.ndarray]:
     Circuits are often built well before they carry data, so the raw gap
     between handshake and payload is idle time, not page behavior. Returns
     the kept cells' ``(timestamps, directions)``. Kept cells out of time
-    order raise ``MalformedCircuitError``.
+    order raise ``GuardsiftError``.
     """
     _, strip = OPENING[phase]
     timestamps = circuit.timestamps[strip:]
     if not len(timestamps):
-        raise EmptyAfterTrimError(f"circuit {circuit.circuit_id}: no cells left after head trim")
+        raise GuardsiftError(f"circuit {circuit.circuit_id}: no cells left after head trim")
     backwards = np.flatnonzero(timestamps[1:] < timestamps[:-1])
     if len(backwards):
         i = strip + int(backwards[0])
-        raise MalformedCircuitError(
+        raise GuardsiftError(
             f"circuit {circuit.circuit_id} has cells out of time order: cell {i + 1} at"
             f" {circuit.timestamps[i + 1]} ns follows cell {i} at {circuit.timestamps[i]} ns"
         )
@@ -223,7 +215,7 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
     _, (end,) = cap_tail(trace.timestamps, [0], [end], config.duration_cap_ns, config.max_len)
     if not end:
         (trace_id,) = compute_trace_id(TraceColumns.from_traces([trace]))
-        raise EmptyAfterTrimError(f"trace {trace_id}: empty after tail trim")
+        raise GuardsiftError(f"trace {trace_id}: empty after tail trim")
     if end == len(trace) and trace.tail_trimmed:
         return trace
     return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
@@ -232,7 +224,7 @@ def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
 def compute_duration_cap(durations: Sequence[int]) -> int:
     """Nearest-rank ``DURATION_CAP_PERCENTILE`` percentile of trace durations, in ns."""
     if not durations:
-        raise NoMonitoredDataError("duration cap needs at least one monitored trace")
+        raise GuardsiftError("duration cap needs at least one monitored trace")
     durations = sorted(durations)
     rank = math.ceil(DURATION_CAP_PERCENTILE / 100.0 * len(durations))
     cap = durations[max(rank, 1) - 1]
@@ -364,8 +356,8 @@ def _trim_cohort(
         k = np.searchsorted(ends, backwards.argmax(), side="right")
         try:
             trim_head(circuits[k], phase)
-        except MalformedCircuitError as exc:
-            raise MalformedCircuitError(f"channel {entries[k][2][0]}: {exc}") from None
+        except GuardsiftError as exc:
+            raise GuardsiftError(f"channel {entries[k][2][0]}: {exc}") from None
     # time restarts at each circuit's first kept cell
     timestamps -= np.repeat(timestamps[starts[sizes > 0]], sizes[sizes > 0])
     ends, pruned = prune_close_tail(timestamps, directions, starts, ends, config)
@@ -421,9 +413,8 @@ def sanitize(
     claimed: dict[CircuitKey, str] = {}  # main circuit -> page label
     for group in groups:
         candidates = [(row, circuit) for row, _, circuit in group.named]
-        try:
-            main = select_main_circuit(group.page_domain, candidates)
-        except NoMainCircuitError:
+        main = select_main_circuit(group.page_domain, candidates)
+        if main is None:
             continue
         owner = next(channel_id for _, channel_id, circuit in group.named if circuit is main)
         claimed[owner, main.circuit_id] = group.page_domain

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySegmentError, MalformedCircuitError
+from .errors import GuardsiftError
 from .sanitize import SanitizeConfig, cap_tail, prune_close_tail
 from .trace import OUTGOING, PRE, Channel, TraceColumns, concat_cells
 
@@ -59,7 +59,7 @@ def plan_windows(channel: Channel) -> list[SegmentWindow]:
     backwards = np.flatnonzero(ends < starts)
     if len(backwards):
         i = int(backwards[0])
-        raise MalformedCircuitError(
+        raise GuardsiftError(
             f"channel {channel.channel_id}: circuit {circuits[order[i]].circuit_id} ends at"
             f" {ends[i]} ns, before its first cell at {starts[i]} ns"
         )
@@ -119,7 +119,7 @@ def extract_monitored_window(
     bounds = np.array([0]), np.array([len(order)])
     table = _finish_segments(timestamps[order], directions[order], *bounds, config, label, phase)
     if not len(table):
-        raise EmptySegmentError(
+        raise GuardsiftError(
             f"channel {channel.channel_id}: window [{visit_start}, {visit_end}]"
             " has no usable outgoing-aligned cells"
         )

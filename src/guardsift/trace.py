@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyTraceError, NotNormalizedError
+from .errors import GuardsiftError
 
 OUTGOING = 1
 INCOMING = -1
@@ -318,9 +318,9 @@ def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
         i = int(bad.argmax())
         row = table.rows(i, i + 1)
         if not len(row.timestamps):
-            raise EmptyTraceError("cannot export an empty trace")
+            raise GuardsiftError("cannot export an empty trace")
         (trace_id,) = compute_trace_id(row)
-        raise NotNormalizedError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
+        raise GuardsiftError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
     # each line's head, up to the "[" of its cells: phases and labels repeat, so render each once
     heads = {
         (phase, label): f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['

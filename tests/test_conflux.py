@@ -11,7 +11,7 @@ from guardsift.conflux import (
     leg_coverage,
     strip_conflux_handshake,
 )
-from guardsift.errors import EmptyTraceError, IndeterminateError, NotLinkedError
+from guardsift.errors import GuardsiftError
 from guardsift.trace import CellRecord, Circuit
 
 
@@ -37,7 +37,7 @@ class TestStripHandshake:
         assert len(strip_conflux_handshake(leg)) == 0
 
     def test_missing_ack_raises(self):
-        with pytest.raises(NotLinkedError):
+        with pytest.raises(GuardsiftError, match="^leg 1 has no link-ack cell$"):
             strip_conflux_handshake(typed_leg(1, [(1, 200), (-1, 201), (1, 2)]))
 
 
@@ -86,7 +86,7 @@ class TestIdentifyPrimaryLegs:
         assert verdict.exit_primary == 10
 
     def test_empty_leg_is_indeterminate(self):
-        with pytest.raises(IndeterminateError):
+        with pytest.raises(GuardsiftError, match="^a leg is empty after handshake strip$"):
             identify_primary_legs(typed_leg(1, []), typed_leg(2, [(1, 1)]))
 
     def test_symmetric_under_relabeling(self):
@@ -136,7 +136,9 @@ class TestFsGroundTruth:
         assert not fs_ground_truth(PrimaryLegVerdict(10, 20), 10)
 
     def test_unused_raises(self):
-        with pytest.raises(IndeterminateError):
+        with pytest.raises(
+            GuardsiftError, match="^a set neither endpoint used has no first-segment truth$"
+        ):
             fs_ground_truth(PrimaryLegVerdict(None, None), 10)
 
 
@@ -147,7 +149,7 @@ class TestCoverageAndMerge:
         assert leg_coverage(0, 1000) == 0.0
 
     def test_empty_full_trace_raises(self):
-        with pytest.raises(EmptyTraceError):
+        with pytest.raises(GuardsiftError, match="^full client trace is empty$"):
             leg_coverage(1, 0)
 
     def test_set_coverage_counts_both_legs_after_the_link_ack(self):

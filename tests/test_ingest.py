@@ -107,6 +107,15 @@ def test_conflux_visit_meta_populated():
     assert [visit.leg_ids for visit in visits] == [(3, 4), None]
 
 
+@pytest.mark.parametrize("request_ts", [" 100", "100 ", "+100"])
+def test_a_first_visit_row_whose_timestamp_int_reads_is_data(request_ts):
+    # the header rule reads the field as int() reads it on every later row
+    visits = parse_visit_log(io.StringIO(f"a.com,{request_ts},a.com,5\nb.com,200,b.com,6\n"))
+    assert [(v.first_party_domain, v.request_ts) for v in visits] == [("a.com", 100), ("b.com", 200)]
+    header = "first_party_domain,request_ts,target_domain,circuit_id\n"
+    assert parse_visit_log(io.StringIO(header + "b.com,200,b.com,6\n")) == visits[1:]
+
+
 def test_link_ack_cell_type_parsed():
     cells = io.StringIO("1,3,0,1,21\n")
     log = parse_client_log(cells, io.StringIO(""))

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardsift.errors import (
-    GuardsiftError,
-    NoFeasibleThresholdError,
-    NoPositivesError,
-    ParseError,
-    UndefinedPrecisionError,
-    UndefinedRateError,
-)
+from guardsift.errors import GuardsiftError, ParseError
 from guardsift.metrics import (
     NONMON,
     Scores,
@@ -82,9 +75,10 @@ class TestRates:
         assert (curve.recall[1], curve.fpr[1]) == (1 / 2, 1 / 1)
 
     def test_zero_denominator(self):
-        with pytest.raises(UndefinedRateError):
+        undefined = "^need monitored and non-monitored records, got n_p={} n_n={}$"
+        with pytest.raises(GuardsiftError, match=undefined.format(0, 10)):
             r_precision(0, 10, 0, 0, 0, 10)
-        with pytest.raises(UndefinedRateError):
+        with pytest.raises(GuardsiftError, match=undefined.format(10, 0)):
             r_precision(10, 0, 1, 0, 0, 10)
 
 
@@ -126,7 +120,7 @@ class TestRPrecision:
         assert r_precision(10, 1000, 9, 0, 50, 10, 1.96) == r_precision(10, 1000, 9, 0, 50, 10)
 
     def test_zero_denominator(self):
-        with pytest.raises(UndefinedPrecisionError):
+        with pytest.raises(GuardsiftError, match="^r-precision denominator is zero$"):
             r_precision(10, 10, 0, 0, 0, 10)
 
 
@@ -242,7 +236,7 @@ class TestSelectThreshold:
         assert point.threshold == 0.7
 
     def test_all_nonmon_raises(self):
-        with pytest.raises(NoPositivesError):
+        with pytest.raises(GuardsiftError, match="^no monitored records; F1 is undefined$"):
             select_threshold_max_f1(sweep(columns([rec(NONMON, 1, 0.5)]), 10))
 
 
@@ -256,7 +250,7 @@ class TestOperatingPoint:
     def test_infeasible_raises(self):
         # every real threshold keeps at least one of the 10 false positives
         records = [rec(1, 1, 0.5)] + [rec(NONMON, 2, 1.0)] * 2 + [rec(NONMON, 3, 0.9)] * 8
-        with pytest.raises(NoFeasibleThresholdError):
+        with pytest.raises(GuardsiftError, match=r"^no threshold achieves FPR <= 0\.005$"):
             operating_point_at_fpr(columns(records), 0.005)
 
     def test_max_tpr_among_feasible(self):
@@ -283,6 +277,14 @@ def test_header_may_follow_comments_and_blank_lines(tmp_path, before):
     path = tmp_path / "scores.csv"
     path.write_text(before + "trace_id,true_label,predicted_label,score\na,1,2,0.25\n")
     assert read_scores(path) == columns([rec(1, 2, 0.25, "a")])
+
+
+@pytest.mark.parametrize("label", [" 3", "3 ", "+3"])
+def test_a_first_row_whose_label_int_reads_is_data(tmp_path, label):
+    # the header rule reads the label as int() reads it on every later row
+    path = tmp_path / "scores.csv"
+    path.write_text(f"m,{label},3,0.9\nn,-1,1,0.1\nk,2,2,0.5\n")
+    assert read_scores(path) == columns([rec(3, 3, 0.9), rec(NONMON, 1, 0.1), rec(2, 2, 0.5)])
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,7 @@ from conftest import (
     oracle_prune_close_tail,
     oracle_tail_stages,
 )
-from guardsift.errors import (
-    ConfigError,
-    EmptyAfterTrimError,
-    NoMainCircuitError,
-    NoMonitoredDataError,
-)
+from guardsift.errors import ConfigError, GuardsiftError
 from guardsift.ingest import PageVisitRecord
 from guardsift.sanitize import (
     CONFLUX,
@@ -136,10 +131,9 @@ class TestMainCircuitSelection:
             "a.example", [(visit("a.example", "a.example", 9), only)]
         ).circuit_id == 9
 
-    def test_no_survivor_raises(self):
+    def test_no_survivor_is_none(self):
         onion = circuit_from_dirs([1, -1], circuit_id=2)
-        with pytest.raises(NoMainCircuitError):
-            select_main_circuit("a.example", [(visit("a.example", "x.onion", 2), onion)])
+        assert select_main_circuit("a.example", [(visit("a.example", "x.onion", 2), onion)]) is None
 
     def test_tie_breaks_to_earliest_start(self):
         early = circuit_from_dirs([1, -1] * 10, circuit_id=1, start=100)
@@ -166,7 +160,7 @@ class TestHeadTrim:
         assert timestamps[0] == 0
 
     def test_post_five_cells_empties(self):
-        with pytest.raises(EmptyAfterTrimError):
+        with pytest.raises(GuardsiftError, match="^circuit 1: no cells left after head trim$"):
             trim_head(circuit_from_dirs([1, -1, 1, -1, 1]), "post")
 
     def test_idle_gap_removed_by_renormalization(self):
@@ -174,6 +168,9 @@ class TestHeadTrim:
         timestamps, directions = trim_head(circuit, "pre")
         assert (timestamps[0], directions[0]) == (0, 1)
         assert timestamps[-1] == MS
+
+
+EMPTY_AFTER_TAIL_TRIM = "^trace [0-9a-f]{16}: empty after tail trim$"
 
 
 def build_trace(segments, tail_trimmed=False):
@@ -240,7 +237,7 @@ class TestTailTrim:
         assert len(trimmed.cells) == 51
 
     def test_empty_after_trim(self):
-        with pytest.raises(EmptyAfterTrimError):
+        with pytest.raises(GuardsiftError, match=EMPTY_AFTER_TAIL_TRIM):
             trim_tail(build_trace([(2, 1, MS)]), self.config())
 
     def test_idempotent_with_multiple_gaps(self):
@@ -337,7 +334,7 @@ class TestTailStagesAgainstListOracle:
         trace = Trace.from_cells(cells, tail_trimmed=tail_trimmed)
         expected, _ = oracle_tail_stages(cells, config, tail_trimmed)
         if not expected:
-            with pytest.raises(EmptyAfterTrimError):
+            with pytest.raises(GuardsiftError, match=EMPTY_AFTER_TAIL_TRIM):
                 trim_tail(trace, config)
             return
         trimmed = trim_tail(trace, config)
@@ -356,7 +353,7 @@ class TestDurationCap:
         assert compute_duration_cap([30 * SEC]) == 30 * SEC
 
     def test_empty_raises(self):
-        with pytest.raises(NoMonitoredDataError):
+        with pytest.raises(GuardsiftError, match="^duration cap needs at least one monitored trace$"):
             compute_duration_cap([])
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import json_values, oracle_trace_id, oracle_trace_line
-from guardsift.errors import EmptyTraceError, GuardsiftError, NotNormalizedError, ParseError
+from guardsift.errors import GuardsiftError, ParseError
 import guardsift.columns as columns_module
 import guardsift.trace as trace_module
 from guardsift.columns import read_columns
@@ -87,12 +87,13 @@ def test_export_roundtrip_bit_exact():
 
 def test_export_rejects_unnormalized(tmp_path):
     late = Trace.from_cells(((5, 1), (9, -1)))
-    with pytest.raises(NotNormalizedError, match=f"^trace {trace_id(late)} starts at 5 ns, expected 0$"):
+    not_normalized = f"^trace {trace_id(late)} starts at 5 ns, expected 0$"
+    with pytest.raises(GuardsiftError, match=not_normalized):
         serialize_dataset(table([*_traces(), late, Trace.from_cells(())]), seed=0)
-    with pytest.raises(EmptyTraceError, match="^cannot export an empty trace$"):
+    with pytest.raises(GuardsiftError, match="^cannot export an empty trace$"):
         serialize_dataset(table([*_traces(), Trace.from_cells(()), late]), seed=0)
     # the writer checks the whole table before it opens the file
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(GuardsiftError, match=not_normalized):
         write_dataset(table([*_traces(), late]), 0, tmp_path / "traces.ndjson")
     assert not (tmp_path / "traces.ndjson").exists()
 
@@ -354,8 +355,8 @@ bad_lines = st.sampled_from(BAD_FIELDS).map('{{"phase":"pre","label":null,{}}}'.
 UNSORTED = '{"phase":"pre","label":null,"cells":[[5,1],[0,-1]]}'
 BAD_DIRECTION = '{"phase":"pre","label":null,"cells":[[0,1],[3,0]]}'
 TOO_BIG = '{"phase":"pre","label":null,"cells":[[0,1],[9223372036854775808,1]]}'
-# the line breaks str.splitlines knows beside "\n"; the JSON writer escapes them all
-NEWLINES = ["\n", "\r\n", "\x85", "\u2028"]
+# the line ends of a trace file
+NEWLINES = ["\n", "\r\n", "\r"]
 # lines near the writer's form: the batch decoder must take or refuse each
 # one exactly as the JSON decoder does
 PINNED_GOOD_LINES = [
@@ -426,6 +427,27 @@ def test_reader_matches_the_per_line_oracle(lines, newline):
     else:
         # == compares every field, so each trace must carry its line's metadata
         assert outcome == [trace for _, trace in parsed]
+
+
+# line breaks that str.splitlines knows but a trace file does not
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("head", ['{"phase":"pre",', '{"phase": "pre", '], ids=["batch", "json"])
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+def test_a_label_may_hold_a_line_break_json_allows(tmp_path, head, brk):
+    # the writer escapes these; a JSON string may also hold them raw
+    path = tmp_path / "traces.ndjson"
+    path.write_text(f'{head}"label":"a{brk}b","cells":[[0,1]]}}\n', encoding="utf-8")
+    (trace,) = read_dataset(path)
+    assert trace.label == f"a{brk}b"
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+def test_only_cr_and_lf_end_a_trace_line(brk):
+    good = GOOD_LINE.strip()
+    with pytest.raises(ParseError, match="^line 1: not JSON: Extra data$"):
+        read_dataset(io.StringIO(f"{good}{brk}{good}\n"))
 
 
 @given(
