@@ -248,6 +248,15 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted as RFC 4180 asks: in double quotes,
+    with its quotes doubled, when it holds a comma, a quote or a line break.
+    (``csv.writer`` leaves a lone "\\r" unquoted unless it ends its rows.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def cmd_featurize(args) -> int:
     from . import features
 
@@ -266,10 +275,11 @@ def cmd_featurize(args) -> int:
         features.write_features(out_dir / "features.bin", blocks)
         if args.csv:
             features.write_features_csv(out_dir / "features.csv", blocks)
-        with open(out_dir / "labels.csv", "w", encoding="utf-8") as handle:
+        with open(out_dir / "labels.csv", "w", encoding="utf-8", newline="") as handle:
             handle.write("trace_id,label\n")
+            fields = {label: _csv_field(label or "") for label in set(columns.labels)}
             ids = zip(compute_trace_id(columns), columns.labels)
-            handle.writelines(f"{trace_id},{label or ''}\n" for trace_id, label in ids)
+            handle.writelines(f"{trace_id},{fields[label]}\n" for trace_id, label in ids)
     except (ValueError, OverflowError) as exc:
         raise GuardsiftError(str(exc)) from None
     except MemoryError as exc:

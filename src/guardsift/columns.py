@@ -17,7 +17,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ParseError, read_utf8
+from .errors import ParseError, StoreError, decode_utf8, read_utf8
+from .store import is_regular_file, load_array, read_once
 from .trace import INCOMING, OUTGOING, PHASES, TraceColumns
 
 
@@ -122,6 +123,27 @@ def _decode_general(line_no: int, line: str) -> tuple[list[int], str, str | None
         raise ParseError(line_no, f"bad trace: {exc}") from None
 
 
+def _first_fault(timestamps, directions, bounds) -> tuple[int, str, str] | None:
+    """The first trace of the columns with a direction other than +-1 or
+    cells out of order, as ``(trace, column, message)``; None when there is
+    none. A trace's directions are checked before its order, as
+    Trace.from_cells does."""
+    ends = bounds[1:]
+    unsorted = timestamps[1:] < timestamps[:-1]
+    unsorted[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False  # trace boundaries
+    faults = [
+        (int(np.searchsorted(ends, bad[0], side="right")), column, message)
+        # "directions" sorts before "timestamps"
+        for bad, column, message in (
+            (np.flatnonzero((directions != OUTGOING) & (directions != INCOMING)),
+             "directions", "directions must be +1 or -1"),
+            (np.flatnonzero(unsorted), "timestamps", "cells must be sorted by timestamp"),
+        )
+        if len(bad)
+    ]
+    return min(faults, default=None)
+
+
 class _Columns:
     """The cells of many trace lines in one timestamp and one direction
     column. Each line's cells go straight in; their directions and order
@@ -176,27 +198,12 @@ class _Columns:
 
     def check(self) -> None:
         """Raise ParseError naming the first stored line with a direction
-        other than +-1 or cells out of order; a line's directions are checked
-        before its order, as Trace.from_cells does."""
+        other than +-1 or cells out of order."""
         count = self.ends[-1]
-        timestamps, directions = self.timestamps[:count], self.directions[:count]
-        ends = np.array(self.ends[1:], dtype=np.int64)
-        unsorted = timestamps[1:] < timestamps[:-1]
-        unsorted[ends[(ends > 0) & (ends < count)] - 1] = False  # trace boundaries
-        faults = [
-            (int(np.searchsorted(ends, bad[0], side="right")), rank, message)
-            for rank, (bad, message) in enumerate(
-                [
-                    (np.flatnonzero((directions != OUTGOING) & (directions != INCOMING)),
-                     "directions must be +1 or -1"),
-                    (np.flatnonzero(unsorted), "cells must be sorted by timestamp"),
-                ]
-            )
-            if len(bad)
-        ]
-        if faults:
-            k, _, message = min(faults)
-            raise ParseError(self.lines[k][0], f"bad trace: {message}")
+        ends = np.array(self.ends, dtype=np.int64)
+        fault = _first_fault(self.timestamps[:count], self.directions[:count], ends)
+        if fault:
+            raise ParseError(self.lines[fault[0]][0], f"bad trace: {fault[2]}")
 
     def finish(self) -> TraceColumns:
         self.check()
@@ -214,20 +221,8 @@ class _Columns:
 _BATCH_CHARS = 1 << 15
 
 
-def read_columns(source: str | Path | IO[str]) -> TraceColumns:
-    """Decode a newline-delimited JSON trace file into columns.
-
-    Lines end at "\\n", "\\r\\n" or "\\r" only, since a JSON string may hold
-    other line breaks, such as a raw U+2028. Each line is an object with
-    ``phase``, ``label`` (a string or null) and ``cells``, a list of
-    ``[timestamp_ns, direction]`` pairs: int64 integers,
-    directions +-1, timestamps sorted. Any other line raises ``ParseError``
-    naming it; when several lines are bad, the first. Lines exactly as the
-    writer renders them are decoded in batches without a JSON parser; every
-    other line goes through the JSON decoder on its own, and both ways take
-    and refuse the same lines.
-    """
-    text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
+def _decode(text: str) -> TraceColumns:
+    """The columns of the text of a trace file (see ``read_columns``)."""
     columns = _Columns(text.count("["))  # every cell opens with a "["
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -241,3 +236,69 @@ def read_columns(source: str | Path | IO[str]) -> TraceColumns:
             batch, size = [], 0
     columns.add_lines(batch)
     return columns.finish()
+
+
+# each array of a trace store: its dtype (all are 1-d)
+_STORE_ARRAYS = {"timestamps": np.int64, "directions": np.int8, "bounds": np.int64}
+
+
+def _stored(table: TraceColumns) -> tuple[dict, dict]:
+    """The arrays and the ``meta.json`` fields of the store of ``table``."""
+    arrays = {name: getattr(table, name) for name in _STORE_ARRAYS}
+    return arrays, {"phases": table.phases, "labels": table.labels}
+
+
+def _load_store(store: Path, meta: dict) -> TraceColumns:
+    """The columns of a trace store whose ``meta.json`` matched its file.
+
+    They must hold only what a decode of a trace file can give; anything
+    else raises ``StoreError``.
+    """
+
+    def fault(name: str, message: str) -> StoreError:
+        return StoreError(store / name, message, "trace")
+
+    phases, labels = meta.get("phases"), meta.get("labels")
+    if (
+        not isinstance(phases, list) or not isinstance(labels, list) or len(phases) != len(labels)
+        or not set(map(type, phases)) <= {str} or not set(phases) <= set(PHASES)
+        or not set(map(type, labels)) <= {str, type(None)}
+    ):
+        raise fault("meta.json", "missing or mistyped phases and labels")
+    timestamps, directions, bounds = (
+        load_array(store, name, dtype, 1, "trace") for name, dtype in _STORE_ARRAYS.items()
+    )
+    n = len(timestamps)
+    if len(directions) != n:
+        raise fault("directions.npy", f"{len(directions)} cells, timestamps.npy has {n}")
+    if (
+        len(bounds) != len(phases) + 1 or bounds[0] != 0 or bounds[-1] != n
+        or (bounds[1:] < bounds[:-1]).any()
+    ):
+        raise fault("bounds.npy", f"does not split the {n} cells into {len(phases)} traces")
+    bad = _first_fault(timestamps, directions, bounds)
+    if bad:
+        raise fault(f"{bad[1]}.npy", f"trace {bad[0]}: {bad[2]}")
+    return TraceColumns(timestamps, directions, bounds, phases, labels)
+
+
+def read_columns(source: str | Path | IO[str]) -> TraceColumns:
+    """Decode a newline-delimited JSON trace file into columns.
+
+    Lines end at "\\n", "\\r\\n" or "\\r" only, since a JSON string may hold
+    other line breaks, such as a raw U+2028. Each line is an object with
+    ``phase``, ``label`` (a string or null) and ``cells``, a list of
+    ``[timestamp_ns, direction]`` pairs: int64 integers,
+    directions +-1, timestamps sorted. Any other line raises ``ParseError``
+    naming it; when several lines are bad, the first. Lines exactly as the
+    writer renders them are decoded in batches without a JSON parser; every
+    other line goes through the JSON decoder on its own, and both ways take
+    and refuse the same lines.
+
+    A trace file read from a regular file is read once and keeps a store
+    (see ``store.read_once``). A pipe or an open file is decoded and gets
+    no store.
+    """
+    if is_regular_file(source):
+        return read_once(source, "trace", lambda data: _decode(decode_utf8(data.pop())), _load_store, _stored)
+    return _decode(read_utf8(source) if isinstance(source, (str, Path)) else source.read())

@@ -18,10 +18,11 @@ class ParseError(GuardsiftError):
 
 
 class StoreError(GuardsiftError):
-    """A cell-log store that matches its log is malformed."""
+    """A store that matches its file is malformed; ``kind`` is "cell-log" or "trace"."""
 
-    def __init__(self, path, message: str):
-        super().__init__(f"bad cell-log store {path}: {message}; delete the store to read the log")
+    def __init__(self, path, message: str, kind: str = "cell-log"):
+        file = "log" if kind == "cell-log" else f"{kind} file"
+        super().__init__(f"bad {kind} store {path}: {message}; delete the store to read the {file}")
 
 
 class ConfigError(GuardsiftError):

@@ -18,20 +18,16 @@ the other lines are read one by one. Rows are checked, deduplicated and
 grouped by sorting, so no per-cell Python object is built. Each circuit
 holds views into the log's channel-sorted arrays.
 
-The store of a log ``X.csv`` is the directory ``X.store`` beside it: those
-grouped arrays as ``.npy`` files, and a ``meta.json`` with the sha256 of
-the log's bytes. A log read from a regular file is loaded from its store
-when the digest matches, and otherwise decoded from its bytes, which
-then get a store.
+The store of a log ``X.csv`` (see ``store``) is the directory ``X.store``
+beside it: those grouped arrays as ``.npy`` files, and a ``meta.json``
+with the sha256 of the log's bytes and the log's counts. A log read from a
+regular file is loaded from its store when the digest matches, and
+otherwise decoded from its bytes, which then get a store.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import math
-import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -39,6 +35,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ParseError, StoreError, decode_utf8, is_header
+from .store import is_regular_file, load_array, read_once
 from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -399,7 +396,6 @@ def _build_channels(cells: CellColumns) -> ParsedLog:
 
 # --- the cell-log store -------------------------------------------------------
 
-_STORE_VERSION = 1
 # each array of a store: its dtype and number of dimensions
 _STORE_ARRAYS = {
     "timestamps": (np.int64, 1),
@@ -409,141 +405,41 @@ _STORE_ARRAYS = {
 }
 
 
-def store_path(csv_path) -> Path:
-    """The store of the cell log ``X.csv``: the directory ``X.store`` beside it."""
-    return Path(csv_path).with_suffix(".store")
-
-
-def _sha256(data: bytes) -> str:
-    import hashlib  # loaded only by a run that checks or writes a store
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def _save_store(csv_path, cells: CellColumns, kind: str, digest: str) -> Path:
-    """Write ``cells``, decoded from the ``kind`` ("guard" or "client") log
-    at ``csv_path`` whose bytes have the sha256 ``digest``, as that log's store.
-
-    The store is written into a new directory beside the log and renamed into
-    place, replacing an older store, so a reader finds a whole store or none.
-    """
-    store = store_path(csv_path)
-    new = store.with_name(f".{store.name}.{os.getpid()}")
-    if new.exists():  # left by a writer of the same pid that was stopped
-        shutil.rmtree(new)
-    new.mkdir()
-    try:
-        arrays = {"timestamps": cells.timestamps, "directions": cells.directions, "groups": cells.groups}
-        if cells.cell_types is not None:
-            arrays["cell_types"] = cells.cell_types
-        for name, array in arrays.items():
-            np.save(new / f"{name}.npy", array, allow_pickle=False)
-        meta = {
-            "version": _STORE_VERSION,
-            "log": kind,
-            "sha256": digest,
-            "line_count": cells.line_count,
-            "duplicate_count": cells.duplicate_count,
-            "auth_channel_ids": cells.auth_ids,
-            "cell_types": cells.cell_types is not None,
-        }
-        (new / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-        try:
-            new.rename(store)
-        except OSError:  # a store is in the way: swap it out
-            if not store.is_dir():
-                raise
-            old = new.with_name(new.name + ".old")
-            store.rename(old)
-            new.rename(store)
-            shutil.rmtree(old)
-    finally:
-        if new.exists():
-            shutil.rmtree(new)
-    return store
-
-
-def _keep_store(csv_path, cells: CellColumns, kind: str, digest: str) -> None:
-    """Write the store of a decoded log. A store that cannot be written is
-    no error: the log is then decoded on each read."""
-    try:
-        _save_store(csv_path, cells, kind, digest)
-    except OSError as exc:
-        log.warning("cannot write the store of %s, which is decoded on each read: %s", csv_path, exc)
+def _stored(cells: CellColumns) -> tuple[dict, dict]:
+    """The arrays and the ``meta.json`` fields of the store of ``cells``."""
+    arrays = {"timestamps": cells.timestamps, "directions": cells.directions, "groups": cells.groups}
+    if cells.cell_types is not None:
+        arrays["cell_types"] = cells.cell_types
+    meta = {
+        "line_count": cells.line_count,
+        "duplicate_count": cells.duplicate_count,
+        "auth_channel_ids": cells.auth_ids,
+        "cell_types": cells.cell_types is not None,
+    }
+    return arrays, meta
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and _INT64_MIN <= value <= _INT64_MAX
 
 
-def _load_array(store: Path, name: str) -> np.ndarray:
-    """One array of a store. Its header is checked against the dtype, the
-    rank and the file's size before ``np.load`` reads it, so an object
-    array, or a header that claims more cells than the file holds, is
-    refused before anything is allocated."""
-    path = store / f"{name}.npy"
-    dtype, ndim = _STORE_ARRAYS[name]
-    try:
-        with open(path, "rb") as handle:
-            try:  # numpy's header parser raises more than ValueError on bad bytes
-                if np.lib.format.read_magic(handle) != (1, 0):
-                    raise ValueError("not a version 1.0 .npy file")
-                shape, _, found = np.lib.format.read_array_header_1_0(handle)
-            except Exception as exc:
-                raise StoreError(path, f"bad .npy header: {exc}") from None
-            if found != dtype or len(shape) != ndim:
-                expected = f"{ndim}-d {np.dtype(dtype)}"
-                raise StoreError(path, f"holds a {len(shape)}-d {found} array, expected {expected}")
-            size = os.fstat(handle.fileno()).st_size - handle.tell()
-            if min(shape, default=0) < 0 or math.prod(shape) * found.itemsize != size:
-                raise StoreError(path, f"{size} bytes of data do not hold shape {shape}")
-            handle.seek(0)
-            return np.load(handle, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise StoreError(path, str(exc)) from None
-
-
-def _store_meta(store: Path, kind: str, digest: str) -> dict | None:
-    """The ``meta.json`` of a store made from a ``kind`` log whose sha256
-    is ``digest``; None when the store was made from other bytes or by the
-    other kind of reader. A matching ``meta.json`` that is malformed
-    raises ``StoreError``."""
-    meta_path = store / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_bytes())
-    except (ValueError, RecursionError) as exc:
-        raise StoreError(meta_path, f"not JSON: {exc}") from None
-    except OSError as exc:
-        raise StoreError(meta_path, str(exc)) from None
-    if not isinstance(meta, dict) or not isinstance(meta.get("sha256"), str):
-        raise StoreError(meta_path, "no sha256 of the log")
-    if meta["sha256"] != digest:
-        return None
-    if meta.get("version") != _STORE_VERSION:
-        raise StoreError(meta_path, f"version {meta.get('version')!r}, expected {_STORE_VERSION}")
-    ids = meta.get("auth_channel_ids")
-    if (
-        meta.get("log") not in ("guard", "client")
-        or not all(_is_int(meta.get(key)) and meta[key] >= 0 for key in ("line_count", "duplicate_count"))
-        or not isinstance(ids, list) or not all(map(_is_int, ids)) or len(set(ids)) != len(ids)
-        or not isinstance(meta.get("cell_types"), bool)
-    ):
-        raise StoreError(meta_path, "missing or mistyped fields")
-    return meta if meta["log"] == kind else None
-
-
 def _load_store(store: Path, meta: dict) -> CellColumns:
     """The grouped cells of a store whose ``meta.json`` matched its log.
 
-    The arrays must fit together and hold only values a parse of a log can
-    give; anything else raises ``StoreError``.
+    The fields and arrays must fit together and hold only values a parse of
+    a log can give; anything else raises ``StoreError``.
     """
-    timestamps = _load_array(store, "timestamps")
+    ids = meta.get("auth_channel_ids")
+    if (
+        not all(_is_int(meta.get(key)) and meta[key] >= 0 for key in ("line_count", "duplicate_count"))
+        or not isinstance(ids, list) or not all(map(_is_int, ids)) or len(set(ids)) != len(ids)
+        or not isinstance(meta.get("cell_types"), bool)
+    ):
+        raise StoreError(store / "meta.json", "missing or mistyped fields")
+    names = ["timestamps", "directions"] + ["cell_types"] * meta["cell_types"] + ["groups"]
+    columns = {name: load_array(store, name, *_STORE_ARRAYS[name], "cell-log") for name in names}
+    timestamps, groups = columns["timestamps"], columns.pop("groups")
     n = len(timestamps)
-    columns = {"timestamps": timestamps, "directions": _load_array(store, "directions")}
-    if meta["cell_types"]:
-        columns["cell_types"] = _load_array(store, "cell_types")
-    groups = _load_array(store, "groups")
     for name, column in columns.items():
         if len(column) != n:
             raise StoreError(store / f"{name}.npy", f"{len(column)} cells, timestamps.npy has {n}")
@@ -574,23 +470,19 @@ def _load_store(store: Path, meta: dict) -> CellColumns:
 def _parse_cells(source, require_type: bool) -> ParsedLog:
     """Channels of a cell log.
 
-    A log read from a regular file is read once: its store is loaded when
-    the sha256 of those bytes matches the store's, and otherwise the bytes
-    are decoded and the store is written from them. Other sources (a pipe,
-    an open file, lines) are decoded and get no store.
+    A log read from a regular file is read once and keeps a store (see
+    ``store.read_once``). Other sources (a pipe, an open file, lines) are
+    decoded and get no store.
     """
-    if not (isinstance(source, (str, Path)) and Path(source).is_file()):
+    if not is_regular_file(source):
         return _build_channels(CellColumns.from_table(*_read_table(_read_bytes(source), require_type)))
-    kind = "client" if require_type else "guard"
-    store = store_path(source)
-    raw = Path(source).read_bytes()
-    digest = _sha256(raw)
-    meta = _store_meta(store, kind, digest) if (store / "meta.json").exists() else None
-    if meta is not None:
-        del raw  # the store's arrays take the place of the log's bytes
-        return _build_channels(_load_store(store, meta))
-    cells = CellColumns.from_table(*_read_table(_text_bytes(raw), require_type))
-    _keep_store(source, cells, kind, digest)
+    cells = read_once(
+        source,
+        "client" if require_type else "guard",
+        lambda data: CellColumns.from_table(*_read_table(_text_bytes(data.pop()), require_type)),
+        _load_store,
+        _stored,
+    )
     return _build_channels(cells)
 
 

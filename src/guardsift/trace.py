@@ -280,12 +280,14 @@ class TraceColumns:
         ]
 
 
-_BLOCK_CELLS = 1 << 16  # cells rendered and written, or rendered and hashed, at a time
+_BLOCK_CELLS = 1 << 16  # cells rendered and written, or hashed, at a time
 
 
 def compute_trace_id(table: TraceColumns) -> list[str]:
-    """The content hash of each trace over its (direction, inter-arrival)
-    sequence, rendered about ``_BLOCK_CELLS`` cells at a time.
+    """The content hash of each trace: the first 16 hex digits of the
+    sha256 of its int8 directions and then its inter-arrival gaps as
+    little-endian uint64 (0 for the first cell), as raw bytes, taken about
+    ``_BLOCK_CELLS`` cells at a time.
 
     Invariant under timestamp offsets, so a trace keeps its id through
     normalization.
@@ -297,13 +299,17 @@ def compute_trace_id(table: TraceColumns) -> list[str]:
         # the rows up to the one that takes the block to _BLOCK_CELLS cells
         stop = int(np.searchsorted(table.bounds, table.bounds[start] + _BLOCK_CELLS))
         rows = table.rows(start, min(stop, len(table)))
-        lengths = np.diff(rows.bounds)
         gaps = np.diff(rows.timestamps, prepend=rows.timestamps[:1])
-        gaps[rows.bounds[:-1][lengths > 0]] = 0  # each trace's first cell
-        template = "|".join("%d,%d;" * n for n in lengths.tolist())
+        firsts = rows.bounds[:-1]
+        gaps[firsts[firsts < len(gaps)]] = 0  # each trace's first cell
         # the gaps of sorted int64 timestamps fit uint64 even where int64 wraps
-        text = template % _pairs(rows.directions, gaps.view(np.uint64))
-        ids += [hashlib.sha256(part).hexdigest()[:16] for part in text.encode("ascii").split(b"|")]
+        gaps = memoryview(gaps.view(np.uint64).astype("<u8", copy=False)).cast("B")
+        directions = memoryview(np.ascontiguousarray(rows.directions, dtype=np.int8)).cast("B")
+        bounds = rows.bounds.tolist()
+        for first, end in zip(bounds, bounds[1:]):
+            digest = hashlib.sha256(directions[first:end])
+            digest.update(gaps[8 * first : 8 * end])
+            ids.append(digest.hexdigest()[:16])
         start += len(rows)
     return ids
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -87,11 +88,15 @@ def duration_ns(trace):
 
 
 def oracle_trace_id(cells):
-    """Content hash over (direction, inter-arrival), one update per cell."""
+    """Content hash over each cell's direction as one signed byte, then each
+    cell's inter-arrival gap as a little-endian uint64 (0 for the first),
+    one ``struct.pack`` per value."""
     h = hashlib.sha256()
+    for _, direction in cells:
+        h.update(struct.pack("<b", direction))
     prev = cells[0][0] if cells else 0
-    for ts, direction in cells:
-        h.update(b"%d,%d;" % (direction, ts - prev))
+    for ts, _ in cells:
+        h.update(struct.pack("<Q", ts - prev))
         prev = ts
     return h.hexdigest()[:16]
 
@@ -105,12 +110,13 @@ def oracle_trace_line(phase, label, cells):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(args, cwd):
-    """``python *args`` in a fresh interpreter that imports guardsift from this checkout."""
+def run_fresh(args, cwd, stdin: str | None = None):
+    """``python *args`` in a fresh interpreter that imports guardsift from
+    this checkout, with ``stdin`` piped to it."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        input=stdin, capture_output=True, text=True, timeout=60,
     )
 
 

@@ -673,7 +673,7 @@ STAGE_FAILURES = {
     "transform-late-start": (
         "t.ndjson", '{"phase":"pre","label":null,"cells":[[5,1],[7,-1]]}\n',
         ["transform", "--in", "t.ndjson", "--out", "o"],
-        "guardsift transform: error: trace 17e597b5ccd1338a starts at 5 ns, expected 0\n",
+        "guardsift transform: error: trace fe22ec7eaec6057f starts at 5 ns, expected 0\n",
     ),
     "transform-no-cells": (
         "t.ndjson", '{"phase":"pre","label":null,"cells":[]}\n',

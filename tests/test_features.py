@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from unittest import mock
@@ -311,6 +312,22 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
     assert outputs[0] == outputs[1]
     labels = (tmp_path / "run1" / "labels.csv").read_text().splitlines()[1:]
     assert labels == [f"{oracle_trace_id(t.cells)},{t.label or ''}" for t in traces]
+
+
+def test_labels_csv_quotes_labels_that_hold_csv_syntax(tmp_path):
+    labels = ["a,b", "c\nd", "e\rf", 'g"h', "plain", None]
+    traces = [Trace.from_cells(((0, 1), (i * MS, -1)), label=label) for i, label in enumerate(labels, 1)]
+    traces_path = tmp_path / "traces.ndjson"
+    traces_path.write_text(trace_lines(traces))
+    assert main(["featurize", "--in", str(traces_path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "labels.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["trace_id", "label"]] + [
+        [oracle_trace_id(t.cells), t.label or ""] for t in traces
+    ]
+    # a label without "," '"' "\r" or "\n" is written as it is
+    tail = f"\n{oracle_trace_id(traces[4].cells)},plain\n{oracle_trace_id(traces[5].cells)},\n"
+    assert (tmp_path / "out" / "labels.csv").read_bytes().endswith(tail.encode())
 
 
 @pytest.mark.parametrize("kind", ["direction", "timing", "tam"])

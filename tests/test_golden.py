@@ -10,15 +10,18 @@ Conflux scheduler still sent one cell per call; those of the generated
 pre-phase logs, before the single-leg generator stated each traffic rule
 once. Those of the artifacts downstream of the trace writer (transform,
 featurize and eval) were taken while the trimmers still returned one
-``Trace`` per trace and the writer took a list of them. The time path's
+``Trace`` per trace and the writer took a list of them; their ``labels.csv``
+and ``eval.json`` digests were re-taken when trace ids began to hash each
+trace's direction and gap arrays as raw bytes. The time path's
 digests were taken when its traces began to carry the phase of the logs
 and its ``report.json`` the count of duplicate rows dropped. A change to
 any of these files is a format change and must be made on purpose.
 
 Every artifact is built twice: once from the cell-log stores that
-``ingest`` writes beside the generated logs, and once with no store ever
-written, so every command decodes the logs from their bytes. Both must
-give the golden bytes.
+``ingest`` writes beside the generated logs (and the trace stores that
+the first reader of each trace file writes), and once with no store ever
+written, so every command decodes the logs and trace files from their
+bytes. Both must give the golden bytes.
 """
 
 import dataclasses
@@ -29,7 +32,7 @@ from unittest import mock
 
 import pytest
 
-from guardsift import ingest
+from guardsift import ingest, store
 from guardsift.cli import main
 from guardsift.simulate import ScenarioConfig
 
@@ -104,7 +107,7 @@ def in_each_mode(digests_of, tmp_path) -> dict:
     the stores ingest writes ("store"), and decoded from their bytes by
     commands that write no store ("csv")."""
     found = {"store": digests_of(tmp_path / "store", True)}
-    with mock.patch.object(ingest, "_keep_store"):
+    with mock.patch.object(store, "_keep"):
         found["csv"] = digests_of(tmp_path / "csv", False)
     assert not list((tmp_path / "csv").rglob("*.store"))
     return found
@@ -193,12 +196,12 @@ def test_pre_phase_artifact_bytes_are_unchanged(pre_digests, artifact):
 DOWNSTREAM_GOLDEN = {
     ("transform", "jittered.ndjson"): "eedde4e77e96f0031a951577a2abf5fb44219d9270ed6d7b2336ae9bd064c14f",
     ("direction", "features.bin"): "62881bfa6b390704fe64911601d6ae706231351a3840087bfa24a4de08056e4d",
-    ("direction", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
+    ("direction", "labels.csv"): "f765944b6e12a82d21b7b651cf9dbd9ff32fa46aec79412686f5d9bc9c6b5681",
     ("timing", "features.bin"): "6fda92d4c612699641ec584ee0415bc08430428734387ad13e6c361136b75ad5",
-    ("timing", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
+    ("timing", "labels.csv"): "f765944b6e12a82d21b7b651cf9dbd9ff32fa46aec79412686f5d9bc9c6b5681",
     ("tam", "features.bin"): "ba96b45796237aa7c1c91e676b4097a48b993d7783741da3d7c977266ded5a77",
-    ("tam", "labels.csv"): "98c45aef6cbe82433fb26719e7bfea3c4991a4bbff198012f566a1f100c913ea",
-    ("eval", "eval.json"): "556dfe982d0b403edbce36d2a8220c9e1783fbddd4300337565fa706410104ae",
+    ("tam", "labels.csv"): "f765944b6e12a82d21b7b651cf9dbd9ff32fa46aec79412686f5d9bc9c6b5681",
+    ("eval", "eval.json"): "81e2f744bdb6155ac6755269063f59cd9553420e89dbb03d82063eaa5153a4e9",
 }
 
 

@@ -22,6 +22,7 @@ from guardsift.ingest import (
     parse_visit_log,
 )
 from guardsift.simulate import ScenarioConfig, generate_dataset
+from guardsift.store import store_path
 from guardsift.trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
 
 
@@ -435,7 +436,7 @@ def from_store(parse, path, *args):
 
 
 def remove_store(path) -> None:
-    store = ingest.store_path(path)
+    store = store_path(path)
     if store.exists():
         for part in store.iterdir():
             part.unlink()
@@ -457,7 +458,7 @@ def test_store_loads_what_the_log_parses(log_dir, require_type, data):
     try:
         decoded = _parse_cells(path, require_type)
     except ParseError:
-        assert not ingest.store_path(path).exists()
+        assert not store_path(path).exists()
         return
     assert describe_exactly(from_store(_parse_cells, path, require_type)) == describe_exactly(decoded)
 
@@ -494,7 +495,7 @@ def test_generated_logs_load_from_their_stores_as_they_parse(generated):
         assert describe_exactly(stored) == describe_exactly(decoded)
         from_text = _parse_cells(io.StringIO(path.read_text()), require_type)
         assert describe_exactly(from_text) == describe_exactly(decoded)
-        meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
+        meta = json.loads((store_path(path) / "meta.json").read_text())
         assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     guard = parse_guard_log(generated / "guard.csv")
     assert guard.auth_channel_count and any(ch.relay_authenticated for ch in guard.channels)
@@ -507,7 +508,7 @@ def test_every_writer_writes_the_same_store_bytes(generated, tmp_path):
             copy.parent.mkdir(exist_ok=True)
             copy.write_bytes((generated / name).read_bytes())
             _parse_cells(copy, require_type)
-        store, other = (ingest.store_path(copy) for copy in copies)
+        store, other = (store_path(copy) for copy in copies)
         assert sorted(p.name for p in store.iterdir()) == sorted(p.name for p in other.iterdir())
         for part in store.iterdir():
             assert (other / part.name).read_bytes() == part.read_bytes(), part.name
@@ -527,7 +528,7 @@ def test_the_store_records_the_digest_of_the_bytes_it_decoded(tmp_path):
 
     with mock.patch.object(ingest, "_read_table", side_effect=edit_while_decoding):
         assert parse_guard_log(path).cell_count == 1
-    meta = json.loads((ingest.store_path(path) / "meta.json").read_text())
+    meta = json.loads((store_path(path) / "meta.json").read_text())
     assert meta["sha256"] == hashlib.sha256(first.encode()).hexdigest()
     assert parse_guard_log(path).cell_count == 2
 
@@ -538,7 +539,7 @@ def test_a_log_from_a_pipe_is_read_once_and_gets_no_store(tmp_path):
     want = describe_exactly(parse_guard_log(path))
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
-    ingest.store_path(path).rename(ingest.store_path(fifo))  # a matching store beside the pipe
+    store_path(path).rename(store_path(fifo))  # a matching store beside the pipe
     writer = threading.Thread(target=fifo.write_text, args=(GUARD_LOG,), daemon=True)
     writer.start()
     assert describe_exactly(parse_guard_log(fifo)) == want
@@ -549,8 +550,8 @@ def test_a_log_from_a_pipe_is_read_once_and_gets_no_store(tmp_path):
 def test_a_store_that_cannot_be_written_leaves_the_parse_alone(tmp_path, caplog):
     path = tmp_path / "guard.csv"
     path.write_text(GUARD_LOG)
-    ingest.store_path(path).write_text("a file in the store's place")
-    with caplog.at_level(logging.WARNING, logger="guardsift.ingest"):
+    store_path(path).write_text("a file in the store's place")
+    with caplog.at_level(logging.WARNING, logger="guardsift.store"):
         parsed = parse_guard_log(path)
     assert parsed.cell_count == 3
     assert "cannot write the store of" in caplog.text
@@ -561,10 +562,10 @@ def test_a_stale_store_is_replaced_whole(tmp_path):
     path = tmp_path / "guard.csv"
     path.write_text("1,2,100,1,7\n")
     parse_guard_log(path)
-    assert (ingest.store_path(path) / "cell_types.npy").exists()
+    assert (store_path(path) / "cell_types.npy").exists()
     path.write_text(GUARD_LOG)
     parse_guard_log(path)
-    store = ingest.store_path(path)
+    store = store_path(path)
     assert sorted(p.name for p in store.iterdir()) == [
         "directions.npy", "groups.npy", "meta.json", "timestamps.npy"
     ]
@@ -596,7 +597,7 @@ def guard_log(tmp_path):
 def test_a_store_is_used_only_while_its_digest_matches(guard_log):
     assert from_store(parse_guard_log, guard_log).cell_count == 3
     guard_log.write_text(GUARD_LOG + "4,2,130,-1\n")
-    np.save(ingest.store_path(guard_log) / "timestamps.npy", np.zeros(1, dtype=np.int8))
+    np.save(store_path(guard_log) / "timestamps.npy", np.zeros(1, dtype=np.int8))
     assert parse_guard_log(guard_log).cell_count == 4  # a stale store is not even read
     assert from_store(parse_guard_log, guard_log).cell_count == 4  # but replaced
 
@@ -609,7 +610,7 @@ def test_a_store_of_the_other_reader_is_ignored(guard_log):
         client = parse_client_log(guard_log, io.StringIO(""))
     assert decode.call_count == 1
     assert describe_exactly(client.stats) == describe_exactly(parsed)
-    assert json.loads((ingest.store_path(guard_log) / "meta.json").read_text())["log"] == "client"
+    assert json.loads((store_path(guard_log) / "meta.json").read_text())["log"] == "client"
 
 
 def rewrite_meta(store, **changes):
@@ -695,7 +696,7 @@ MALFORMED_STORES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
 def test_a_malformed_store_that_matches_its_log_is_an_error(guard_log, case):
     damage, name, message = MALFORMED_STORES[case]
-    store = ingest.store_path(guard_log)
+    store = store_path(guard_log)
     damage(store)
     with pytest.raises(StoreError) as err:
         parse_guard_log(guard_log)
@@ -708,14 +709,14 @@ def pristine_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "guard.csv"
     path.write_text(GUARD_LOG)
     parse_guard_log(path)
-    return path, {part.name: part.read_bytes() for part in ingest.store_path(path).iterdir()}
+    return path, {part.name: part.read_bytes() for part in store_path(path).iterdir()}
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):
     path, parts = pristine_store
-    store = ingest.store_path(path)
+    store = store_path(path)
     for name, raw in parts.items():
         (store / name).write_bytes(raw)
     name = data.draw(st.sampled_from(sorted(parts)))
@@ -763,7 +764,7 @@ OUT_OF_RANGE = {
 @settings(max_examples=100, deadline=None)
 def test_an_out_of_range_value_in_a_store_is_a_store_error(pristine_store, data):
     path, parts = pristine_store
-    store = ingest.store_path(path)
+    store = store_path(path)
     for name, raw in parts.items():
         (store / name).write_bytes(raw)
     name = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))

@@ -142,7 +142,8 @@ def test_trace_id_is_the_content_hash(cells):
 
 
 def test_trace_ids_match_pinned_values():
-    # existing labels.csv files carry these ids, so the values must not move
+    # labels.csv files carry these ids, so a change of value is a format change;
+    # taken when ids began to hash the raw direction and gap bytes
     t = Trace.from_cells(((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
     traces = [
         t,
@@ -152,8 +153,8 @@ def test_trace_ids_match_pinned_values():
         Trace.from_cells(((0, 1),)),
     ]
     assert compute_trace_id(table(traces)) == [
-        "ae4d0475455b927f", "ae4d0475455b927f", "4b6094ff58be4d52", "e3b0c44298fc1c14",
-        "35df8f7285481b9f",
+        "bc07ff89ca07f683", "bc07ff89ca07f683", "01d3c7345ddf750d", "e3b0c44298fc1c14",
+        "a536aa3cede6ea3c",
     ]
 
 
