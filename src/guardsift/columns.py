@@ -67,7 +67,7 @@ def _signed_numbers(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int 
 
 def _writer_values(cells: bytes) -> np.ndarray | None:
     """The values ``[ts0, dir0, ts1, dir1, ...]`` of ``[ts,dir]`` pairs joined
-    by ``,`` as ``serialize_dataset`` renders them: integers of at most 18 digits,
+    by ``,`` as ``write_dataset`` renders them: integers of at most 18 digits,
     without the ``+`` or leading zeros that ``%d`` never writes (``-0`` is 0
     both here and to JSON). Any other text gives None, so ``np.fromstring``
     only sees text in that form."""
@@ -126,8 +126,7 @@ def _decode_general(line_no: int, line: str) -> tuple[list[int], str, str | None
 def _first_fault(timestamps, directions, bounds) -> tuple[int, str, str] | None:
     """The first trace of the columns with a direction other than +-1 or
     cells out of order, as ``(trace, column, message)``; None when there is
-    none. A trace's directions are checked before its order, as
-    Trace.from_cells does."""
+    none. A trace's directions are checked before its order."""
     ends = bounds[1:]
     unsorted = timestamps[1:] < timestamps[:-1]
     unsorted[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False  # trace boundaries
@@ -171,7 +170,7 @@ class _Columns:
 
     def add_lines(self, lines: list[tuple[int, str]]) -> None:
         """Store the ``(line_no, line)`` trace lines in order. Lines as
-        ``serialize_dataset`` renders them are decoded in one batch; any other
+        ``write_dataset`` renders them are decoded in one batch; any other
         line goes through ``_decode_line`` on its own."""
         heads = [_WRITER_HEAD.match(line) for _, line in lines]
         # the text between "cells":[ and ]} of each line with the writer's head

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParseError, StoreError, decode_utf8, is_header
 from .store import is_regular_file, load_array, read_once
-from .trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
+from .trace import NO_CELL_TYPE, Channel, Circuit
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _CHUNK_BYTES = 1 << 20  # cell logs are decoded in runs of whole lines of about this size
@@ -83,28 +83,42 @@ def _auth_channel_id(line: str, line_no: int) -> int:
         raise ParseError(line_no, "non-integer channel id in #AUTH marker") from None
 
 
+# The rules of a cell row, in the order a row is checked: per field, its
+# column, where its values break it (on an array or on one Python int), and
+# the message that names a value that does.
+_CELL_RULES = {
+    "direction": (3, lambda v: (v != 1) & (v != -1), "direction must be +1 or -1, got {}"),
+    "timestamp": (2, lambda v: v < 0, "timestamp must be non-negative, got {}"),
+    "circuit_id": (1, lambda v: (v < 0) | (v >= 2**32), "circuit_id out of 32-bit range: {}"),
+    "cell_type": (4, lambda v: v < 0, "cell_type must be non-negative, got {}"),
+}
+
+
 def _out_of_range(field: str, values: np.ndarray) -> np.ndarray:
-    """Where the values of a ``CellRecord`` field break its rules."""
-    if field == "direction":
-        return (values != 1) & (values != -1)
-    if field == "circuit_id":
-        return (values < 0) | (values >= 2**32)
-    return values < 0  # timestamp_ns, cell_type
+    """Where the values of a cell field break its rule."""
+    return _CELL_RULES[field][1](values)
+
+
+def _row_fault(row: list) -> str | None:
+    """The message of the first rule that a row of Python ints
+    ``[channel_id, circuit_id, timestamp, direction, cell_type]`` breaks, or
+    None; a row of 4 fields, or a cell type of None, has no cell type."""
+    for column, breaks, message in _CELL_RULES.values():
+        value = row[column] if column < len(row) else None
+        if value is not None and breaks(value):
+            return message.format(value)
+    return None
 
 
 def _check_rows(table: np.ndarray, line_nos: np.ndarray) -> None:
-    """Raise ParseError at the first row that is not a valid cell record."""
-    bad = _out_of_range("circuit_id", table[:, 1])
-    bad |= _out_of_range("timestamp_ns", table[:, 2])
-    bad |= _out_of_range("direction", table[:, 3])
-    if table.shape[1] > 4:
-        bad |= _out_of_range("cell_type", table[:, 4])
+    """Raise ParseError at the first row that breaks a cell rule."""
+    bad = np.zeros(len(table), dtype=bool)
+    for column, breaks, _ in _CELL_RULES.values():
+        if column < table.shape[1]:
+            bad |= breaks(table[:, column])
     if bad.any():
         i = int(np.argmax(bad))
-        try:
-            CellRecord(*table[i].tolist())
-        except ValueError as exc:
-            raise ParseError(int(line_nos[i]), str(exc)) from None
+        raise ParseError(int(line_nos[i]), _row_fault(table[i].tolist()))
 
 
 def _table_per_line(
@@ -127,10 +141,9 @@ def _table_per_line(
             cell_type = int(fields[4]) if len(fields) > 4 and fields[4] != "" else None
         except ValueError as exc:
             raise ParseError(line_no, f"non-integer field: {exc}") from None
-        try:
-            CellRecord(*row, cell_type)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+        fault = _row_fault(row + [cell_type])
+        if fault:
+            raise ParseError(line_no, fault)
         if not all(_INT64_MIN <= v <= _INT64_MAX for v in row + [cell_type or 0]):
             raise ParseError(line_no, "integer field out of the 64-bit range")
         rows.append(row + [NO_CELL_TYPE if cell_type is None else cell_type])
@@ -146,16 +159,11 @@ def _text_bytes(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _read_bytes(source: str | Path | IO[str] | Iterable[str]) -> bytes:
-    """UTF-8 bytes of a path, an open text file or an iterable of lines, with
-    universal newlines."""
+def _read_bytes(source: str | Path | IO[str]) -> bytes:
+    """UTF-8 bytes of a path or an open text file, with universal newlines."""
     if isinstance(source, (str, Path)):
         return _text_bytes(Path(source).read_bytes())
-    if hasattr(source, "read"):
-        data = source.read().encode("utf-8")
-    else:
-        data = "\n".join(line[:-1] if line.endswith("\n") else line for line in source).encode("utf-8")
-    return _text_bytes(data)
+    return _text_bytes(source.read().encode("utf-8"))
 
 
 def _line_chunks(data: bytes) -> Iterable[bytes]:
@@ -449,7 +457,7 @@ def _load_store(store: Path, meta: dict) -> CellColumns:
     if meta["line_count"] - meta["duplicate_count"] != n:
         raise StoreError(store / "meta.json", f"line and duplicate counts do not leave the {n} cells")
     faults = {
-        "timestamps": _out_of_range("timestamp_ns", timestamps),
+        "timestamps": _out_of_range("timestamp", timestamps),
         "directions": _out_of_range("direction", columns["directions"]),
         "groups": _out_of_range("circuit_id", groups[:, 1]),
     }
@@ -471,8 +479,8 @@ def _parse_cells(source, require_type: bool) -> ParsedLog:
     """Channels of a cell log.
 
     A log read from a regular file is read once and keeps a store (see
-    ``store.read_once``). Other sources (a pipe, an open file, lines) are
-    decoded and get no store.
+    ``store.read_once``). Other sources (a pipe, an open file) are decoded
+    and get no store.
     """
     if not is_regular_file(source):
         return _build_channels(CellColumns.from_table(*_read_table(_read_bytes(source), require_type)))

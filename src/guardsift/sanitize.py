@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, GuardsiftError, read_config
 from .ingest import PageVisitRecord
-from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, Trace, TraceColumns
-from .trace import compute_trace_id, concat_cells
+from .trace import INCOMING, OUTGOING, POST, PRE, Channel, Circuit, Stage, TraceColumns, concat_cells
 
 log = logging.getLogger(__name__)
 
@@ -199,26 +198,6 @@ def cap_tail(
         below = np.concatenate(([0], np.cumsum(timestamps <= cap_ns)))
         capped = starts + below[capped] - below[starts]
     return capped, np.minimum(capped, starts + min(max_len, len(timestamps)))
-
-
-def trim_tail(trace: Trace, config: SanitizeConfig) -> Trace:
-    """Apply the tail stages: teardown cells, shutdown tail, duration cap,
-    and length cap.
-
-    The gap stages run once per trace; ``tail_trimmed`` records that they
-    already ran so re-application cannot remove more cells. The cap stages
-    are plain projections and always apply.
-    """
-    end = len(trace)
-    if not trace.tail_trimmed:
-        (end,), _ = prune_close_tail(trace.timestamps, trace.directions, [0], [end], config)
-    _, (end,) = cap_tail(trace.timestamps, [0], [end], config.duration_cap_ns, config.max_len)
-    if not end:
-        (trace_id,) = compute_trace_id(TraceColumns.from_traces([trace]))
-        raise GuardsiftError(f"trace {trace_id}: empty after tail trim")
-    if end == len(trace) and trace.tail_trimmed:
-        return trace
-    return trace.with_cells(trace.timestamps[:end], trace.directions[:end], tail_trimmed=True)
 
 
 def compute_duration_cap(durations: Sequence[int]) -> int:

@@ -146,9 +146,6 @@ class ScenarioConfig:
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
         return read_config(path, "scenario", cls)
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
-
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in key)))

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,26 +79,32 @@ def _keep(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_array(store: Path, name: str, dtype, ndim: int, kind: str) -> np.ndarray:
     """The array ``name`` of a store of ``kind`` ("cell-log" or "trace").
-    Its header is checked against the dtype, the rank and the file's size
-    before ``np.load`` reads it, so an object array, or a header that claims
-    more values than the file holds, is refused before anything is allocated."""
+    Its header is parsed once, with numpy's warning on a header it could
+    parse only after mending raised as a fault, and checked against the
+    dtype, the rank and the file's size; then the data the header describes
+    is read. So an object array, or a header that claims more values than
+    the file holds, is refused before anything is allocated."""
     path = store / f"{name}.npy"
     try:
         with open(path, "rb") as handle:
             try:  # numpy's header parser raises more than ValueError on bad bytes
-                if np.lib.format.read_magic(handle) != (1, 0):
-                    raise ValueError("not a version 1.0 .npy file")
-                shape, _, found = np.lib.format.read_array_header_1_0(handle)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    if np.lib.format.read_magic(handle) != (1, 0):
+                        raise ValueError("not a version 1.0 .npy file")
+                    shape, fortran_order, found = np.lib.format.read_array_header_1_0(handle)
+            except UserWarning:  # numpy's advice in it, to save the file again, does not fit a store
+                raise StoreError(path, "bad .npy header: numpy reads it only after mending it", kind) from None
             except Exception as exc:
                 raise StoreError(path, f"bad .npy header: {exc}", kind) from None
             if found != dtype or len(shape) != ndim:
                 expected = f"{ndim}-d {np.dtype(dtype)}"
                 raise StoreError(path, f"holds a {len(shape)}-d {found} array, expected {expected}", kind)
-            size = os.fstat(handle.fileno()).st_size - handle.tell()
-            if min(shape, default=0) < 0 or math.prod(shape) * found.itemsize != size:
+            size, count = os.fstat(handle.fileno()).st_size - handle.tell(), math.prod(shape)
+            if min(shape, default=0) < 0 or count * found.itemsize != size:
                 raise StoreError(path, f"{size} bytes of data do not hold shape {shape}", kind)
-            handle.seek(0)
-            return np.load(handle, allow_pickle=False)
+            data = np.fromfile(handle, dtype=found, count=count)
+            return data.reshape(shape, order="F" if fortran_order else "C")
     except (OSError, ValueError) as exc:
         raise StoreError(path, str(exc), kind) from None
 

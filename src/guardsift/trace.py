@@ -1,4 +1,4 @@
-"""Core domain types: cells, circuits, channels, traces, the trace table and its export.
+"""Core domain types: circuits, channels, traces, the trace table and its export.
 
 Timestamps are integer nanoseconds throughout. Directions follow the
 client-side convention: +1 for cells sent by the client towards the guard,
@@ -8,9 +8,9 @@ client-side convention: +1 for cells sent by the client towards the guard,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -43,27 +43,6 @@ class Stage:
 NO_CELL_TYPE = -1
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """One logged cell, as captured at a relay or client."""
-
-    channel_id: int
-    circuit_id: int
-    timestamp: int
-    direction: int
-    cell_type: int | None = None
-
-    def __post_init__(self):
-        if self.direction not in (OUTGOING, INCOMING):
-            raise ValueError(f"direction must be +1 or -1, got {self.direction}")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
-        if not 0 <= self.circuit_id < 2**32:
-            raise ValueError(f"circuit_id out of 32-bit range: {self.circuit_id}")
-        if self.cell_type is not None and self.cell_type < 0:
-            raise ValueError(f"cell_type must be non-negative, got {self.cell_type}")
-
-
 def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[int, ...]:
     """``(first[0], second[0], first[1], second[1], ...)`` as Python ints, to
     %-format with one pair of ``%d`` fields per element."""
@@ -75,20 +54,17 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A time-sorted cell sequence with its phase, label and trim state.
+    """A time-sorted cell sequence with its phase and label.
 
     Cells are parallel arrays, as in ``Circuit``: ``timestamps`` is int64
     nanoseconds and ``directions`` int8. ``label`` is the monitored class
-    (page) label; ``None`` marks a non-monitored trace. ``tail_trimmed``
-    marks that the tail heuristics already ran, so re-running them cannot
-    eat more cells.
+    (page) label; ``None`` marks a non-monitored trace.
     """
 
     timestamps: np.ndarray
     directions: np.ndarray
     phase: str = PRE
     label: str | None = None
-    tail_trimmed: bool = False
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -98,16 +74,6 @@ class Trace:
         if (self.timestamps[1:] < self.timestamps[:-1]).any():
             raise ValueError("cells must be sorted by timestamp")
 
-    @classmethod
-    def from_cells(cls, cells: Iterable[tuple[int, int]], **meta) -> "Trace":
-        """Trace from ``(timestamp_ns, direction)`` pairs with directions of +-1."""
-        cells = list(cells)
-        pairs = np.array(cells, dtype=np.int64).reshape(len(cells), 2)
-        directions = pairs[:, 1]
-        if not ((directions == OUTGOING) | (directions == INCOMING)).all():
-            raise ValueError("directions must be +1 or -1")
-        return cls(pairs[:, 0].copy(), directions.astype(np.int8), **meta)
-
     @property
     def cells(self) -> tuple[tuple[int, int], ...]:
         """The cells as ``(timestamp_ns, direction)`` tuples (a derived copy)."""
@@ -116,19 +82,9 @@ class Trace:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (
-            (self.phase, self.label, self.tail_trimmed)
-            == (other.phase, other.label, other.tail_trimmed)
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.directions, other.directions)
-        )
-
-    def with_cells(self, timestamps: np.ndarray, directions: np.ndarray, **changes) -> "Trace":
+    def with_cells(self, timestamps: np.ndarray, directions: np.ndarray) -> "Trace":
         """Copy with new cell arrays."""
-        return replace(self, timestamps=timestamps, directions=directions, **changes)
+        return Trace(timestamps, directions, self.phase, self.label)
 
 
 @dataclass(eq=False)
@@ -146,33 +102,12 @@ class Circuit:
     directions: np.ndarray
     cell_types: np.ndarray | None = None
 
-    @classmethod
-    def from_records(cls, circuit_id: int, records: Iterable[CellRecord]) -> "Circuit":
-        """Circuit from validated cell records, kept in the order given."""
-        records = list(records)
-        typed = any(r.cell_type is not None for r in records)
-        return cls(
-            circuit_id,
-            np.array([r.timestamp for r in records], dtype=np.int64),
-            np.array([r.direction for r in records], dtype=np.int8),
-            np.array(
-                [NO_CELL_TYPE if r.cell_type is None else r.cell_type for r in records],
-                dtype=np.int64,
-            )
-            if typed
-            else None,
-        )
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
     @property
     def start_ts(self) -> int:
         return int(self.timestamps[0])
-
-    @property
-    def end_ts(self) -> int:
-        return int(self.timestamps[-1])
 
     def tail(self, start: int) -> "Circuit":
         """The same circuit without its first ``start`` cells (views, no copy)."""
@@ -344,18 +279,14 @@ def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
     yield "".join(lines).encode("utf-8")
 
 
-def serialize_dataset(table: TraceColumns, seed: int) -> bytes:
-    """Render the traces as newline-delimited JSON in a seeded random order.
+def write_dataset(table: TraceColumns, seed: int, path: str | Path) -> None:
+    """Write the traces to ``path`` as newline-delimited JSON in a seeded
+    random order, one block at a time.
 
     Only directions, timestamps, and class labels are written; channel and
     circuit identifiers never reach the output. The same seed yields
     byte-identical bytes.
     """
-    return b"".join(_encoded_blocks(table, seed))
-
-
-def write_dataset(table: TraceColumns, seed: int, path: str | Path) -> None:
-    """Write ``serialize_dataset``'s bytes to ``path``, one block at a time."""
     blocks = _encoded_blocks(table, seed)
     first = next(blocks)  # the table is checked before the file is opened
     with open(path, "wb") as handle:

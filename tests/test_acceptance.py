@@ -15,14 +15,13 @@ from guardsift.cli import main
 from guardsift.features import FeatureBlocks, build_tam
 from guardsift.ingest import filter_relay_channels, parse_guard_log, parse_visit_log
 from guardsift.metrics import f1, sweep, tally, wilson_upper
-from guardsift.sanitize import SanitizeConfig, sanitize, trim_head, trim_tail
+from guardsift.sanitize import SanitizeConfig, sanitize, trim_head
 from guardsift.segment import plan_windows, segment_nonmonitored
 from guardsift.simulate import ScenarioConfig, generate_dataset, run_rtt_advantage_sweep
-from guardsift.trace import (
-    CellRecord, Channel, Circuit, Trace, TraceColumns, compute_trace_id, serialize_dataset,
-)
+from guardsift.trace import Channel, Trace, TraceColumns, compute_trace_id
 from guardsift.transforms import inject_jitter
 
+from oracles import circuit_from_cells, dataset_bytes, trace_from_cells, trim_tail, write_scenario
 from test_metrics import columns, oracle_counts, oracle_point, oracle_thresholds, random_records
 
 pytestmark = pytest.mark.acceptance
@@ -280,7 +279,7 @@ def test_c05_tail_pruning_exact_and_idempotent(pre_dataset):
             if rng.random() < 0.03:
                 t += int(rng.uniform(5, 12) * SEC)
             cells.append((t, 1 if rng.random() < 0.5 else -1))
-        trace = Trace.from_cells(tuple(cells))
+        trace = trace_from_cells(cells)
         try:
             once = trim_tail(trace, SanitizeConfig())
         except Exception:
@@ -302,13 +301,13 @@ def test_c06_segmentation_partition_properties():
             circuit_id = channel_idx * 100 + k
             start = int(rng.uniform(0, 50) * SEC)
             n = int(rng.integers(4, 50))
-            cells = [CellRecord(channel_idx, circuit_id, start, 1)]
+            cells = [(start, 1)]
             t = start
             for _ in range(n - 1):
                 t += int(rng.integers(1_000_000, 4_000_000_000))
                 d = 1 if rng.random() < 0.5 else -1
-                cells.append(CellRecord(channel_idx, circuit_id, t, d))
-            channel.circuits[circuit_id] = Circuit.from_records(circuit_id, cells)
+                cells.append((t, d))
+            channel.circuits[circuit_id] = circuit_from_cells(circuit_id, cells)
         windows = plan_windows(channel)
         consumed = [cid for w in windows for cid in w.consumed_circuit_ids]
         assert sorted(consumed) == sorted(channel.circuits), "not a partition"
@@ -379,7 +378,7 @@ def test_c08_rtt_advantage_sweep_trend():
 def test_c09_jitter_expected_extension():
     n = 500
     jitter_ms = 20.0
-    base = Trace.from_cells(tuple((i * 10 * MS, 1 if i % 2 else -1) for i in range(n)))
+    base = trace_from_cells(((i * 10 * MS, 1 if i % 2 else -1) for i in range(n)))
     extensions = []
     for trial in range(1000):
         rng = np.random.default_rng(9000 + trial)
@@ -396,7 +395,7 @@ def test_c09_jitter_expected_extension():
     )
     identity = inject_jitter(base, 0.0, np.random.default_rng(0))
     assert identity is base
-    assert serialize_dataset(TraceColumns.from_traces([identity]), 0) == serialize_dataset(
+    assert dataset_bytes(TraceColumns.from_traces([identity]), 0) == dataset_bytes(
         TraceColumns.from_traces([base]), 0
     )
 
@@ -405,7 +404,7 @@ def test_c09_jitter_expected_extension():
 
 
 def test_c10_tam_slots_and_totals():
-    one_cell = TraceColumns.from_traces([Trace.from_cells(((0, 1),))])
+    one_cell = TraceColumns.from_traces([trace_from_cells(((0, 1),))])
     blocks = FeatureBlocks(one_cell, "tam", t_max_s=80.0, n_slots=1800)
     assert 0.0444 <= blocks.meta["slot_duration_s"] <= 0.0445
 
@@ -419,7 +418,7 @@ def test_c10_tam_slots_and_totals():
                 key=lambda c: c[0],
             )
         )
-        traces.append(Trace.from_cells(cells))
+        traces.append(trace_from_cells(cells))
         in_range.append(sum(1 for ts, _ in cells if ts <= 80 * SEC))
     table = TraceColumns.from_traces(traces)
     fine = build_tam(table, 80 * SEC, 64)
@@ -441,7 +440,7 @@ def _run_pipeline(base):
         relay_auth_channels=1, nonmon_small_fraction=0.3,
     )
     cfg = base / "scenario.json"
-    scenario.to_json(cfg)
+    write_scenario(scenario, cfg)
     data = base / "data"
     assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
     clean = base / "clean"

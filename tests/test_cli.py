@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import run_fresh
+from oracles import write_scenario
 from guardsift import ingest, metrics
 from guardsift.cli import main
 from guardsift.sanitize import SanitizeConfig
@@ -24,7 +25,7 @@ def dataset_dir(tmp_path):
         relay_auth_channels=1, nonmon_small_fraction=0.3,
     )
     cfg_path = tmp_path / "scenario.json"
-    config.to_json(cfg_path)
+    write_scenario(config, cfg_path)
     out = tmp_path / "data"
     assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
     return out
@@ -96,7 +97,7 @@ def test_time_path_drops_spam_channels(tmp_path):
         seed=4, n_pages=2, n_visits_per_page=2, n_nonmon_channels=4,
         spam_channel_fraction=0.25, spam_circuit_range=(60, 80), relay_auth_channels=1,
     )
-    scenario.to_json(tmp_path / "scenario.json")
+    write_scenario(scenario, tmp_path / "scenario.json")
     data = tmp_path / "data"
     assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out", str(data)]) == 0
     spam = json.loads((data / "truth.json").read_text())["summary"]["spam_channels"]
@@ -165,7 +166,7 @@ def test_conflux_subcommand(tmp_path):
     config = ScenarioConfig(seed=31, phase="post", n_pages=2, n_visits_per_page=3,
                             n_nonmon_channels=2)
     cfg_path = tmp_path / "scenario.json"
-    config.to_json(cfg_path)
+    write_scenario(config, cfg_path)
     data = tmp_path / "data"
     main(["generate", "--config", str(cfg_path), "--out", str(data)])
     out_csv = tmp_path / "analysis.csv"
@@ -307,7 +308,7 @@ def test_generate_rtt_sweep(tmp_path):
     config = ScenarioConfig(seed=41, phase="post", n_pages=2, n_visits_per_page=5,
                             page_cell_range=(240, 400))
     cfg_path = tmp_path / "scenario.json"
-    config.to_json(cfg_path)
+    write_scenario(config, cfg_path)
     out = tmp_path / "sweep"
     assert main([
         "generate", "--config", str(cfg_path), "--out", str(out),

@@ -12,15 +12,12 @@ from guardsift.conflux import (
     strip_conflux_handshake,
 )
 from guardsift.errors import GuardsiftError
-from guardsift.trace import CellRecord, Circuit
+from oracles import circuit_from_cells
 
 
 def typed_leg(circuit_id, spec, start=0, step=MS):
     """spec: list of (direction, cell_type)."""
-    cells = [
-        CellRecord(1, circuit_id, start + i * step, d, ct) for i, (d, ct) in enumerate(spec)
-    ]
-    return Circuit.from_records(circuit_id, cells)
+    return circuit_from_cells(circuit_id, [(start + i * step, d, ct) for i, (d, ct) in enumerate(spec)])
 
 
 LINK_HS = [(1, 200), (-1, 201), (1, 19), (-1, 20), (1, 21)]

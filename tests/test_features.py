@@ -21,11 +21,12 @@ from guardsift.features import (
     write_features,
 )
 from guardsift.columns import read_columns
-from guardsift.trace import OUTGOING, Trace, TraceColumns, read_dataset, write_dataset
+from guardsift.trace import OUTGOING, TraceColumns, read_dataset, write_dataset
+from oracles import trace_from_cells
 
 
 def trace_of(cells):
-    return Trace.from_cells(tuple(cells))
+    return trace_from_cells(tuple(cells))
 
 
 def trace_lines(traces):
@@ -147,7 +148,7 @@ def trace_batches(draw):
         raw = draw(st.lists(st.tuples(ts, st.sampled_from([1, -1])), max_size=12))
         offset = draw(offsets)
         cells = sorted((t + offset, d) for t, d in raw)
-        traces.append(Trace.from_cells(cells, label=draw(st.none() | st.just("a.example"))))
+        traces.append(trace_from_cells(cells, label=draw(st.none() | st.just("a.example"))))
     return traces, t_max_s, n_slots
 
 
@@ -286,9 +287,9 @@ def _edge_case_traces():
     """Longer than --length, a cell on t_max, cells past it, incoming at t=0."""
     t_max = 2 * SEC
     return [
-        Trace.from_cells(tuple((i * 100 * MS, 1 if i % 3 else -1) for i in range(12)), label="a.example"),
-        Trace.from_cells(((0, -1), (t_max // 3, 1), (t_max, 1), (t_max + 1, -1), (3 * t_max, 1))),
-        Trace.from_cells(((0, 1), (5 * MS, -1)), label="b.example"),
+        trace_from_cells(tuple((i * 100 * MS, 1 if i % 3 else -1) for i in range(12)), label="a.example"),
+        trace_from_cells(((0, -1), (t_max // 3, 1), (t_max, 1), (t_max + 1, -1), (3 * t_max, 1))),
+        trace_from_cells(((0, 1), (5 * MS, -1)), label="b.example"),
     ]
 
 
@@ -316,7 +317,7 @@ def test_featurize_cli_matches_per_trace_builders(tmp_path, kind):
 
 def test_labels_csv_quotes_labels_that_hold_csv_syntax(tmp_path):
     labels = ["a,b", "c\nd", "e\rf", 'g"h', "plain", None]
-    traces = [Trace.from_cells(((0, 1), (i * MS, -1)), label=label) for i, label in enumerate(labels, 1)]
+    traces = [trace_from_cells(((0, 1), (i * MS, -1)), label=label) for i, label in enumerate(labels, 1)]
     traces_path = tmp_path / "traces.ndjson"
     traces_path.write_text(trace_lines(traces))
     assert main(["featurize", "--in", str(traces_path), "--out", str(tmp_path / "out")]) == 0

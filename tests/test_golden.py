@@ -35,6 +35,7 @@ import pytest
 from guardsift import ingest, store
 from guardsift.cli import main
 from guardsift.simulate import ScenarioConfig
+from oracles import write_scenario
 
 # post phase with dropped and reordered cells and a small spam channel, so
 # both segmentation paths, the time path's windows and Conflux legs all run
@@ -93,7 +94,7 @@ def generate(scenario: ScenarioConfig, tmp_path, name: str, stores: bool = True)
     """``guardsift generate`` of ``scenario`` at seed 3 into ``tmp_path / name``;
     with ``stores``, ``guardsift ingest`` then writes the cell-log stores."""
     config = tmp_path / f"{name}-scenario.json"
-    scenario.to_json(config)
+    write_scenario(scenario, config)
     out = tmp_path / name
     assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
     if stores:

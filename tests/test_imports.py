@@ -12,7 +12,8 @@ import pytest
 
 from conftest import run_fresh
 from guardsift.simulate import ScenarioConfig
-from guardsift.trace import Trace, TraceColumns, write_dataset
+from guardsift.trace import TraceColumns, write_dataset
+from oracles import trace_from_cells, write_scenario
 
 STAGES = {
     "conflux", "features", "ingest", "metrics", "sanitize", "segment", "simulate", "transforms"
@@ -44,7 +45,7 @@ def _stages(modules: set[str]) -> set[str]:
 def traces_path(tmp_path):
     path = tmp_path / "traces.ndjson"
     cells = [(0, 1), (1_000_000, -1), (3_000_000, 1)]
-    traces = [Trace.from_cells(cells, label="a.com"), Trace.from_cells(cells)]
+    traces = [trace_from_cells(cells, label="a.com"), trace_from_cells(cells)]
     write_dataset(TraceColumns.from_traces(traces), 0, path)
     return path
 
@@ -75,7 +76,7 @@ def test_trace_commands_load_only_their_stage(tmp_path, traces_path, argv, stage
 
 def test_generate_loads_no_process_pool(tmp_path):
     scenario = tmp_path / "scenario.json"
-    ScenarioConfig(n_pages=1, n_visits_per_page=1, n_nonmon_channels=1).to_json(scenario)
+    write_scenario(ScenarioConfig(n_pages=1, n_visits_per_page=1, n_nonmon_channels=1), scenario)
     modules = _modules_after(["generate", "--config", str(scenario), "--out", str(tmp_path / "o")], tmp_path)
     assert not modules & {"concurrent.futures", "multiprocessing"}
 
@@ -93,7 +94,7 @@ def test_sanitize_loads_no_generator_metrics_features_or_conflux(tmp_path, extra
 @pytest.fixture()
 def logs(tmp_path):
     scenario = tmp_path / "scenario.json"
-    ScenarioConfig(phase="post", n_pages=1, n_visits_per_page=2, n_nonmon_channels=1).to_json(scenario)
+    write_scenario(ScenarioConfig(phase="post", n_pages=1, n_visits_per_page=2, n_nonmon_channels=1), scenario)
     code = f"from guardsift.cli import main\nmain(['generate', '--config', {str(scenario)!r}, '--out', 'logs'])"
     _fresh(code, tmp_path)
     return tmp_path / "logs"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import python2_shape, run_fresh
 from guardsift import ingest
 from guardsift.errors import GuardsiftError, ParseError, StoreError
 from guardsift.ingest import (
@@ -23,7 +24,8 @@ from guardsift.ingest import (
 )
 from guardsift.simulate import ScenarioConfig, generate_dataset
 from guardsift.store import store_path
-from guardsift.trace import NO_CELL_TYPE, CellRecord, Channel, Circuit
+from guardsift.trace import NO_CELL_TYPE, Channel
+from oracles import circuit_from_cells
 
 
 def test_grouping_by_channel_and_circuit():
@@ -126,9 +128,23 @@ def test_link_ack_cell_type_parsed():
 # --- the bulk parser against the per-line parser it replaced -------------------
 
 
+def oracle_cell_fault(circuit_id, timestamp, direction, cell_type) -> str | None:
+    """The reference's own copy of the cell-row rules, in the order a row is
+    checked: the message of the first rule the row breaks, or None."""
+    if direction not in (1, -1):
+        return f"direction must be +1 or -1, got {direction}"
+    if timestamp < 0:
+        return f"timestamp must be non-negative, got {timestamp}"
+    if not 0 <= circuit_id < 2**32:
+        return f"circuit_id out of 32-bit range: {circuit_id}"
+    if cell_type is not None and cell_type < 0:
+        return f"cell_type must be non-negative, got {cell_type}"
+    return None
+
+
 def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
     """The per-line, per-record parser the bulk path replaced, kept as reference."""
-    channels: dict[int, dict[int, list[CellRecord]]] = {}
+    channels: dict[int, dict[int, list[tuple]]] = {}
     auth_ids: set[int] = set()
     seen: set[tuple] = set()
     result = ParsedLog(channels=[])
@@ -165,10 +181,10 @@ def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
             cell_type = int(fields[4]) if len(fields) > 4 and fields[4] != "" else None
         except ValueError as exc:
             raise ParseError(line_no, f"non-integer field: {exc}") from None
-        try:
-            record = CellRecord(*values, cell_type)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+        channel_id, circuit_id, timestamp, direction = values
+        fault = oracle_cell_fault(circuit_id, timestamp, direction, cell_type)
+        if fault:
+            raise ParseError(line_no, fault)
         if not all(-(2**63) <= v < 2**63 for v in (*values, cell_type or 0)):
             raise ParseError(line_no, "integer field out of the 64-bit range")
         key = (*values, cell_type)
@@ -176,8 +192,8 @@ def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
             result.duplicate_count += 1
             continue
         seen.add(key)
-        circuits = channels.setdefault(record.channel_id, {})
-        circuits.setdefault(record.circuit_id, []).append(record)
+        circuits = channels.setdefault(channel_id, {})
+        circuits.setdefault(circuit_id, []).append((timestamp, direction, cell_type))
         result.cell_count += 1
     flagged = {}
     for channel_id in auth_ids:
@@ -186,7 +202,7 @@ def oracle_parse_cells(source, require_type: bool) -> ParsedLog:
     result.channels = [
         Channel(
             channel_id,
-            {cid: Circuit.from_records(cid, records) for cid, records in circuits.items()},
+            {cid: circuit_from_cells(cid, cells) for cid, cells in circuits.items()},
             relay_authenticated=flagged.get(channel_id, False),
         )
         for channel_id, circuits in channels.items()
@@ -704,6 +720,18 @@ def test_a_malformed_store_that_matches_its_log_is_an_error(guard_log, case):
     assert message in str(err.value)
 
 
+def test_a_store_header_numpy_must_mend_is_a_stage_error_in_a_fresh_process(guard_log, tmp_path):
+    timestamps = store_path(guard_log) / "timestamps.npy"
+    python2_shape(timestamps)
+    argv = ["sanitize", "--guard", str(guard_log), "--phase", "pre", "--out", str(tmp_path / "out")]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"guardsift sanitize: error: bad cell-log store {timestamps}: bad .npy header: numpy reads it only"
+        " after mending it; delete the store to read the log\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def pristine_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "guard.csv"
@@ -712,6 +740,7 @@ def pristine_store(tmp_path_factory):
     return path, {part.name: part.read_bytes() for part in store_path(path).iterdir()}
 
 
+@pytest.mark.filterwarnings("error")
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):
@@ -741,7 +770,7 @@ def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):
 
 def assert_valid_cells(parsed: ParsedLog) -> None:
     """What a parse of any log holds: counts that add up, and only values a
-    ``CellRecord`` can hold, each (channel, circuit) pair once."""
+    cell row can hold, each (channel, circuit) pair once."""
     assert parsed.cell_count == parsed.line_count - parsed.duplicate_count
     circuits = [(ch.channel_id, c) for ch in parsed.channels for c in ch.circuits.values()]
     assert sum(len(c.timestamps) for _, c in circuits) == parsed.cell_count

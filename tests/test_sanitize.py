@@ -27,17 +27,17 @@ from guardsift.sanitize import (
     sanitize,
     select_main_circuit,
     trim_head,
-    trim_tail,
     validate_handshake_post,
     validate_handshake_pre,
 )
-from guardsift.trace import Channel, Circuit, CellRecord, Stage, Trace
+from guardsift.trace import Channel, Stage, Trace
+from oracles import TrimmedTrace, circuit_from_cells, trace_from_cells, trim_tail
 
 
 def bulk_channel(channel_id, n_circuits):
     ch = Channel(channel_id)
     for i in range(n_circuits):
-        ch.circuits[i] = Circuit.from_records(i, [CellRecord(channel_id, i, 0, 1)])
+        ch.circuits[i] = circuit_from_cells(i, [(0, 1)])
     return ch
 
 
@@ -181,7 +181,8 @@ def build_trace(segments, tail_trimmed=False):
         for _ in range(count):
             cells.append((t, direction))
             t += spacing
-    return Trace.from_cells(tuple(cells), tail_trimmed=tail_trimmed)
+    trace = trace_from_cells(cells)
+    return TrimmedTrace(trace.timestamps, trace.directions) if tail_trimmed else trace
 
 
 class TestTailTrim:
@@ -192,7 +193,7 @@ class TestTailTrim:
         trace = build_trace([(10, 1, MS)])
         trimmed = trim_tail(trace, self.config())
         assert len(trimmed.cells) == 8
-        assert trimmed.tail_trimmed
+        assert isinstance(trimmed, TrimmedTrace)
         again = trim_tail(trimmed, self.config())
         assert again.cells == trimmed.cells
 
@@ -204,7 +205,7 @@ class TestTailTrim:
             cells.append((t, 1 if i == 0 else -1))
             t += MS
         cells += [(t + MS, 1), (t + 2 * MS, -1)]
-        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
+        trimmed = trim_tail(trace_from_cells(cells), self.config())
         assert len(trimmed.cells) == 200
 
     def test_incoming_led_tail_kept(self):
@@ -213,7 +214,7 @@ class TestTailTrim:
         for i in range(50):
             cells.append((t, -1 if i == 0 else 1))
             t += MS
-        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
+        trimmed = trim_tail(trace_from_cells(cells), self.config())
         assert len(trimmed.cells) == 248
 
     def test_long_slow_tail_kept(self):
@@ -222,7 +223,7 @@ class TestTailTrim:
         for i in range(120):  # >= 100 cells and >= 1 s long: not shutdown-like
             cells.append((t, 1))
             t += 12 * MS
-        trimmed = trim_tail(Trace.from_cells(tuple(cells)), self.config())
+        trimmed = trim_tail(trace_from_cells(cells), self.config())
         assert len(trimmed.cells) == 200 + 120 - 2
 
     def test_length_cap(self):
@@ -245,7 +246,7 @@ class TestTailTrim:
         cells = [(0, 1), (SEC, -1)]
         cells += [(7 * SEC + i * MS, 1) for i in range(5)]
         cells += [(20 * SEC + i * MS, 1) for i in range(10)]
-        trace = Trace.from_cells(tuple(cells))
+        trace = trace_from_cells(cells)
         once = trim_tail(trace, self.config())
         twice = trim_tail(once, self.config())
         assert once.cells == twice.cells
@@ -331,14 +332,16 @@ class TestTailStagesAgainstListOracle:
     @given(tail_cells(), tail_configs, st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_trim_tail(self, cells, config, tail_trimmed):
-        trace = Trace.from_cells(cells, tail_trimmed=tail_trimmed)
+        trace = trace_from_cells(cells)
+        if tail_trimmed:
+            trace = TrimmedTrace(trace.timestamps, trace.directions)
         expected, _ = oracle_tail_stages(cells, config, tail_trimmed)
         if not expected:
             with pytest.raises(GuardsiftError, match=EMPTY_AFTER_TAIL_TRIM):
                 trim_tail(trace, config)
             return
         trimmed = trim_tail(trace, config)
-        assert list(trimmed.cells) == expected and trimmed.tail_trimmed
+        assert list(trimmed.cells) == expected and isinstance(trimmed, TrimmedTrace)
 
 
 class TestDurationCap:
@@ -359,7 +362,7 @@ class TestDurationCap:
 
 def visit_channel(channel_id, *circuit_ids):
     """A channel carrying one-cell circuits with the given ids."""
-    circuits = (circuit_from_dirs([1], circuit_id=c, channel_id=channel_id) for c in circuit_ids)
+    circuits = (circuit_from_dirs([1], circuit_id=c) for c in circuit_ids)
     return channel_of(*circuits, channel_id=channel_id)
 
 
@@ -422,9 +425,9 @@ class TestGroupVisits:
         ]
 
 
-def valid_circuit(circuit_id, n=240, channel_id=1, start=0):
+def valid_circuit(circuit_id, n=240, start=0):
     dirs = [1, -1] + [1 if i % 3 == 0 else -1 for i in range(n - 2)]
-    return circuit_from_dirs(dirs, circuit_id=circuit_id, channel_id=channel_id, start=start)
+    return circuit_from_dirs(dirs, circuit_id=circuit_id, start=start)
 
 
 class TestSanitizePipeline:
@@ -458,7 +461,7 @@ class TestSanitizePipeline:
         # circuit ids are link-local: channels 1 and 2 both carry a circuit 5
         channels = [
             channel_of(valid_circuit(5), valid_circuit(6), channel_id=1),
-            channel_of(valid_circuit(5, channel_id=2), channel_id=2),
+            channel_of(valid_circuit(5), channel_id=2),
         ]
         visits = [
             PageVisitRecord("a.example", 0, "a.example", 6),

@@ -12,7 +12,8 @@ from guardsift.segment import (
     segment_nonmonitored,
 )
 from guardsift.sanitize import SanitizeConfig
-from guardsift.trace import CellRecord, Channel, Circuit, Trace
+from guardsift.trace import Channel, Trace
+from oracles import circuit_from_cells, trace_from_cells
 
 
 def oracle_plan_windows(channel):
@@ -23,13 +24,13 @@ def oracle_plan_windows(channel):
     for circuit in circuits:
         if circuit.circuit_id in consumed:
             continue
-        t_start, t_end = circuit.start_ts, circuit.end_ts
+        t_start, t_end = circuit.start_ts, int(circuit.timestamps[-1])
         overlapping = frozenset(
             other.circuit_id
             for other in circuits
             if other.circuit_id not in consumed
             and other.start_ts <= t_end
-            and other.end_ts >= t_start
+            and other.timestamps[-1] >= t_start
         )
         consumed.update(overlapping)
         windows.append(SegmentWindow(channel.channel_id, t_start, t_end, overlapping))
@@ -41,13 +42,10 @@ def empty_window(channel_id, start, end):
     return rf"^channel {channel_id}: window \[{start}, {end}\] has no usable outgoing-aligned cells$"
 
 
-def circuit_at(circuit_id, timestamps, directions=None, channel_id=1):
+def circuit_at(circuit_id, timestamps, directions=None):
     """Circuit with one cell per timestamp, in the order given."""
     directions = directions or [1 if i % 2 == 0 else -1 for i in range(len(timestamps))]
-    return Circuit.from_records(
-        circuit_id,
-        [CellRecord(channel_id, circuit_id, t, d) for t, d in zip(timestamps, directions)],
-    )
+    return circuit_from_cells(circuit_id, zip(timestamps, directions))
 
 
 @st.composite
@@ -84,10 +82,10 @@ def spanning_circuit(circuit_id, start_s, end_s, channel_id=1, n=40, lead=1):
     t = int(start_s * SEC)
     for i in range(n):
         d = lead if i == 0 else (1 if i % 3 == 0 else -1)
-        cells.append(CellRecord(channel_id, circuit_id, t, d))
+        cells.append((t, d))
         t += step
-    cells[-1] = CellRecord(channel_id, circuit_id, int(end_s * SEC), cells[-1].direction)
-    return Circuit.from_records(circuit_id, cells)
+    cells[-1] = (int(end_s * SEC), cells[-1][1])
+    return circuit_from_cells(circuit_id, cells)
 
 
 class TestMonitoredWindow:
@@ -102,9 +100,9 @@ class TestMonitoredWindow:
         assert trace.label == "p"
 
     def test_leading_incoming_dropped(self):
-        cells = [CellRecord(1, 1, i * MS, -1) for i in range(3)]
-        cells += [CellRecord(1, 1, (3 + i) * MS, 1) for i in range(10)]
-        ch = channel_of(Circuit.from_records(1, cells))
+        cells = [(i * MS, -1) for i in range(3)]
+        cells += [((3 + i) * MS, 1) for i in range(10)]
+        ch = channel_of(circuit_from_cells(1, cells))
         (trace,) = extract_monitored_window(ch, 0, SEC).traces()
         assert trace.cells[0] == (0, 1)
         assert len(trace.cells) == 8
@@ -115,8 +113,8 @@ class TestMonitoredWindow:
             extract_monitored_window(ch, 0, SEC)
 
     def test_no_outgoing_raises(self):
-        cells = [CellRecord(1, 1, i * MS, -1) for i in range(10)]
-        ch = channel_of(Circuit.from_records(1, cells))
+        cells = [(i * MS, -1) for i in range(10)]
+        ch = channel_of(circuit_from_cells(1, cells))
         with pytest.raises(GuardsiftError, match=empty_window(1, 0, SEC)):
             extract_monitored_window(ch, 0, SEC)
 
@@ -192,20 +190,21 @@ class TestGreedySegmentation:
     def test_single_circuit_matches_sanitizer_modulo_handshake(self):
         # one circuit, built by hand: handshake, long idle, 300-cell load
         # spread over ~8 s, a qualifying shutdown tail, then teardown
-        from guardsift.sanitize import SanitizeConfig, trim_head, trim_tail
+        from guardsift.sanitize import SanitizeConfig, trim_head
+        from oracles import trim_tail
 
-        cells = [CellRecord(1, 9, 0, 1), CellRecord(1, 9, 60 * MS, -1)]
+        cells = [(0, 1), (60 * MS, -1)]
         t = 30 * SEC
         for i in range(300):
-            cells.append(CellRecord(1, 9, t, 1 if i % 5 == 0 else -1))
+            cells.append((t, 1 if i % 5 == 0 else -1))
             t += 27 * MS
         t += 6 * SEC
         for i in range(20):
-            cells.append(CellRecord(1, 9, t, 1 if i == 0 else -1))
+            cells.append((t, 1 if i == 0 else -1))
             t += 10 * MS
-        cells.append(CellRecord(1, 9, t + 500 * MS, 1))
-        cells.append(CellRecord(1, 9, t + 510 * MS, -1))
-        circuit = Circuit.from_records(9, cells)
+        cells.append((t + 500 * MS, 1))
+        cells.append((t + 510 * MS, -1))
+        circuit = circuit_from_cells(9, cells)
         channel = channel_of(circuit)
 
         seg_traces = segment_nonmonitored(channel).traces()
@@ -294,7 +293,7 @@ def reference_finish_segment(cells, config, label):
     cells, _ = oracle_tail_stages([(ts - base, d) for ts, d in cells], config)
     if not cells:
         return None
-    return Trace.from_cells(tuple(cells), phase="pre", label=label)
+    return trace_from_cells(cells, phase="pre", label=label)
 
 
 def circuit_cells(circuit):

@@ -473,15 +473,15 @@ class TestConfluxVisits:
         assert sim.guard_cells == sim.full_cells
 
     def test_legs_pass_link_heuristic(self):
-        from guardsift.trace import CellRecord, Circuit
+        from oracles import circuit_from_cells
 
         cfg = ScenarioConfig(seed=5, phase="post")
         rng = np.random.default_rng(3)
         plan = plan_conflux_visit(rng, cfg, page_model(5, 0, (240, 400)), 0)
         sim = simulate_conflux_visit(plan, cfg, delta_ms=0.0)
         for leg_cells in sim.leg_cells:
-            cells = [CellRecord(1, 1, ts, d) for ts, d, _ in leg_cells]
-            assert validate_handshake_post(Circuit.from_records(1, cells)) == CONFLUX
+            cells = [(ts, d) for ts, d, _ in leg_cells]
+            assert validate_handshake_post(circuit_from_cells(1, cells)) == CONFLUX
 
 
 class TestSweep:

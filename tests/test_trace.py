@@ -12,29 +12,25 @@ from guardsift.errors import GuardsiftError, ParseError
 import guardsift.columns as columns_module
 import guardsift.trace as trace_module
 from guardsift.columns import read_columns
-from guardsift.trace import (
-    CellRecord,
-    Trace,
-    TraceColumns,
-    compute_trace_id,
-    read_dataset,
-    serialize_dataset,
-    write_dataset,
-)
+from guardsift.ingest import parse_guard_log
+from guardsift.trace import Trace, TraceColumns, compute_trace_id, read_dataset, write_dataset
+from oracles import dataset_bytes, trace_fields, trace_from_cells
 
 
 def test_cell_record_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        CellRecord(1, 2, 100, 0)
-    with pytest.raises(ValueError):
-        CellRecord(1, 2, -5, 1)
-    with pytest.raises(ValueError):
-        CellRecord(1, 2**32, 0, 1)
+    # a cell row's rules, as the parse of a guard log states them
+    for row, message in (
+        ("1,2,100,0", "direction must be +1 or -1, got 0"),
+        ("1,2,-5,1", "timestamp must be non-negative, got -5"),
+        (f"1,{2**32},0,1", f"circuit_id out of 32-bit range: {2**32}"),
+    ):
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_guard_log(io.StringIO(f"1,2,0,1\n{row}\n"))
 
 
 def test_trace_requires_sorted_cells():
-    with pytest.raises(ValueError):
-        Trace.from_cells(((10, 1), (5, -1)))
+    with pytest.raises(ValueError, match="cells must be sorted by timestamp"):
+        Trace(np.array([10, 5], dtype=np.int64), np.array([1, -1], dtype=np.int8))
 
 
 cells_strategy = st.lists(
@@ -43,9 +39,9 @@ cells_strategy = st.lists(
 
 
 def test_trace_id_invariant_under_offset_only():
-    a = Trace.from_cells(((100, 1), (200, -1)))
-    b = Trace.from_cells(((0, 1), (100, -1)))
-    c = Trace.from_cells(((0, 1), (101, -1)))
+    a = trace_from_cells(((100, 1), (200, -1)))
+    b = trace_from_cells(((0, 1), (100, -1)))
+    c = trace_from_cells(((0, 1), (101, -1)))
     id_a, id_b, id_c = compute_trace_id(table([a, b, c]))
     assert id_a == id_b
     assert id_a != id_c
@@ -53,9 +49,9 @@ def test_trace_id_invariant_under_offset_only():
 
 def _traces():
     return [
-        Trace.from_cells(((0, 1), (50, -1), (300, 1)), phase="pre", label="site-a"),
-        Trace.from_cells(((0, 1), (10, -1)), phase="pre"),
-        Trace.from_cells(((0, 1), (5, 1), (9, -1)), phase="post", label="site-b"),
+        trace_from_cells(((0, 1), (50, -1), (300, 1)), phase="pre", label="site-a"),
+        trace_from_cells(((0, 1), (10, -1)), phase="pre"),
+        trace_from_cells(((0, 1), (5, 1), (9, -1)), phase="post", label="site-b"),
     ]
 
 
@@ -69,29 +65,29 @@ def trace_id(trace):
 
 
 def test_export_is_deterministic_and_stripped():
-    data1 = serialize_dataset(table(_traces()), seed=1)
-    data2 = serialize_dataset(table(_traces()), seed=1)
+    data1 = dataset_bytes(table(_traces()), seed=1)
+    data2 = dataset_bytes(table(_traces()), seed=1)
     assert data1 == data2
     text = data1.decode("utf-8")
     assert "channel" not in text and "circuit" not in text
     assert text.endswith("\n")
-    assert serialize_dataset(table(_traces()), seed=2) != data1
+    assert dataset_bytes(table(_traces()), seed=2) != data1
 
 
 def test_export_roundtrip_bit_exact():
-    data = serialize_dataset(table(_traces()), seed=3)
+    data = dataset_bytes(table(_traces()), seed=3)
     back = read_dataset(io.StringIO(data.decode("utf-8")))
     original = {(t.phase, t.label, t.cells) for t in _traces()}
     assert {(t.phase, t.label, t.cells) for t in back} == original
 
 
 def test_export_rejects_unnormalized(tmp_path):
-    late = Trace.from_cells(((5, 1), (9, -1)))
+    late = trace_from_cells(((5, 1), (9, -1)))
     not_normalized = f"^trace {trace_id(late)} starts at 5 ns, expected 0$"
     with pytest.raises(GuardsiftError, match=not_normalized):
-        serialize_dataset(table([*_traces(), late, Trace.from_cells(())]), seed=0)
+        dataset_bytes(table([*_traces(), late, trace_from_cells(())]), seed=0)
     with pytest.raises(GuardsiftError, match="^cannot export an empty trace$"):
-        serialize_dataset(table([*_traces(), Trace.from_cells(()), late]), seed=0)
+        dataset_bytes(table([*_traces(), trace_from_cells(()), late]), seed=0)
     # the writer checks the whole table before it opens the file
     with pytest.raises(GuardsiftError, match=not_normalized):
         write_dataset(table([*_traces(), late]), 0, tmp_path / "traces.ndjson")
@@ -130,27 +126,27 @@ def id_calls(monkeypatch):
 
 
 def test_building_traces_computes_no_id(id_calls):
-    t = Trace.from_cells(((100, 1), (200, -1), (260, -1)), label="site-a")
-    t.with_cells(t.timestamps[:2], t.directions[:2], tail_trimmed=True)
-    read_dataset(io.StringIO(serialize_dataset(table(_traces()), seed=0).decode("utf-8")))
+    t = trace_from_cells(((100, 1), (200, -1), (260, -1)), label="site-a")
+    t.with_cells(t.timestamps[:2], t.directions[:2])
+    read_dataset(io.StringIO(dataset_bytes(table(_traces()), seed=0).decode("utf-8")))
     assert id_calls == []
 
 
 @given(cells_strategy)
 def test_trace_id_is_the_content_hash(cells):
-    assert trace_id(Trace.from_cells(cells)) == oracle_trace_id(cells)
+    assert trace_id(trace_from_cells(cells)) == oracle_trace_id(cells)
 
 
 def test_trace_ids_match_pinned_values():
     # labels.csv files carry these ids, so a change of value is a format change;
     # taken when ids began to hash the raw direction and gap bytes
-    t = Trace.from_cells(((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
+    t = trace_from_cells(((100, 1), (200, -1), (260, -1), (900, 1)), label="site-a")
     traces = [
         t,
         t.with_cells(t.timestamps - 100, t.directions),
         t.with_cells(t.timestamps[:2], t.directions[:2]),
-        Trace.from_cells(()),
-        Trace.from_cells(((0, 1),)),
+        trace_from_cells(()),
+        trace_from_cells(((0, 1),)),
     ]
     assert compute_trace_id(table(traces)) == [
         "bc07ff89ca07f683", "bc07ff89ca07f683", "01d3c7345ddf750d", "e3b0c44298fc1c14",
@@ -159,12 +155,12 @@ def test_trace_ids_match_pinned_values():
 
 
 def test_copies_do_not_inherit_a_read_id():
-    t = Trace.from_cells(((100, 1), (200, -1), (260, -1)))
+    t = trace_from_cells(((100, 1), (200, -1), (260, -1)))
     first = trace_id(t)
     shorter = t.with_cells(t.timestamps[:2], t.directions[:2])
     assert trace_id(shorter) == oracle_trace_id(t.cells[:2]) != first
     assert trace_id(t.with_cells(t.timestamps - 100, t.directions)) == first
-    assert t == Trace.from_cells(t.cells)
+    assert trace_fields(t) == trace_fields(trace_from_cells(t.cells))
 
 
 # --- the array codec against the tuple-cell codec it replaced -------------------
@@ -186,7 +182,7 @@ def cell_lists(draw, normalized=False):
 
 @st.composite
 def exportable_traces(draw):
-    return Trace.from_cells(
+    return trace_from_cells(
         draw(cell_lists(normalized=True)),
         phase=draw(st.sampled_from(["pre", "post"])),
         label=draw(labels),
@@ -195,7 +191,7 @@ def exportable_traces(draw):
 
 @given(cell_lists())
 def test_trace_id_matches_the_per_cell_oracle(cells):
-    assert trace_id(Trace.from_cells(cells)) == oracle_trace_id(cells)
+    assert trace_id(trace_from_cells(cells)) == oracle_trace_id(cells)
 
 
 @given(
@@ -208,7 +204,7 @@ def test_serialize_matches_the_json_dumps_oracle(tmp_path_factory, traces, seed,
     order = np.random.default_rng(seed).permutation(len(traces))
     lines = [oracle_trace_line(traces[i].phase, traces[i].label, traces[i].cells) for i in order]
     expected = "".join(line + "\n" for line in lines).encode()
-    assert serialize_dataset(table(traces), seed) == expected
+    assert dataset_bytes(table(traces), seed) == expected
     # the writer renders the same lines into the file a block of cells at a time
     path = tmp_path_factory.getbasetemp() / "written.ndjson"
     with mock.patch.object(trace_module, "_BLOCK_CELLS", block_cells):
@@ -233,10 +229,10 @@ def test_reader_matches_the_json_loads_oracle(traces, separators):
 @given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
 @settings(deadline=None)
 def test_serialize_read_serialize_is_byte_identical(traces, seed):
-    data = serialize_dataset(table(traces), seed)
+    data = dataset_bytes(table(traces), seed)
     back = read_dataset(io.StringIO(data.decode("utf-8")))
     # one trace per call keeps the file order of ``back``
-    assert b"".join(serialize_dataset(table([t]), seed) for t in back) == data
+    assert b"".join(dataset_bytes(table([t]), seed) for t in back) == data
     order = np.random.default_rng(seed).permutation(len(traces))
     assert compute_trace_id(table(back)) == compute_trace_id(table([traces[i] for i in order]))
 
@@ -269,7 +265,7 @@ def test_gather_is_the_table_of_the_non_empty_segments(segments, phase):
         if end > start
     ]
     assert table_fields(got) == table_fields(table(rows))
-    assert got.traces() == rows
+    assert list(map(trace_fields, got.traces())) == list(map(trace_fields, rows))
 
 
 @given(st.lists(st.lists(exportable_traces(), max_size=4), max_size=4))
@@ -278,18 +274,18 @@ def test_join_is_the_table_of_all_rows(groups):
     joined = TraceColumns.join([table(traces) for traces in groups])
     rows = [trace for traces in groups for trace in traces]
     assert table_fields(joined) == table_fields(table(rows))
-    assert joined.traces() == rows
+    assert list(map(trace_fields, joined.traces())) == list(map(trace_fields, rows))
 
 
 @given(st.lists(exportable_traces(), max_size=6), st.integers(0, 2**32 - 1))
 @settings(deadline=None)
 def test_read_columns_of_serialize_is_the_table(traces, seed):
     order = np.random.default_rng(seed).permutation(len(traces)).tolist()
-    back = read_columns(io.StringIO(serialize_dataset(table(traces), seed).decode("utf-8")))
+    back = read_columns(io.StringIO(dataset_bytes(table(traces), seed).decode("utf-8")))
     # the rows come back in the seeded order, so one row per call gives the table itself
     assert table_fields(back) == table_fields(table([traces[i] for i in order]))
     for trace in traces:
-        one = read_columns(io.StringIO(serialize_dataset(table([trace]), seed).decode("utf-8")))
+        one = read_columns(io.StringIO(dataset_bytes(table([trace]), seed).decode("utf-8")))
         assert table_fields(one) == table_fields(table([trace]))
 
 
@@ -331,7 +327,7 @@ def test_reader_rejects_bad_cells_naming_the_line(fields):
 
 
 def oracle_read_line(line):
-    """One line through ``json.loads`` and ``Trace.from_cells`` on its own, or
+    """One line through ``json.loads`` and ``trace_from_cells`` on its own, or
     None when the line is bad: the per-line reader the columnar one replaced."""
     try:
         payload = json.loads(line)
@@ -342,7 +338,7 @@ def oracle_read_line(line):
             return None
         if label is not None and not isinstance(label, str):
             return None
-        return Trace.from_cells(cells, phase=phase, label=label)
+        return trace_from_cells(cells, phase=phase, label=label)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
 
@@ -383,9 +379,9 @@ PINNED_BAD_LINES = [
 
 
 def read_outcome(text):
-    """The traces read from ``text``, or the line and text of its ParseError."""
+    """The fields of the traces read from ``text``, or the line and text of its ParseError."""
     try:
-        return read_dataset(io.StringIO(text))
+        return list(map(trace_fields, read_dataset(io.StringIO(text))))
     except ParseError as err:
         return err.line_no, str(err)
 
@@ -426,8 +422,8 @@ def test_reader_matches_the_per_line_oracle(lines, newline):
     if first_bad is not None:
         assert isinstance(outcome, tuple) and outcome[0] == first_bad
     else:
-        # == compares every field, so each trace must carry its line's metadata
-        assert outcome == [trace for _, trace in parsed]
+        # each trace must carry its line's cells, phase and label
+        assert outcome == [trace_fields(trace) for _, trace in parsed]
 
 
 # line breaks that str.splitlines knows but a trace file does not
@@ -473,7 +469,7 @@ def test_column_rows_are_the_traces_of_that_range(cell_sets, data):
     stop = data.draw(st.integers(start, len(cell_sets)))
     rows = columns.rows(start, stop)
     assert rows.bounds[0] == 0 and len(rows.bounds) == len(rows) + 1
-    assert rows.traces() == columns.traces()[start:stop]
+    assert list(map(trace_fields, rows.traces())) == list(map(trace_fields, columns.traces()[start:stop]))
     assert compute_trace_id(rows) == compute_trace_id(columns)[start:stop]
 
 

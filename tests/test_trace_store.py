@@ -18,18 +18,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MS, oracle_trace_line, run_fresh
+from conftest import MS, oracle_trace_line, python2_shape, run_fresh
 from guardsift import columns
 from guardsift.cli import main
 from guardsift.columns import read_columns
 from guardsift.errors import ParseError, StoreError
 from guardsift.store import store_path
-from guardsift.trace import Trace, TraceColumns, read_dataset, write_dataset
+from guardsift.trace import TraceColumns, read_dataset, write_dataset
+from oracles import trace_from_cells
 
 TRACES = [
-    Trace.from_cells(((0, 1), (5 * MS, -1), (9 * MS, -1), (30 * MS, 1)), label="a.example"),
-    Trace.from_cells(((0, -1), (2 * MS, 1)), phase="post"),
-    Trace.from_cells(((0, 1), (1, 1), (7 * MS, -1)), label="b,\u2028\"c\""),
+    trace_from_cells(((0, 1), (5 * MS, -1), (9 * MS, -1), (30 * MS, 1)), label="a.example"),
+    trace_from_cells(((0, -1), (2 * MS, 1)), phase="post"),
+    trace_from_cells(((0, 1), (1, 1), (7 * MS, -1)), label="b,\u2028\"c\""),
 ]
 
 
@@ -376,6 +377,18 @@ def test_a_malformed_store_is_a_stage_error_in_a_fresh_process(stored, tmp_path,
     assert "directions.npy" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_a_store_header_numpy_must_mend_is_a_stage_error_in_a_fresh_process(stored, tmp_path):
+    bounds = store_path(stored) / "bounds.npy"
+    python2_shape(bounds)
+    argv = [a.format(traces=stored, out=tmp_path / "out") for a in TRACE_COMMANDS["featurize-direction"]]
+    proc = run_fresh(["-m", "guardsift.cli", *argv], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"guardsift featurize: error: bad trace store {bounds}: bad .npy header: numpy reads it only"
+        " after mending it; delete the store to read the trace file\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def pristine_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "traces.ndjson"
@@ -384,6 +397,7 @@ def pristine_store(tmp_path_factory):
     return path, {part.name: part.read_bytes() for part in store_path(path).iterdir()}
 
 
+@pytest.mark.filterwarnings("error")
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_store_bytes_let_only_store_errors_escape(pristine_store, data):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MS, SEC
-from guardsift.trace import Trace
+from oracles import trace_from_cells
 from guardsift.transforms import inject_jitter, truncate_length, truncate_percent
 
 
 def uniform_trace(n, spacing_ns=10 * MS):
-    return Trace.from_cells(tuple((i * spacing_ns, 1 if i % 2 == 0 else -1) for i in range(n)))
+    return trace_from_cells(tuple((i * spacing_ns, 1 if i % 2 == 0 else -1) for i in range(n)))
 
 
 class TestJitter:
@@ -33,7 +33,7 @@ class TestJitter:
             assert b1 - b0 >= a1 - a0
 
     def test_cells_past_max_duration_dropped(self):
-        trace = Trace.from_cells(((0, 1), (44 * SEC, -1), (46 * SEC, 1)))
+        trace = trace_from_cells(((0, 1), (44 * SEC, -1), (46 * SEC, 1)))
         out = inject_jitter(trace, 0.001, np.random.default_rng(3))
         assert len(out.cells) == 2
 
@@ -99,7 +99,7 @@ def random_traces(draw, max_size=60):
     for gap in [0] + gaps:
         t += gap
         cells.append((t, draw(st.sampled_from([1, -1]))))
-    return Trace.from_cells(cells, label=draw(st.none() | st.just("a.example")))
+    return trace_from_cells(cells, label=draw(st.none() | st.just("a.example")))
 
 
 @given(
