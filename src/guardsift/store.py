@@ -4,7 +4,8 @@ The store of ``X.csv`` or ``X.ndjson`` is the directory ``X.store`` beside
 it: one ``.npy`` file per array, and a ``meta.json`` with the sha256 of the
 bytes decoded, the format's ``version`` and the kind of reader (``log``)
 that wrote it. Cell logs (``ingest``) and trace files (``columns``) keep
-their stores through ``read_once``.
+their stores through ``read_once``; the trace writer (``trace.write_dataset``)
+keeps the store of each file it writes through ``_keep``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _keep(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write ``arrays`` and ``meta`` as the store of the file at ``path``.
+def _keep(path, reader: str, digest: str, arrays: dict[str, np.ndarray], fields: dict) -> None:
+    """Write ``arrays`` as the store of the file at ``path``, which the
+    ``reader`` kind of reader decodes from bytes whose sha256 is ``digest``.
+    Its ``meta.json`` holds ``fields`` and the ``version``, ``log`` and
+    ``sha256`` that ``_read_meta`` checks.
 
     The store is written into a new directory beside the file and renamed
     into place, replacing an older store, so a reader finds a whole store or
@@ -56,6 +60,7 @@ def _keep(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         try:
             for name, array in arrays.items():
                 np.save(new / f"{name}.npy", array, allow_pickle=False)
+            meta = {**fields, "version": VERSION, "log": reader, "sha256": digest}
             (new / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
             try:
                 new.rename(store)
@@ -151,6 +156,5 @@ def read_once(path, reader: str, decode, load, stored):
         data.clear()  # the store's arrays take the place of the file's bytes
         return load(store, meta)
     value = decode(data)
-    arrays, fields = stored(value)
-    _keep(path, arrays, {**fields, "version": VERSION, "log": reader, "sha256": digest})
+    _keep(path, reader, digest, *stored(value))
     return value

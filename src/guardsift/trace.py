@@ -206,6 +206,19 @@ class TraceColumns:
             self.labels[start:stop],
         )
 
+    def take(self, order: Sequence[int]) -> TraceColumns:
+        """The traces ``order[0]``, ``order[1]``, ... as a new table."""
+        ends = self.bounds.tolist()
+        cells = [slice(ends[i], ends[i + 1]) for i in order]
+        timestamps, directions = (
+            np.concatenate([column[c] for c in cells] + [column[:0]])
+            for column in (self.timestamps, self.directions)
+        )
+        bounds = np.cumsum([0] + [c.stop - c.start for c in cells], dtype=np.int64)
+        return TraceColumns(
+            timestamps, directions, bounds, [self.phases[i] for i in order], [self.labels[i] for i in order]
+        )
+
     def traces(self) -> list[Trace]:
         """One ``Trace`` per trace, with views into the columns as cells."""
         ends = self.bounds.tolist()
@@ -249,12 +262,10 @@ def compute_trace_id(table: TraceColumns) -> list[str]:
     return ids
 
 
-def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
-    """Check that every trace has cells and starts at 0 ns, then yield the
-    lines in the seeded order, encoded, about ``_BLOCK_CELLS`` cells at a time."""
-    bounds, timestamps, directions = table.bounds.tolist(), table.timestamps, table.directions
+def _check_export(table: TraceColumns) -> None:
+    """Raise GuardsiftError unless every trace has cells and starts at 0 ns."""
     bad = np.diff(table.bounds) == 0  # empty, or (below) not starting at 0
-    bad[~bad] = timestamps[table.bounds[:-1][~bad]] != 0
+    bad[~bad] = table.timestamps[table.bounds[:-1][~bad]] != 0
     if bad.any():
         i = int(bad.argmax())
         row = table.rows(i, i + 1)
@@ -262,16 +273,20 @@ def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
             raise GuardsiftError("cannot export an empty trace")
         (trace_id,) = compute_trace_id(row)
         raise GuardsiftError(f"trace {trace_id} starts at {row.timestamps[0]} ns, expected 0")
+
+
+def _encoded_blocks(table: TraceColumns) -> Iterator[bytes]:
+    """The lines of the traces in order, encoded, about ``_BLOCK_CELLS`` cells at a time."""
+    bounds, timestamps, directions = table.bounds.tolist(), table.timestamps, table.directions
     # each line's head, up to the "[" of its cells: phases and labels repeat, so render each once
     heads = {
         (phase, label): f'{{"phase":{json.dumps(phase)},"label":{json.dumps(label)},"cells":['
         for phase, label in set(zip(table.phases, table.labels))
     }
     lines, cells = [], 0
-    for i in np.random.default_rng(seed).permutation(len(table)).tolist():
-        start, end = bounds[i], bounds[i + 1]
+    for start, end, phase, label in zip(bounds, bounds[1:], table.phases, table.labels):
         text = ("[%d,%d]," * (end - start)) % _pairs(timestamps[start:end], directions[start:end])
-        lines.append(f"{heads[table.phases[i], table.labels[i]]}{text[:-1]}]}}\n")
+        lines.append(f"{heads[phase, label]}{text[:-1]}]}}\n")
         cells += end - start
         if cells >= _BLOCK_CELLS:
             yield "".join(lines).encode("utf-8")
@@ -279,19 +294,45 @@ def _encoded_blocks(table: TraceColumns, seed: int) -> Iterator[bytes]:
     yield "".join(lines).encode("utf-8")
 
 
+# each array of a trace store: its dtype (all are 1-d)
+_STORE_ARRAYS = {"timestamps": np.int64, "directions": np.int8, "bounds": np.int64}
+
+
+def _stored(table: TraceColumns) -> tuple[dict, dict]:
+    """The arrays, in ``_STORE_ARRAYS``' dtypes, and the ``meta.json`` fields
+    of the store of a trace file that holds the rows of ``table`` in order.
+    ``write_dataset`` keeps this store; ``columns.read_columns`` keeps and
+    loads it."""
+    arrays = {name: np.asarray(getattr(table, name), dtype) for name, dtype in _STORE_ARRAYS.items()}
+    return arrays, {"phases": table.phases, "labels": table.labels}
+
+
 def write_dataset(table: TraceColumns, seed: int, path: str | Path) -> None:
     """Write the traces to ``path`` as newline-delimited JSON in a seeded
-    random order, one block at a time.
+    random order, one block at a time, and keep the file's store.
 
     Only directions, timestamps, and class labels are written; channel and
     circuit identifiers never reach the output. The same seed yields
-    byte-identical bytes.
+    byte-identical bytes. The table is checked before the file is opened.
+
+    The bytes are hashed as they are written. A regular file then gets the
+    store that its first read would keep (see ``store.read_once``), so no
+    reader decodes it; a pipe or other non-regular file gets none. A store
+    that cannot be written is a warning, as it is for readers.
     """
-    blocks = _encoded_blocks(table, seed)
-    first = next(blocks)  # the table is checked before the file is opened
+    import hashlib  # imported by the commands that write traces only
+
+    from . import store
+
+    _check_export(table)
+    table = table.take(np.random.default_rng(seed).permutation(len(table)).tolist())
+    digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        handle.write(first)
-        handle.writelines(blocks)
+        for block in _encoded_blocks(table):
+            digest.update(block)
+            handle.write(block)
+    if store.is_regular_file(path):
+        store._keep(path, "trace", digest.hexdigest(), *_stored(table))
 
 
 def read_dataset(source: str | Path | IO[str]) -> list[Trace]:

@@ -23,9 +23,10 @@ from guardsift import columns
 from guardsift.cli import main
 from guardsift.columns import read_columns
 from guardsift.errors import ParseError, StoreError
+from guardsift.simulate import ScenarioConfig
 from guardsift.store import store_path
 from guardsift.trace import TraceColumns, read_dataset, write_dataset
-from oracles import trace_from_cells
+from oracles import trace_from_cells, write_scenario
 
 TRACES = [
     trace_from_cells(((0, 1), (5 * MS, -1), (9 * MS, -1), (30 * MS, 1)), label="a.example"),
@@ -55,8 +56,10 @@ def remove_store(path) -> None:
 
 @pytest.fixture()
 def traces_path(tmp_path):
+    """A trace file without a store: the one its writer kept is removed."""
     path = tmp_path / "traces.ndjson"
     write_dataset(TraceColumns.from_traces(TRACES), 3, path)
+    remove_store(path)
     return path
 
 
@@ -195,11 +198,89 @@ def test_featurize_from_stdin_writes_no_store(traces_path, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "traces.ndjson"]
 
 
-def test_writers_write_no_store(tmp_path, traces_path):
+# --- the store the writer keeps
+
+
+def written_by(case, tmp_path, traces_path):
+    """The path of a trace file that ``case``'s writer wrote, beside the store it kept."""
+    out = tmp_path / "written"
+    if case.startswith("sanitize"):
+        config = tmp_path / "scenario.json"
+        write_scenario(ScenarioConfig(seed=21, n_pages=2, n_visits_per_page=2, n_nonmon_channels=3), config)
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "logs")]) == 0
+        argv = ["sanitize", "--in", str(tmp_path / "logs"), "--phase", "pre", "--out", str(out)]
+        assert main(argv + ["--segmentation", case.split("-")[1]]) == 0
+        return out / "traces.ndjson"
+    out.mkdir()
+    if case == "transform":
+        argv = ["transform", "--in", str(traces_path), "--out", str(out / "jittered.ndjson")]
+        assert main(argv + ["--jitter-ms", "1"]) == 0
+        return out / "jittered.ndjson"
+    write_dataset(TraceColumns.from_traces(TRACES if case == "labels" else []), 3, out / "traces.ndjson")
+    return out / "traces.ndjson"
+
+
+@pytest.mark.parametrize("case", ["sanitize-circuit", "sanitize-time", "transform", "empty", "labels"])
+def test_the_writer_keeps_the_store_a_first_read_keeps(tmp_path, traces_path, case):
+    path = written_by(case, tmp_path, traces_path)
+    copy = tmp_path / "copy" / "traces.ndjson"
+    copy.parent.mkdir()
+    copy.write_bytes(path.read_bytes())
+    read_columns(copy)  # a first read of the copy, which has no store, keeps one
+    store, other = store_path(path), store_path(copy)
+    names = sorted(p.name for p in store.iterdir())
+    assert names == sorted(p.name for p in other.iterdir())
+    assert names == ["bounds.npy", "directions.npy", "meta.json", "timestamps.npy"]
+    for name in names:
+        assert (store / name).read_bytes() == (other / name).read_bytes(), name
+    if case == "labels":
+        assert 'b,\u2028"c"' in from_store(path).labels
+
+
+def test_the_writer_s_store_has_the_store_dtypes(tmp_path):
+    # any other dtype would make the next read a StoreError
+    rows = TraceColumns.from_traces(TRACES)
+    table = TraceColumns(
+        rows.timestamps, rows.directions.astype(np.int64), rows.bounds.astype(np.int32), rows.phases, rows.labels
+    )
+    path = tmp_path / "traces.ndjson"
+    write_dataset(table, 3, path)
+    for name, dtype in (("timestamps", np.int64), ("directions", np.int8), ("bounds", np.int64)):
+        assert np.load(store_path(path) / f"{name}.npy").dtype == dtype, name
+    assert describe(from_store(path)) == describe(read_columns(io.StringIO(path.read_text())))
+
+
+def test_transform_to_a_pipe_keeps_no_store(traces_path, tmp_path):
+    argv = ["transform", "--in", str(traces_path), "--jitter-ms", "1", "--out"]
+    assert main(argv + [str(tmp_path / "file.ndjson")]) == 0
+    fifo = tmp_path / "pipe.ndjson"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [(tmp_path / "file.ndjson").read_bytes()]
+    assert not store_path(fifo).exists()
+
+
+def test_a_store_the_writer_cannot_write_is_a_warning(traces_path, tmp_path, caplog):
     out = tmp_path / "jittered.ndjson"
-    assert main(["transform", "--in", str(traces_path), "--out", str(out), "--jitter-ms", "1"]) == 0
-    assert store_path(traces_path).is_dir()  # the first read of the input wrote its store
-    assert not store_path(out).exists()
+    store_path(out).write_text("a file in the store's place")
+    with caplog.at_level(logging.WARNING, logger="guardsift.store"):
+        assert main(["transform", "--in", str(traces_path), "--out", str(out), "--jitter-ms", "1"]) == 0
+    assert f"cannot write the store of {out}" in caplog.text
+    assert store_path(out).read_text() == "a file in the store's place"
+    assert len(read_columns(out)) == len(TRACES)
+
+
+def test_rewriting_a_file_replaces_its_stale_store(tmp_path):
+    path = tmp_path / "traces.ndjson"
+    write_dataset(TraceColumns.from_traces(TRACES), 3, path)
+    write_dataset(TraceColumns.from_traces(TRACES[1:]), 3, path)
+    assert describe(from_store(path)) == describe(read_columns(io.StringIO(path.read_text())))
+    assert len(from_store(path)) == len(TRACES) - 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traces.ndjson", "traces.store"]
 
 
 # --- every command's outputs, whichever way the traces were read
